@@ -7,9 +7,9 @@ For one query q over keys k_1..k_m and values v_1..v_m,
 
 computed after subtracting the max logit so a constant shift of the logits
 leaves the weights bit-identical. The sparse variant restricts the softmax
-to an explicit token selection (mask 1 on selected, 0 elsewhere) and
-renormalizes over the selected set; unselected tokens carry implicit
-weight zero.
+to an explicit list of token ids (mask 1 on selected, 0 elsewhere), gathers
+their rows from key/value buffers indexed by token id, and renormalizes
+over the selected set; unselected tokens carry implicit weight zero.
 """
 
 from __future__ import annotations
@@ -74,23 +74,27 @@ def full_attention(q, keys, values, token_ids: Sequence[int] | None = None) -> A
     return AttentionOutput(dict(zip(token_ids, weights.tolist())), weights @ v_mat)
 
 
-def sparse_attention(q, selected_tokens: Iterable[int], entries) -> AttentionOutput:
+def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> AttentionOutput:
     """Attention restricted to a token selection.
 
-    `entries` is the available pool as (token id, key, value) triples; the
-    selection must be a non-empty subset of its token ids. Weights are
-    renormalized over the selection, so selecting everything reproduces
-    full attention exactly.
+    `keys` and `values` are indexed by token id: row t holds token t. The
+    selection must be non-empty, distinct and in range; its rows are
+    gathered in the order given, and the weights are renormalized over
+    them, so selecting every row reproduces full attention exactly.
     """
-    selected = {int(t) for t in selected_tokens}
-    if not selected:
+    ids = [int(t) for t in selected_tokens]
+    if not ids:
         raise InputError("empty token selection")
-    picked = [(t, k, v) for t, k, v in entries if int(t) in selected]
-    if len(picked) != len(selected):
-        missing = selected - {int(t) for t, _, _ in picked}
-        raise InputError(f"selected tokens missing from entries: {sorted(missing)[:5]}")
-    ids = [t for t, _, _ in picked]
-    return full_attention(q, [k for _, k, _ in picked], [v for _, _, v in picked], ids)
+    k_mat = np.asarray(keys, dtype=float)
+    v_mat = np.asarray(values, dtype=float)
+    n = k_mat.shape[0]
+    if n != v_mat.shape[0]:
+        raise InputError(f"{n} keys but {v_mat.shape[0]} values")
+    if min(ids) < 0 or max(ids) >= n:
+        raise InputError(f"selected token ids must lie in [0, {n})")
+    if len(set(ids)) != len(ids):
+        raise InputError("selected tokens repeat an id")
+    return full_attention(q, k_mat[ids], v_mat[ids], ids)
 
 
 def gqa_union(per_query_selections: Sequence[Iterable[int]]) -> set[int]:

@@ -59,7 +59,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reuse-stride", type=int, default=0)
     parser.add_argument("--beam", type=int, default=None)
     parser.add_argument("--visit-cap", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
@@ -80,7 +79,7 @@ def _config_from(args: argparse.Namespace, *, baseline: bool = False) -> EngineC
         window_pages=args.window_pages, skip_layers=args.skip_layers,
         reuse_stride=args.reuse_stride, beam=args.beam, visit_cap=args.visit_cap,
         seed=args.seed, evaluate=True,
-        compare_baseline=baseline or args.baseline, workers=args.workers)
+        compare_baseline=baseline or args.baseline)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:

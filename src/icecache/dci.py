@@ -5,8 +5,8 @@ Every point draws a level from a geometric distribution (ratio r): level
 present at every level from 1 up to l. At its top level it joins the node
 (cluster) of its nearest neighbour one level up; below that it heads its own
 chain of singleton-seeded nodes down to a level-1 leaf. Leaf nodes own the
-physical pages holding their members' cache entries, so every indexed token
-lives in exactly one leaf and one page slot.
+pages that list their members' token ids, so every indexed token lives in
+exactly one leaf and one page slot.
 
 Queries descend from the virtual root: at each level the members of the
 surviving clusters are ranked by lifted distance, the best `beam` survive,
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import KeyScale, transform_key, transform_query
+from .geometry import KeyScale, transform_key
 from .pagestore import INDEXED, DEFAULT_PAGE_SIZE, PageTable, TierStore
 
 # Target-level sentinel: descend to the bottom, collecting at every level.
@@ -365,30 +365,26 @@ class DciTree:
 
     # -- page placement -----------------------------------------------------
 
-    def _place_entry(self, leaf: DciNode, point_id: int, key: np.ndarray,
-                     value: np.ndarray | None) -> None:
+    def _place_entry(self, leaf: DciNode, point_id: int) -> None:
         if self.store is None:
             return
-        if value is None:
-            value = np.zeros(self.store.d_prime)
         if leaf.page_ids and not self.store.page(leaf.page_ids[-1]).full:
             page = self.store.page(leaf.page_ids[-1])
         else:
             page = self.store.allocate_page(self.page_size, INDEXED, resident=False)
             leaf.page_ids.append(page.page_id)
-            self.table.assign_page(leaf.node_id, page.page_id)
-        page.append(point_id, key, value)
+        page.append(point_id)
         self.table.map_token(point_id, page.page_id)
 
     # -- dynamic insertion ----------------------------------------------------
 
-    def insert(self, point_id: int, key, value=None, *,
+    def insert(self, point_id: int, key, *,
                rng: np.random.Generator | None = None, level: int | None = None) -> int:
         """Insert one key during decode; returns the level it was assigned.
 
         The level is drawn from the tree's stream (or the supplied rng), the
-        parent is the nearest point one level up, and the entry is appended
-        to the owning leaf's current page, opening a new page on overflow.
+        parent is the nearest point one level up, and the id is appended to
+        the owning leaf's current page, opening a new page on overflow.
         A draw above the current top level grows the tree and re-parents the
         former top-level points to the newcomer.
         """
@@ -427,7 +423,7 @@ class DciTree:
 
         self.point_level[point_id] = level
         leaf = self.nodes[self._membership[(point_id, 1)]]
-        self._place_entry(leaf, point_id, key, value)
+        self._place_entry(leaf, point_id)
         return level
 
     def _grow_top(self, point_id: int, new_level: int) -> None:
@@ -477,7 +473,7 @@ class DciTree:
 
 
 def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
-                 values=None, store: TierStore | None = None,
+                 store: TierStore | None = None,
                  table: PageTable | None = None, page_size: int = DEFAULT_PAGE_SIZE,
                  scale: KeyScale | None = None,
                  parent_budget: SearchBudget = PARENT_BUDGET) -> DciTree:
@@ -498,10 +494,6 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     mat = np.asarray([np.asarray(k, dtype=float) for _, k in pairs])
     if mat.ndim != 2:
         raise InputError("keys must share one dimension")
-    if values is not None:
-        values = [np.asarray(v, dtype=float) for v in values]
-        if len(values) != len(ids):
-            raise InputError("values must align one-to-one with keys")
 
     if scale is None:
         scale = KeyScale.from_keys(mat)
@@ -562,13 +554,5 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
         for node in tree.nodes.values():
             if node.is_leaf:
                 for pid in node.member_ids:
-                    row = tree._row[pid]
-                    value = values[row] if values is not None else None
-                    tree._place_entry(node, pid, mat[row], value)
+                    tree._place_entry(node, pid)
     return tree
-
-
-def query_raw(tree: DciTree, q, target_level: int, k: int,
-              budget: SearchBudget | None = None) -> list[int]:
-    """Convenience wrapper: lift a raw query, then run the tree query."""
-    return tree.query(transform_query(q), target_level, k, budget)

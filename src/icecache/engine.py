@@ -1,27 +1,29 @@
 """End-to-end orchestration over a pre-generated q/k/v stream.
 
+Each (layer, kv head) owns one key buffer and one value buffer, indexed by
+token id; they are the only copy of the cache. Everything else refers to
+their rows by id: pages list token ids, the tree indexes ids, and attention
+gathers the selected rows. Prefill copies the prompt in, so later writes to
+the workload's arrays do not reach the engine.
+
 Prefill splits the prompt into sink pages (pinned hot), window pages
 (pinned hot, rotating), and a middle region whose keys are clustered into a
-per-(layer, head) tree with the entries materialized into cold pages.
-Decode then runs, per layer: window rotation (offload the oldest window
-page and fold its tokens into the tree) when the newest window page is one
-entry short of full, query-aware page selection per query head, group-wise
-page union, bulk backload, and sparse attention over the selected pages
-plus the always-resident sink and window tokens.
+per-(layer, head) tree whose leaves own cold pages. Decode then runs, per
+layer: window rotation (offload the oldest window page and fold its tokens
+into the tree) when the newest window page is one entry short of full,
+page selection (fresh per-query-head tree queries on anchor layers, the
+anchor's tokens on reuse layers), group-wise page union, bulk backload, and
+sparse attention over the selected pages plus the always-resident sink and
+window tokens.
 
-The first skip_layers layers hold their full KV unindexed and attend
-exactly, as does the whole engine when the prompt is too short to split.
-The engine is not a transformer: embeddings come from the workload.
-
-Layers are processed sequentially within a step; kv-head groups within a
-layer are independent (own tree, store, page table) and may be processed by
-a thread pool. Metrics are merged after the parallel section.
+The first skip_layers layers are not indexed and attend exactly, as does
+the whole engine when the prompt is too short to split. The engine is not
+a transformer: embeddings come from the workload.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,7 @@ from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sp
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
 from .geometry import exact_topk, transform_query
-from .pagestore import SINK, WINDOW, PageTable, TierStore, find_page_index
+from .pagestore import SINK, WINDOW, PageTable, TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
 
 
@@ -49,14 +51,13 @@ class EngineConfig:
     sink_pages: int = 1
     window_pages: int = 2
     skip_layers: int = 2
-    reuse_stride: int = 0        # 0 disables selection reuse; >= 2 enables
+    reuse_stride: int = 0        # 0: every indexed layer is an anchor; >= 2 enables reuse
     beam: int | None = None      # survivors per level; default 2 x budget
     visit_cap: int | None = None  # per-node evaluations; default 4 x budget
     seed: int = 0
     scalar_bytes: int = 4
     evaluate: bool = False        # compute exact oracles per step
     compare_baseline: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if min(self.layers, self.kv_heads, self.query_heads_per_group,
@@ -74,8 +75,6 @@ class EngineConfig:
             raise ConfigError("skip_layers must be >= 0")
         if self.reuse_stride == 1 or self.reuse_stride < 0:
             raise ConfigError("reuse_stride must be 0 (off) or >= 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.scalar_bytes < 1:
             raise ConfigError("scalar_bytes must be >= 1")
 
@@ -205,8 +204,8 @@ class Engine:
         self.n_prefill = 0
         self.steps_done = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}
-        self._mirror_k: dict[tuple[int, int], _GrowArray] = {}
-        self._mirror_v: dict[tuple[int, int], _GrowArray] = {}
+        self._keys: dict[tuple[int, int], _GrowArray] = {}
+        self._values: dict[tuple[int, int], _GrowArray] = {}
         self.sink_tokens: list[int] = []
         self.indexed_tokens: list[int] = []
         self.selection_queries = 0
@@ -234,14 +233,13 @@ class Engine:
         keys, values = workload.prefill_view(n_prefill)
         self.n_prefill = n_prefill
 
+        rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
         for layer in range(cfg.layers):
             for h in range(cfg.kv_heads):
-                mk = _GrowArray(cfg.d, max(64, n_prefill))
-                mv = _GrowArray(cfg.d_prime, max(64, n_prefill))
-                mk.extend(keys[:, layer, h])
-                mv.extend(values[:, layer, h])
-                self._mirror_k[(layer, h)] = mk
-                self._mirror_v[(layer, h)] = mv
+                self._keys[(layer, h)] = _GrowArray(cfg.d, rows)
+                self._values[(layer, h)] = _GrowArray(cfg.d_prime, rows)
+                self._keys[(layer, h)].extend(keys[:, layer, h])
+                self._values[(layer, h)].extend(values[:, layer, h])
 
         s = cfg.page_size
         page_count = math.ceil(n_prefill / s)
@@ -255,50 +253,41 @@ class Engine:
         self.sink_tokens = list(range(sink_end))
         self.indexed_tokens = list(range(sink_end, window_start))
 
-        jobs = [(layer, h) for layer in range(cfg.skip_layers, cfg.layers)
-                for h in range(cfg.kv_heads)]
-
-        def build(job: tuple[int, int]) -> tuple[tuple[int, int], _HeadState]:
-            layer, h = job
-            store = TierStore(cfg.d, cfg.d_prime, cfg.scalar_bytes)
-            table = PageTable()
-            sink_list = []
-            for start in range(0, sink_end, s):
-                page = store.allocate_page(s, SINK, resident=True, pinned=True)
-                for t in range(start, min(start + s, n_prefill)):
-                    page.append(t, keys[t, layer, h], values[t, layer, h])
-                sink_list.append(page)
-            window_list = []
-            for start in range(window_start, n_prefill, s):
-                page = store.allocate_page(s, WINDOW, resident=True, pinned=True)
-                for t in range(start, min(start + s, n_prefill)):
-                    page.append(t, keys[t, layer, h], values[t, layer, h])
-                window_list.append(page)
-            middle = [(t, keys[t, layer, h]) for t in self.indexed_tokens]
-            tree = dci_indexing(
-                middle, cfg.promotion_ratio, seed=(cfg.seed, layer, h),
-                values=[values[t, layer, h] for t in self.indexed_tokens],
-                store=store, table=table, page_size=s)
-            baseline = None
-            if cfg.compare_baseline:
-                baseline = TokenOrderBaseline(s)
-                for t in self.indexed_tokens:
-                    baseline.add(t, keys[t, layer, h])
-            return job, _HeadState(tree=tree, store=store, table=table,
-                                   sink=sink_list, window=window_list,
-                                   baseline=baseline)
-
-        if cfg.workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                for job, state in pool.map(build, jobs):
-                    self.heads[job] = state
-        else:
-            for job in jobs:
-                key, state = build(job)
-                self.heads[key] = state
+        for layer in range(cfg.skip_layers, cfg.layers):
+            for h in range(cfg.kv_heads):
+                self.heads[(layer, h)] = self._build_head(layer, h, window_start)
 
         self.prefilled = True
         return self
+
+    def _build_head(self, layer: int, h: int, window_start: int) -> _HeadState:
+        cfg = self.cfg
+        s = cfg.page_size
+        store = TierStore(cfg.d, cfg.d_prime, cfg.scalar_bytes)
+        table = PageTable()
+
+        def pages(role: str, tokens: range) -> list:
+            out = []
+            for start in range(tokens.start, tokens.stop, s):
+                page = store.allocate_page(s, role, resident=True, pinned=True)
+                for t in range(start, min(start + s, tokens.stop)):
+                    page.append(t)
+                out.append(page)
+            return out
+
+        keys = self._keys[(layer, h)].view()
+        sink = pages(SINK, range(0, len(self.sink_tokens)))
+        window = pages(WINDOW, range(window_start, self.n_prefill))
+        tree = dci_indexing(
+            [(t, keys[t]) for t in self.indexed_tokens], cfg.promotion_ratio,
+            seed=(cfg.seed, layer, h), store=store, table=table, page_size=s)
+        baseline = None
+        if cfg.compare_baseline:
+            baseline = TokenOrderBaseline(s)
+            for t in self.indexed_tokens:
+                baseline.add(t, keys[t])
+        return _HeadState(tree=tree, store=store, table=table, sink=sink,
+                          window=window, baseline=baseline)
 
     # -- selection ----------------------------------------------------------
 
@@ -319,10 +308,10 @@ class Engine:
         return state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
 
     def is_anchor_layer(self, layer: int) -> bool:
-        if self.cfg.reuse_stride < 2:
-            raise ConfigError("selection reuse is disabled")
-        return layer >= self.cfg.skip_layers and \
-            (layer - self.cfg.skip_layers) % self.cfg.reuse_stride == 0
+        """Indexed layers that query their trees; with reuse off, all of them."""
+        stride = self.cfg.reuse_stride
+        offset = layer - self.cfg.skip_layers
+        return offset >= 0 and (stride == 0 or offset % stride == 0)
 
     def anchor_layers(self) -> list[int]:
         return [l for l in range(self.cfg.skip_layers, self.cfg.layers)
@@ -330,45 +319,46 @@ class Engine:
 
     def select_with_reuse(self, layer: int, layer_queries: np.ndarray
                           ) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
-        """Per-group page and token selections under reuse.
+        """Pages per kv head and selected tokens per query head.
 
-        Anchor layers run fresh per-head queries exactly as vanilla mode
-        does and record the group's token union; intermediate layers reuse
-        the most recent anchor's token ids, mapped through their own page
-        table without touching the tree.
+        Anchor layers run a fresh tree query per query head; each head's
+        tokens are its own result, the group's pages the union of theirs,
+        and the group's token union is recorded. Reuse layers take the most
+        recent anchor's token union for every head of the group, mapped
+        through their own page table without touching the tree.
         """
-        if self.cfg.reuse_stride < 2:
-            raise ConfigError("selection reuse is disabled")
         pages_by_head: dict[int, list[int]] = {}
-        tokens_by_head: dict[int, set[int]] = {}
+        tokens_by_qh: dict[int, set[int]] = {}
+        anchor = self.is_anchor_layer(layer)
         for group in self.groups:
             h = group.kv_head_id
             state = self.heads[(layer, h)]
-            if self.is_anchor_layer(layer):
+            if anchor:
                 per_head_pages = []
                 union_tokens: set[int] = set()
                 for qh in group.query_head_ids:
                     tokens = self._select_tokens(layer_queries[qh], layer, h)
+                    tokens_by_qh[qh] = set(tokens)
                     union_tokens.update(tokens)
                     per_head_pages.append(find_page_index(tokens, state.table))
                 self._anchor_tokens[h] = union_tokens
                 pages_by_head[h] = sorted(gqa_union(per_head_pages))
-                tokens_by_head[h] = union_tokens
             else:
                 if h not in self._anchor_tokens:
                     raise ConfigError(f"no anchor selection recorded yet for head {h}")
                 tokens = self._anchor_tokens[h]
                 pages_by_head[h] = find_page_index(tokens, state.table)
-                tokens_by_head[h] = set(tokens)
-        return pages_by_head, tokens_by_head
+                for qh in group.query_head_ids:
+                    tokens_by_qh[qh] = tokens
+        return pages_by_head, tokens_by_qh
 
     # -- decode ---------------------------------------------------------------
 
     def _full_reference(self, layer: int, kv_head: int, q: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Exact attention weights (indexed by token id) and output."""
-        keys = self._mirror_k[(layer, kv_head)].view()
-        values = self._mirror_v[(layer, kv_head)].view()
+        keys = self._keys[(layer, kv_head)].view()
+        values = self._values[(layer, kv_head)].view()
         logits = (keys @ q) / np.sqrt(q.size)
         logits = logits - logits.max()
         w = np.exp(logits)
@@ -376,8 +366,8 @@ class Engine:
         return w, w @ values
 
     def _full_output(self, layer: int, kv_head: int, q: np.ndarray) -> AttentionOutput:
-        keys = self._mirror_k[(layer, kv_head)].view()
-        values = self._mirror_v[(layer, kv_head)].view()
+        keys = self._keys[(layer, kv_head)].view()
+        values = self._values[(layer, kv_head)].view()
         return full_attention(q, keys, values)
 
     def decode_step(self, step: DecodeStep
@@ -396,13 +386,9 @@ class Engine:
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
-        recalls: list[float] = []
-        hits: list[float] = []
-        masses: list[float] = []
-        rel_errors: list[float] = []
-        base_hits: list[float] = []
-        traffic = {"pages_selected": 0, "pages_loaded": 0, "tokens_loaded": 0,
-                   "bytes": 0, "transactions": 0}
+        evals: list[tuple] = []  # (recall, hit, mass, rel error, baseline hit) per query head
+        moved = TransferStats()
+        pages_selected = tokens_loaded = 0
         queries_before = self.selection_queries
 
         rotate = False
@@ -412,8 +398,8 @@ class Engine:
 
         for layer in range(cfg.layers):
             for h in range(cfg.kv_heads):
-                self._mirror_k[(layer, h)].append(step.keys[layer, h])
-                self._mirror_v[(layer, h)].append(step.values[layer, h])
+                self._keys[(layer, h)].append(step.keys[layer, h])
+                self._values[(layer, h)].append(step.values[layer, h])
 
             if self.fallback or layer < cfg.skip_layers:
                 for qh in range(cfg.n_query_heads):
@@ -424,78 +410,35 @@ class Engine:
             if rotate:
                 self._rotate_layer(layer)
             for h in range(cfg.kv_heads):
-                state = self.heads[(layer, h)]
-                target = next(p for p in state.window if not p.full)
-                target.append(token, step.keys[layer, h], step.values[layer, h])
+                target = next(p for p in self.heads[(layer, h)].window if not p.full)
+                target.append(token)
 
-            if cfg.reuse_stride >= 2:
-                pages_by_head, tokens_by_head = self.select_with_reuse(
-                    layer, step.queries[layer])
-                qh_tokens = {qh: tokens_by_head[qh // cfg.query_heads_per_group]
-                             for qh in range(cfg.n_query_heads)}
-            else:
-                pages_by_head = {}
-                qh_tokens = {}
-                for group in self.groups:
-                    h = group.kv_head_id
-                    state = self.heads[(layer, h)]
-                    per_head_pages = []
-                    for qh in group.query_head_ids:
-                        tokens = self._select_tokens(step.queries[layer, qh], layer, h)
-                        qh_tokens[qh] = set(tokens)
-                        per_head_pages.append(find_page_index(tokens, state.table))
-                    pages_by_head[h] = sorted(gqa_union(per_head_pages))
-
-            def attend_group(group: HeadGroup) -> tuple[list, list]:
+            pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
+            for group in self.groups:
                 h = group.kv_head_id
                 state = self.heads[(layer, h)]
                 selected = pages_by_head[h]
-                delta = state.store.backload(selected)
+                moved.add(state.store.backload(selected))
+                loaded = state.store.tokens_in(selected)
+                pages_selected += len(selected)
+                tokens_loaded += len(loaded)
                 window_tokens = [t for page in state.window for t in page.token_ids]
-                attended = list(self.sink_tokens) + window_tokens + \
-                    state.store.tokens_in(selected)
-                entries = []
-                for page in state.sink + state.window:
-                    entries.extend(page.entries())
-                for pid in selected:
-                    entries.extend(state.store.page(pid).entries())
-                group_rows = []
-                group_eval = []
-                group_rows.append((h, delta, len(selected),
-                                   sum(state.store.page(p).fill for p in selected)))
+                attended = self.sink_tokens + window_tokens + loaded
+                keys = self._keys[(layer, h)].view()
+                values = self._values[(layer, h)].view()
                 for qh in group.query_head_ids:
                     q = step.queries[layer, qh]
-                    out = sparse_attention(q, attended, entries)
+                    out = sparse_attention(q, attended, keys, values)
                     outputs[layer][qh] = out
                     if cfg.evaluate:
-                        group_eval.append(self._evaluate_head(
+                        evals.append(self._evaluate_head(
                             layer, h, q, qh_tokens[qh], attended, out,
                             len(selected), state))
                 state.store.evict_unselected(selected)
-                return group_rows, group_eval
-
-            if cfg.workers > 1 and len(self.groups) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    results = list(pool.map(attend_group, self.groups))
-            else:
-                results = [attend_group(g) for g in self.groups]
-
-            for group_rows, group_eval in results:
-                for _, delta, n_sel, n_tok in group_rows:
-                    traffic["pages_selected"] += n_sel
-                    traffic["tokens_loaded"] += n_tok
-                    traffic["pages_loaded"] += delta.pages_backloaded
-                    traffic["bytes"] += delta.bytes_moved
-                    traffic["transactions"] += delta.transactions
-                for recall, hit, mass, rel, base in group_eval:
-                    recalls.append(recall)
-                    hits.append(hit)
-                    masses.append(mass)
-                    rel_errors.append(rel)
-                    if base is not None:
-                        base_hits.append(base)
 
         self.steps_done += 1
+        recalls, hits, masses, rel_errors, base = zip(*evals) if evals else ((),) * 5
+        base_hits = [b for b in base if b is not None]
         metrics = StepMetrics(
             step=self.steps_done - 1,
             token_id=token,
@@ -503,11 +446,11 @@ class Engine:
             page_hit_rate=float(np.mean(hits)) if hits else 1.0,
             covered_attention_mass=float(np.mean(masses)) if masses else 1.0,
             approx_rel_error=float(np.mean(rel_errors)) if rel_errors else 0.0,
-            pages_selected=traffic["pages_selected"],
-            pages_loaded=traffic["pages_loaded"],
-            tokens_loaded=traffic["tokens_loaded"],
-            bytes_moved=traffic["bytes"],
-            transactions=traffic["transactions"],
+            pages_selected=pages_selected,
+            pages_loaded=moved.pages_backloaded,
+            tokens_loaded=tokens_loaded,
+            bytes_moved=moved.bytes_moved,
+            transactions=moved.transactions,
             dci_queries=self.selection_queries - queries_before,
             baseline_hit_rate=float(np.mean(base_hits)) if base_hits else None,
         )
@@ -521,10 +464,11 @@ class Engine:
             state = self.heads[(layer, h)]
             old = state.window.pop(0)
             state.store.offload(old.page_id)
-            for t, k, v in old.entries():
-                state.tree.insert(t, k, v)
+            keys = self._keys[(layer, h)].view()
+            for t in old.token_ids:
+                state.tree.insert(t, keys[t])
                 if state.baseline is not None:
-                    state.baseline.add(t, k)
+                    state.baseline.add(t, keys[t])
             state.store.release(old.page_id)
             fresh = state.store.allocate_page(cfg.page_size, WINDOW,
                                               resident=True, pinned=True)
@@ -543,14 +487,14 @@ class Engine:
 
         k_eff = min(cfg.token_budget, len(self.indexed_tokens))
         indexed = np.asarray(self.indexed_tokens)
-        indexed_keys = self._mirror_k[(layer, kv_head)].view()[indexed]
+        indexed_keys = self._keys[(layer, kv_head)].view()[indexed]
         oracle_idx = exact_topk(q, indexed_keys, k_eff)
         oracle_indexed = {int(indexed[i]) for i in oracle_idx}
         recall = len(oracle_indexed & selected_tokens) / k_eff
 
         n_all = ref_w.size
         k_all = min(cfg.token_budget, n_all)
-        oracle_all = exact_topk(q, self._mirror_k[(layer, kv_head)].view(), k_all)
+        oracle_all = exact_topk(q, self._keys[(layer, kv_head)].view(), k_all)
         hit = sum(1 for t in oracle_all if t in attended_set) / k_all
 
         mass = float(ref_w[sorted(attended_set)].sum())

@@ -1,23 +1,23 @@
-"""Physical pages, node/token mapping, and the two-tier residency store.
+"""Pages of token ids, the token-to-page table, and the two-tier residency store.
 
-A page is a fixed-capacity block of (token id, key, value) entries; it is
-the unit of residency, selection, and transfer. The TierStore tracks which
-pages are resident ("hot") versus offloaded ("cold"), with sink and window
-pages pinned hot. Indexed pages keep their authoritative copy cold: the hot
-side only ever holds copies, so eviction is free and only cold->hot and
-hot->cold moves are charged.
+A page is a fixed-capacity list of token ids; it is the unit of residency,
+selection, and transfer. Pages hold no vectors: each token's key and value
+live once, in the engine's per-(layer, kv head) buffers at the row given by
+the token id, as in a page table over one KV pool. The TierStore tracks
+which pages are resident ("hot") versus offloaded ("cold"), with sink and
+window pages pinned hot. Indexed pages keep their authoritative copy cold:
+the hot side only ever holds copies, so eviction is free and only cold->hot
+and hot->cold moves are charged.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
-counted as entries x (d + d') x bytes-per-scalar.
+counted as tokens x (d + d') x bytes-per-scalar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import ConsistencyError, InputError, PolicyError
 
@@ -48,9 +48,9 @@ class TransferStats:
 
 
 class Page:
-    """Fixed-capacity block of (token id, key, value) entries."""
+    """Fixed-capacity block of token ids."""
 
-    __slots__ = ("page_id", "capacity", "role", "token_ids", "keys", "values")
+    __slots__ = ("page_id", "capacity", "role", "token_ids")
 
     def __init__(self, page_id: int, capacity: int, role: str = INDEXED):
         if capacity < 1:
@@ -61,8 +61,6 @@ class Page:
         self.capacity = capacity
         self.role = role
         self.token_ids: list[int] = []
-        self.keys: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
 
     @property
     def fill(self) -> int:
@@ -72,31 +70,22 @@ class Page:
     def full(self) -> bool:
         return self.fill >= self.capacity
 
-    def append(self, token_id: int, key: np.ndarray, value: np.ndarray) -> None:
+    def append(self, token_id: int) -> None:
         if self.full:
             raise InputError(f"page {self.page_id} is full")
         if token_id in self.token_ids:
             raise InputError(f"token {token_id} already in page {self.page_id}")
         self.token_ids.append(int(token_id))
-        self.keys.append(np.asarray(key, dtype=float))
-        self.values.append(np.asarray(value, dtype=float))
-
-    def entries(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        return list(zip(self.token_ids, self.keys, self.values))
 
     def __repr__(self) -> str:
         return f"Page(id={self.page_id}, role={self.role}, fill={self.fill}/{self.capacity})"
 
 
 class PageTable:
-    """Mapping from index nodes to their pages and from tokens to pages."""
+    """Mapping from tokens to the pages holding them."""
 
     def __init__(self) -> None:
-        self.node_to_pages: dict[int, list[int]] = {}
         self.token_to_page: dict[int, int] = {}
-
-    def assign_page(self, node_id: int, page_id: int) -> None:
-        self.node_to_pages.setdefault(node_id, []).append(page_id)
 
     def map_token(self, token_id: int, page_id: int) -> None:
         self.token_to_page[int(token_id)] = page_id
@@ -215,12 +204,6 @@ class TierStore:
         self.hot = (self.hot & (keep | self.pinned)) | keep | self.pinned
 
     # -- helpers ------------------------------------------------------
-
-    def hot_tokens(self) -> set[int]:
-        out: set[int] = set()
-        for pid in self.hot:
-            out.update(self.pages[pid].token_ids)
-        return out
 
     def tokens_in(self, page_ids: Iterable[int]) -> list[int]:
         out: list[int] = []

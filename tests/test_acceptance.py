@@ -190,7 +190,7 @@ def test_08_bulk_transfer_accounting():
     for i in range(7):
         page = store.allocate_page(16, INDEXED)
         for j in range(16):
-            page.append(i * 16 + j, np.zeros(8), np.zeros(8))
+            page.append(i * 16 + j)
         pages.append(page.page_id)
     first = store.backload(pages)
     ok = first.transactions == 1 and first.pages_backloaded == 7

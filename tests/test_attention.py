@@ -62,7 +62,9 @@ def test_sparse_with_everything_selected_equals_full():
     rng = np.random.default_rng(1)
     q = rng.normal(size=16)
     entries = [(t, rng.normal(size=16), rng.normal(size=8)) for t in range(40)]
-    sparse = sparse_attention(q, range(40), entries)
+    keys = np.array([k for _, k, _ in entries])
+    values = np.array([v for _, _, v in entries])
+    sparse = sparse_attention(q, range(40), keys, values)
     full = full_attention(q, [k for _, k, _ in entries], [v for _, _, v in entries])
     assert np.allclose(sparse.value_out, full.value_out, rtol=1e-6)
     for t in range(40):
@@ -70,18 +72,30 @@ def test_sparse_with_everything_selected_equals_full():
 
 
 def test_sparse_single_token():
-    entries = [(5, np.ones(2), np.array([1.0])), (6, np.ones(2), np.array([9.0]))]
-    out = sparse_attention(np.ones(2), {6}, entries)
+    keys = np.ones((7, 2))
+    values = np.zeros((7, 1))
+    values[5], values[6] = 1.0, 9.0
+    out = sparse_attention(np.ones(2), {6}, keys, values)
     assert out.weights == {6: 1.0}
     assert out.value_out[0] == 9.0
 
 
 def test_sparse_rejects_empty_or_unknown_selection():
-    entries = [(0, np.ones(2), np.ones(2))]
+    keys, values = np.ones((1, 2)), np.ones((1, 2))
     with pytest.raises(InputError):
-        sparse_attention(np.ones(2), set(), entries)
+        sparse_attention(np.ones(2), set(), keys, values)
     with pytest.raises(InputError):
-        sparse_attention(np.ones(2), {3}, entries)
+        sparse_attention(np.ones(2), {3}, keys, values)
+
+
+def test_sparse_rejects_negative_or_repeated_ids_and_keeps_selection_order():
+    keys, values = np.eye(3), np.arange(6.0).reshape(3, 2)
+    with pytest.raises(InputError):
+        sparse_attention(np.ones(3), [-1], keys, values)
+    with pytest.raises(InputError):
+        sparse_attention(np.ones(3), [2, 0, 2], keys, values)
+    out = sparse_attention(np.ones(3), [2, 0], keys, values)
+    assert list(out.weights) == [2, 0]
 
 
 def test_sparse_matches_restricted_softmax_oracle():
@@ -94,8 +108,7 @@ def test_sparse_matches_restricted_softmax_oracle():
     scores = keys @ q
     top64 = set(np.argsort(-scores)[:64].tolist())
     selected = top64 | set(range(16)) | set(range(m - 32, m))
-    entries = [(t, keys[t], values[t]) for t in range(m)]
-    out = sparse_attention(q, selected, entries)
+    out = sparse_attention(q, selected, keys, values)
     oracle_w, oracle_v = _restricted_softmax_oracle(q, keys, values, selected)
     assert np.allclose(out.value_out, oracle_v, atol=1e-12)
     for t in selected:

@@ -1,0 +1,58 @@
+"""The engine names the benchmark's traced run relies on.
+
+perfbench/spans.py traces a run by replacing entry points at the names
+`icecache.engine` calls them by, and perfbench/check.py reads the attended
+ids from each output's weights. A refactor that moves one of those names or
+changes what the weights hold would leave the traced run blind without
+failing it, so the contract is checked here, from the engine's side.
+"""
+
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import icecache.engine as engine_mod  # noqa: E402
+from icecache import Engine, EngineConfig, WorkloadSpec, generate_workload  # noqa: E402
+from perfbench.check import attended_ids  # noqa: E402
+from perfbench.spans import _entry_points  # noqa: E402
+
+
+def test_every_traced_entry_point_exists_on_the_engine_module():
+    for owner, attr, name, _ in _entry_points():
+        assert owner is engine_mod or getattr(engine_mod, owner.__name__) is owner, name
+        assert attr in vars(owner), name
+
+
+def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch):
+    spec = WorkloadSpec(kind="clustered", n_tokens=600, d=16, d_prime=8, clusters=8,
+                        layers=4, kv_heads=2, query_heads_per_group=2, seed=3)
+    cfg = EngineConfig(layers=4, kv_heads=2, query_heads_per_group=2, d=16, d_prime=8,
+                       token_budget=16, seed=3)
+    wl = generate_workload(spec)
+    eng = Engine(cfg).prefill(wl, 500)
+
+    calls = defaultdict(list)
+
+    def counted(name):
+        original = getattr(engine_mod, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
+        return wrapper
+
+    for name in ("sparse_attention", "find_page_index"):
+        monkeypatch.setattr(engine_mod, name, counted(name))
+    outs, _ = eng.decode_step(wl.decode_step(500, 0))
+
+    indexed = cfg.layers - cfg.skip_layers
+    assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
+    assert len(calls["find_page_index"]) == indexed * cfg.n_query_heads
+    returned = [outs[layer][qh] for layer in range(cfg.skip_layers, cfg.layers)
+                for qh in range(cfg.n_query_heads)]
+    assert all(result is out for (_, result), out in zip(calls["sparse_attention"], returned))
+    for args, out in calls["sparse_attention"]:
+        assert attended_ids(out).tolist() == [int(t) for t in args[1]]

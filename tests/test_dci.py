@@ -49,8 +49,7 @@ def test_assign_level_rejects_bad_ratio():
 
 def test_single_key_builds_degenerate_tree():
     store = TierStore(4, 4)
-    tree = dci_indexing([(7, np.ones(4))], 0.3, seed=0,
-                        values=[np.ones(4)], store=store)
+    tree = dci_indexing([(7, np.ones(4))], 0.3, seed=0, store=store)
     assert tree.levels == 1
     assert len(tree.nodes) == 1
     top = tree.nodes[tree.top_node_id]
@@ -97,8 +96,7 @@ def test_self_retrieval_of_indexed_keys():
 def test_tree_structure_invariants_hold():
     keys, _, _ = _clustered(5, 1500, 12, 8)
     store = TierStore(12, 4)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=5,
-                        values=[np.zeros(4)] * 1500, store=store, page_size=8)
+    tree = dci_indexing(_pairs(keys), 0.2, seed=5, store=store, page_size=8)
     tree.check_invariants()
     # parent-level invariant, walked explicitly over points
     for pid, lv in tree.point_level.items():
@@ -252,7 +250,7 @@ def test_query_counters_and_empty_tree_error():
 def test_insert_into_empty_tree():
     store = TierStore(3, 3)
     tree = DciTree(3, KeyScale(2.0), 0.2, seed=18, store=store, page_size=4)
-    tree.insert(0, np.ones(3), np.ones(3), level=1)
+    tree.insert(0, np.ones(3), level=1)
     assert tree.levels == 1 and len(tree.nodes) == 1
     leaf = tree.nodes[tree.top_node_id]
     assert leaf.page_ids and store.page(leaf.page_ids[0]).fill == 1
@@ -265,8 +263,7 @@ def test_insert_overflow_opens_second_page():
     tree = DciTree(2, KeyScale(5.0), 0.2, seed=19, store=store, page_size=s)
     rng = np.random.default_rng(19)
     for i in range(s + 1):  # all level 1 -> single leaf
-        tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3,
-                    np.zeros(2), level=1)
+        tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3, level=1)
     leaf = tree.nodes[tree._membership[(0, 1)]]
     assert len(leaf.page_ids) == 2
     fills = [store.page(p).fill for p in leaf.page_ids]

@@ -183,15 +183,23 @@ def test_run_determinism_bitwise():
     assert results[0] == results[1]
 
 
-def test_workers_match_serial_results():
-    wl, cfg = _small(seed=7, evaluate=True, token_budget=16, kv_heads=2)
-    serial = Engine(cfg).prefill(wl, 500)
-    wl2, cfg2 = _small(seed=7, evaluate=True, token_budget=16, kv_heads=2, workers=4)
-    threaded = Engine(cfg2).prefill(wl2, 500)
-    for t in range(6):
-        _, a = serial.decode_step(wl.decode_step(500, t))
-        _, b = threaded.decode_step(wl2.decode_step(500, t))
+def test_engine_owns_its_cache():
+    # Rotation fires on the first step, so tree inserts read the prompt too.
+    wl, cfg = _small(seed=7, evaluate=True, token_budget=16)
+    untouched = Engine(cfg).prefill(wl, 512)
+    wl2, _ = _small(seed=7, evaluate=True, token_budget=16)
+    touched = Engine(cfg).prefill(wl2, 512)
+    rng = np.random.default_rng(0)
+    wl2.keys[:512] = rng.normal(size=wl2.keys[:512].shape)
+    wl2.values[:512] = rng.normal(size=wl2.values[:512].shape)
+    for t in range(3):
+        outs_a, a = untouched.decode_step(wl.decode_step(512, t))
+        outs_b, b = touched.decode_step(wl2.decode_step(512, t))
         assert a.__dict__ == b.__dict__
+        for layer in range(cfg.layers):
+            for out_a, out_b in zip(outs_a[layer], outs_b[layer]):
+                assert list(out_a.weights.items()) == list(out_b.weights.items())
+                assert np.array_equal(out_a.value_out, out_b.value_out)
 
 
 # -- selection reuse -----------------------------------------------------------------
@@ -203,13 +211,14 @@ def test_anchor_layer_arithmetic():
     assert eng.anchor_layers() == [2, 4, 6]
 
 
-def test_reuse_off_is_config_error():
-    wl, cfg = _small(token_budget=8)
+def test_reuse_off_makes_every_indexed_layer_an_anchor():
+    wl, cfg = _small(layers=5, token_budget=8)
     eng = Engine(cfg).prefill(wl, 500)
-    with pytest.raises(ConfigError):
-        eng.select_with_reuse(2, wl.queries[500, 2])
-    with pytest.raises(ConfigError):
-        eng.is_anchor_layer(2)
+    assert eng.anchor_layers() == [2, 3, 4]
+    for layer in eng.anchor_layers():
+        pages_by_head, _ = eng.select_with_reuse(layer, wl.queries[500, layer])
+        for h in range(cfg.kv_heads):
+            assert pages_by_head[h] == eng.page_select(wl.queries[500, layer, h], layer, h)
 
 
 def test_anchor_selections_match_vanilla():
