@@ -1,0 +1,61 @@
+"""Microbenchmarks of the decode hot paths, outside the tier-1 test paths.
+
+Run from the repository root:
+
+    python -m pytest benchmarks --benchmark-only
+
+Shapes follow the clustered-10k workload: 10k keys of dimension 64 in 32
+clusters, promotion ratio 0.1, budget 64. The end-to-end numbers live in
+perfbench; these isolate one call each.
+"""
+
+import numpy as np
+import pytest
+
+from icecache import (SENTINEL_LEVEL, PageTable, SearchBudget, TierStore, WorkloadSpec,
+                      dci_indexing, full_attention, generate_workload, transform_query)
+
+N_KEYS = 10_000
+
+
+@pytest.fixture(scope="module")
+def stream():
+    spec = WorkloadSpec(kind="clustered", clusters=32, n_tokens=N_KEYS, layers=1, kv_heads=1)
+    wl = generate_workload(spec)
+    return wl.keys[:, 0, 0], wl.values[:, 0, 0], wl.queries[:, 0, 0]
+
+
+def _build(keys):
+    return dci_indexing(list(enumerate(keys)), 0.1, seed=0, store=TierStore(64, 64),
+                        table=PageTable(), page_size=16)
+
+
+def test_dci_query(benchmark, stream):
+    keys, _, queries = stream
+    tree = _build(keys)
+    lifted = [transform_query(q) for q in queries[:64]]
+    budget = SearchBudget.for_k(64)
+
+    def run():
+        for q in lifted:
+            tree.query(q, SENTINEL_LEVEL, 64, budget)
+    benchmark(run)
+
+
+def test_dense_argpartition_bar(benchmark, stream):
+    keys, _, queries = stream
+
+    def run():
+        for q in queries[:64]:
+            np.argpartition(keys @ q, -64)[-64:]
+    benchmark(run)
+
+
+def test_dci_indexing(benchmark, stream):
+    keys, _, _ = stream
+    benchmark.pedantic(_build, args=(keys,), rounds=3, iterations=1)
+
+
+def test_full_attention(benchmark, stream):
+    keys, values, queries = stream
+    benchmark(full_attention, queries[0], keys, values)

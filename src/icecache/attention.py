@@ -14,25 +14,69 @@ over the selected set; unselected tokens carry implicit weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Iterator, MutableMapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 
 
+class _WeightView(MutableMapping):
+    """Token id -> weight over an output's dense arrays.
+
+    Length and iteration read the id array; the dict is built on the first
+    lookup or write, and edits change only the view, never the arrays.
+    """
+
+    __slots__ = ("_ids", "_weights", "_dict")
+
+    def __init__(self, ids: np.ndarray, weights: np.ndarray):
+        self._ids = ids
+        self._weights = weights
+        self._dict: dict[int, float] | None = None
+
+    def _items(self) -> dict[int, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self._ids.tolist(), self._weights.tolist()))
+        return self._dict
+
+    def __getitem__(self, token_id: int) -> float:
+        return self._items()[token_id]
+
+    def __setitem__(self, token_id: int, weight: float) -> None:
+        self._items()[token_id] = weight
+
+    def __delitem__(self, token_id: int) -> None:
+        del self._items()[token_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids.tolist() if self._dict is None else self._dict)
+
+    def __len__(self) -> int:
+        return self._ids.size if self._dict is None else len(self._dict)
+
+
 @dataclass
 class AttentionOutput:
-    """Per-token weights (summing to 1 over unmasked tokens) and the
-    weighted value vector."""
+    """Attended token ids with their weights (summing to 1), and the
+    weighted value vector.
 
-    weights: dict[int, float]
+    `weights` maps each attended id to its weight, in attended order.
+    """
+
+    token_ids: np.ndarray      # attended ids, in attended order
+    dense_weights: np.ndarray  # weight of each attended id, aligned with token_ids
     value_out: np.ndarray
+    weights: MutableMapping[int, float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.weights = _WeightView(self.token_ids, self.dense_weights)
 
     def covered_mass(self, token_ids: Iterable[int]) -> float:
-        """Total weight this output places on the given tokens."""
-        return float(sum(self.weights.get(int(t), 0.0) for t in token_ids))
+        """Total weight this output places on the given tokens (each counted once)."""
+        given = np.fromiter((int(t) for t in token_ids), dtype=np.int64)
+        return float(self.dense_weights[np.isin(self.token_ids, given)].sum())
 
 
 @dataclass(frozen=True)
@@ -62,16 +106,17 @@ def full_attention(q, keys, values, token_ids: Sequence[int] | None = None) -> A
     if k_mat.shape[1] != q.size:
         raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1]}")
     if token_ids is None:
-        token_ids = range(k_mat.shape[0])
-    token_ids = [int(t) for t in token_ids]
-    if len(token_ids) != k_mat.shape[0]:
-        raise InputError("token_ids must align one-to-one with keys")
+        ids = np.arange(k_mat.shape[0])
+    else:
+        ids = np.asarray(token_ids, dtype=np.int64)
+        if ids.shape != (k_mat.shape[0],):
+            raise InputError("token_ids must align one-to-one with keys")
 
     logits = (k_mat @ q) / np.sqrt(q.size)
     logits -= logits.max()
     weights = np.exp(logits)
     weights /= weights.sum()
-    return AttentionOutput(dict(zip(token_ids, weights.tolist())), weights @ v_mat)
+    return AttentionOutput(ids, weights, weights @ v_mat)
 
 
 def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> AttentionOutput:
@@ -82,17 +127,17 @@ def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> Attenti
     gathered in the order given, and the weights are renormalized over
     them, so selecting every row reproduces full attention exactly.
     """
-    ids = [int(t) for t in selected_tokens]
-    if not ids:
+    ids = np.fromiter((int(t) for t in selected_tokens), dtype=np.int64)
+    if ids.size == 0:
         raise InputError("empty token selection")
     k_mat = np.asarray(keys, dtype=float)
     v_mat = np.asarray(values, dtype=float)
     n = k_mat.shape[0]
     if n != v_mat.shape[0]:
         raise InputError(f"{n} keys but {v_mat.shape[0]} values")
-    if min(ids) < 0 or max(ids) >= n:
+    if ids.min() < 0 or ids.max() >= n:
         raise InputError(f"selected token ids must lie in [0, {n})")
-    if len(set(ids)) != len(ids):
+    if np.unique(ids).size != ids.size:
         raise InputError("selected tokens repeat an id")
     return full_attention(q, k_mat[ids], v_mat[ids], ids)
 

@@ -137,20 +137,40 @@ class _NodeSearch:
 
 @dataclass
 class DciNode:
-    """One cluster: the points at `level` sharing the same parent point."""
+    """One cluster: the points at `level` sharing the same parent point.
+
+    Its members live in the tree's level arrays; `member_ids` reads them.
+    """
 
     node_id: int
     level: int
     parent_id: int | None      # parent node id; None for the top node
     owner_id: int              # owning point id, ROOT_OWNER for the top node
-    member_ids: list[int] = field(default_factory=list)
+    tree: "DciTree" = field(repr=False)
     page_ids: list[int] = field(default_factory=list)  # leaf nodes only
-    _matrix: np.ndarray | None = field(default=None, repr=False)
     _search: _NodeSearch | None = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 1
+
+    @property
+    def member_ids(self) -> list[int]:
+        return self.tree._point[self.tree._node_rows(self)].tolist()
+
+
+def _nearest(ids: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
+    """Positions of the m smallest (d2, id) pairs, nearest first."""
+    if d2.size > m:
+        within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
+        return within[np.lexsort((ids[within], d2[within]))[:m]]
+    return np.lexsort((ids, d2))
+
+
+def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
+    out = np.zeros((rows,) + arr.shape[1:], dtype=arr.dtype)
+    out[: arr.shape[0]] = arr
+    return out
 
 
 class DciTree:
@@ -159,6 +179,12 @@ class DciTree:
     One tree has one writer; reads are pure. All randomness (level draws,
     per-node projection directions) derives from the constructor seed, so
     identical inputs reproduce identical trees.
+
+    Level l is stored as arrays at index l - 1: `_members` holds the buffer
+    rows of every point present at that level, grouped by node, and
+    `_start`/`_count`, indexed by the buffer row of the node's owner (a
+    point one level up), give where that node's members sit in `_members`.
+    The top node is its whole level.
     """
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
@@ -187,9 +213,12 @@ class DciTree:
         self.top_node_id: int | None = None
         self.point_level: dict[int, int] = {}
         self._row: dict[int, int] = {}          # point id -> row in the point buffer
-        self._ids: list[int] = []               # row -> point id
         self._buf = np.empty((0, dim + 1))
+        self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._n = 0
+        self._members: list[np.ndarray] = []
+        self._start: list[np.ndarray] = []
+        self._count: list[np.ndarray] = []
         self._owner_node: dict[tuple[int, int], int] = {}   # (owner point, level) -> node
         self._membership: dict[tuple[int, int], int] = {}   # (point, level) -> containing node
         self._next_node_id = 0
@@ -205,19 +234,34 @@ class DciTree:
 
     @property
     def point_ids(self) -> list[int]:
-        return list(self._ids)
+        return self._point[: self._n].tolist()
+
+    def _reserve(self, rows: int) -> None:
+        """Grow every row-indexed array, by doubling, to hold `rows` rows."""
+        cap = self._buf.shape[0]
+        if rows <= cap:
+            return
+        cap = max(64, 2 * cap)
+        while cap < rows:
+            cap *= 2
+        self._buf = _grown(self._buf, cap)
+        self._point = _grown(self._point, cap)
+        self._start = [_grown(a, cap) for a in self._start]
+        self._count = [_grown(a, cap) for a in self._count]
 
     def _add_row(self, point_id: int, vec: np.ndarray) -> int:
-        if self._n == self._buf.shape[0]:
-            grown = np.empty((max(64, 2 * self._buf.shape[0]), self.dim + 1))
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
+        self._reserve(self._n + 1)
         row = self._n
         self._buf[row] = vec
+        self._point[row] = point_id
         self._row[point_id] = row
-        self._ids.append(point_id)
         self._n += 1
         return row
+
+    def _add_level(self) -> None:
+        self._members.append(np.empty(0, dtype=np.intp))
+        self._start.append(np.zeros(self._buf.shape[0], dtype=np.intp))
+        self._count.append(np.zeros(self._buf.shape[0], dtype=np.intp))
 
     def lifted(self, point_id: int) -> np.ndarray:
         return self._buf[self._row[point_id]]
@@ -241,29 +285,50 @@ class DciTree:
 
     # -- node helpers -----------------------------------------------------
 
-    def _new_node(self, level: int, parent_id: int | None, owner_id: int,
-                  member_ids: list[int] | None = None) -> DciNode:
-        node = DciNode(self._next_node_id, level, parent_id, owner_id,
-                       member_ids if member_ids is not None else [])
+    def _new_node(self, level: int, parent_id: int | None, owner_id: int) -> DciNode:
+        node = DciNode(self._next_node_id, level, parent_id, owner_id, self)
         self._next_node_id += 1
         self.nodes[node.node_id] = node
         self._owner_node[(owner_id, level)] = node.node_id
-        for pid in node.member_ids:
-            self._membership[(pid, level)] = node.node_id
+        return node
+
+    def _open_node(self, level: int, parent_id: int | None, owner_id: int,
+                   point_id: int) -> DciNode:
+        """A new node holding only point_id, at the end of its level's array."""
+        members = self._members[level - 1]
+        if owner_id != ROOT_OWNER:
+            owner = self._row[owner_id]
+            self._start[level - 1][owner] = members.size
+            self._count[level - 1][owner] = 1
+        self._members[level - 1] = np.append(members, self._row[point_id])
+        node = self._new_node(level, parent_id, owner_id)
+        self._membership[(point_id, level)] = node.node_id
         return node
 
     def _add_member(self, node: DciNode, point_id: int) -> None:
-        node.member_ids.append(point_id)
+        """Insert point_id at the end of node's slice; later slices shift up."""
+        lv = node.level - 1
+        if node.owner_id == ROOT_OWNER:
+            pos = self._members[lv].size
+        else:
+            owner = self._row[node.owner_id]
+            pos = self._start[lv][owner] + self._count[lv][owner]
+            self._count[lv][owner] += 1
+            starts = self._start[lv][: self._n]
+            starts += starts >= pos   # rows owning no node here hold 0 < pos
+        members = self._members[lv]
+        self._members[lv] = np.concatenate((members[:pos], [self._row[point_id]], members[pos:]))
         self._membership[(point_id, node.level)] = node.node_id
-        node._matrix = None
         if node._search is not None:
             node._search.add(point_id, self.lifted(point_id))
 
-    def _node_matrix(self, node: DciNode) -> np.ndarray:
-        if node._matrix is None:
-            rows = [self._row[pid] for pid in node.member_ids]
-            node._matrix = self._buf[rows]
-        return node._matrix
+    def _node_rows(self, node: DciNode) -> np.ndarray:
+        members = self._members[node.level - 1]
+        if node.owner_id == ROOT_OWNER:
+            return members
+        owner = self._row[node.owner_id]
+        start = self._start[node.level - 1][owner]
+        return members[start: start + self._count[node.level - 1][owner]]
 
     def _node_search(self, node: DciNode) -> _NodeSearch:
         if node._search is None:
@@ -277,7 +342,42 @@ class DciTree:
             node._search = search
         return node._search
 
-    # -- within-node search -----------------------------------------------
+    # -- search -------------------------------------------------------------
+
+    def _candidate_rows(self, level: int, owners: np.ndarray | None,
+                        q_vec: np.ndarray, visit_cap: int) -> np.ndarray:
+        """Buffer rows searched in the nodes the given owner rows own at
+        `level` (None: the top node).
+
+        A node is scanned whole when it has at most EXHAUSTIVE_NODE_LIMIT
+        members or the visit cap covers it; otherwise only the first
+        visit_cap members of its prioritized projection order are searched.
+        """
+        members = self._members[level - 1]
+        if owners is None:
+            counts = np.array([members.size])
+            rows = members
+        else:
+            starts = self._start[level - 1][owners]
+            counts = self._count[level - 1][owners]
+            ends = np.cumsum(counts)
+            rows = members[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        large = counts > max(EXHAUSTIVE_NODE_LIMIT, visit_cap)
+        if not large.any():
+            return rows
+        parts = [rows[np.repeat(~large, counts)]]
+        for i in np.flatnonzero(large):
+            owner = ROOT_OWNER if owners is None else int(self._point[owners[i]])
+            node = self.nodes[self._owner_node[(owner, level)]]
+            visited = self._node_search(node).visit_order(q_vec, visit_cap)
+            parts.append(np.fromiter((self._row[p] for p in visited), np.intp, len(visited)))
+        return np.concatenate(parts)
+
+    def _distances(self, rows: np.ndarray, q_vec: np.ndarray) -> np.ndarray:
+        diff = self._buf.take(rows, axis=0)
+        diff -= q_vec
+        self.distance_evals += rows.size
+        return np.einsum("ij,ij->i", diff, diff)
 
     def pdci_query(self, q_vec: np.ndarray, node: DciNode | int, k: int,
                    budget: SearchBudget | None = None) -> list[int]:
@@ -289,31 +389,13 @@ class DciTree:
         """
         if isinstance(node, int):
             node = self.nodes[node]
-        if not node.member_ids:
-            raise InputError(f"node {node.node_id} has no members")
         if budget is None:
             budget = SearchBudget.for_k(k)
-        ids, d2 = self._node_candidates(node, q_vec, budget.visit_cap)
-        order = np.lexsort((ids, d2))
-        return [int(ids[i]) for i in order[: min(k, len(ids))]]
-
-    def _node_candidates(self, node: DciNode, q_vec: np.ndarray,
-                         visit_cap: int) -> tuple[np.ndarray, np.ndarray]:
-        """Member ids and their squared distances, truncated by visit_cap."""
-        members = node.member_ids
-        if len(members) <= EXHAUSTIVE_NODE_LIMIT or visit_cap >= len(members):
-            mat = self._node_matrix(node)
-            ids = np.fromiter(members, dtype=np.int64, count=len(members))
-        else:
-            visited = self._node_search(node).visit_order(q_vec, visit_cap)
-            mat = self._buf[[self._row[pid] for pid in visited]]
-            ids = np.fromiter(visited, dtype=np.int64, count=len(visited))
-        diff = mat - q_vec
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        self.distance_evals += len(ids)
-        return ids, d2
-
-    # -- multi-level query --------------------------------------------------
+        owners = None if node.owner_id == ROOT_OWNER else np.array([self._row[node.owner_id]])
+        rows = self._candidate_rows(node.level, owners, q_vec, budget.visit_cap)
+        d2 = self._distances(rows, q_vec)
+        ids = self._point[rows]
+        return ids[_nearest(ids, d2, k)].tolist()
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
               budget: SearchBudget | None = None) -> list[int]:
@@ -324,6 +406,10 @@ class DciTree:
         inner product with the query); target_level = l collects only the
         points found at level l, which is how parents are assigned. Targets
         above the current top level clamp to it.
+
+        Each level is one gather and one distance pass over the members of
+        the surviving nodes; the `beam` nearest, ties toward the smaller id,
+        own the nodes searched one level down.
         """
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
@@ -337,44 +423,42 @@ class DciTree:
         floor = 1 if collect_all else min(target_level, self.levels)
         self.query_count += 1
 
-        best: dict[int, float] = {}
-        survivors: list[int] = []
+        found_rows: list[np.ndarray] = []
+        found_d2: list[np.ndarray] = []
+        owners = None
         for level in range(self.levels, floor - 1, -1):
-            if level == self.levels:
-                node_ids = [self.top_node_id]
-            else:
-                node_ids = [self._owner_node[(pid, level)] for pid in survivors]
-            cand_ids: list[np.ndarray] = []
-            cand_d2: list[np.ndarray] = []
-            for nid in node_ids:
-                ids, d2 = self._node_candidates(self.nodes[nid], q_vec, budget.visit_cap)
-                cand_ids.append(ids)
-                cand_d2.append(d2)
-            ids = np.concatenate(cand_ids)
-            d2 = np.concatenate(cand_d2)
+            rows = self._candidate_rows(level, owners, q_vec, budget.visit_cap)
+            d2 = self._distances(rows, q_vec)
             if collect_all or level == floor:
-                for pid, dist in zip(ids.tolist(), d2.tolist()):
-                    if pid not in best or dist < best[pid]:
-                        best[pid] = dist
+                found_rows.append(rows)
+                found_d2.append(d2)
             if level > floor:
-                order = np.lexsort((ids, d2))[: min(budget.beam, len(ids))]
-                survivors = [int(ids[i]) for i in order]
+                owners = rows[_nearest(self._point[rows], d2, budget.beam)]
 
-        ranked = sorted(best.items(), key=lambda item: (item[1], item[0]))
-        return [pid for pid, _ in ranked[: min(k, len(ranked))]]
+        rows = np.concatenate(found_rows)
+        d2 = np.concatenate(found_d2)
+        # A point found at several levels is ranked by its first (nearest)
+        # place, so k distinct ids lie within the k + (repeats) nearest.
+        seen = np.zeros(self._n, dtype=bool)
+        seen[rows] = True
+        ids = self._point[rows]
+        ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
+        first = np.unique(ids, return_index=True)[1]
+        return ids[np.sort(first)[:k]].tolist()
 
     # -- page placement -----------------------------------------------------
 
-    def _place_entry(self, leaf: DciNode, point_id: int) -> None:
+    def _place(self, leaf: DciNode, point_ids: list[int]) -> None:
+        """Append ids to the leaf's last page, opening pages as they fill."""
         if self.store is None:
             return
-        if leaf.page_ids and not self.store.page(leaf.page_ids[-1]).full:
-            page = self.store.page(leaf.page_ids[-1])
-        else:
-            page = self.store.allocate_page(self.page_size, INDEXED, resident=False)
-            leaf.page_ids.append(page.page_id)
-        page.append(point_id)
-        self.table.map_token(point_id, page.page_id)
+        page = self.store.page(leaf.page_ids[-1]) if leaf.page_ids else None
+        for pid in point_ids:
+            if page is None or page.full:
+                page = self.store.allocate_page(self.page_size, INDEXED, resident=False)
+                leaf.page_ids.append(page.page_id)
+            page.append(pid)
+            self.table.map_token(pid, page.page_id)
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -400,10 +484,10 @@ class DciTree:
         self._add_row(point_id, vec)
 
         if self.levels == 0:
+            for _ in range(level):
+                self._add_level()
             self.levels = level
-            top = self._new_node(level, None, ROOT_OWNER, [point_id])
-            self.top_node_id = top.node_id
-            self._membership[(point_id, level)] = top.node_id
+            self.top_node_id = self._open_node(level, None, ROOT_OWNER, point_id).node_id
             chain_from = level - 1
         elif level > self.levels:
             chain_from = self.levels - 1  # _grow_top covers the levels above
@@ -418,29 +502,32 @@ class DciTree:
             chain_from = level - 1
 
         for lv in range(chain_from, 0, -1):
-            parent_node = self._membership[(point_id, lv + 1)]
-            self._new_node(lv, parent_node, point_id, [point_id])
+            self._open_node(lv, self._membership[(point_id, lv + 1)], point_id, point_id)
 
         self.point_level[point_id] = level
-        leaf = self.nodes[self._membership[(point_id, 1)]]
-        self._place_entry(leaf, point_id)
+        self._place(self.nodes[self._membership[(point_id, 1)]], [point_id])
         return level
 
     def _grow_top(self, point_id: int, new_level: int) -> None:
         """Raise the tree to new_level with point_id as the sole top point."""
         old_top = self.nodes[self.top_node_id]
         old_level = self.levels
-        top = self._new_node(new_level, None, ROOT_OWNER, [point_id])
+        for _ in range(old_level, new_level):
+            self._add_level()
+        top = self._open_node(new_level, None, ROOT_OWNER, point_id)
         del self._owner_node[(ROOT_OWNER, old_level)]
         self.top_node_id = top.node_id
         prev = top
         for lv in range(new_level - 1, old_level, -1):
-            prev = self._new_node(lv, prev.node_id, point_id, [point_id])
+            prev = self._open_node(lv, prev.node_id, point_id, point_id)
         # The former top cluster becomes the newcomer's node at the old top
         # level; its members re-parent to the only point above them.
         old_top.owner_id = point_id
         old_top.parent_id = prev.node_id
         self._owner_node[(point_id, old_level)] = old_top.node_id
+        row = self._row[point_id]
+        self._start[old_level - 1][row] = 0
+        self._count[old_level - 1][row] = self._members[old_level - 1].size
         self._add_member(old_top, point_id)
         self.levels = new_level
 
@@ -449,11 +536,20 @@ class DciTree:
     def check_invariants(self) -> None:
         """Full structural walk; raises AssertionError on violation."""
         assert self.levels >= 1 and self.top_node_id is not None
+        assert len(self._members) == self.levels, "level arrays != levels"
         seen_levels = {node.level for node in self.nodes.values()}
         assert seen_levels == set(range(1, self.levels + 1)), "empty level present"
+        slices: dict[int, list[tuple[int, int]]] = {lv: [] for lv in seen_levels}
         leaf_members: list[int] = []
         for node in self.nodes.values():
-            assert node.member_ids, f"empty node {node.node_id}"
+            rows = self._node_rows(node)
+            members = self._point[rows].tolist()
+            assert members, f"empty node {node.node_id}"
+            offset = 0 if node.owner_id == ROOT_OWNER else \
+                int(self._start[node.level - 1][self._row[node.owner_id]])
+            slices[node.level].append((offset, rows.size))
+            assert all(self._membership[(pid, node.level)] == node.node_id
+                       for pid in members), "membership disagrees with the level arrays"
             if node.node_id == self.top_node_id:
                 assert node.parent_id is None and node.owner_id == ROOT_OWNER
             else:
@@ -461,10 +557,20 @@ class DciTree:
                 assert parent.level == node.level + 1, "parent not one level up"
                 assert node.owner_id in parent.member_ids, "owner missing from parent"
             if node.is_leaf:
-                leaf_members.extend(node.member_ids)
+                leaf_members.extend(members)
                 if self.store is not None:
                     fills = sum(self.store.page(pid).fill for pid in node.page_ids)
-                    assert fills == len(node.member_ids), "page fill != leaf membership"
+                    assert fills == len(members), "page fill != leaf membership"
+        for lv, spans in slices.items():
+            # The nodes of a level tile its member array exactly.
+            spans.sort()
+            ends = np.cumsum([count for _, count in spans]).tolist()
+            assert [start for start, _ in spans] == [0] + ends[:-1], \
+                f"node slices overlap or leave gaps at level {lv}"
+            assert ends[-1] == self._members[lv - 1].size, f"stray rows at level {lv}"
+            expected = sorted(pid for pid, top in self.point_level.items() if top >= lv)
+            assert sorted(self._point[self._members[lv - 1]].tolist()) == expected, \
+                f"level {lv} holds the wrong points"
         assert sorted(leaf_members) == sorted(self.point_level), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"
         for pid, lv in self.point_level.items():
@@ -482,8 +588,10 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     Levels are drawn for every point first and empty levels removed; then
     each point's parent is its exact nearest lifted neighbour one level up,
     computed level-by-level with dense distance blocks (the same result as
-    an exhaustive-budget tree query, orders of magnitude faster). Leaf
-    membership is materialized into pages when a store is supplied.
+    an exhaustive-budget tree query, orders of magnitude faster). Each
+    level's nodes are ordered by their owner's first appearance in the
+    input, and their members keep input order. Leaf membership is
+    materialized into pages when a store is supplied.
     """
     pairs = list(keys)
     if not pairs:
@@ -500,59 +608,69 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store,
                    table=table, page_size=page_size, parent_budget=parent_budget)
 
-    drawn = [assign_level(promotion_ratio, tree.rng) for _ in ids]
-    occupied = sorted(set(drawn))
-    compact = {lv: i + 1 for i, lv in enumerate(occupied)}  # drop empty levels
-    top = {pid: compact[lv] for pid, lv in zip(ids, drawn)}
-    n_levels = len(occupied)
+    n = len(ids)
+    drawn = np.array([assign_level(promotion_ratio, tree.rng) for _ in ids])
+    occupied = np.unique(drawn)
+    top = np.searchsorted(occupied, drawn) + 1  # levels compacted: none is empty
+    n_levels = occupied.size
 
     norms = np.linalg.norm(mat, axis=1)
     over = norms > scale.c
     tree.scale_clamps += int(over.sum())
     safe_norms = np.where(over, norms, scale.c)
-    lifted = np.empty((len(ids), mat.shape[1] + 1))
+    lifted = np.empty((n, mat.shape[1] + 1))
     lifted[:, :-1] = mat / safe_norms[:, None]
     lifted[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
-    for pid, vec in zip(ids, lifted):
-        tree._add_row(pid, vec)
+    # Row r of the buffer is the r-th input point.
+    tree._reserve(n)
+    tree._buf[:n] = lifted
+    tree._point[:n] = ids
+    tree._row = dict(zip(ids, range(n)))
+    tree._n = n
+    point = tree._point
 
-    # Exact 1-NN parent per level: points topping out at `lv` against all
-    # points present at lv + 1, in blocks to bound memory.
-    parent_of: dict[int, int] = {}
+    # Exact 1-NN parent row per level: points topping out at `lv` against
+    # all points present at lv + 1, in blocks to bound memory.
+    parent = np.arange(n)
     for lv in range(n_levels - 1, 0, -1):
-        pts = [pid for pid in ids if top[pid] == lv]
-        cands = [pid for pid in ids if top[pid] > lv]
-        if not pts:
-            continue
-        cand_rows = lifted[[tree._row[p] for p in cands]]
+        pts = np.flatnonzero(top == lv)
+        cands = np.flatnonzero(top > lv)
+        cand_rows = lifted[cands]
         cand_sq = np.einsum("ij,ij->i", cand_rows, cand_rows)
-        pt_rows = lifted[[tree._row[p] for p in pts]]
-        for start in range(0, len(pts), 2048):
+        pt_rows = lifted[pts]
+        for start in range(0, pts.size, 2048):
             block = pt_rows[start:start + 2048]
             d2 = cand_sq[None, :] - 2.0 * (block @ cand_rows.T)
-            nearest = np.argmin(d2, axis=1)
-            for offset, ci in enumerate(nearest):
-                parent_of[pts[start + offset]] = cands[int(ci)]
+            parent[pts[start:start + 2048]] = cands[np.argmin(d2, axis=1)]
 
+    for _ in range(n_levels):
+        tree._add_level()
     tree.levels = n_levels
-    top_members = [pid for pid in ids if top[pid] == n_levels]
-    top_node = tree._new_node(n_levels, None, ROOT_OWNER, top_members)
+    top_rows = np.flatnonzero(top == n_levels)
+    tree._members[n_levels - 1] = top_rows
+    top_node = tree._new_node(n_levels, None, ROOT_OWNER)
     tree.top_node_id = top_node.node_id
+    tree._membership.update(dict.fromkeys(
+        zip(point[top_rows].tolist(), [n_levels] * top_rows.size), top_node.node_id))
     for lv in range(n_levels - 1, 0, -1):
-        groups: dict[int, list[int]] = {}
-        for pid in ids:
-            if top[pid] < lv:
-                continue
-            owner = parent_of[pid] if top[pid] == lv else pid
-            groups.setdefault(owner, []).append(pid)
-        for owner, members in groups.items():
-            parent_node = tree._membership[(owner, lv + 1)]
-            tree._new_node(lv, parent_node, owner, members)
+        present = np.flatnonzero(top >= lv)
+        owner = np.where(top[present] == lv, parent[present], present)
+        owners, first, group = np.unique(owner, return_index=True, return_inverse=True)
+        rank = np.argsort(first)                       # node order: first appearance
+        members = present[np.argsort(first[group], kind="stable")]
+        counts = np.bincount(group)[rank]
+        owners = owners[rank]
+        tree._members[lv - 1] = members
+        tree._start[lv - 1][owners] = np.cumsum(counts) - counts
+        tree._count[lv - 1][owners] = counts
+        node_ids = [tree._new_node(lv, tree._membership[(int(point[o]), lv + 1)],
+                                   int(point[o])).node_id for o in owners]
+        tree._membership.update(zip(zip(point[members].tolist(), [lv] * members.size),
+                                    np.repeat(node_ids, counts).tolist()))
 
-    tree.point_level = dict(top)
+    tree.point_level = dict(zip(ids, top.tolist()))
     if store is not None:
         for node in tree.nodes.values():
             if node.is_leaf:
-                for pid in node.member_ids:
-                    tree._place_entry(node, pid)
+                tree._place(node, node.member_ids)
     return tree

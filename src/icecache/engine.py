@@ -30,7 +30,7 @@ import numpy as np
 
 from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, InvariantViolation
 from .geometry import exact_topk, transform_query
 from .pagestore import SINK, WINDOW, PageTable, TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
@@ -393,8 +393,11 @@ class Engine:
 
         rotate = False
         if not self.fallback:
-            rep = self.heads[(cfg.skip_layers, 0)]
-            rotate = rep.window[-1].fill >= cfg.page_size - 1
+            # Every head takes one token per step, so all rotate together.
+            fills = {state.window[-1].fill for state in self.heads.values()}
+            if len(fills) != 1:
+                raise InvariantViolation(f"newest window pages differ in fill: {sorted(fills)}")
+            rotate = fills.pop() >= cfg.page_size - 1
 
         for layer in range(cfg.layers):
             for h in range(cfg.kv_heads):

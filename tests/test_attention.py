@@ -134,6 +134,18 @@ def test_selection_mass_is_subset_monotone():
     assert prev == pytest.approx(1.0, abs=1e-9)
 
 
+def test_weights_view_reads_the_dense_arrays_in_attended_order():
+    rng = np.random.default_rng(4)
+    keys, values = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
+    out = sparse_attention(rng.normal(size=4), [4, 1, 3], keys, values)
+    assert out.token_ids.tolist() == list(out.weights) == [4, 1, 3]
+    assert list(out.weights.values()) == out.dense_weights.tolist()
+    assert out.covered_mass([3, 4, 9]) == pytest.approx(out.weights[3] + out.weights[4])
+    del out.weights[1]
+    assert list(out.weights) == [4, 3] and len(out.weights) == 2
+    assert out.token_ids.tolist() == [4, 1, 3]  # edits change the view only
+
+
 def test_gqa_union_cases():
     assert gqa_union([{1, 2}, {1, 2}]) == {1, 2}
     assert gqa_union([{1, 2}, {3, 4}]) == {1, 2, 3, 4}

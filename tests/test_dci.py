@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_level, dci_indexing,
@@ -330,3 +332,72 @@ def test_identical_seeds_build_identical_trees():
             for n in b.nodes.values()}
     q = transform_query(keys[0])
     assert a.query(q, SENTINEL_LEVEL, 8) == b.query(q, SENTINEL_LEVEL, 8)
+
+
+# -- golden outputs and randomized operation sequences ----------------------------
+
+
+def test_query_results_and_distance_counts_match_golden_values():
+    """Selected ids and distance evaluations pinned from the per-node
+    search the level arrays replaced (ties toward the smaller id)."""
+    keys, _, _ = _clustered(30, 1500, 12, 8)
+    batch = dci_indexing(_pairs(keys), 0.2, seed=30)
+    rng = np.random.default_rng(31)
+    got = [batch.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5)
+           for _ in range(3)]
+    assert got == [[186, 982, 517, 1078, 994], [998, 321, 691, 603, 1379],
+                   [686, 341, 1438, 199, 588]]
+    assert batch.distance_evals == 442
+
+    rng = np.random.default_rng(32)
+    incr = DciTree(12, KeyScale(4.0), 0.2, seed=32)
+    got = []
+    for i in range(400):  # three inserts grow the top; parent queries count too
+        incr.insert(i, rng.normal(size=12), level=incr.levels + 1 if i % 97 == 50 else None)
+        if i % 133 == 132:
+            got.append(incr.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5))
+    assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
+    assert (incr.distance_evals, incr.levels) == (15349, 7)
+
+    rng = np.random.default_rng(33)
+    uniform = dci_indexing(_pairs(rng.normal(size=(3000, 12))), 0.02, seed=33)
+    budget = SearchBudget.for_k(5)
+    assert max(len(n.member_ids) for n in uniform.nodes.values()) > budget.visit_cap
+    got = [uniform.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5, budget)
+           for _ in range(3)]
+    assert got == [[356, 1691, 2568, 981, 2760], [2928, 1960, 2930, 2489, 2666],
+                   [2760, 1691, 2568, 356, 1391]]
+    assert uniform.distance_evals == 879
+
+
+class InsertQueryMachine(RuleBasedStateMachine):
+    """Inserts, some growing the top, interleaved with exhaustive queries."""
+
+    def __init__(self):
+        super().__init__()
+        self.tree = DciTree(6, KeyScale(3.0), 0.3, seed=0, store=TierStore(6, 2), page_size=4)
+        self.keys: list[np.ndarray] = []
+
+    @rule(seed=st.integers(0, 2**32 - 1), grow=st.integers(0, 7))
+    def insert(self, seed, grow):
+        key = np.random.default_rng(seed).uniform(-1.0, 1.0, size=6)  # |key| < c
+        level = self.tree.levels + 1 if grow == 0 and self.keys else None
+        self.tree.insert(len(self.keys), key, level=level)
+        self.keys.append(key)
+
+    @precondition(lambda self: self.keys)
+    @rule(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
+    def exhaustive_query_is_exact(self, seed, k):
+        q = np.random.default_rng(seed).normal(size=6)
+        got = self.tree.query(transform_query(q), SENTINEL_LEVEL, k, SearchBudget.exhaustive(k))
+        assert set(got) == set(exact_topk(q, np.array(self.keys), k))
+
+    @invariant()
+    def structure_holds(self):
+        if self.keys:
+            self.tree.check_invariants()
+
+
+TestInsertQueryMachine = InsertQueryMachine.TestCase
+TestInsertQueryMachine.settings = settings(max_examples=25, stateful_step_count=40,
+                                           deadline=None, derandomize=True, database=None)

@@ -4,8 +4,9 @@ pipeline estimator."""
 import numpy as np
 import pytest
 
-from icecache import (ConfigError, Engine, EngineConfig, InputError, WorkloadSpec,
-                      full_attention, generate_workload, pipeline_estimate, prefill)
+from icecache import (ConfigError, Engine, EngineConfig, InputError, InvariantViolation,
+                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate,
+                      prefill)
 from icecache.pagestore import INDEXED, SINK, WINDOW
 
 
@@ -98,6 +99,17 @@ def test_window_rotation_fires_at_capacity_minus_one():
     assert steps_until == s - 1
     inserted = len(state.tree) - tree_before - s
     assert inserted == s  # the offloaded page was full
+
+
+def test_rotation_requires_every_head_to_agree():
+    wl, cfg = _small(n_tokens=700, token_budget=8)
+    eng = Engine(cfg).prefill(wl, 520)
+    eng.decode_step(wl.decode_step(520, 0))
+    fills = {state.window[-1].fill for state in eng.heads.values()}
+    assert fills == {9}
+    eng.heads[(2, 1)].window[-1].token_ids.pop()  # one head a token behind
+    with pytest.raises(InvariantViolation, match="differ in fill"):
+        eng.decode_step(wl.decode_step(520, 1))
 
 
 def test_rotated_tokens_become_selectable():
