@@ -9,6 +9,8 @@ clusters, promotion ratio 0.1, budget 64. The end-to-end numbers live in
 perfbench; these isolate one call each.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,17 +18,22 @@ from icecache import (SENTINEL_LEVEL, PageTable, SearchBudget, TierStore, Worklo
                       dci_indexing, full_attention, generate_workload, transform_query)
 
 N_KEYS = 10_000
+PAGE = 16
 
 
 @pytest.fixture(scope="module")
 def stream():
-    spec = WorkloadSpec(kind="clustered", clusters=32, n_tokens=N_KEYS, layers=1, kv_heads=1)
+    return _stream(N_KEYS)
+
+
+def _stream(n_tokens):
+    spec = WorkloadSpec(kind="clustered", clusters=32, n_tokens=n_tokens, layers=1, kv_heads=1)
     wl = generate_workload(spec)
     return wl.keys[:, 0, 0], wl.values[:, 0, 0], wl.queries[:, 0, 0]
 
 
 def _build(keys):
-    return dci_indexing(list(enumerate(keys)), 0.1, seed=0, store=TierStore(64, 64),
+    return dci_indexing(list(enumerate(keys[:N_KEYS])), 0.1, seed=0, store=TierStore(64, 64),
                         table=PageTable(), page_size=16)
 
 
@@ -40,6 +47,17 @@ def test_dci_query(benchmark, stream):
         for q in lifted:
             tree.query(q, SENTINEL_LEVEL, 64, budget)
     benchmark(run)
+
+
+def test_dci_insert_page(benchmark):
+    """One rotated window page folded into the tree: one insert call."""
+    keys = _stream(N_KEYS + PAGE)[0]
+    tree = _build(keys)
+    ids = list(range(N_KEYS, N_KEYS + PAGE))
+
+    def fresh():
+        return (copy.deepcopy(tree), ids, keys[ids]), {}
+    benchmark.pedantic(lambda t, i, k: t.insert(i, k), setup=fresh, rounds=50, iterations=1)
 
 
 def test_dense_argpartition_bar(benchmark, stream):

@@ -17,18 +17,23 @@ bounds for large ones: with unit directions u_1..u_m,
 max_j |u_j . (p - q)| <= |p - q|, so visiting members in ascending order of
 that bound and stopping after `visit_cap` true-distance evaluations is a
 principled truncation, and is exact once every member has been visited.
+
+A batch of queries descends together, each keeping its own beam, and a
+page of decode-time keys is inserted in one call that finds the parents
+of its level-1 and level-2 points with one batched query per level.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import KeyScale, transform_key
+from .geometry import KeyScale
 from .pagestore import INDEXED, DEFAULT_PAGE_SIZE, PageTable, TierStore
 
 # Target-level sentinel: descend to the bottom, collecting at every level.
@@ -45,6 +50,9 @@ NUM_PROJECTIONS = 8
 
 # Effectively unbounded beam / visit cap.
 UNBOUNDED = 2**62
+
+# Candidates per distance block of a batched query (~125 KB at d = 64).
+DISTANCE_BLOCK = 240
 
 
 @dataclass(frozen=True)
@@ -159,12 +167,38 @@ class DciNode:
         return self.tree._point[self.tree._node_rows(self)].tolist()
 
 
-def _nearest(ids: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
-    """Positions of the m smallest (d2, id) pairs, nearest first."""
-    if d2.size > m:
-        within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
-        return within[np.lexsort((ids[within], d2[within]))[:m]]
-    return np.lexsort((ids, d2))
+def _nearest(ids: np.ndarray, d2: np.ndarray, m: int,
+             qidx: np.ndarray | None = None, ranked: bool = True) -> np.ndarray:
+    """Positions of the m smallest (d2, id) pairs, nearest first.
+
+    With `qidx`, the query row of each candidate (ascending), every row
+    keeps its own m: its pairs at or below its m-th smallest distance, cut
+    from one padded partition, ranked by one lexsort by (row, d2, id).
+    Unranked, the m are returned in candidate order, and the lexsort runs
+    only when a tie at some row's cut leaves that row more than m.
+    """
+    if qidx is None:
+        if d2.size > m:
+            within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
+            return within[np.lexsort((ids[within], d2[within]))[:m]]
+        return np.lexsort((ids, d2))
+    counts = np.bincount(qidx)
+    width = int(counts.max())
+    within = np.arange(d2.size)
+    if width > m:
+        pad = np.full((counts.size, width), np.inf)
+        pad[qidx, within - (np.cumsum(counts) - counts)[qidx]] = d2
+        cut = np.partition(pad, m - 1, axis=1)[:, m - 1]
+        within = np.flatnonzero(d2 <= cut[qidx])
+    if not ranked and within.size == np.minimum(counts, m).sum():
+        return within
+    order = within[np.lexsort((ids[within], d2[within], qidx[within]))]
+    return order[_leading(qidx[order], m)]
+
+
+def _leading(qidx: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the first m entries of each run of equal (sorted) query rows."""
+    return np.arange(qidx.size) - np.searchsorted(qidx, qidx) < m
 
 
 def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
@@ -249,15 +283,6 @@ class DciTree:
         self._start = [_grown(a, cap) for a in self._start]
         self._count = [_grown(a, cap) for a in self._count]
 
-    def _add_row(self, point_id: int, vec: np.ndarray) -> int:
-        self._reserve(self._n + 1)
-        row = self._n
-        self._buf[row] = vec
-        self._point[row] = point_id
-        self._row[point_id] = row
-        self._n += 1
-        return row
-
     def _add_level(self) -> None:
         self._members.append(np.empty(0, dtype=np.intp))
         self._start.append(np.zeros(self._buf.shape[0], dtype=np.intp))
@@ -266,22 +291,24 @@ class DciTree:
     def lifted(self, point_id: int) -> np.ndarray:
         return self._buf[self._row[point_id]]
 
-    def _lift_clamped(self, key: np.ndarray) -> np.ndarray:
-        """Lift a key, normalizing out-of-envelope norms instead of failing.
+    def _lift_clamped(self, keys: np.ndarray) -> np.ndarray:
+        """Lift key rows, normalizing out-of-envelope norms instead of failing.
 
         A decode-time key with |k| > c maps to [k/|k|, 0], which keeps the
         image on the unit sphere at the cost of a slightly perturbed
-        ordering; the event is counted in scale_clamps.
+        ordering; the event is counted in scale_clamps. A key within the
+        envelope gets transform_key's image, bit for bit.
         """
-        key = np.asarray(key, dtype=float)
-        norm = float(np.linalg.norm(key))
-        if norm > self.scale.c:
-            self.scale_clamps += 1
-            out = np.empty(key.size + 1)
-            out[:-1] = key / norm
-            out[-1] = 0.0
-            return out
-        return transform_key(key, self.scale)
+        if not np.isfinite(keys).all():
+            raise InputError("key contains non-finite coordinates")
+        c = self.scale.c
+        norms = [math.sqrt(k.dot(k)) for k in keys]  # np.linalg.norm, row by row
+        out = np.empty((len(keys), self.dim + 1))
+        out[:, :-1] = keys / np.array([max(norm, c) for norm in norms])[:, None]
+        out[:, -1] = [0.0 if norm > c else math.sqrt(max(0.0, 1.0 - (norm / c) ** 2))
+                      for norm in norms]
+        self.scale_clamps += sum(norm > c for norm in norms)
+        return out
 
     # -- node helpers -----------------------------------------------------
 
@@ -345,39 +372,71 @@ class DciTree:
     # -- search -------------------------------------------------------------
 
     def _candidate_rows(self, level: int, owners: np.ndarray | None,
-                        q_vec: np.ndarray, visit_cap: int) -> np.ndarray:
+                        oq: np.ndarray | None, qs: np.ndarray, visit_cap: int
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
         """Buffer rows searched in the nodes the given owner rows own at
-        `level` (None: the top node).
+        `level`, and the query row each was searched for.
+
+        `qs` holds the lifted queries, one per row, and `oq` each owner's
+        row of it; owners None searches the top node for every query. A 1-D
+        `qs` is one query, and then `oq` and the returned query rows are
+        None. The result is grouped by query row.
 
         A node is scanned whole when it has at most EXHAUSTIVE_NODE_LIMIT
         members or the visit cap covers it; otherwise only the first
-        visit_cap members of its prioritized projection order are searched.
+        visit_cap members of its prioritized projection order for that
+        row's query are searched.
         """
         members = self._members[level - 1]
-        if owners is None:
+        if owners is None and qs.ndim == 1:
             counts = np.array([members.size])
             rows = members
+        elif owners is None:
+            oq = np.arange(len(qs))
+            counts = np.full(len(qs), members.size)
+            rows = np.tile(members, len(qs))
         else:
             starts = self._start[level - 1][owners]
             counts = self._count[level - 1][owners]
             ends = np.cumsum(counts)
             rows = members[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        qidx = None if oq is None else np.repeat(oq, counts)
         large = counts > max(EXHAUSTIVE_NODE_LIMIT, visit_cap)
         if not large.any():
-            return rows
-        parts = [rows[np.repeat(~large, counts)]]
+            return rows, qidx
+        small = np.repeat(~large, counts)
+        parts = [rows[small]]
+        qparts = [] if oq is None else [qidx[small]]
         for i in np.flatnonzero(large):
             owner = ROOT_OWNER if owners is None else int(self._point[owners[i]])
             node = self.nodes[self._owner_node[(owner, level)]]
+            q_vec = qs if oq is None else qs[oq[i]]
             visited = self._node_search(node).visit_order(q_vec, visit_cap)
             parts.append(np.fromiter((self._row[p] for p in visited), np.intp, len(visited)))
-        return np.concatenate(parts)
+            if oq is not None:
+                qparts.append(np.full(len(visited), oq[i]))
+        if oq is None:
+            return np.concatenate(parts), None
+        qidx = np.concatenate(qparts)
+        order = np.argsort(qidx, kind="stable")
+        return np.concatenate(parts)[order], qidx[order]
 
-    def _distances(self, rows: np.ndarray, q_vec: np.ndarray) -> np.ndarray:
-        diff = self._buf.take(rows, axis=0)
-        diff -= q_vec
+    def _distances(self, rows: np.ndarray, qs: np.ndarray, qidx: np.ndarray | None
+                   ) -> np.ndarray:
         self.distance_evals += rows.size
-        return np.einsum("ij,ij->i", diff, diff)
+        if qidx is None:
+            diff = self._buf.take(rows, axis=0)
+            diff -= qs
+            return np.einsum("ij,ij->i", diff, diff)
+        # A batch's candidates go in blocks: a gathered (candidates, dim)
+        # query block for a whole batch runs to megabytes, and allocating
+        # that fresh on every level costs more than the loop.
+        d2 = np.empty(rows.size)
+        for a in range(0, rows.size, DISTANCE_BLOCK):
+            diff = self._buf.take(rows[a:a + DISTANCE_BLOCK], axis=0)
+            diff -= qs.take(qidx[a:a + DISTANCE_BLOCK], axis=0)
+            np.einsum("ij,ij->i", diff, diff, out=d2[a:a + DISTANCE_BLOCK])
+        return d2
 
     def pdci_query(self, q_vec: np.ndarray, node: DciNode | int, k: int,
                    budget: SearchBudget | None = None) -> list[int]:
@@ -392,13 +451,15 @@ class DciTree:
         if budget is None:
             budget = SearchBudget.for_k(k)
         owners = None if node.owner_id == ROOT_OWNER else np.array([self._row[node.owner_id]])
-        rows = self._candidate_rows(node.level, owners, q_vec, budget.visit_cap)
-        d2 = self._distances(rows, q_vec)
+        q_vec = np.asarray(q_vec)
+        rows, _ = self._candidate_rows(node.level, owners, None, q_vec, budget.visit_cap)
+        d2 = self._distances(rows, q_vec, None)
         ids = self._point[rows]
         return ids[_nearest(ids, d2, k)].tolist()
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
-              budget: SearchBudget | None = None) -> list[int]:
+              budget: SearchBudget | None = None, *,
+              row_limit: np.ndarray | None = None) -> list:
         """Descend the tree and return up to k point ids nearest to q_vec.
 
         target_level SENTINEL_LEVEL descends to the bottom and ranks
@@ -409,7 +470,11 @@ class DciTree:
 
         Each level is one gather and one distance pass over the members of
         the surviving nodes; the `beam` nearest, ties toward the smaller id,
-        own the nodes searched one level down.
+        own the nodes searched one level down. A 2-D q_vec is a batch of
+        queries searched together, each row with its own beam: the result
+        is one id list per row, row i equal to query(q_vec[i], ...), and
+        every row counts as one query. `row_limit`, one per query, hides
+        the points in buffer rows at or past it (points inserted later).
         """
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
@@ -421,30 +486,60 @@ class DciTree:
             budget = SearchBudget.for_k(k)
         collect_all = target_level == SENTINEL_LEVEL
         floor = 1 if collect_all else min(target_level, self.levels)
-        self.query_count += 1
+        qs = np.asarray(q_vec)
+        batched = qs.ndim == 2
+        if batched and len(qs) == 1:
+            qs = qs[0]
+        nq = len(qs) if qs.ndim == 2 else 1
+        self.query_count += nq
 
         found_rows: list[np.ndarray] = []
         found_d2: list[np.ndarray] = []
-        owners = None
+        found_q: list[np.ndarray | None] = []
+        owners = oq = None
         for level in range(self.levels, floor - 1, -1):
-            rows = self._candidate_rows(level, owners, q_vec, budget.visit_cap)
-            d2 = self._distances(rows, q_vec)
+            rows, qidx = self._candidate_rows(level, owners, oq, qs, budget.visit_cap)
+            if row_limit is not None:
+                shown = rows < (row_limit[0] if qidx is None else row_limit[qidx])
+                rows, qidx = rows[shown], None if qidx is None else qidx[shown]
+            d2 = self._distances(rows, qs, qidx)
             if collect_all or level == floor:
                 found_rows.append(rows)
                 found_d2.append(d2)
+                found_q.append(qidx)
             if level > floor:
-                owners = rows[_nearest(self._point[rows], d2, budget.beam)]
+                keep = _nearest(self._point[rows], d2, budget.beam, qidx, ranked=False)
+                owners = rows[keep]
+                oq = None if qidx is None else qidx[keep]
 
         rows = np.concatenate(found_rows)
         d2 = np.concatenate(found_d2)
-        # A point found at several levels is ranked by its first (nearest)
-        # place, so k distinct ids lie within the k + (repeats) nearest.
-        seen = np.zeros(self._n, dtype=bool)
-        seen[rows] = True
         ids = self._point[rows]
-        ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
-        first = np.unique(ids, return_index=True)[1]
-        return ids[np.sort(first)[:k]].tolist()
+        if nq == 1 and not collect_all:
+            out = [ids[_nearest(ids, d2, k)].tolist()]  # one level: no repeats
+        elif nq == 1:
+            # A point found at several levels is ranked by its first
+            # (nearest) place, so k distinct ids lie within the k + (repeats)
+            # nearest.
+            seen = np.zeros(self._n, dtype=bool)
+            seen[rows] = True
+            ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
+            first = np.unique(ids, return_index=True)[1]
+            out = [ids[np.sort(first)[:k]].tolist()]
+        else:
+            qidx = np.concatenate(found_q)
+            if collect_all:
+                # The same ranking per row: each point's nearest place wins.
+                order = np.lexsort((ids, d2, qidx))
+                first = np.unique(qidx[order] * self._n + rows[order], return_index=True)[1]
+                order = order[np.sort(first)]
+                order = order[_leading(qidx[order], k)]
+            else:
+                order = _nearest(ids, d2, k, qidx)
+            bounds = np.searchsorted(qidx[order], np.arange(nq + 1)).tolist()
+            ids = ids[order]
+            out = [ids[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+        return out if batched else out[0]
 
     # -- page placement -----------------------------------------------------
 
@@ -462,27 +557,84 @@ class DciTree:
 
     # -- dynamic insertion ----------------------------------------------------
 
-    def insert(self, point_id: int, key, *,
-               rng: np.random.Generator | None = None, level: int | None = None) -> int:
-        """Insert one key during decode; returns the level it was assigned.
+    def insert(self, point_id, key, *, rng: np.random.Generator | None = None,
+               level=None):
+        """Insert keys during decode; returns the levels assigned.
 
-        The level is drawn from the tree's stream (or the supplied rng), the
-        parent is the nearest point one level up, and the id is appended to
-        the owning leaf's current page, opening a new page on overflow.
-        A draw above the current top level grows the tree and re-parents the
-        former top-level points to the newcomer.
+        A scalar id with a 1-D key inserts one point and returns its level.
+        A sequence of ids with one key row each inserts them in order and
+        returns their levels: the same tree, pages and counters as inserting
+        them one at a time. Levels are drawn from the tree's stream (or the
+        supplied rng), all before any insert, unless given. A point's parent
+        is the nearest point one level up, and its id is appended to the
+        owning leaf's current page, opening a new page on overflow. A draw
+        above the current top level grows the tree and re-parents the former
+        top-level points to the newcomer.
         """
-        point_id = int(point_id)
-        if point_id in self.point_level:
-            raise InputError(f"point id {point_id} already indexed")
-        key = np.asarray(key, dtype=float)
-        if key.shape != (self.dim,):
-            raise InputError(f"key must have shape ({self.dim},), got {key.shape}")
+        single = np.ndim(point_id) == 0
+        ids = [int(pid) for pid in np.atleast_1d(point_id)]
+        keys = np.asarray(key, dtype=float)
+        shape = (self.dim,) if single else (len(ids), self.dim)
+        if keys.shape != shape:
+            raise InputError(f"key must have shape {shape}, got {keys.shape}")
+        for pid in ids:
+            if pid in self.point_level:
+                raise InputError(f"point id {pid} already indexed")
+        if len(set(ids)) != len(ids):
+            raise InputError("duplicate point ids in one insert")
         if level is None:
-            level = assign_level(self.promotion_ratio, rng if rng is not None else self.rng)
-        vec = self._lift_clamped(key)
-        self._add_row(point_id, vec)
+            source = rng if rng is not None else self.rng
+            levels = [assign_level(self.promotion_ratio, source) for _ in ids]
+        else:
+            levels = [int(lv) for lv in np.atleast_1d(level)]
+            if len(levels) != len(ids) or min(levels, default=1) < 1:
+                raise InputError(f"need one level >= 1 per point id, got {level}")
 
+        lifted = self._lift_clamped(keys.reshape(len(ids), self.dim))
+        first, m = self._n, len(ids)
+        self._reserve(first + m)
+        self._buf[first: first + m] = lifted
+        self._point[first: first + m] = ids
+        self._row.update(zip(ids, range(first, first + m)))
+        self._n += m
+
+        i = 0
+        while i < m:
+            j = self._segment_end(levels, i)
+            if j > i:
+                self._insert_segment(np.arange(first + i, first + j), levels[i:j])
+            else:
+                self._insert_point(ids[i], levels[i])
+                self._place(self.nodes[self._membership[(ids[i], 1)]], [ids[i]])
+                j = i + 1
+            i = j
+        return levels[0] if single else levels
+
+    def _segment_end(self, levels: list[int], i: int) -> int:
+        """End of the stretch of points from i that _insert_segment takes.
+
+        It takes points of level 1, and of level 2 if the tree has that
+        level and no level-2 node can outgrow an exhaustive parent-search
+        scan. Points at level 3 or above, or that grow the tree, go in alone.
+        """
+        if self.levels == 0:
+            return i
+        top = min(2, self.levels)
+        j = i
+        while j < len(levels) and levels[j] <= top:
+            j += 1
+        added = levels[i:j].count(2)
+        if added:
+            largest = self._members[1].size if self.levels == 2 else \
+                int(self._count[1][self._members[2]].max())
+            if largest + added > max(EXHAUSTIVE_NODE_LIMIT, self.parent_budget.visit_cap):
+                j = i
+                while j < len(levels) and levels[j] == 1:
+                    j += 1
+        return j
+
+    def _insert_point(self, point_id: int, level: int) -> None:
+        """Insert one point whose row is in the buffer at `level`."""
         if self.levels == 0:
             for _ in range(level):
                 self._add_level()
@@ -496,17 +648,72 @@ class DciTree:
             if level == self.levels:
                 container = self.nodes[self.top_node_id]
             else:
-                parent = self.query(vec, level + 1, 1, self.parent_budget)[0]
+                parent = self.query(self.lifted(point_id), level + 1, 1, self.parent_budget)[0]
                 container = self.nodes[self._owner_node[(parent, level)]]
             self._add_member(container, point_id)
             chain_from = level - 1
 
         for lv in range(chain_from, 0, -1):
             self._open_node(lv, self._membership[(point_id, lv + 1)], point_id, point_id)
-
         self.point_level[point_id] = level
-        self._place(self.nodes[self._membership[(point_id, 1)]], [point_id])
-        return level
+
+    def _insert_segment(self, rows: np.ndarray, levels: list[int]) -> None:
+        """Insert points of levels 1 and 2 (consecutive buffer rows, in
+        stream order) with one parent search per level.
+
+        Level-2 points search levels >= 3, which nothing here changes, so
+        they go in first. The level-1 points then search levels >= 2
+        together, each reading only points of earlier rows: a level-2 point
+        later in the stream is filtered out of an earlier point's
+        candidates, and _segment_end keeps every level-2 node small enough
+        to be scanned whole, so each search reads what it would have read in
+        stream order. Pages fill in stream order, so page ids match too.
+        """
+        at_one = np.asarray(levels) == 1
+        upper, lower = rows[~at_one], rows[at_one]
+        if upper.size:
+            if self.levels == 2:
+                containers = [self.nodes[self.top_node_id]] * upper.size
+            else:
+                hits = self.query(self._buf[upper], 3, 1, self.parent_budget)
+                containers = [self.nodes[self._owner_node[(hit[0], 2)]] for hit in hits]
+            for pid, node in zip(self._point[upper].tolist(), containers):
+                self._add_member(node, pid)
+                self._open_node(1, node.node_id, pid, pid)
+                self.point_level[pid] = 2
+        if lower.size:
+            self._insert_leaves(lower)
+        for pid in self._point[rows].tolist():
+            self._place(self.nodes[self._membership[(pid, 1)]], [pid])
+
+    def _insert_leaves(self, rows: np.ndarray) -> None:
+        """Add level-1 points (buffer rows, in stream order) to their leaves.
+
+        Each point goes to the end of its leaf's slice: one np.insert at the
+        slices' current ends (equal positions keep stream order) and one
+        shift of the later slices' starts give the arrays one-at-a-time
+        inserts would.
+        """
+        ids = self._point[rows].tolist()
+        if self.levels == 1:
+            leaves = [self.nodes[self.top_node_id]] * len(ids)
+            pos = np.full(len(ids), self._members[0].size)
+        else:
+            hits = self.query(self._buf[rows], 2, 1, self.parent_budget, row_limit=rows)
+            parents = [hit[0] for hit in hits]
+            leaves = [self.nodes[self._owner_node[(p, 1)]] for p in parents]
+            owners = np.fromiter((self._row[p] for p in parents), np.intp, len(parents))
+            starts, counts = self._start[0], self._count[0]
+            pos = starts[owners] + counts[owners]
+            np.add.at(counts, owners, 1)
+            heads = self._members[1]  # every point above level 1 owns a leaf
+            starts[heads] += np.searchsorted(np.sort(pos), starts[heads], side="right")
+        self._members[0] = np.insert(self._members[0], pos, rows)
+        self._membership.update(zip(zip(ids, [1] * len(ids)), (leaf.node_id for leaf in leaves)))
+        self.point_level.update(zip(ids, [1] * len(ids)))
+        for pid, leaf in zip(ids, leaves):
+            if leaf._search is not None:
+                leaf._search.add(pid, self.lifted(pid))
 
     def _grow_top(self, point_id: int, new_level: int) -> None:
         """Raise the tree to new_level with point_id as the sole top point."""

@@ -468,9 +468,9 @@ class Engine:
             old = state.window.pop(0)
             state.store.offload(old.page_id)
             keys = self._keys[(layer, h)].view()
-            for t in old.token_ids:
-                state.tree.insert(t, keys[t])
-                if state.baseline is not None:
+            state.tree.insert(old.token_ids, keys[old.token_ids])
+            if state.baseline is not None:
+                for t in old.token_ids:
                     state.baseline.add(t, keys[t])
             state.store.release(old.page_id)
             fresh = state.store.allocate_page(cfg.page_size, WINDOW,

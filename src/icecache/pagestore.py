@@ -201,7 +201,7 @@ class TierStore:
         keep = set(keep)
         for pid in keep:
             self.page(pid)
-        self.hot = (self.hot & (keep | self.pinned)) | keep | self.pinned
+        self.hot = keep | self.pinned
 
     # -- helpers ------------------------------------------------------
 

@@ -11,6 +11,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import icecache.engine as engine_mod  # noqa: E402
@@ -56,3 +58,62 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
     assert all(result is out for (_, result), out in zip(calls["sparse_attention"], returned))
     for args, out in calls["sparse_attention"]:
         assert attended_ids(out).tolist() == [int(t) for t in args[1]]
+
+
+def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
+    """The traced run times `dci.insert` per call and reads each tree's
+    `distance_evals` at `dci.query` boundaries: a rotation must insert each
+    head's offloaded page in one call, search parents through
+    `DciTree.query` inside it, and count distances only inside queries."""
+    spec = WorkloadSpec(kind="clustered", n_tokens=560, d=16, d_prime=8, clusters=8,
+                        layers=4, kv_heads=2, seed=4)
+    cfg = EngineConfig(layers=4, kv_heads=2, d=16, d_prime=8, token_budget=16,
+                       skip_layers=1, promotion_ratio=0.3, seed=4)
+    wl = generate_workload(spec)
+    eng = Engine(cfg).prefill(wl, 500)
+    tree_cls = engine_mod.DciTree
+    stack, inserts, queries = [], [], []
+    outside = []  # distance_evals changes seen outside any query
+
+    def insert(tree, ids, keys, **kwargs):
+        stack.append("insert")
+        before = tree.distance_evals
+        inside = len(queries)
+        try:
+            return original_insert(tree, ids, keys, **kwargs)
+        finally:
+            stack.pop()
+            nested = sum(delta for _, delta in queries[inside:])
+            outside.append(tree.distance_evals - before - nested)
+            inserts.append((id(tree), np.atleast_1d(ids).tolist(), len(queries) - inside))
+
+    def query(tree, *args, **kwargs):
+        where = stack[-1] if stack else "decode"
+        before = tree.distance_evals
+        result = original_query(tree, *args, **kwargs)
+        queries.append((where, tree.distance_evals - before))
+        return result
+
+    original_insert, original_query = tree_cls.insert, tree_cls.query
+    monkeypatch.setattr(tree_cls, "insert", insert)
+    monkeypatch.setattr(tree_cls, "query", query)
+    trees = [state.tree for state in eng.heads.values()]
+    rotations = 0
+    for step in range(2 * cfg.page_size):
+        heads = {key: (id(state.tree), list(state.window[0].token_ids))
+                 for key, state in eng.heads.items()}
+        inserts.clear()
+        selection = [q for q in queries if q[0] == "decode"]
+        evals, counted = sum(t.distance_evals for t in trees), len(queries)
+        eng.decode_step(wl.decode_step(500, step))
+        assert sum(t.distance_evals for t in trees) - evals == \
+            sum(delta for _, delta in queries[counted:])
+        if not inserts:
+            continue
+        rotations += 1
+        assert sorted((tree, ids) for tree, ids, _ in inserts) == sorted(heads.values())
+        assert all(parents > 0 for _, _, parents in inserts)  # promotion 0.3: pages need parents
+        assert len([q for q in queries if q[0] == "decode"]) - len(selection) == \
+            (cfg.layers - cfg.skip_layers) * cfg.n_query_heads
+    assert rotations >= 1
+    assert outside and not any(outside)

@@ -1,5 +1,7 @@
 """Tree construction, querying, and dynamic insertion against brute force."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -370,8 +372,143 @@ def test_query_results_and_distance_counts_match_golden_values():
     assert uniform.distance_evals == 879
 
 
+def _paged_tree(batched):
+    """A small tree fed four pages, either one insert call per page or one
+    per id. The pages hold a level-2 token mid-page, tokens drawn at the top
+    level, top growth mid-page, clamped keys, drawn levels, and leaves whose
+    pages overflow."""
+    rng = np.random.default_rng(40)
+    centers = rng.normal(size=(3, 6))
+    prompt = centers[rng.integers(0, 3, size=12)] + rng.normal(size=(12, 6)) * 0.1
+    store = TierStore(6, 2)
+    tree = dci_indexing(_pairs(prompt), 0.3, seed=40, store=store, page_size=3)
+    top = tree.levels
+    pages = [(100, [1, 1, 2, 1, 1], 0, (1,)), (105, [1, top, 1, 1, 1], 1, ()),
+             (110, [1, 1, top + 1, 1, 1], 0, (0, 4)), (115, [None] * 6, 2, ())]
+    for first, levels, center, clamped in pages:
+        keys = centers[center] + rng.normal(size=(len(levels), 6)) * 0.05
+        keys[list(clamped)] *= 3.0  # beyond the prompt's envelope
+        ids = list(range(first, first + len(levels)))
+        drawn = levels[0] is None
+        if batched:
+            tree.insert(ids, keys, level=None if drawn else levels)
+        else:
+            for pid, key, lv in zip(ids, keys, levels):
+                tree.insert(pid, key, level=lv)
+    return tree, store
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_page_inserts_match_golden_values(batched):
+    """Tree, pages and counters pinned from one-at-a-time inserts."""
+    tree, store = _paged_tree(batched)
+    tree.check_invariants()
+    assert sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids)
+                  for n in tree.nodes.values()) == [
+        (0, 2, 7, 112, [4, 5, 8, 9, 102, 106, 112, 119, 120]),
+        (1, 1, 0, 8, [0, 1, 2, 3, 8, 10, 11, 100, 101, 115, 116, 117, 118]),
+        (2, 1, 0, 4, [4, 6]), (3, 1, 0, 5, [5, 7]), (4, 1, 0, 9, [9, 105]),
+        (5, 1, 0, 102, [102, 103, 104, 110, 111, 113]), (6, 1, 0, 106, [106, 107, 108, 109]),
+        (7, 3, None, -1, [112]), (8, 1, 0, 112, [112, 114]), (9, 1, 0, 119, [119]),
+        (10, 1, 0, 120, [120])]
+    assert sorted((n.node_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf) == [
+        (1, [0, 1, 2, 11, 12]), (2, [3]), (3, [4]), (4, [5]), (5, [6, 9]), (6, [7, 8]),
+        (8, [10]), (9, [13]), (10, [14])]
+    assert [store.page(pid).token_ids for pid in range(15)] == [
+        [0, 1, 2], [3, 8, 10], [11, 100, 101], [4, 6], [5, 7], [9, 105], [102, 103, 104],
+        [106, 107, 108], [109], [110, 111, 113], [112, 114], [115, 116, 117], [118], [119],
+        [120]]
+    above = {4: 2, 5: 2, 8: 2, 9: 2, 102: 2, 106: 2, 112: 3, 119: 2, 120: 2}
+    assert tree.point_level == {pid: above.get(pid, 1) for pid in [*range(12), *range(100, 121)]}
+    assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
+        (103, 18, 3, 3)
+
+
+def _tree_state(tree):
+    return (sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
+                    tuple(n.page_ids)) for n in tree.nodes.values()),
+            sorted((pid, tuple(tree.store.page(pid).token_ids)) for pid in tree.store.pages),
+            tree.point_level, tree.distance_evals, tree.query_count, tree.scale_clamps)
+
+
+def _insert_both_ways(tree, pages):
+    """Insert (ids, keys, levels) pages page-wise into tree and one id at a
+    time into a copy; both must end in the same state."""
+    twin = copy.deepcopy(tree)
+    for ids, keys, levels in pages:
+        assert tree.insert(ids, keys, level=levels) == levels
+        for pid, key, lv in zip(ids, keys, levels):
+            twin.insert(pid, key, level=lv)
+    tree.check_invariants()
+    assert _tree_state(tree) == _tree_state(twin)
+
+
+def test_page_inserts_hide_later_points_from_earlier_parent_searches():
+    keys, _, _ = _clustered(37, 600, 8, 4)
+    tree = dci_indexing(_pairs(keys), 0.2, seed=37, store=TierStore(8, 2), page_size=4)
+    rng = np.random.default_rng(38)
+    anchor = keys[0] * 1.01
+    near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
+    page = np.vstack([near[:3], anchor, near[3:]])
+    _insert_both_ways(tree, [(list(range(1000, 1008)), page, [1, 1, 1, 2, 1, 1, 1, 1])])
+    leaf = tree.nodes[tree._membership[(1003, 1)]]
+    assert leaf.owner_id == 1003 and leaf.member_ids == [1003, 1004, 1005, 1006, 1007]
+
+
+def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time():
+    rng = np.random.default_rng(39)
+    tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2), page_size=4)
+    tree.insert(0, rng.normal(size=6), level=3)
+    tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
+    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
+        max(EXHAUSTIVE_NODE_LIMIT, tree.parent_budget.visit_cap)
+    pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
+             for p in range(100, 140, 8)]
+    _insert_both_ways(tree, pages)
+
+
+def test_insert_returns_levels_and_rejects_bad_batches():
+    tree = DciTree(2, KeyScale(5.0), 0.2, seed=26)
+    assert tree.insert(0, np.ones(2), level=3) == 3
+    assert tree.insert([1, 2], np.ones((2, 2)), level=[1, 2]) == [1, 2]
+    assert tree.insert([], np.empty((0, 2))) == []
+    for ids, keys, level in (([3, 3], np.ones((2, 2)), None), ([3, 1], np.ones((2, 2)), None),
+                             ([3, 4], np.ones((3, 2)), None), ([3, 4], np.ones((2, 2)), [1]),
+                             ([3, 4], np.ones((2, 2)), [1, 0])):
+        with pytest.raises(InputError):
+            tree.insert(ids, keys, level=level)
+    assert len(tree) == 3 and tree._n == 3
+    tree.check_invariants()
+
+
+def _query_rows_match(tree, queries, target, k, budget):
+    twin = copy.deepcopy(tree)
+    got = tree.query(queries, target, k, budget)
+    assert got == [twin.query(q, target, k, budget) for q in queries]
+    assert (tree.query_count, tree.distance_evals) == (twin.query_count, twin.distance_evals)
+
+
+def test_batched_query_rows_equal_single_queries():
+    keys, _, _ = _clustered(34, 1500, 12, 8)
+    clustered = dci_indexing(_pairs(keys), 0.2, seed=34)
+    rng = np.random.default_rng(35)
+    queries = np.stack([transform_query(q) for q in rng.normal(size=(9, 12))])
+    for target, k in ((SENTINEL_LEVEL, 5), (1, 3), (2, 1), (clustered.levels + 2, 2)):
+        _query_rows_match(clustered, queries, target, k, SearchBudget.for_k(k, beam=8))
+    _query_rows_match(clustered, queries[:1], SENTINEL_LEVEL, 4, None)
+    assert clustered.query(queries[:1], 2, 1) == [clustered.query(queries[0], 2, 1)]
+
+    uniform = dci_indexing(_pairs(rng.normal(size=(3000, 12))), 0.02, seed=36)
+    budget = SearchBudget.for_k(5, visit_cap=20)
+    queries = np.stack([transform_query(q) for q in rng.normal(size=(7, 12))])
+    for target in (SENTINEL_LEVEL, 1, 2):
+        _query_rows_match(uniform, queries, target, 5, budget)
+    assert any(node._search is not None for node in uniform.nodes.values())  # rows took _NodeSearch
+
+
 class InsertQueryMachine(RuleBasedStateMachine):
-    """Inserts, some growing the top, interleaved with exhaustive queries."""
+    """Inserts, some growing the top, and pages of inserts with forced
+    levels, interleaved with exhaustive queries."""
 
     def __init__(self):
         super().__init__()
@@ -384,6 +521,15 @@ class InsertQueryMachine(RuleBasedStateMachine):
         level = self.tree.levels + 1 if grow == 0 and self.keys else None
         self.tree.insert(len(self.keys), key, level=level)
         self.keys.append(key)
+
+    @rule(seed=st.integers(0, 2**32 - 1),
+          levels=st.lists(st.sampled_from([1, 1, 1, 2, 3, 5]), min_size=1, max_size=9))
+    def insert_page(self, seed, levels):
+        keys = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(levels), 6))
+        first = len(self.keys)
+        assert self.tree.insert(range(first, first + len(levels)), keys, level=levels) == levels
+        self.keys.extend(keys)
+        self.exhaustive_query_is_exact(seed, 1 + seed % 8)
 
     @precondition(lambda self: self.keys)
     @rule(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
