@@ -16,6 +16,7 @@ import pytest
 
 from icecache import (SENTINEL_LEVEL, PageTable, SearchBudget, TierStore, WorkloadSpec,
                       dci_indexing, full_attention, generate_workload, transform_query)
+from icecache.dci import EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET
 
 N_KEYS = 10_000
 PAGE = 16
@@ -58,6 +59,23 @@ def test_dci_insert_page(benchmark):
     def fresh():
         return (copy.deepcopy(tree), ids, keys[ids]), {}
     benchmark.pedantic(lambda t, i, k: t.insert(i, k), setup=fresh, rounds=50, iterations=1)
+
+
+def test_dci_insert_page_uniform(benchmark):
+    """One page into a 32k uniform tree, as uniform-32k rotates it: some
+    level-2+ node outgrows the parent searches' scan limit, so they truncate."""
+    n = 32_768
+    spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)
+    keys = generate_workload(spec).keys[:, 0, 0]
+    tree = dci_indexing(list(enumerate(keys[:n])), 0.1, seed=0, store=TierStore(64, 64),
+                        table=PageTable(), page_size=16)
+    limit = max(EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET.visit_cap)
+    assert max(len(node.member_ids) for node in tree.nodes.values() if node.level > 1) > limit
+    ids = list(range(n, n + PAGE))
+
+    def fresh():
+        return (copy.deepcopy(tree), ids, keys[ids]), {}
+    benchmark.pedantic(lambda t, i, k: t.insert(i, k), setup=fresh, rounds=20, iterations=1)
 
 
 def test_dense_argpartition_bar(benchmark, stream):

@@ -11,12 +11,13 @@ exactly one leaf and one page slot.
 Queries descend from the virtual root: at each level the members of the
 surviving clusters are ranked by lifted distance, the best `beam` survive,
 and their child nodes are searched next. With the sentinel target level the
-candidates of every level feed a global top-k. Within a node, candidates are
-ranked exhaustively for small nodes, or by prioritized projection lower
-bounds for large ones: with unit directions u_1..u_m,
-max_j |u_j . (p - q)| <= |p - q|, so visiting members in ascending order of
-that bound and stopping after `visit_cap` true-distance evaluations is a
-principled truncation, and is exact once every member has been visited.
+candidates of every level feed a global top-k. A node is scanned whole when
+it is small; in a large one only `visit_cap` members are evaluated, those of
+smallest prioritized projection bound: with unit directions u_1..u_m drawn
+per node, max_j |u_j . (p - q)| <= |p - q|, so the bound ranks members
+without their true distances (exact once the cap covers the node). The
+bound is computed at query time, with one matmul over the members the query
+is shown: a `row_limit` hides later points before the truncation.
 
 A batch of queries descends together, each keeping its own beam, and a
 page of decode-time keys is inserted in one call that finds the parents
@@ -25,8 +26,6 @@ of its level-1 and level-2 points with one batched query per level.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -96,53 +95,6 @@ def assign_level(r: float, rng: np.random.Generator) -> int:
     return level
 
 
-class _NodeSearch:
-    """Prioritized projection index over one node's members.
-
-    Keeps m sorted (projection, point id) lists. visit_order() merges the
-    per-direction ladders outward from the query's projections; a point is
-    emitted once it has been popped from every direction, i.e. in ascending
-    order of its max-over-directions projected distance.
-    """
-
-    __slots__ = ("dirs", "entries")
-
-    def __init__(self, dirs: np.ndarray):
-        self.dirs = dirs
-        self.entries: list[list[tuple[float, int]]] = [[] for _ in range(dirs.shape[0])]
-
-    def add(self, point_id: int, vec: np.ndarray) -> None:
-        projs = self.dirs @ vec
-        for j in range(self.dirs.shape[0]):
-            bisect.insort(self.entries[j], (float(projs[j]), point_id))
-
-    def visit_order(self, q_vec: np.ndarray, cap: int) -> list[int]:
-        m = self.dirs.shape[0]
-        q_proj = self.dirs @ q_vec
-        heap: list[tuple[float, int, int, int]] = []
-        for j in range(m):
-            entries = self.entries[j]
-            start = bisect.bisect_left(entries, (float(q_proj[j]), -1))
-            for pos, step in ((start - 1, -1), (start, 1)):
-                if 0 <= pos < len(entries):
-                    gap = abs(entries[pos][0] - float(q_proj[j]))
-                    heapq.heappush(heap, (gap, j, pos, step))
-        counts: dict[int, int] = {}
-        out: list[int] = []
-        while heap and len(out) < cap:
-            _, j, pos, step = heapq.heappop(heap)
-            pid = self.entries[j][pos][1]
-            seen = counts.get(pid, 0) + 1
-            counts[pid] = seen
-            if seen == m:
-                out.append(pid)
-            nxt = pos + step
-            if 0 <= nxt < len(self.entries[j]):
-                gap = abs(self.entries[j][nxt][0] - float(q_proj[j]))
-                heapq.heappush(heap, (gap, j, nxt, step))
-        return out
-
-
 @dataclass
 class DciNode:
     """One cluster: the points at `level` sharing the same parent point.
@@ -156,7 +108,6 @@ class DciNode:
     owner_id: int              # owning point id, ROOT_OWNER for the top node
     tree: "DciTree" = field(repr=False)
     page_ids: list[int] = field(default_factory=list)  # leaf nodes only
-    _search: _NodeSearch | None = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -255,6 +206,7 @@ class DciTree:
         self._count: list[np.ndarray] = []
         self._owner_node: dict[tuple[int, int], int] = {}   # (owner point, level) -> node
         self._membership: dict[tuple[int, int], int] = {}   # (point, level) -> containing node
+        self._dirs: dict[int, np.ndarray] = {}             # node -> projection directions
         self._next_node_id = 0
 
         self.query_count = 0
@@ -346,8 +298,6 @@ class DciTree:
         members = self._members[lv]
         self._members[lv] = np.concatenate((members[:pos], [self._row[point_id]], members[pos:]))
         self._membership[(point_id, node.level)] = node.node_id
-        if node._search is not None:
-            node._search.add(point_id, self.lifted(point_id))
 
     def _node_rows(self, node: DciNode) -> np.ndarray:
         members = self._members[node.level - 1]
@@ -357,22 +307,22 @@ class DciTree:
         start = self._start[node.level - 1][owner]
         return members[start: start + self._count[node.level - 1][owner]]
 
-    def _node_search(self, node: DciNode) -> _NodeSearch:
-        if node._search is None:
+    def _directions(self, node_id: int) -> np.ndarray:
+        """The node's unit projection directions, drawn from the tree seed."""
+        dirs = self._dirs.get(node_id)
+        if dirs is None:
             rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=self._seed_seq.entropy, spawn_key=(1, node.node_id)))
+                entropy=self._seed_seq.entropy, spawn_key=(1, node_id)))
             dirs = rng.normal(size=(NUM_PROJECTIONS, self.dim + 1))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            search = _NodeSearch(dirs)
-            for pid in node.member_ids:
-                search.add(pid, self.lifted(pid))
-            node._search = search
-        return node._search
+            self._dirs[node_id] = dirs
+        return dirs
 
     # -- search -------------------------------------------------------------
 
     def _candidate_rows(self, level: int, owners: np.ndarray | None,
-                        oq: np.ndarray | None, qs: np.ndarray, visit_cap: int
+                        oq: np.ndarray | None, qs: np.ndarray, visit_cap: int,
+                        row_limit: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray | None]:
         """Buffer rows searched in the nodes the given owner rows own at
         `level`, and the query row each was searched for.
@@ -382,10 +332,11 @@ class DciTree:
         `qs` is one query, and then `oq` and the returned query rows are
         None. The result is grouped by query row.
 
-        A node is scanned whole when it has at most EXHAUSTIVE_NODE_LIMIT
-        members or the visit cap covers it; otherwise only the first
-        visit_cap members of its prioritized projection order for that
-        row's query are searched.
+        `row_limit`, one per query row, first hides the points in buffer
+        rows at or past it. A node is then scanned whole when it shows that
+        row at most max(EXHAUSTIVE_NODE_LIMIT, visit_cap) members; otherwise
+        only the visit_cap shown members of smallest projection bound
+        max_j |u_j . p - u_j . q| are searched (ties toward the smaller id).
         """
         members = self._members[level - 1]
         if owners is None and qs.ndim == 1:
@@ -401,25 +352,26 @@ class DciTree:
             ends = np.cumsum(counts)
             rows = members[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
         qidx = None if oq is None else np.repeat(oq, counts)
-        large = counts > max(EXHAUSTIVE_NODE_LIMIT, visit_cap)
-        if not large.any():
+        limit = max(EXHAUSTIVE_NODE_LIMIT, visit_cap)
+        if row_limit is not None:
+            shown = rows < (row_limit[0] if qidx is None else row_limit[qidx])
+            if counts.max() > limit:  # hiding only shrinks a node
+                counts = np.diff(np.cumsum(shown)[np.cumsum(counts) - 1], prepend=0)
+            rows, qidx = rows[shown], None if qidx is None else qidx[shown]
+        large = np.flatnonzero(counts > limit)
+        if not large.size:
             return rows, qidx
-        small = np.repeat(~large, counts)
-        parts = [rows[small]]
-        qparts = [] if oq is None else [qidx[small]]
-        for i in np.flatnonzero(large):
+        ends = np.cumsum(counts).tolist()
+        keep = np.ones(rows.size, dtype=bool)
+        for i in large.tolist():
             owner = ROOT_OWNER if owners is None else int(self._point[owners[i]])
-            node = self.nodes[self._owner_node[(owner, level)]]
+            dirs = self._directions(self._owner_node[(owner, level)])
+            a, b = ends[i] - int(counts[i]), ends[i]
             q_vec = qs if oq is None else qs[oq[i]]
-            visited = self._node_search(node).visit_order(q_vec, visit_cap)
-            parts.append(np.fromiter((self._row[p] for p in visited), np.intp, len(visited)))
-            if oq is not None:
-                qparts.append(np.full(len(visited), oq[i]))
-        if oq is None:
-            return np.concatenate(parts), None
-        qidx = np.concatenate(qparts)
-        order = np.argsort(qidx, kind="stable")
-        return np.concatenate(parts)[order], qidx[order]
+            bound = np.abs(self._buf[rows[a:b]] @ dirs.T - dirs @ q_vec).max(axis=1)
+            keep[a:b] = False
+            keep[a + np.lexsort((self._point[rows[a:b]], bound))[:visit_cap]] = True
+        return rows[keep], None if qidx is None else qidx[keep]
 
     def _distances(self, rows: np.ndarray, qs: np.ndarray, qidx: np.ndarray | None
                    ) -> np.ndarray:
@@ -443,8 +395,8 @@ class DciTree:
         """The node's k nearest member ids to a lifted query.
 
         Exact for nodes up to EXHAUSTIVE_NODE_LIMIT members or whenever the
-        visit cap covers the whole node; otherwise the prioritized
-        projection order is truncated at visit_cap evaluations.
+        visit cap covers the whole node; otherwise only the visit_cap members
+        of smallest projection bound are evaluated.
         """
         if isinstance(node, int):
             node = self.nodes[node]
@@ -474,7 +426,8 @@ class DciTree:
         queries searched together, each row with its own beam: the result
         is one id list per row, row i equal to query(q_vec[i], ...), and
         every row counts as one query. `row_limit`, one per query, hides
-        the points in buffer rows at or past it (points inserted later).
+        the points in buffer rows at or past it (points inserted later),
+        before any large node is truncated.
         """
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
@@ -498,10 +451,8 @@ class DciTree:
         found_q: list[np.ndarray | None] = []
         owners = oq = None
         for level in range(self.levels, floor - 1, -1):
-            rows, qidx = self._candidate_rows(level, owners, oq, qs, budget.visit_cap)
-            if row_limit is not None:
-                shown = rows < (row_limit[0] if qidx is None else row_limit[qidx])
-                rows, qidx = rows[shown], None if qidx is None else qidx[shown]
+            rows, qidx = self._candidate_rows(level, owners, oq, qs, budget.visit_cap,
+                                              row_limit)
             d2 = self._distances(rows, qs, qidx)
             if collect_all or level == floor:
                 found_rows.append(rows)
@@ -611,26 +562,14 @@ class DciTree:
         return levels[0] if single else levels
 
     def _segment_end(self, levels: list[int], i: int) -> int:
-        """End of the stretch of points from i that _insert_segment takes.
-
-        It takes points of level 1, and of level 2 if the tree has that
-        level and no level-2 node can outgrow an exhaustive parent-search
-        scan. Points at level 3 or above, or that grow the tree, go in alone.
+        """End of the stretch of points from i that _insert_segment takes:
+        points of level 1, and of level 2 if the tree has that level. Points
+        at level 3 or above, or that grow the tree, go in alone.
         """
-        if self.levels == 0:
-            return i
         top = min(2, self.levels)
         j = i
         while j < len(levels) and levels[j] <= top:
             j += 1
-        added = levels[i:j].count(2)
-        if added:
-            largest = self._members[1].size if self.levels == 2 else \
-                int(self._count[1][self._members[2]].max())
-            if largest + added > max(EXHAUSTIVE_NODE_LIMIT, self.parent_budget.visit_cap):
-                j = i
-                while j < len(levels) and levels[j] == 1:
-                    j += 1
         return j
 
     def _insert_point(self, point_id: int, level: int) -> None:
@@ -663,10 +602,10 @@ class DciTree:
 
         Level-2 points search levels >= 3, which nothing here changes, so
         they go in first. The level-1 points then search levels >= 2
-        together, each reading only points of earlier rows: a level-2 point
-        later in the stream is filtered out of an earlier point's
-        candidates, and _segment_end keeps every level-2 node small enough
-        to be scanned whole, so each search reads what it would have read in
+        together, each reading only points of earlier rows: `row_limit`
+        hides a level-2 point later in the stream from an earlier point's
+        candidates before a large node is truncated to its smallest
+        projection bounds, so each search reads what it would have read in
         stream order. Pages fill in stream order, so page ids match too.
         """
         at_one = np.asarray(levels) == 1
@@ -711,9 +650,6 @@ class DciTree:
         self._members[0] = np.insert(self._members[0], pos, rows)
         self._membership.update(zip(zip(ids, [1] * len(ids)), (leaf.node_id for leaf in leaves)))
         self.point_level.update(zip(ids, [1] * len(ids)))
-        for pid, leaf in zip(ids, leaves):
-            if leaf._search is not None:
-                leaf._search.add(pid, self.lifted(pid))
 
     def _grow_top(self, point_id: int, new_level: int) -> None:
         """Raise the tree to new_level with point_id as the sole top point."""

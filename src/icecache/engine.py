@@ -77,6 +77,7 @@ class EngineConfig:
             raise ConfigError("reuse_stride must be 0 (off) or >= 2")
         if self.scalar_bytes < 1:
             raise ConfigError("scalar_bytes must be >= 1")
+        self.budget()  # beam and visit_cap must cover token_budget
 
     @property
     def n_query_heads(self) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from icecache import InvariantViolation
+from icecache import Engine, InvariantViolation
 from icecache.bench import validate_report
 from icecache.cli import main
 
@@ -89,6 +89,15 @@ def test_config_error_exit_code(capsys):
     code, _, err = _run(capsys, ["bench", *SMALL, "--steps", "5", "--ratio", "1.5"])
     assert code == 2
     assert "config error" in err
+
+
+def test_search_budget_error_exits_before_prefill(capsys, monkeypatch):
+    def prefill(*args, **kwargs):
+        raise AssertionError("prefill ran on a config with a bad search budget")
+    monkeypatch.setattr(Engine, "prefill", prefill)
+    code, _, err = _run(capsys, ["bench", *SMALL, "--steps", "5", "--visit-cap", "10"])
+    assert code == 2
+    assert "visit_cap (10) must be >= k (64)" in err
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tree construction, querying, and dynamic insertion against brute force."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_level, dci_indexing,
                       exact_topk, transform_key, transform_query)
-from icecache.dci import EXHAUSTIVE_NODE_LIMIT, ROOT_OWNER
+from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, PARENT_BUDGET, ROOT_OWNER
 
 
 def _pairs(keys):
@@ -424,6 +425,65 @@ def test_page_inserts_match_golden_values(batched):
         (103, 18, 3, 3)
 
 
+def _uniform_paged_tree():
+    """A uniform tree whose level-2 nodes outgrow PARENT_BUDGET's scan limit,
+    fed ten 16-token pages with drawn levels."""
+    rng = np.random.default_rng(5)
+    keys = rng.normal(size=(8160, 16))
+    tree = dci_indexing(_pairs(keys[:8000]), 0.03, seed=5, store=TierStore(16, 16),
+                        page_size=16)
+    for first in range(8000, 8160, 16):
+        tree.insert(range(first, first + 16), keys[first:first + 16])
+    return tree, np.stack([transform_query(q) for q in rng.normal(size=(4, 16))])
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_truncated_page_inserts_and_queries_match_golden_values():
+    """Tree, pages, counters and query results pinned from the prioritized
+    projection search the query-time bound replaced."""
+    tree, queries = _uniform_paged_tree()
+    tree.check_invariants()
+    limit = max(EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET.visit_cap)
+    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > limit
+    assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
+    nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
+                   for n in tree.nodes.values())
+    pages = [tree.store.page(pid).token_ids for pid in sorted(tree.store.pages)]
+    assert (_digest(nodes), _digest(pages)) == ("e99a32033c3e14d8", "1939b0f0dbe2bf15")
+    assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
+        (31376, 160, 0, 3)
+
+    budget = SearchBudget.for_k(6, visit_cap=40)
+    expected = [[332, 6096, 4856, 6157, 4334, 6931], [6569, 6357, 7347, 7156, 54, 3395],
+                [6735, 890, 5858, 4142, 7387, 2188], [92, 4035, 5515, 6422, 1438, 2086]]
+    assert [tree.query(q, SENTINEL_LEVEL, 6, budget) for q in queries] == expected
+    assert tree.query(queries, SENTINEL_LEVEL, 6, budget) == expected
+    assert (tree.distance_evals, tree.query_count) == (34576, 168)
+
+
+def test_large_node_keeps_the_members_of_smallest_projection_bound():
+    tree, queries = _uniform_paged_tree()
+    node = max(tree.nodes.values(), key=lambda n: len(n.member_ids))
+    cap = 40
+    assert len(node.member_ids) > max(EXHAUSTIVE_NODE_LIMIT, cap)
+    # Plain reference: the node's directions come from the tree seed and
+    # its id; a member's bound is its largest projected gap to the query.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1, node.node_id)))
+    dirs = rng.normal(size=(NUM_PROJECTIONS, 17))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for q in queries:
+        bound = {pid: max(abs(float(u @ tree.lifted(pid)) - float(u @ q)) for u in dirs)
+                 for pid in node.member_ids}
+        want = sorted(bound, key=lambda pid: (bound[pid], pid))[:cap]
+        before = tree.distance_evals
+        got = tree.pdci_query(q, node, cap, SearchBudget(cap, cap, cap))
+        assert tree.distance_evals - before == cap
+        assert sorted(got) == sorted(want)
+
+
 def _tree_state(tree):
     return (sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
                     tuple(n.page_ids)) for n in tree.nodes.values()),
@@ -455,7 +515,7 @@ def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     assert leaf.owner_id == 1003 and leaf.member_ids == [1003, 1004, 1005, 1006, 1007]
 
 
-def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time():
+def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch):
     rng = np.random.default_rng(39)
     tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2), page_size=4)
     tree.insert(0, rng.normal(size=6), level=3)
@@ -464,7 +524,18 @@ def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time():
         max(EXHAUSTIVE_NODE_LIMIT, tree.parent_budget.visit_cap)
     pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
              for p in range(100, 140, 8)]
-    _insert_both_ways(tree, pages)
+    searchers = []
+    query = DciTree.query
+
+    def counted(self, *args, **kwargs):
+        searchers.append(self)
+        return query(self, *args, **kwargs)
+    monkeypatch.setattr(DciTree, "query", counted)
+    for page in pages:
+        searchers.clear()
+        _insert_both_ways(tree, [page])
+        # One batched parent search per level, however large the node.
+        assert sum(s is tree for s in searchers) == 2
 
 
 def test_insert_returns_levels_and_rejects_bad_batches():
@@ -503,7 +574,12 @@ def test_batched_query_rows_equal_single_queries():
     queries = np.stack([transform_query(q) for q in rng.normal(size=(7, 12))])
     for target in (SENTINEL_LEVEL, 1, 2):
         _query_rows_match(uniform, queries, target, 5, budget)
-    assert any(node._search is not None for node in uniform.nodes.values())  # rows took _NodeSearch
+    # Some row searched a truncated leaf: a row's leaves are those of its
+    # beam nearest level-2 points.
+    limit = max(EXHAUSTIVE_NODE_LIMIT, budget.visit_cap)
+    large = {n.owner_id for n in uniform.nodes.values()
+             if n.is_leaf and len(n.member_ids) > limit}
+    assert any(large & set(uniform.query(q, 2, budget.beam, budget)) for q in queries)
 
 
 class InsertQueryMachine(RuleBasedStateMachine):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from icecache import (ConfigError, Engine, EngineConfig, InputError, InvariantViolation,
-                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate,
-                      prefill)
+                      SearchBudget, WorkloadSpec, full_attention, generate_workload,
+                      pipeline_estimate, prefill)
 from icecache.pagestore import INDEXED, SINK, WINDOW
 
 
@@ -292,3 +292,11 @@ def test_config_validation():
         EngineConfig(promotion_ratio=1.0)
     with pytest.raises(ConfigError):
         EngineConfig(token_budget=0)
+    # The search budget is checked when the config is built, not at decode.
+    for bad in ({"visit_cap": 10}, {"beam": 63}, {"token_budget": 300, "visit_cap": 256}):
+        with pytest.raises(ConfigError):
+            EngineConfig(**bad)
+    # A fallback engine never queries a tree, but its budget is checked too.
+    with pytest.raises(ConfigError):
+        EngineConfig(layers=2, skip_layers=2, beam=0, visit_cap=-5)
+    assert EngineConfig(beam=64, visit_cap=64).budget() == SearchBudget(64, 64, 64)
