@@ -1,0 +1,94 @@
+"""Digests of one decode run, for checking that a change keeps outputs bit-identical.
+
+    python3 benchmarks/digest.py --workload reuse-drift --seed 0 --steps 64 [--evaluate]
+
+Run from the repository root. It builds the named perfbench workload's
+stream, prefills a fresh engine from the checkout's own `src/`, decodes
+`--steps` steps and prints one sha256 digest per group:
+
+  outputs  every AttentionOutput: attended ids, dense weights, value_out bytes
+  metrics  every StepMetrics row (repr of each field, so floats are exact)
+  trees    each tree's nodes (id, level, parent, owner, members, page ids),
+           point levels and counters (queries, distance evaluations, clamps)
+  pages    each leaf page's token ids, in slot order
+  stats    each head's transfer counters
+
+and a last line digesting all of them. Sink and window pages hold
+consecutive tokens and are covered by the attended ids. Only public state
+is read, so the same file runs on two checkouts and equal lines mean equal
+runs. BLAS runs on one thread.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+from dataclasses import fields, replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+import numpy as np  # noqa: E402
+
+from icecache import Engine  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+
+def _ints(values) -> bytes:
+    return np.asarray(list(values), dtype=np.int64).tobytes()
+
+
+def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
+    bw = WORKLOADS[workload]
+    bw = replace(bw, window=steps, cfg=replace(bw.cfg, evaluate=evaluate))
+    wl = bw.generate(seed)
+    engine = Engine(bw.cfg).prefill(wl, bw.n_prefill)
+    groups = {name: hashlib.sha256() for name in ("outputs", "metrics", "trees", "pages", "stats")}
+    for i in range(steps):
+        outputs, metrics = engine.decode_step(wl.decode_step(bw.n_prefill, i))
+        for per_layer in outputs:
+            for out in per_layer:
+                groups["outputs"].update(_ints(out.token_ids))
+                groups["outputs"].update(np.asarray(out.dense_weights, dtype=float).tobytes())
+                groups["outputs"].update(out.value_out.tobytes())
+        groups["metrics"].update(repr([(f.name, getattr(metrics, f.name))
+                                       for f in fields(metrics)]).encode())
+    for key in sorted(engine.heads):
+        state = engine.heads[key]
+        tree = state.tree
+        nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
+                        tuple(n.page_ids)) for n in tree.nodes.values())
+        groups["trees"].update(repr((key, tree.levels, nodes, sorted(tree.point_level.items()),
+                                     tree.query_count, tree.distance_evals,
+                                     tree.scale_clamps)).encode())
+        for node in sorted(tree.nodes.values(), key=lambda n: n.node_id):
+            for pid in node.page_ids:
+                groups["pages"].update(_ints([pid]) + _ints(state.store.tokens_in([pid])))
+        stats = state.store.stats
+        groups["stats"].update(repr((key, [(f.name, getattr(stats, f.name))
+                                           for f in fields(stats)])).encode())
+    out = {name: h.hexdigest() for name, h in groups.items()}
+    out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--steps", type=int, default=64)
+    parser.add_argument("--evaluate", action="store_true",
+                        help="also compute the engine's oracle fields in StepMetrics")
+    args = parser.parse_args()
+    for name, digest in run(args.workload, args.seed, args.steps, args.evaluate).items():
+        print(f"{name:8s} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

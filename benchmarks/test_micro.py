@@ -14,8 +14,9 @@ import copy
 import numpy as np
 import pytest
 
-from icecache import (SENTINEL_LEVEL, PageTable, SearchBudget, TierStore, WorkloadSpec,
-                      dci_indexing, full_attention, generate_workload, transform_query)
+from icecache import (SENTINEL_LEVEL, Engine, EngineConfig, SearchBudget, TierStore,
+                      WorkloadSpec, dci_indexing, find_page_index, full_attention,
+                      generate_workload, sparse_attention, transform_query)
 from icecache.dci import EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET
 
 N_KEYS = 10_000
@@ -34,8 +35,7 @@ def _stream(n_tokens):
 
 
 def _build(keys):
-    return dci_indexing(list(enumerate(keys[:N_KEYS])), 0.1, seed=0, store=TierStore(64, 64),
-                        table=PageTable(), page_size=16)
+    return dci_indexing(list(enumerate(keys[:N_KEYS])), 0.1, seed=0, store=TierStore(64, 64))
 
 
 def test_dci_query(benchmark, stream):
@@ -67,8 +67,7 @@ def test_dci_insert_page_uniform(benchmark):
     n = 32_768
     spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)
     keys = generate_workload(spec).keys[:, 0, 0]
-    tree = dci_indexing(list(enumerate(keys[:n])), 0.1, seed=0, store=TierStore(64, 64),
-                        table=PageTable(), page_size=16)
+    tree = dci_indexing(list(enumerate(keys[:n])), 0.1, seed=0, store=TierStore(64, 64))
     limit = max(EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET.visit_cap)
     assert max(len(node.member_ids) for node in tree.nodes.values() if node.level > 1) > limit
     ids = list(range(n, n + PAGE))
@@ -95,3 +94,29 @@ def test_dci_indexing(benchmark, stream):
 def test_full_attention(benchmark, stream):
     keys, values, queries = stream
     benchmark(full_attention, queries[0], keys, values)
+
+
+def test_decode_page_glue(benchmark):
+    """One indexed head's page work for one query, shaped like reuse-drift
+    (2048-token prompt, 256 clusters, queries x 8, budget 64): page lookup,
+    backload, the sink + window + loaded gather, sparse attention, eviction."""
+    spec = WorkloadSpec(kind="clustered", clusters=256, n_tokens=2048 + 16, layers=2,
+                        kv_heads=1)
+    wl = generate_workload(spec)
+    wl.queries *= 8.0
+    eng = Engine(EngineConfig(layers=2, kv_heads=1, skip_layers=1)).prefill(wl, 2048)
+    for step in range(8):
+        eng.decode_step(wl.decode_step(2048, step))
+    state = eng.heads[(1, 0)]
+    q = wl.queries[2048 + 8, 1, 0]
+    tokens = eng._select_tokens(q, 1, 0)
+    keys, values = eng._kv(1, 0)
+
+    def run():
+        store = state.store
+        pages = find_page_index(tokens, store)
+        store.backload(pages)
+        attended = store.tokens_in(np.concatenate((state.sink, state.window, pages)))
+        sparse_attention(q, attended, keys, values)
+        store.evict_unselected(pages)
+    benchmark(run)

@@ -11,14 +11,13 @@ oracles.
 from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
 from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_level,
                   dci_indexing)
-from .engine import (Engine, EngineConfig, StepMetrics, TokenOrderBaseline,
-                     pipeline_estimate, prefill)
+from .engine import (Engine, EngineConfig, StepMetrics, pipeline_estimate, prefill,
+                     token_order_select)
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
                      IceCacheError, InputError, InvariantViolation, PolicyError,
                      ScaleViolationError, TraceFormatError)
 from .geometry import KeyScale, exact_topk, squared_distance, transform_key, transform_query
-from .pagestore import (INDEXED, SINK, WINDOW, Page, PageTable, TierStore,
-                        TransferStats, find_page_index)
+from .pagestore import INDEXED, SINK, WINDOW, TierStore, TransferStats, find_page_index
 from .workload import (DecodeStep, Workload, WorkloadSpec, generate_workload,
                        load_trace, save_trace)
 
@@ -27,13 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionOutput", "HeadGroup", "full_attention", "gqa_union", "sparse_attention",
     "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_level", "dci_indexing",
-    "Engine", "EngineConfig", "StepMetrics", "TokenOrderBaseline",
+    "Engine", "EngineConfig", "StepMetrics", "token_order_select",
     "pipeline_estimate", "prefill",
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
     "DegenerateQueryError", "ConsistencyError", "PolicyError",
     "InvariantViolation", "TraceFormatError",
     "KeyScale", "exact_topk", "squared_distance", "transform_key", "transform_query",
-    "INDEXED", "SINK", "WINDOW", "Page", "PageTable", "TierStore",
+    "INDEXED", "SINK", "WINDOW", "TierStore",
     "TransferStats", "find_page_index",
     "DecodeStep", "Workload", "WorkloadSpec", "generate_workload",
     "load_trace", "save_trace",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import as_ids
 from .errors import InputError
 
 
@@ -75,8 +76,7 @@ class AttentionOutput:
 
     def covered_mass(self, token_ids: Iterable[int]) -> float:
         """Total weight this output places on the given tokens (each counted once)."""
-        given = np.fromiter((int(t) for t in token_ids), dtype=np.int64)
-        return float(self.dense_weights[np.isin(self.token_ids, given)].sum())
+        return float(self.dense_weights[np.isin(self.token_ids, as_ids(token_ids))].sum())
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,17 @@ def full_attention(q, keys, values, token_ids: Sequence[int] | None = None) -> A
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.shape != (k_mat.shape[0],):
             raise InputError("token_ids must align one-to-one with keys")
+    return _attend(q, k_mat, v_mat, ids)
 
+
+def _attend(q: np.ndarray, k_mat: np.ndarray, v_mat: np.ndarray, ids: np.ndarray
+            ) -> AttentionOutput:
     logits = (k_mat @ q) / np.sqrt(q.size)
     logits -= logits.max()
     weights = np.exp(logits)
     weights /= weights.sum()
+    ids = ids.view()  # outputs may share the caller's ids; none may write them
+    ids.setflags(write=False)
     return AttentionOutput(ids, weights, weights @ v_mat)
 
 
@@ -125,28 +131,32 @@ def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> Attenti
     `keys` and `values` are indexed by token id: row t holds token t. The
     selection must be non-empty, distinct and in range; its rows are
     gathered in the order given, and the weights are renormalized over
-    them, so selecting every row reproduces full attention exactly.
+    them, so selecting every row reproduces full attention exactly. An
+    int64 array is not copied: the output's `token_ids` is a read-only
+    view of it.
     """
-    ids = np.fromiter((int(t) for t in selected_tokens), dtype=np.int64)
-    if ids.size == 0:
-        raise InputError("empty token selection")
+    ids = as_ids(selected_tokens)
+    if ids.ndim != 1 or ids.size == 0:
+        raise InputError("the token selection must be a non-empty 1-D id sequence")
+    q = np.asarray(q, dtype=float)
     k_mat = np.asarray(keys, dtype=float)
     v_mat = np.asarray(values, dtype=float)
     n = k_mat.shape[0]
     if n != v_mat.shape[0]:
         raise InputError(f"{n} keys but {v_mat.shape[0]} values")
+    if k_mat.ndim != 2 or k_mat.shape[1] != q.size:
+        raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1:]}")
     if ids.min() < 0 or ids.max() >= n:
         raise InputError(f"selected token ids must lie in [0, {n})")
-    if np.unique(ids).size != ids.size:
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    if np.count_nonzero(seen) != ids.size:
         raise InputError("selected tokens repeat an id")
-    return full_attention(q, k_mat[ids], v_mat[ids], ids)
+    return _attend(q, k_mat.take(ids, axis=0), v_mat.take(ids, axis=0), ids)
 
 
-def gqa_union(per_query_selections: Sequence[Iterable[int]]) -> set[int]:
-    """Union of the page selections of the query heads in one group."""
+def gqa_union(per_query_selections: Sequence[Iterable[int]]) -> np.ndarray:
+    """Ascending distinct union of the selections of the query heads in one group."""
     if len(per_query_selections) == 0:
         raise InputError("need at least one selection to union")
-    out: set[int] = set()
-    for selection in per_query_selections:
-        out.update(selection)
-    return out
+    return np.unique(np.concatenate([as_ids(s) for s in per_query_selections]))

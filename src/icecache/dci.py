@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import grown
 from .errors import ConfigError, InputError
 from .geometry import KeyScale
-from .pagestore import INDEXED, DEFAULT_PAGE_SIZE, PageTable, TierStore
+from .pagestore import INDEXED, TierStore
 
 # Target-level sentinel: descend to the bottom, collecting at every level.
 SENTINEL_LEVEL = -1
@@ -152,12 +153,6 @@ def _leading(qidx: np.ndarray, m: int) -> np.ndarray:
     return np.arange(qidx.size) - np.searchsorted(qidx, qidx) < m
 
 
-def _grown(arr: np.ndarray, rows: int) -> np.ndarray:
-    out = np.zeros((rows,) + arr.shape[1:], dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
 class DciTree:
     """Per-head hierarchical index with dynamic insertion.
 
@@ -174,7 +169,6 @@ class DciTree:
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
                  seed: int | tuple = 0, *, store: TierStore | None = None,
-                 table: PageTable | None = None, page_size: int = DEFAULT_PAGE_SIZE,
                  parent_budget: SearchBudget = PARENT_BUDGET):
         if not 0.0 < promotion_ratio < 1.0:
             raise ConfigError(f"promotion ratio must lie in (0, 1), got {promotion_ratio}")
@@ -183,9 +177,7 @@ class DciTree:
         self.dim = dim
         self.scale = scale
         self.promotion_ratio = promotion_ratio
-        self.page_size = page_size
         self.store = store
-        self.table = table if table is not None else (PageTable() if store is not None else None)
         self.parent_budget = parent_budget
 
         entropy = seed if isinstance(seed, int) else list(seed)
@@ -223,17 +215,16 @@ class DciTree:
         return self._point[: self._n].tolist()
 
     def _reserve(self, rows: int) -> None:
-        """Grow every row-indexed array, by doubling, to hold `rows` rows."""
+        """Grow every row-indexed array to hold `rows` points: exactly
+        that many on an empty tree, and by at least doubling later."""
         cap = self._buf.shape[0]
         if rows <= cap:
             return
-        cap = max(64, 2 * cap)
-        while cap < rows:
-            cap *= 2
-        self._buf = _grown(self._buf, cap)
-        self._point = _grown(self._point, cap)
-        self._start = [_grown(a, cap) for a in self._start]
-        self._count = [_grown(a, cap) for a in self._count]
+        cap = max(rows, 2 * cap)
+        self._buf = grown(self._buf, cap)
+        self._point = grown(self._point, cap)
+        self._start = [grown(a, cap) for a in self._start]
+        self._count = [grown(a, cap) for a in self._count]
 
     def _add_level(self) -> None:
         self._members.append(np.empty(0, dtype=np.intp))
@@ -494,17 +485,29 @@ class DciTree:
 
     # -- page placement -----------------------------------------------------
 
-    def _place(self, leaf: DciNode, point_ids: list[int]) -> None:
-        """Append ids to the leaf's last page, opening pages as they fill."""
+    def _place(self, leaf: DciNode, point_id: int) -> None:
+        """Append an id to the leaf's last page, opening a page when it is full."""
+        store = self.store
+        if store is None:
+            return
+        if not leaf.page_ids or store.fill[leaf.page_ids[-1]] >= store.page_size:
+            leaf.page_ids.append(store.allocate_page(INDEXED))
+        store.append(leaf.page_ids[-1], point_id)
+
+    def _place_leaves(self, leaves: list[DciNode], counts: np.ndarray) -> None:
+        """Fill pages for leaves whose members tile level 1 in this order,
+        as `_place` would one point at a time: a leaf of m members opens
+        ceil(m / page_size) pages, all full but the last, in leaf order."""
         if self.store is None:
             return
-        page = self.store.page(leaf.page_ids[-1]) if leaf.page_ids else None
-        for pid in point_ids:
-            if page is None or page.full:
-                page = self.store.allocate_page(self.page_size, INDEXED, resident=False)
-                leaf.page_ids.append(page.page_id)
-            page.append(pid)
-            self.table.map_token(pid, page.page_id)
+        size = self.store.page_size
+        pages = -(-counts // size)
+        first = np.cumsum(pages) - pages
+        rank = np.arange(pages.sum()) - np.repeat(first, pages)  # page's place in its leaf
+        fills = np.minimum(size, np.repeat(counts, pages) - size * rank)
+        ids = self.store.open_pages(self._point[self._members[0]], fills, INDEXED).tolist()
+        for leaf, a, m in zip(leaves, first.tolist(), pages.tolist()):
+            leaf.page_ids = ids[a:a + m]
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -556,7 +559,7 @@ class DciTree:
                 self._insert_segment(np.arange(first + i, first + j), levels[i:j])
             else:
                 self._insert_point(ids[i], levels[i])
-                self._place(self.nodes[self._membership[(ids[i], 1)]], [ids[i]])
+                self._place(self.nodes[self._membership[(ids[i], 1)]], ids[i])
                 j = i + 1
             i = j
         return levels[0] if single else levels
@@ -623,7 +626,7 @@ class DciTree:
         if lower.size:
             self._insert_leaves(lower)
         for pid in self._point[rows].tolist():
-            self._place(self.nodes[self._membership[(pid, 1)]], [pid])
+            self._place(self.nodes[self._membership[(pid, 1)]], pid)
 
     def _insert_leaves(self, rows: np.ndarray) -> None:
         """Add level-1 points (buffer rows, in stream order) to their leaves.
@@ -702,8 +705,8 @@ class DciTree:
             if node.is_leaf:
                 leaf_members.extend(members)
                 if self.store is not None:
-                    fills = sum(self.store.page(pid).fill for pid in node.page_ids)
-                    assert fills == len(members), "page fill != leaf membership"
+                    assert self.store.tokens_in(node.page_ids).tolist() == members, \
+                        "pages do not list the leaf's members in order"
         for lv, spans in slices.items():
             # The nodes of a level tile its member array exactly.
             spans.sort()
@@ -722,10 +725,8 @@ class DciTree:
 
 
 def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
-                 store: TierStore | None = None,
-                 table: PageTable | None = None, page_size: int = DEFAULT_PAGE_SIZE,
-                 scale: KeyScale | None = None,
-                 parent_budget: SearchBudget = PARENT_BUDGET) -> DciTree:
+                 store: TierStore | None = None, scale: KeyScale | None = None,
+                 parent_budget: SearchBudget = PARENT_BUDGET, rows: int = 0) -> DciTree:
     """Batch-build a tree over (point id, key vector) pairs.
 
     Levels are drawn for every point first and empty levels removed; then
@@ -734,7 +735,9 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     an exhaustive-budget tree query, orders of magnitude faster). Each
     level's nodes are ordered by their owner's first appearance in the
     input, and their members keep input order. Leaf membership is
-    materialized into pages when a store is supplied.
+    materialized into pages when a store is supplied. The tree reserves
+    room for `rows` points (at least the input), so inserts up to that
+    count never regrow it.
     """
     pairs = list(keys)
     if not pairs:
@@ -749,7 +752,7 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     if scale is None:
         scale = KeyScale.from_keys(mat)
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store,
-                   table=table, page_size=page_size, parent_budget=parent_budget)
+                   parent_budget=parent_budget)
 
     n = len(ids)
     drawn = np.array([assign_level(promotion_ratio, tree.rng) for _ in ids])
@@ -765,7 +768,7 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     lifted[:, :-1] = mat / safe_norms[:, None]
     lifted[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
     # Row r of the buffer is the r-th input point.
-    tree._reserve(n)
+    tree._reserve(max(n, rows))
     tree._buf[:n] = lifted
     tree._point[:n] = ids
     tree._row = dict(zip(ids, range(n)))
@@ -793,6 +796,7 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
     tree._members[n_levels - 1] = top_rows
     top_node = tree._new_node(n_levels, None, ROOT_OWNER)
     tree.top_node_id = top_node.node_id
+    node_ids, counts = [top_node.node_id], np.array([n])  # the leaves, if one level
     tree._membership.update(dict.fromkeys(
         zip(point[top_rows].tolist(), [n_levels] * top_rows.size), top_node.node_id))
     for lv in range(n_levels - 1, 0, -1):
@@ -812,8 +816,5 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
                                     np.repeat(node_ids, counts).tolist()))
 
     tree.point_level = dict(zip(ids, top.tolist()))
-    if store is not None:
-        for node in tree.nodes.values():
-            if node.is_leaf:
-                tree._place(node, node.member_ids)
+    tree._place_leaves([tree.nodes[i] for i in node_ids], counts)
     return tree

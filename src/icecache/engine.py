@@ -1,10 +1,11 @@
 """End-to-end orchestration over a pre-generated q/k/v stream.
 
-Each (layer, kv head) owns one key buffer and one value buffer, indexed by
-token id; they are the only copy of the cache. Everything else refers to
-their rows by id: pages list token ids, the tree indexes ids, and attention
-gathers the selected rows. Prefill copies the prompt in, so later writes to
-the workload's arrays do not reach the engine.
+Keys and values live in one array each, (layer, kv head, token, dim): each
+head's slab, indexed by token id, is the only copy of its cache. Everything
+else refers to rows by id: pages list token ids, the tree indexes ids, and
+attention gathers the selected rows. Prefill copies the prompt in, so later
+writes to the workload's arrays do not reach the engine, and sizes the
+arrays and every tree for the whole stream, so decode never regrows them.
 
 Prefill splits the prompt into sink pages (pinned hot), window pages
 (pinned hot, rotating), and a middle region whose keys are clustered into a
@@ -14,7 +15,9 @@ into the tree) when the newest window page is one entry short of full,
 page selection (fresh per-query-head tree queries on anchor layers, the
 anchor's tokens on reuse layers), group-wise page union, bulk backload, and
 sparse attention over the selected pages plus the always-resident sink and
-window tokens.
+window tokens. Selections stay int64 id arrays from the tree's result to
+the gather: the attended set is one gather over the head's sink, window
+and selected pages, in that order.
 
 The first skip_layers layers are not indexed and attend exactly, as does
 the whole engine when the prompt is too short to split. The engine is not
@@ -32,7 +35,7 @@ from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sp
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError, InvariantViolation
 from .geometry import exact_topk, transform_query
-from .pagestore import SINK, WINDOW, PageTable, TierStore, TransferStats, find_page_index
+from .pagestore import SINK, WINDOW, TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
 
 
@@ -111,75 +114,21 @@ class StepMetrics:
     baseline_hit_rate: float | None = None
 
 
-class _GrowArray:
-    """Row-appendable float matrix with amortized doubling."""
+def token_order_select(q: np.ndarray, tokens: np.ndarray, keys: np.ndarray,
+                       page_size: int, n_pages: int) -> np.ndarray:
+    """Tokens of the best n_pages pages of a token-order layout.
 
-    __slots__ = ("_buf", "n")
-
-    def __init__(self, width: int, capacity: int = 64):
-        self._buf = np.empty((capacity, width))
-        self.n = 0
-
-    def append(self, row: np.ndarray) -> None:
-        if self.n == self._buf.shape[0]:
-            grown = np.empty((2 * self._buf.shape[0], self._buf.shape[1]))
-            grown[: self.n] = self._buf[: self.n]
-            self._buf = grown
-        self._buf[self.n] = row
-        self.n += 1
-
-    def extend(self, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=float)
-        need = self.n + rows.shape[0]
-        if need > self._buf.shape[0]:
-            cap = self._buf.shape[0]
-            while cap < need:
-                cap *= 2
-            grown = np.empty((cap, self._buf.shape[1]))
-            grown[: self.n] = self._buf[: self.n]
-            self._buf = grown
-        self._buf[self.n: need] = rows
-        self.n = need
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self.n]
-
-
-class TokenOrderBaseline:
-    """Token-order page layout with per-page coordinate min/max metadata.
-
-    Pages fill in arrival order; a page's relevance to a query is the
-    upper bound sum_i max(q_i * lo_i, q_i * hi_i) over its coordinate-wise
+    Pages hold page_size consecutive arrivals (`tokens`, in arrival order,
+    with their `keys`); a page's relevance to a query is the upper bound
+    sum_i max(q_i * lo_i, q_i * hi_i) over its keys' coordinate-wise
     envelope, and the top-scoring pages are selected.
     """
-
-    def __init__(self, page_size: int):
-        self.page_size = page_size
-        self.pages: list[list[int]] = []
-        self.lo: list[np.ndarray] = []
-        self.hi: list[np.ndarray] = []
-
-    def add(self, token_id: int, key: np.ndarray) -> None:
-        key = np.asarray(key, dtype=float)
-        if not self.pages or len(self.pages[-1]) >= self.page_size:
-            self.pages.append([])
-            self.lo.append(key.copy())
-            self.hi.append(key.copy())
-        self.pages[-1].append(int(token_id))
-        np.minimum(self.lo[-1], key, out=self.lo[-1])
-        np.maximum(self.hi[-1], key, out=self.hi[-1])
-
-    def select_tokens(self, q: np.ndarray, n_pages: int) -> set[int]:
-        if not self.pages or n_pages < 1:
-            return set()
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        scores = np.maximum(lo * q, hi * q).sum(axis=1)
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        out: set[int] = set()
-        for idx in order[: min(n_pages, len(scores))]:
-            out.update(self.pages[int(idx)])
-        return out
+    starts = np.arange(0, tokens.size, page_size)
+    lo = np.minimum.reduceat(keys, starts)
+    hi = np.maximum.reduceat(keys, starts)
+    scores = np.maximum(lo * q, hi * q).sum(axis=1)
+    best = np.lexsort((np.arange(scores.size), -scores))[:n_pages]
+    return tokens[np.isin(np.arange(tokens.size) // page_size, best)]
 
 
 @dataclass
@@ -188,10 +137,8 @@ class _HeadState:
 
     tree: DciTree
     store: TierStore
-    table: PageTable
-    sink: list = field(default_factory=list)     # sink Page objects
-    window: list = field(default_factory=list)   # window Page deque, oldest first
-    baseline: TokenOrderBaseline | None = None
+    sink: list[int] = field(default_factory=list)    # sink page ids
+    window: list[int] = field(default_factory=list)  # window page ids, oldest first
 
 
 class Engine:
@@ -205,12 +152,13 @@ class Engine:
         self.n_prefill = 0
         self.steps_done = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}
-        self._keys: dict[tuple[int, int], _GrowArray] = {}
-        self._values: dict[tuple[int, int], _GrowArray] = {}
+        self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
+        self._values = np.empty((0, 0, 0, cfg.d_prime))
+        self._n = 0                                       # tokens held by every buffer
         self.sink_tokens: list[int] = []
         self.indexed_tokens: list[int] = []
         self.selection_queries = 0
-        self._anchor_tokens: dict[int, set[int]] = {}
+        self._anchor_tokens: dict[int, np.ndarray] = {}
 
     # -- prefill -----------------------------------------------------------
 
@@ -235,12 +183,11 @@ class Engine:
         self.n_prefill = n_prefill
 
         rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
-        for layer in range(cfg.layers):
-            for h in range(cfg.kv_heads):
-                self._keys[(layer, h)] = _GrowArray(cfg.d, rows)
-                self._values[(layer, h)] = _GrowArray(cfg.d_prime, rows)
-                self._keys[(layer, h)].extend(keys[:, layer, h])
-                self._values[(layer, h)].extend(values[:, layer, h])
+        self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
+        self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
+        self._keys[:, :, :n_prefill] = keys.transpose(1, 2, 0, 3)
+        self._values[:, :, :n_prefill] = values.transpose(1, 2, 0, 3)
+        self._n = n_prefill
 
         s = cfg.page_size
         page_count = math.ceil(n_prefill / s)
@@ -256,39 +203,28 @@ class Engine:
 
         for layer in range(cfg.skip_layers, cfg.layers):
             for h in range(cfg.kv_heads):
-                self.heads[(layer, h)] = self._build_head(layer, h, window_start)
+                self.heads[(layer, h)] = self._build_head(layer, h, window_start, rows)
 
         self.prefilled = True
         return self
 
-    def _build_head(self, layer: int, h: int, window_start: int) -> _HeadState:
+    def _build_head(self, layer: int, h: int, window_start: int, rows: int) -> _HeadState:
         cfg = self.cfg
         s = cfg.page_size
-        store = TierStore(cfg.d, cfg.d_prime, cfg.scalar_bytes)
-        table = PageTable()
+        store = TierStore(cfg.d, cfg.d_prime, cfg.scalar_bytes, s)
 
-        def pages(role: str, tokens: range) -> list:
-            out = []
-            for start in range(tokens.start, tokens.stop, s):
-                page = store.allocate_page(s, role, resident=True, pinned=True)
-                for t in range(start, min(start + s, tokens.stop)):
-                    page.append(t)
-                out.append(page)
-            return out
+        def pages(role: str, start: int, stop: int) -> list[int]:
+            counts = [min(s, stop - a) for a in range(start, stop, s)]
+            return store.open_pages(np.arange(start, stop), counts, role,
+                                    resident=True, pinned=True).tolist()
 
-        keys = self._keys[(layer, h)].view()
-        sink = pages(SINK, range(0, len(self.sink_tokens)))
-        window = pages(WINDOW, range(window_start, self.n_prefill))
+        keys = self._keys[layer, h]
+        sink = pages(SINK, 0, len(self.sink_tokens))
+        window = pages(WINDOW, window_start, self.n_prefill)
         tree = dci_indexing(
             [(t, keys[t]) for t in self.indexed_tokens], cfg.promotion_ratio,
-            seed=(cfg.seed, layer, h), store=store, table=table, page_size=s)
-        baseline = None
-        if cfg.compare_baseline:
-            baseline = TokenOrderBaseline(s)
-            for t in self.indexed_tokens:
-                baseline.add(t, keys[t])
-        return _HeadState(tree=tree, store=store, table=table, sink=sink,
-                          window=window, baseline=baseline)
+            seed=(cfg.seed, layer, h), store=store, rows=rows)
+        return _HeadState(tree=tree, store=store, sink=sink, window=window)
 
     # -- selection ----------------------------------------------------------
 
@@ -296,17 +232,17 @@ class Engine:
                     budget: SearchBudget | None = None) -> list[int]:
         """Pages containing the tree's top-budget tokens for one query."""
         tokens = self._select_tokens(q, layer, kv_head, budget)
-        state = self.heads[(layer, kv_head)]
-        return find_page_index(tokens, state.table)
+        return find_page_index(tokens, self.heads[(layer, kv_head)].store).tolist()
 
     def _select_tokens(self, q, layer: int, kv_head: int,
-                       budget: SearchBudget | None = None) -> list[int]:
+                       budget: SearchBudget | None = None) -> np.ndarray:
         if (layer, kv_head) not in self.heads:
             raise ConfigError(f"no tree for layer {layer}, head {kv_head}")
         state = self.heads[(layer, kv_head)]
         budget = budget if budget is not None else self.cfg.budget()
         self.selection_queries += 1
-        return state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
+        tokens = state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
+        return np.fromiter(tokens, dtype=np.int64, count=len(tokens))
 
     def is_anchor_layer(self, layer: int) -> bool:
         """Indexed layers that query their trees; with reuse off, all of them."""
@@ -319,8 +255,8 @@ class Engine:
                 if self.is_anchor_layer(l)]
 
     def select_with_reuse(self, layer: int, layer_queries: np.ndarray
-                          ) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
-        """Pages per kv head and selected tokens per query head.
+                          ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """Pages per kv head and selected tokens per query head, as id arrays.
 
         Anchor layers run a fresh tree query per query head; each head's
         tokens are its own result, the group's pages the union of theirs,
@@ -328,48 +264,38 @@ class Engine:
         recent anchor's token union for every head of the group, mapped
         through their own page table without touching the tree.
         """
-        pages_by_head: dict[int, list[int]] = {}
-        tokens_by_qh: dict[int, set[int]] = {}
+        pages_by_head: dict[int, np.ndarray] = {}
+        tokens_by_qh: dict[int, np.ndarray] = {}
         anchor = self.is_anchor_layer(layer)
         for group in self.groups:
             h = group.kv_head_id
-            state = self.heads[(layer, h)]
+            store = self.heads[(layer, h)].store
             if anchor:
-                per_head_pages = []
-                union_tokens: set[int] = set()
+                per_head_pages, per_head_tokens = [], []
                 for qh in group.query_head_ids:
                     tokens = self._select_tokens(layer_queries[qh], layer, h)
-                    tokens_by_qh[qh] = set(tokens)
-                    union_tokens.update(tokens)
-                    per_head_pages.append(find_page_index(tokens, state.table))
-                self._anchor_tokens[h] = union_tokens
-                pages_by_head[h] = sorted(gqa_union(per_head_pages))
+                    tokens_by_qh[qh] = tokens
+                    per_head_tokens.append(tokens)
+                    per_head_pages.append(find_page_index(tokens, store))
+                self._anchor_tokens[h] = gqa_union(per_head_tokens)
+                pages_by_head[h] = gqa_union(per_head_pages)
             else:
                 if h not in self._anchor_tokens:
                     raise ConfigError(f"no anchor selection recorded yet for head {h}")
                 tokens = self._anchor_tokens[h]
-                pages_by_head[h] = find_page_index(tokens, state.table)
+                pages_by_head[h] = find_page_index(tokens, store)
                 for qh in group.query_head_ids:
                     tokens_by_qh[qh] = tokens
         return pages_by_head, tokens_by_qh
 
     # -- decode ---------------------------------------------------------------
 
-    def _full_reference(self, layer: int, kv_head: int, q: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact attention weights (indexed by token id) and output."""
-        keys = self._keys[(layer, kv_head)].view()
-        values = self._values[(layer, kv_head)].view()
-        logits = (keys @ q) / np.sqrt(q.size)
-        logits = logits - logits.max()
-        w = np.exp(logits)
-        w /= w.sum()
-        return w, w @ values
+    def _kv(self, layer: int, kv_head: int) -> tuple[np.ndarray, np.ndarray]:
+        """The head's key and value rows, row t holding token t."""
+        return self._keys[layer, kv_head, : self._n], self._values[layer, kv_head, : self._n]
 
     def _full_output(self, layer: int, kv_head: int, q: np.ndarray) -> AttentionOutput:
-        keys = self._keys[(layer, kv_head)].view()
-        values = self._values[(layer, kv_head)].view()
-        return full_attention(q, keys, values)
+        return full_attention(q, *self._kv(layer, kv_head))
 
     def decode_step(self, step: DecodeStep
                     ) -> tuple[list[list[AttentionOutput | None]], StepMetrics]:
@@ -395,16 +321,19 @@ class Engine:
         rotate = False
         if not self.fallback:
             # Every head takes one token per step, so all rotate together.
-            fills = {state.window[-1].fill for state in self.heads.values()}
+            fills = {int(state.store.fill[state.window[-1]]) for state in self.heads.values()}
             if len(fills) != 1:
                 raise InvariantViolation(f"newest window pages differ in fill: {sorted(fills)}")
             rotate = fills.pop() >= cfg.page_size - 1
 
-        for layer in range(cfg.layers):
-            for h in range(cfg.kv_heads):
-                self._keys[(layer, h)].append(step.keys[layer, h])
-                self._values[(layer, h)].append(step.values[layer, h])
+        if self._n == self._keys.shape[2]:  # a stream longer than the prefilled workload
+            pad = ((0, 0), (0, 0), (0, self._n), (0, 0))
+            self._keys, self._values = np.pad(self._keys, pad), np.pad(self._values, pad)
+        self._keys[:, :, self._n] = step.keys
+        self._values[:, :, self._n] = step.values
+        self._n += 1
 
+        for layer in range(cfg.layers):
             if self.fallback or layer < cfg.skip_layers:
                 for qh in range(cfg.n_query_heads):
                     outputs[layer][qh] = self._full_output(
@@ -414,8 +343,10 @@ class Engine:
             if rotate:
                 self._rotate_layer(layer)
             for h in range(cfg.kv_heads):
-                target = next(p for p in self.heads[(layer, h)].window if not p.full)
-                target.append(token)
+                state = self.heads[(layer, h)]
+                fill = state.store.fill
+                state.store.append(next(p for p in state.window if fill[p] < cfg.page_size),
+                                   token)
 
             pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
             for group in self.groups:
@@ -423,13 +354,12 @@ class Engine:
                 state = self.heads[(layer, h)]
                 selected = pages_by_head[h]
                 moved.add(state.store.backload(selected))
-                loaded = state.store.tokens_in(selected)
-                pages_selected += len(selected)
-                tokens_loaded += len(loaded)
-                window_tokens = [t for page in state.window for t in page.token_ids]
-                attended = self.sink_tokens + window_tokens + loaded
-                keys = self._keys[(layer, h)].view()
-                values = self._values[(layer, h)].view()
+                pages_selected += selected.size
+                tokens_loaded += int(state.store.fill[selected].sum())
+                # sink + window + loaded: each list of pages holds its tokens in order
+                attended = state.store.tokens_in(
+                    np.concatenate((state.sink, state.window, selected)))
+                keys, values = self._kv(layer, h)
                 for qh in group.query_head_ids:
                     q = step.queries[layer, qh]
                     out = sparse_attention(q, attended, keys, values)
@@ -437,7 +367,7 @@ class Engine:
                     if cfg.evaluate:
                         evals.append(self._evaluate_head(
                             layer, h, q, qh_tokens[qh], attended, out,
-                            len(selected), state))
+                            selected.size, state))
                 state.store.evict_unselected(selected)
 
         self.steps_done += 1
@@ -463,66 +393,54 @@ class Engine:
     def _rotate_layer(self, layer: int) -> None:
         """Offload the oldest window page and fold its tokens into the tree."""
         cfg = self.cfg
-        rotated_tokens: list[int] | None = None
         for h in range(cfg.kv_heads):
             state = self.heads[(layer, h)]
             old = state.window.pop(0)
-            state.store.offload(old.page_id)
-            keys = self._keys[(layer, h)].view()
-            state.tree.insert(old.token_ids, keys[old.token_ids])
-            if state.baseline is not None:
-                for t in old.token_ids:
-                    state.baseline.add(t, keys[t])
-            state.store.release(old.page_id)
-            fresh = state.store.allocate_page(cfg.page_size, WINDOW,
-                                              resident=True, pinned=True)
-            state.window.append(fresh)
-            rotated_tokens = old.token_ids
-        if layer == cfg.skip_layers and rotated_tokens:
-            self.indexed_tokens.extend(rotated_tokens)
+            state.store.offload(old)
+            rotated = state.store.tokens_in([old])
+            state.store.release(old)  # its tokens move to the tree's pages
+            state.tree.insert(rotated, self._keys[layer, h, rotated])
+            state.window.append(state.store.allocate_page(WINDOW, resident=True, pinned=True))
+        if layer == cfg.skip_layers:
+            self.indexed_tokens.extend(rotated.tolist())
 
     def _evaluate_head(self, layer: int, kv_head: int, q: np.ndarray,
-                       selected_tokens: set[int], attended: list[int],
+                       selected_tokens: np.ndarray, attended: np.ndarray,
                        out: AttentionOutput, n_pages: int, state: _HeadState
                        ) -> tuple[float, float, float, float, float | None]:
         cfg = self.cfg
-        ref_w, ref_v = self._full_reference(layer, kv_head, q)
-        attended_set = set(attended)
+        ref = self._full_output(layer, kv_head, q)
+        ref_w, ref_v = ref.dense_weights, ref.value_out
 
         k_eff = min(cfg.token_budget, len(self.indexed_tokens))
         indexed = np.asarray(self.indexed_tokens)
-        indexed_keys = self._keys[(layer, kv_head)].view()[indexed]
-        oracle_idx = exact_topk(q, indexed_keys, k_eff)
-        oracle_indexed = {int(indexed[i]) for i in oracle_idx}
-        recall = len(oracle_indexed & selected_tokens) / k_eff
+        indexed_keys = self._keys[layer, kv_head, indexed]
+        oracle_indexed = indexed[exact_topk(q, indexed_keys, k_eff)]
+        recall = int(np.isin(oracle_indexed, selected_tokens).sum()) / k_eff
 
         n_all = ref_w.size
         k_all = min(cfg.token_budget, n_all)
-        oracle_all = exact_topk(q, self._keys[(layer, kv_head)].view(), k_all)
-        hit = sum(1 for t in oracle_all if t in attended_set) / k_all
+        oracle_all = exact_topk(q, self._kv(layer, kv_head)[0], k_all)
+        hit = int(np.isin(oracle_all, attended).sum()) / k_all
 
-        mass = float(ref_w[sorted(attended_set)].sum())
+        mass = float(ref_w[np.sort(attended)].sum())  # attended ids are distinct
         denom = float(np.linalg.norm(ref_v))
         rel = float(np.linalg.norm(out.value_out - ref_v)) / max(denom, 1e-300)
 
         base_hit = None
-        if state.baseline is not None:
-            base_tokens = state.baseline.select_tokens(q, n_pages)
-            base_attended = base_tokens | set(self.sink_tokens) | \
-                {t for page in state.window for t in page.token_ids}
-            base_hit = sum(1 for t in oracle_all if t in base_attended) / k_all
+        if cfg.compare_baseline:
+            base_attended = np.concatenate((
+                token_order_select(q, indexed, indexed_keys, cfg.page_size, n_pages),
+                state.store.tokens_in(state.sink + state.window)))
+            base_hit = int(np.isin(oracle_all, base_attended).sum()) / k_all
         return recall, hit, mass, rel, base_hit
 
     # -- bookkeeping ----------------------------------------------------------
 
     def token_census(self, layer: int, kv_head: int) -> int:
         """Tokens across sink + window + indexed pages for one head."""
-        state = self.heads[(layer, kv_head)]
-        sink = sum(p.fill for p in state.sink)
-        window = sum(p.fill for p in state.window)
-        indexed = sum(p.fill for p in state.store.pages.values()
-                      if p.role not in (SINK, WINDOW))
-        return sink + window + indexed
+        store = self.heads[(layer, kv_head)].store
+        return int(store.fill[store.live].sum())
 
 
 def prefill(workload: Workload, cfg: EngineConfig, n_prefill: int | None = None) -> Engine:

@@ -1,13 +1,22 @@
 """Pages of token ids, the token-to-page table, and the two-tier residency store.
 
-A page is a fixed-capacity list of token ids; it is the unit of residency,
-selection, and transfer. Pages hold no vectors: each token's key and value
-live once, in the engine's per-(layer, kv head) buffers at the row given by
-the token id, as in a page table over one KV pool. The TierStore tracks
-which pages are resident ("hot") versus offloaded ("cold"), with sink and
-window pages pinned hot. Indexed pages keep their authoritative copy cold:
-the hot side only ever holds copies, so eviction is free and only cold->hot
-and hot->cold moves are charged.
+A page is a fixed-capacity row of token-id slots; it is the unit of
+residency, selection, and transfer. Pages hold no vectors: each token's key
+and value live once, in the engine's per-(layer, kv head) buffers at the row
+given by the token id, as in a page table over one KV pool.
+
+One TierStore per (layer, kv head) keeps the page layer as flat arrays, as
+PagedAttention's block table does:
+
+  slots[p, :fill[p]]   the token ids of page p, in slot order (later slots unused)
+  page_of[t]           the live page listing token t, or NO_PAGE
+  hot, pinned, live    boolean masks over page ids
+
+A token sits in at most one live page. Page ids count up and are never
+reused; a released page stays dead. Pages are resident ("hot") or offloaded
+("cold"), with sink and window pages pinned hot. Indexed pages keep their
+authoritative copy cold: the hot side only ever holds copies, so eviction is
+free and only cold->hot and hot->cold moves are charged.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
@@ -19,6 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from .arrays import as_ids, grown
 from .errors import ConsistencyError, InputError, PolicyError
 
 SINK = "sink"
@@ -27,6 +39,8 @@ INDEXED = "indexed"
 
 DEFAULT_PAGE_SIZE = 16
 DEFAULT_SCALAR_BYTES = 4
+
+NO_PAGE = -1
 
 
 @dataclass
@@ -47,148 +61,187 @@ class TransferStats:
         self.pages_offloaded += other.pages_offloaded
 
 
-class Page:
-    """Fixed-capacity block of token ids."""
-
-    __slots__ = ("page_id", "capacity", "role", "token_ids")
-
-    def __init__(self, page_id: int, capacity: int, role: str = INDEXED):
-        if capacity < 1:
-            raise InputError(f"page capacity must be >= 1, got {capacity}")
-        if role not in (SINK, WINDOW, INDEXED):
-            raise InputError(f"unknown page role {role!r}")
-        self.page_id = page_id
-        self.capacity = capacity
-        self.role = role
-        self.token_ids: list[int] = []
-
-    @property
-    def fill(self) -> int:
-        return len(self.token_ids)
-
-    @property
-    def full(self) -> bool:
-        return self.fill >= self.capacity
-
-    def append(self, token_id: int) -> None:
-        if self.full:
-            raise InputError(f"page {self.page_id} is full")
-        if token_id in self.token_ids:
-            raise InputError(f"token {token_id} already in page {self.page_id}")
-        self.token_ids.append(int(token_id))
-
-    def __repr__(self) -> str:
-        return f"Page(id={self.page_id}, role={self.role}, fill={self.fill}/{self.capacity})"
+def _top(ids: np.ndarray) -> int:
+    """The largest id, where a negative id counts as larger than any other."""
+    return int(ids.view(np.uint64).max())
 
 
-class PageTable:
-    """Mapping from tokens to the pages holding them."""
-
-    def __init__(self) -> None:
-        self.token_to_page: dict[int, int] = {}
-
-    def map_token(self, token_id: int, page_id: int) -> None:
-        self.token_to_page[int(token_id)] = page_id
-
-    def page_of(self, token_id: int) -> int:
-        try:
-            return self.token_to_page[int(token_id)]
-        except KeyError:
-            raise ConsistencyError(f"token {token_id} is not mapped to any page") from None
-
-
-def find_page_index(key_ids: Iterable[int], table: PageTable) -> list[int]:
+def find_page_index(key_ids: Iterable[int], store: "TierStore") -> np.ndarray:
     """Deduplicated, ascending page ids containing the given tokens."""
-    return sorted({table.page_of(t) for t in key_ids})
+    ids = as_ids(key_ids)
+    unmapped = ConsistencyError("a token is not mapped to any page")
+    if ids.size and _top(ids) >= store.page_of.size:
+        raise unmapped
+    pages = store.page_of[ids]
+    if (pages < 0).any():
+        raise unmapped
+    listed = np.zeros(store.n_pages, dtype=bool)
+    listed[pages] = True
+    return np.flatnonzero(listed)
 
 
 class TierStore:
-    """Hot/cold page residency with bulk-transfer accounting.
+    """Pages, their token table, and hot/cold residency with bulk-transfer
+    accounting.
 
     Single-writer per (layer, head). Pages allocated with resident=True
     (sink/window) are authoritative on the hot side and may be pinned;
     indexed pages start cold and are only ever copied hot.
     """
 
-    def __init__(self, d: int, d_prime: int, scalar_bytes: int = DEFAULT_SCALAR_BYTES):
-        if d < 1 or d_prime < 1 or scalar_bytes < 1:
-            raise InputError("d, d_prime and scalar_bytes must all be >= 1")
+    def __init__(self, d: int, d_prime: int, scalar_bytes: int = DEFAULT_SCALAR_BYTES,
+                 page_size: int = DEFAULT_PAGE_SIZE):
+        if min(d, d_prime, scalar_bytes, page_size) < 1:
+            raise InputError("d, d_prime, scalar_bytes and page_size must all be >= 1")
         self.d = d
         self.d_prime = d_prime
         self.scalar_bytes = scalar_bytes
-        self.pages: dict[int, Page] = {}
-        self.hot: set[int] = set()
-        self.pinned: set[int] = set()
+        self.page_size = page_size
+        self.n_pages = 0                 # pages ever allocated: the next page id
+        self.slots = np.zeros((0, page_size), dtype=np.int64)
+        self.fill = np.zeros(0, dtype=np.int64)
+        self.live = np.zeros(0, dtype=bool)
+        self.hot = np.zeros(0, dtype=bool)
+        self.pinned = np.zeros(0, dtype=bool)
+        self.roles: list[str] = []
+        self.page_of = np.zeros(0, dtype=np.int64)
         self.stats = TransferStats()
-        self._next_page_id = 0
 
-    # -- allocation ---------------------------------------------------
+    # -- allocation and placement ---------------------------------------
 
-    def allocate_page(self, capacity: int, role: str = INDEXED, *,
-                      resident: bool = False, pinned: bool = False) -> Page:
-        page = Page(self._next_page_id, capacity, role)
-        self._next_page_id += 1
-        self.pages[page.page_id] = page
-        if resident:
-            self.hot.add(page.page_id)
-        if pinned:
-            if not resident:
-                raise InputError("a pinned page must be resident")
-            self.pinned.add(page.page_id)
-        return page
+    def open_pages(self, token_ids: Iterable[int], counts: Iterable[int], role: str = INDEXED,
+                   *, resident: bool = False, pinned: bool = False) -> np.ndarray:
+        """Open one page per count, each holding the next `count` tokens in
+        order; returns the new page ids, ascending."""
+        tokens, counts = as_ids(token_ids), as_ids(counts)
+        if role not in (SINK, WINDOW, INDEXED):
+            raise InputError(f"unknown page role {role!r}")
+        if pinned and not resident:
+            raise InputError("a pinned page must be resident")
+        if counts.sum() != tokens.size or (counts.size and _top(counts) > self.page_size):
+            raise InputError(f"need one count in [0, {self.page_size}] per page, "
+                             "summing to the number of tokens")
+        if tokens.size:
+            if tokens.min() < 0:
+                raise InputError("token ids must be >= 0")
+            top = int(tokens.max()) + 1
+            self._reserve_tokens(top)
+            seen = np.zeros(top, dtype=bool)
+            seen[tokens] = True
+            if np.count_nonzero(seen) != tokens.size or (self.page_of[tokens] != NO_PAGE).any():
+                raise InputError("a token repeats or is already in a page")
+        first = self.n_pages
+        self.n_pages += counts.size
+        if self.n_pages > self.fill.size:
+            cap = max(64, 2 * self.fill.size, self.n_pages)
+            self.slots = grown(self.slots, cap)
+            self.fill, self.live = grown(self.fill, cap, 0), grown(self.live, cap, False)
+            self.hot, self.pinned = grown(self.hot, cap, False), grown(self.pinned, cap, False)
+        new = slice(first, self.n_pages)
+        self.live[new], self.hot[new], self.pinned[new] = True, resident, pinned
+        self.fill[new] = counts
+        self.roles.extend([role] * counts.size)
+        ids = np.arange(first, self.n_pages)
+        if tokens.size:
+            owner = np.repeat(ids, counts)
+            slot = np.arange(tokens.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            self.slots[owner, slot] = tokens
+            self.page_of[tokens] = owner
+        return ids
 
-    def page(self, page_id: int) -> Page:
-        try:
-            return self.pages[page_id]
-        except KeyError:
-            raise ConsistencyError(f"unknown page id {page_id}") from None
+    def allocate_page(self, role: str = INDEXED, *, resident: bool = False,
+                      pinned: bool = False) -> int:
+        """Open one empty page."""
+        return int(self.open_pages((), [0], role, resident=resident, pinned=pinned)[0])
+
+    def _reserve_tokens(self, top: int) -> None:
+        if top > self.page_of.size:
+            self.page_of = grown(self.page_of, max(64, 2 * self.page_of.size, top), NO_PAGE)
+
+    def append(self, page_id: int, token_id: int) -> None:
+        """Put one token in the page's next slot."""
+        self._live(page_id)
+        slot = self.fill[page_id]
+        if slot >= self.page_size:
+            raise InputError(f"page {page_id} is full")
+        if token_id < 0:
+            raise InputError(f"token id {token_id} is negative")
+        self._reserve_tokens(token_id + 1)
+        if self.page_of[token_id] != NO_PAGE:
+            raise InputError(f"token {token_id} already in page {self.page_of[token_id]}")
+        self.slots[page_id, slot] = token_id
+        self.fill[page_id] = slot + 1
+        self.page_of[token_id] = page_id
 
     def release(self, page_id: int) -> None:
-        """Drop a dissolved page from the registry (no transfer implied)."""
-        self.page(page_id)
-        self.hot.discard(page_id)
-        self.pinned.discard(page_id)
-        del self.pages[page_id]
+        """Drop a dissolved page and its tokens' mapping (no transfer implied)."""
+        self._live(page_id)
+        self.page_of[self.slots[page_id, : self.fill[page_id]]] = NO_PAGE
+        self.live[page_id] = self.hot[page_id] = self.pinned[page_id] = False
+
+    # -- lookup -----------------------------------------------------------
+
+    def _live(self, page_ids):
+        """The given page ids as an int array (a scalar stays a scalar);
+        ConsistencyError when one is not a live page."""
+        if isinstance(page_ids, (int, np.integer)):
+            if not (0 <= page_ids < self.n_pages and self.live[page_ids]):
+                raise ConsistencyError(f"unknown page id {page_ids}")
+            return page_ids
+        pages = as_ids(page_ids)
+        if pages.size and (_top(pages) >= self.n_pages
+                           or np.count_nonzero(self.live[pages]) != pages.size):
+            raise ConsistencyError(f"unknown page id among {pages.tolist()}")
+        return pages
+
+    def _distinct(self, page_ids: Iterable[int]) -> np.ndarray:
+        pages = self._live(page_ids)
+        seen = np.zeros(self.n_pages, dtype=bool)
+        seen[pages] = True
+        if np.count_nonzero(seen) != pages.size:
+            raise InputError("page ids repeat")
+        return pages
+
+    def tokens_in(self, page_ids: Iterable[int]) -> np.ndarray:
+        """The token ids of the given pages, in page then slot order."""
+        pages = self._live(page_ids)
+        in_use = np.arange(self.page_size) < self.fill.take(pages)[:, None]
+        return self.slots.take(pages, axis=0)[in_use]
 
     # -- transfers ----------------------------------------------------
 
-    def page_bytes(self, page: Page) -> int:
-        return page.fill * (self.d + self.d_prime) * self.scalar_bytes
+    def _bytes(self, tokens: int) -> int:
+        return int(tokens) * (self.d + self.d_prime) * self.scalar_bytes
 
     def backload(self, selected: Iterable[int]) -> TransferStats:
         """Bring the selected pages hot; returns the delta for this call.
 
         Pages already resident are filtered out; whatever remains moves in
-        exactly one transaction (zero if nothing remains).
+        exactly one transaction (zero if nothing remains). A page listed
+        twice is an InputError.
         """
-        selected = list(selected)
-        for pid in selected:
-            self.page(pid)
-        to_move = [pid for pid in selected if pid not in self.hot]
+        pages = self._distinct(selected)
+        to_move = pages[~self.hot[pages]]
         delta = TransferStats(
-            transactions=1 if to_move else 0,
-            bytes_moved=sum(self.page_bytes(self.pages[pid]) for pid in to_move),
-            pages_backloaded=len(to_move),
-            pages_filtered_resident=len(selected) - len(to_move),
+            transactions=1 if to_move.size else 0,
+            bytes_moved=self._bytes(self.fill[to_move].sum()),
+            pages_backloaded=int(to_move.size),
+            pages_filtered_resident=int(pages.size - to_move.size),
         )
-        self.hot.update(to_move)
+        self.hot[to_move] = True
         self.stats.add(delta)
         return delta
 
     def offload(self, page_id: int) -> TransferStats:
         """Move a hot page to the cold tier (one transaction)."""
-        page = self.page(page_id)
-        if page.role == SINK:
+        self._live(page_id)
+        if self.roles[page_id] == SINK:
             raise PolicyError(f"sink page {page_id} cannot be offloaded")
-        if page_id not in self.hot:
+        if not self.hot[page_id]:
             raise ConsistencyError(f"page {page_id} is not resident")
-        self.hot.discard(page_id)
-        self.pinned.discard(page_id)
-        delta = TransferStats(
-            transactions=1,
-            bytes_moved=self.page_bytes(page),
-            pages_offloaded=1,
-        )
+        self.hot[page_id] = self.pinned[page_id] = False
+        delta = TransferStats(transactions=1, bytes_moved=self._bytes(self.fill[page_id]),
+                              pages_offloaded=1)
         self.stats.add(delta)
         return delta
 
@@ -196,17 +249,9 @@ class TierStore:
         """Shrink the hot set to keep | pinned; evictions cost nothing.
 
         Evicted pages are indexed pages whose authoritative copy already
-        lives cold, so no write-back is modeled.
+        lives cold, so no write-back is modeled. A page listed twice is an
+        InputError.
         """
-        keep = set(keep)
-        for pid in keep:
-            self.page(pid)
-        self.hot = keep | self.pinned
-
-    # -- helpers ------------------------------------------------------
-
-    def tokens_in(self, page_ids: Iterable[int]) -> list[int]:
-        out: list[int] = []
-        for pid in page_ids:
-            out.extend(self.page(pid).token_ids)
-        return out
+        keep = self._distinct(keep)
+        np.copyto(self.hot, self.pinned)
+        self.hot[keep] = True

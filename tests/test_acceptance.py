@@ -80,7 +80,7 @@ def test_03_planted_needle_retrieval():
         eng = Engine(cfg).prefill(wl, 10_000)
         state = eng.heads[(2, 0)]
         pages = eng.page_select(wl.queries[10_000, 2, 0], 2, 0)
-        page_hit = state.table.page_of(wl.needle_token) in pages
+        page_hit = state.store.page_of[wl.needle_token] in pages
         outs, _ = eng.decode_step(wl.decode_step(10_000, 0))
         weights = outs[2][0].weights
         top_token = max(weights.items(), key=lambda kv: kv[1])[0]
@@ -120,7 +120,7 @@ def test_05_page_bound_fuzz():
         q = rng.normal(size=16)
         k = int(rng.integers(1, 65))
         tokens = eng._select_tokens(q, 2, 0, SearchBudget.for_k(k))
-        pages = find_page_index(tokens, state.table)
+        pages = find_page_index(tokens, state.store)
         state.store.backload(pages)
         loaded = len(state.store.tokens_in(pages))
         if loaded > len(pages) * s or len(pages) > k:
@@ -188,10 +188,10 @@ def test_08_bulk_transfer_accounting():
     store = TierStore(8, 8)
     pages = []
     for i in range(7):
-        page = store.allocate_page(16, INDEXED)
+        page = store.allocate_page(INDEXED)
         for j in range(16):
-            page.append(i * 16 + j)
-        pages.append(page.page_id)
+            store.append(page, i * 16 + j)
+        pages.append(page)
     first = store.backload(pages)
     ok = first.transactions == 1 and first.pages_backloaded == 7
     store.evict_unselected(pages)

@@ -100,7 +100,7 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     trees = [state.tree for state in eng.heads.values()]
     rotations = 0
     for step in range(2 * cfg.page_size):
-        heads = {key: (id(state.tree), list(state.window[0].token_ids))
+        heads = {key: (id(state.tree), state.store.tokens_in([state.window[0]]).tolist())
                  for key, state in eng.heads.items()}
         inserts.clear()
         selection = [q for q in queries if q[0] == "decode"]

@@ -59,7 +59,7 @@ def test_single_key_builds_degenerate_tree():
     assert len(tree.nodes) == 1
     top = tree.nodes[tree.top_node_id]
     assert top.owner_id == ROOT_OWNER and top.member_ids == [7]
-    assert len(top.page_ids) == 1 and store.page(top.page_ids[0]).fill == 1
+    assert len(top.page_ids) == 1 and store.fill[top.page_ids[0]] == 1
     tree.check_invariants()
 
 
@@ -100,8 +100,8 @@ def test_self_retrieval_of_indexed_keys():
 
 def test_tree_structure_invariants_hold():
     keys, _, _ = _clustered(5, 1500, 12, 8)
-    store = TierStore(12, 4)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=5, store=store, page_size=8)
+    store = TierStore(12, 4, page_size=8)
+    tree = dci_indexing(_pairs(keys), 0.2, seed=5, store=store)
     tree.check_invariants()
     # parent-level invariant, walked explicitly over points
     for pid, lv in tree.point_level.items():
@@ -253,25 +253,25 @@ def test_query_counters_and_empty_tree_error():
 
 
 def test_insert_into_empty_tree():
-    store = TierStore(3, 3)
-    tree = DciTree(3, KeyScale(2.0), 0.2, seed=18, store=store, page_size=4)
+    store = TierStore(3, 3, page_size=4)
+    tree = DciTree(3, KeyScale(2.0), 0.2, seed=18, store=store)
     tree.insert(0, np.ones(3), level=1)
     assert tree.levels == 1 and len(tree.nodes) == 1
     leaf = tree.nodes[tree.top_node_id]
-    assert leaf.page_ids and store.page(leaf.page_ids[0]).fill == 1
+    assert leaf.page_ids and store.fill[leaf.page_ids[0]] == 1
     tree.check_invariants()
 
 
 def test_insert_overflow_opens_second_page():
     s = 8
-    store = TierStore(2, 2)
-    tree = DciTree(2, KeyScale(5.0), 0.2, seed=19, store=store, page_size=s)
+    store = TierStore(2, 2, page_size=s)
+    tree = DciTree(2, KeyScale(5.0), 0.2, seed=19, store=store)
     rng = np.random.default_rng(19)
     for i in range(s + 1):  # all level 1 -> single leaf
         tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3, level=1)
     leaf = tree.nodes[tree._membership[(0, 1)]]
     assert len(leaf.page_ids) == 2
-    fills = [store.page(p).fill for p in leaf.page_ids]
+    fills = store.fill[leaf.page_ids].tolist()
     assert fills == [s, 1]
     tree.check_invariants()
 
@@ -381,8 +381,8 @@ def _paged_tree(batched):
     rng = np.random.default_rng(40)
     centers = rng.normal(size=(3, 6))
     prompt = centers[rng.integers(0, 3, size=12)] + rng.normal(size=(12, 6)) * 0.1
-    store = TierStore(6, 2)
-    tree = dci_indexing(_pairs(prompt), 0.3, seed=40, store=store, page_size=3)
+    store = TierStore(6, 2, page_size=3)
+    tree = dci_indexing(_pairs(prompt), 0.3, seed=40, store=store)
     top = tree.levels
     pages = [(100, [1, 1, 2, 1, 1], 0, (1,)), (105, [1, top, 1, 1, 1], 1, ()),
              (110, [1, 1, top + 1, 1, 1], 0, (0, 4)), (115, [None] * 6, 2, ())]
@@ -415,7 +415,7 @@ def test_page_inserts_match_golden_values(batched):
     assert sorted((n.node_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf) == [
         (1, [0, 1, 2, 11, 12]), (2, [3]), (3, [4]), (4, [5]), (5, [6, 9]), (6, [7, 8]),
         (8, [10]), (9, [13]), (10, [14])]
-    assert [store.page(pid).token_ids for pid in range(15)] == [
+    assert [store.tokens_in([pid]).tolist() for pid in range(15)] == [
         [0, 1, 2], [3, 8, 10], [11, 100, 101], [4, 6], [5, 7], [9, 105], [102, 103, 104],
         [106, 107, 108], [109], [110, 111, 113], [112, 114], [115, 116, 117], [118], [119],
         [120]]
@@ -430,8 +430,7 @@ def _uniform_paged_tree():
     fed ten 16-token pages with drawn levels."""
     rng = np.random.default_rng(5)
     keys = rng.normal(size=(8160, 16))
-    tree = dci_indexing(_pairs(keys[:8000]), 0.03, seed=5, store=TierStore(16, 16),
-                        page_size=16)
+    tree = dci_indexing(_pairs(keys[:8000]), 0.03, seed=5, store=TierStore(16, 16))
     for first in range(8000, 8160, 16):
         tree.insert(range(first, first + 16), keys[first:first + 16])
     return tree, np.stack([transform_query(q) for q in rng.normal(size=(4, 16))])
@@ -451,7 +450,7 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
     nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
                    for n in tree.nodes.values())
-    pages = [tree.store.page(pid).token_ids for pid in sorted(tree.store.pages)]
+    pages = [tree.store.tokens_in([pid]).tolist() for pid in np.flatnonzero(tree.store.live)]
     assert (_digest(nodes), _digest(pages)) == ("e99a32033c3e14d8", "1939b0f0dbe2bf15")
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
         (31376, 160, 0, 3)
@@ -487,7 +486,8 @@ def test_large_node_keeps_the_members_of_smallest_projection_bound():
 def _tree_state(tree):
     return (sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
                     tuple(n.page_ids)) for n in tree.nodes.values()),
-            sorted((pid, tuple(tree.store.page(pid).token_ids)) for pid in tree.store.pages),
+            [(pid, tuple(tree.store.tokens_in([pid]).tolist()))
+             for pid in np.flatnonzero(tree.store.live).tolist()],
             tree.point_level, tree.distance_evals, tree.query_count, tree.scale_clamps)
 
 
@@ -505,7 +505,7 @@ def _insert_both_ways(tree, pages):
 
 def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     keys, _, _ = _clustered(37, 600, 8, 4)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=37, store=TierStore(8, 2), page_size=4)
+    tree = dci_indexing(_pairs(keys), 0.2, seed=37, store=TierStore(8, 2, page_size=4))
     rng = np.random.default_rng(38)
     anchor = keys[0] * 1.01
     near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
@@ -517,7 +517,7 @@ def test_page_inserts_hide_later_points_from_earlier_parent_searches():
 
 def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch):
     rng = np.random.default_rng(39)
-    tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2), page_size=4)
+    tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2, page_size=4))
     tree.insert(0, rng.normal(size=6), level=3)
     tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
     assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
@@ -588,7 +588,7 @@ class InsertQueryMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.tree = DciTree(6, KeyScale(3.0), 0.3, seed=0, store=TierStore(6, 2), page_size=4)
+        self.tree = DciTree(6, KeyScale(3.0), 0.3, seed=0, store=TierStore(6, 2, page_size=4))
         self.keys: list[np.ndarray] = []
 
     @rule(seed=st.integers(0, 2**32 - 1), grow=st.integers(0, 7))

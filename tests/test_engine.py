@@ -1,8 +1,12 @@
 """Engine orchestration: prefill layout, decode flow, reuse, and the
 pipeline estimator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from icecache import (ConfigError, Engine, EngineConfig, InputError, InvariantViolation,
                       SearchBudget, WorkloadSpec, full_attention, generate_workload,
@@ -36,13 +40,14 @@ def test_prefill_coverage_and_roles():
     eng = Engine(cfg).prefill(wl, 500)
     s = cfg.page_size
     state = eng.heads[(2, 0)]
-    assert [p.role for p in state.sink] == [SINK] * cfg.sink_pages
-    assert all(p.role == WINDOW for p in state.window)
+    store = state.store
+    assert [store.roles[p] for p in state.sink] == [SINK] * cfg.sink_pages
+    assert all(store.roles[p] == WINDOW for p in state.window)
     # every middle token sits in exactly one indexed page slot
     seen = []
-    for page in state.store.pages.values():
-        if page.role == INDEXED:
-            seen.extend(page.token_ids)
+    for page in np.flatnonzero(store.live).tolist():
+        if store.roles[page] == INDEXED:
+            seen.extend(store.tokens_in([page]).tolist())
     assert sorted(seen) == eng.indexed_tokens
     assert len(state.tree) == len(eng.indexed_tokens)
     assert eng.sink_tokens == list(range(cfg.sink_pages * s))
@@ -105,11 +110,30 @@ def test_rotation_requires_every_head_to_agree():
     wl, cfg = _small(n_tokens=700, token_budget=8)
     eng = Engine(cfg).prefill(wl, 520)
     eng.decode_step(wl.decode_step(520, 0))
-    fills = {state.window[-1].fill for state in eng.heads.values()}
+    fills = {int(state.store.fill[state.window[-1]]) for state in eng.heads.values()}
     assert fills == {9}
-    eng.heads[(2, 1)].window[-1].token_ids.pop()  # one head a token behind
+    store, newest = eng.heads[(2, 1)].store, eng.heads[(2, 1)].window[-1]
+    dropped = store.tokens_in([newest])[-1]
+    store.fill[newest] -= 1  # one head a token behind
+    assert dropped not in store.tokens_in([newest])  # fill alone says what a page holds
     with pytest.raises(InvariantViolation, match="differ in fill"):
         eng.decode_step(wl.decode_step(520, 1))
+
+
+def test_decode_never_regrows_a_tree():
+    # Prefill reserves every tree's rows for the whole stream, as it does
+    # the K/V buffers, so no rotation reallocates a tree's arrays.
+    wl, cfg = _small(n_tokens=512 + 80, token_budget=8)
+    eng = Engine(cfg).prefill(wl, 512)
+    trees = [state.tree for state in eng.heads.values()]
+    buffers = [(tree._buf, tree._point, list(tree._start), list(tree._count)) for tree in trees]
+    for t in range(80):
+        eng.decode_step(wl.decode_step(512, t))
+    assert all(state.store.stats.pages_offloaded >= 5 for state in eng.heads.values())
+    for tree, (buf, point, starts, counts) in zip(trees, buffers):
+        assert tree._buf is buf and tree._point is point
+        assert all(a is b for a, b in zip(tree._start, starts))
+        assert all(a is b for a, b in zip(tree._count, counts))
 
 
 def test_rotated_tokens_become_selectable():
@@ -230,7 +254,8 @@ def test_reuse_off_makes_every_indexed_layer_an_anchor():
     for layer in eng.anchor_layers():
         pages_by_head, _ = eng.select_with_reuse(layer, wl.queries[500, layer])
         for h in range(cfg.kv_heads):
-            assert pages_by_head[h] == eng.page_select(wl.queries[500, layer, h], layer, h)
+            assert pages_by_head[h].tolist() == \
+                eng.page_select(wl.queries[500, layer, h], layer, h)
 
 
 def test_anchor_selections_match_vanilla():
@@ -243,7 +268,7 @@ def test_anchor_selections_match_vanilla():
     for layer in (2,):  # anchor offset 0
         want = vanilla.page_select(step.queries[layer, 0], layer, 0)
         pages_by_head, _ = reused.select_with_reuse(layer, step.queries[layer])
-        assert pages_by_head[0] == want
+        assert pages_by_head[0].tolist() == want
 
 
 def test_reuse_skips_tree_queries_on_intermediate_layers():
@@ -300,3 +325,49 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(layers=2, skip_layers=2, beam=0, visit_cap=-5)
     assert EngineConfig(beam=64, visit_cap=64).budget() == SearchBudget(64, 64, 64)
+
+
+# -- decode as a state machine ------------------------------------------------------------
+
+
+class DecodeMachine(RuleBasedStateMachine):
+    """Decode steps on small engines whose 4-token window pages rotate every
+    few steps, with and without key norms that outgrow the prefill scale."""
+
+    PREFILL = 120
+    MAX_STEPS = 100
+
+    @initialize(drift=st.sampled_from([0.0, 0.03]), shape=st.sampled_from(
+        [{}, {"skip_layers": 1, "reuse_stride": 2}, {"query_heads_per_group": 2}]),
+        seed=st.integers(0, 2**16))
+    def start(self, drift, shape, seed):
+        self.wl, cfg = _small(seed=seed, n_tokens=self.PREFILL + self.MAX_STEPS, d=8,
+                              page_size=4, token_budget=8, promotion_ratio=0.3, **shape)
+        if drift:
+            growth = (1.0 + drift) ** np.arange(1, self.MAX_STEPS + 1)
+            self.wl.keys[self.PREFILL:] *= growth[:, None, None, None]
+        self.eng = Engine(cfg).prefill(self.wl, self.PREFILL)
+        self.steps = 0
+
+    @rule(n=st.integers(1, 6))
+    def decode(self, n):
+        for _ in range(min(n, self.MAX_STEPS - self.steps)):
+            self.eng.decode_step(self.wl.decode_step(self.PREFILL, self.steps))
+            self.steps += 1
+
+    @invariant()
+    def state_holds(self):
+        for (layer, h), state in self.eng.heads.items():
+            state.tree.check_invariants()
+            store = state.store
+            assert not (store.pinned & ~store.hot).any()
+            listed = Counter(store.tokens_in(np.flatnonzero(store.live)).tolist())
+            for t in state.tree.point_ids:
+                assert listed[t] == 1
+                assert t in store.tokens_in([store.page_of[t]])
+            assert self.eng.token_census(layer, h) == self.PREFILL + self.steps
+
+
+TestDecodeMachine = DecodeMachine.TestCase
+TestDecodeMachine.settings = settings(max_examples=12, stateful_step_count=25,
+                                      deadline=None, derandomize=True, database=None)
