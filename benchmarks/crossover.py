@@ -30,7 +30,7 @@ def main() -> None:
             keys = wl.keys[:, 0, 0]
             queries = wl.queries[:: max(1, n // K), 0, 0][:K]
             t0 = perf_counter()
-            tree = dci_indexing(list(enumerate(keys)), 0.1, seed=0)
+            tree = dci_indexing(np.arange(len(keys)), keys, 0.1, seed=0)
             build_s = perf_counter() - t0
             budget = SearchBudget.for_k(K)
             tree_ms, dense_ms, recall = [], [], []

@@ -9,7 +9,8 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
   outputs  every AttentionOutput: attended ids, dense weights, value_out bytes
   metrics  every StepMetrics row (repr of each field, so floats are exact)
   trees    each tree's nodes (id, level, parent, owner, members, page ids),
-           point levels and counters (queries, distance evaluations, clamps)
+           point levels and scale clamps: its structure
+  counters each tree's query count and distance evaluations
   pages    each leaf page's token ids, in slot order
   stats    each head's transfer counters
 
@@ -48,7 +49,8 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
     bw = replace(bw, window=steps, cfg=replace(bw.cfg, evaluate=evaluate))
     wl = bw.generate(seed)
     engine = Engine(bw.cfg).prefill(wl, bw.n_prefill)
-    groups = {name: hashlib.sha256() for name in ("outputs", "metrics", "trees", "pages", "stats")}
+    groups = {name: hashlib.sha256()
+              for name in ("outputs", "metrics", "trees", "counters", "pages", "stats")}
     for i in range(steps):
         outputs, metrics = engine.decode_step(wl.decode_step(bw.n_prefill, i))
         for per_layer in outputs:
@@ -64,8 +66,8 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
         nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
                         tuple(n.page_ids)) for n in tree.nodes.values())
         groups["trees"].update(repr((key, tree.levels, nodes, sorted(tree.point_level.items()),
-                                     tree.query_count, tree.distance_evals,
                                      tree.scale_clamps)).encode())
+        groups["counters"].update(repr((key, tree.query_count, tree.distance_evals)).encode())
         for node in sorted(tree.nodes.values(), key=lambda n: n.node_id):
             for pid in node.page_ids:
                 groups["pages"].update(_ints([pid]) + _ints(state.store.tokens_in([pid])))

@@ -17,7 +17,6 @@ import pytest
 from icecache import (SENTINEL_LEVEL, Engine, EngineConfig, SearchBudget, TierStore,
                       WorkloadSpec, dci_indexing, find_page_index, full_attention,
                       generate_workload, sparse_attention, transform_query)
-from icecache.dci import EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET
 
 N_KEYS = 10_000
 PAGE = 16
@@ -35,7 +34,7 @@ def _stream(n_tokens):
 
 
 def _build(keys):
-    return dci_indexing(list(enumerate(keys[:N_KEYS])), 0.1, seed=0, store=TierStore(64, 64))
+    return dci_indexing(np.arange(N_KEYS), keys[:N_KEYS], 0.1, seed=0, store=TierStore(64, 64))
 
 
 def test_dci_query(benchmark, stream):
@@ -62,14 +61,12 @@ def test_dci_insert_page(benchmark):
 
 
 def test_dci_insert_page_uniform(benchmark):
-    """One page into a 32k uniform tree, as uniform-32k rotates it: some
-    level-2+ node outgrows the parent searches' scan limit, so they truncate."""
+    """One page into a 32k uniform tree, as uniform-32k rotates it: the
+    page's parent scan runs over the largest tree of the workloads."""
     n = 32_768
     spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)
     keys = generate_workload(spec).keys[:, 0, 0]
-    tree = dci_indexing(list(enumerate(keys[:n])), 0.1, seed=0, store=TierStore(64, 64))
-    limit = max(EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET.visit_cap)
-    assert max(len(node.member_ids) for node in tree.nodes.values() if node.level > 1) > limit
+    tree = dci_indexing(np.arange(n), keys[:n], 0.1, seed=0, store=TierStore(64, 64))
     ids = list(range(n, n + PAGE))
 
     def fresh():

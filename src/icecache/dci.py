@@ -8,6 +8,13 @@ chain of singleton-seeded nodes down to a level-1 leaf. Leaf nodes own the
 pages that list their members' token ids, so every indexed token lives in
 exactly one leaf and one page slot.
 
+One parent rule serves the batch build and decode-time inserts: a point's
+parent is its exact nearest lifted neighbour among the points that reach
+one level above its top level, found by a dense block scan
+(`_parent_rows`). The build scans every point against all others; a page
+inserted during decode scans each of its points against the rows before
+it, so inserting a page equals inserting its points one at a time.
+
 Queries descend from the virtual root: at each level the members of the
 surviving clusters are ranked by lifted distance, the best `beam` survive,
 and their child nodes are searched next. With the sentinel target level the
@@ -16,22 +23,16 @@ it is small; in a large one only `visit_cap` members are evaluated, those of
 smallest prioritized projection bound: with unit directions u_1..u_m drawn
 per node, max_j |u_j . (p - q)| <= |p - q|, so the bound ranks members
 without their true distances (exact once the cap covers the node). The
-bound is computed at query time, with one matmul over the members the query
-is shown: a `row_limit` hides later points before the truncation.
-
-A batch of queries descends together, each keeping its own beam, and a
-page of decode-time keys is inserted in one call that finds the parents
-of its level-1 and level-2 points with one batched query per level.
+bound is computed at query time, with one matmul over the node's members.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import grown
+from .arrays import as_ids, grown
 from .errors import ConfigError, InputError
 from .geometry import KeyScale
 from .pagestore import INDEXED, TierStore
@@ -51,8 +52,8 @@ NUM_PROJECTIONS = 8
 # Effectively unbounded beam / visit cap.
 UNBOUNDED = 2**62
 
-# Candidates per distance block of a batched query (~125 KB at d = 64).
-DISTANCE_BLOCK = 240
+# Points per dense distance block of a parent scan.
+PARENT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,6 @@ class SearchBudget:
     @classmethod
     def exhaustive(cls, k: int) -> "SearchBudget":
         return cls(k, UNBOUNDED, UNBOUNDED)
-
-
-# Budget used for 1-NN parent assignment during dynamic insertion.
-PARENT_BUDGET = SearchBudget(k=1, beam=8, visit_cap=64)
 
 
 def assign_level(r: float, rng: np.random.Generator) -> int:
@@ -119,38 +116,45 @@ class DciNode:
         return self.tree._point[self.tree._node_rows(self)].tolist()
 
 
-def _nearest(ids: np.ndarray, d2: np.ndarray, m: int,
-             qidx: np.ndarray | None = None, ranked: bool = True) -> np.ndarray:
-    """Positions of the m smallest (d2, id) pairs, nearest first.
+def _nearest(ids: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
+    """Positions of the m smallest (d2, id) pairs, nearest first."""
+    if d2.size > m:
+        within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
+        return within[np.lexsort((ids[within], d2[within]))[:m]]
+    return np.lexsort((ids, d2))
 
-    With `qidx`, the query row of each candidate (ascending), every row
-    keeps its own m: its pairs at or below its m-th smallest distance, cut
-    from one padded partition, ranked by one lexsort by (row, d2, id).
-    Unranked, the m are returned in candidate order, and the lexsort runs
-    only when a tie at some row's cut leaves that row more than m.
+
+def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
+                 earlier: bool = False) -> np.ndarray:
+    """Each given row's exact nearest row one level above its top level.
+
+    `buf` holds the lifted points and `top` their top levels, one per row.
+    A row at top level l has as candidates the rows of top level above l,
+    with `earlier` only those before it; its parent is the candidate c of
+    smallest |c|^2 - 2 p . c (ties toward the smaller row), or -1 if it has
+    none. The rows of one level go in blocks, each scanned densely against
+    all of that level's candidates.
     """
-    if qidx is None:
-        if d2.size > m:
-            within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
-            return within[np.lexsort((ids[within], d2[within]))[:m]]
-        return np.lexsort((ids, d2))
-    counts = np.bincount(qidx)
-    width = int(counts.max())
-    within = np.arange(d2.size)
-    if width > m:
-        pad = np.full((counts.size, width), np.inf)
-        pad[qidx, within - (np.cumsum(counts) - counts)[qidx]] = d2
-        cut = np.partition(pad, m - 1, axis=1)[:, m - 1]
-        within = np.flatnonzero(d2 <= cut[qidx])
-    if not ranked and within.size == np.minimum(counts, m).sum():
-        return within
-    order = within[np.lexsort((ids[within], d2[within], qidx[within]))]
-    return order[_leading(qidx[order], m)]
-
-
-def _leading(qidx: np.ndarray, m: int) -> np.ndarray:
-    """Mask of the first m entries of each run of equal (sorted) query rows."""
-    return np.arange(qidx.size) - np.searchsorted(qidx, qidx) < m
+    parent = np.full(rows.size, -1)
+    levels = top[rows]
+    for lv in np.unique(levels).tolist():
+        at = np.flatnonzero(levels == lv)
+        cands = np.flatnonzero(top > lv)
+        if earlier:
+            cands = cands[cands < rows[at].max()]
+        if not cands.size:
+            continue
+        cand_rows = buf[cands]
+        cand_sq = np.einsum("ij,ij->i", cand_rows, cand_rows)
+        for a in range(0, at.size, PARENT_BLOCK):
+            pts = rows[at[a:a + PARENT_BLOCK]]
+            d2 = cand_sq[None, :] - 2.0 * (buf[pts] @ cand_rows.T)
+            if earlier:
+                d2[cands >= pts[:, None]] = np.inf
+            best = np.argmin(d2, axis=1)
+            found = d2[np.arange(pts.size), best] < np.inf
+            parent[at[a:a + PARENT_BLOCK]] = np.where(found, cands[best], -1)
+    return parent
 
 
 class DciTree:
@@ -164,12 +168,11 @@ class DciTree:
     rows of every point present at that level, grouped by node, and
     `_start`/`_count`, indexed by the buffer row of the node's owner (a
     point one level up), give where that node's members sit in `_members`.
-    The top node is its whole level.
+    The top node is its whole level. `_top` holds each row's top level.
     """
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
-                 seed: int | tuple = 0, *, store: TierStore | None = None,
-                 parent_budget: SearchBudget = PARENT_BUDGET):
+                 seed: int | tuple = 0, *, store: TierStore | None = None):
         if not 0.0 < promotion_ratio < 1.0:
             raise ConfigError(f"promotion ratio must lie in (0, 1), got {promotion_ratio}")
         if dim < 1:
@@ -178,7 +181,6 @@ class DciTree:
         self.scale = scale
         self.promotion_ratio = promotion_ratio
         self.store = store
-        self.parent_budget = parent_budget
 
         entropy = seed if isinstance(seed, int) else list(seed)
         self._seed_seq = np.random.SeedSequence(entropy)
@@ -188,10 +190,10 @@ class DciTree:
         self.levels = 0
         self.nodes: dict[int, DciNode] = {}
         self.top_node_id: int | None = None
-        self.point_level: dict[int, int] = {}
         self._row: dict[int, int] = {}          # point id -> row in the point buffer
         self._buf = np.empty((0, dim + 1))
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
+        self._top = np.empty(0, dtype=np.intp)     # row -> top level
         self._n = 0
         self._members: list[np.ndarray] = []
         self._start: list[np.ndarray] = []
@@ -208,11 +210,16 @@ class DciTree:
     # -- storage helpers ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.point_level)
+        return self._n
 
     @property
     def point_ids(self) -> list[int]:
         return self._point[: self._n].tolist()
+
+    @property
+    def point_level(self) -> dict[int, int]:
+        """Each point's top level, by id."""
+        return dict(zip(self.point_ids, self._top[: self._n].tolist()))
 
     def _reserve(self, rows: int) -> None:
         """Grow every row-indexed array to hold `rows` points: exactly
@@ -223,6 +230,7 @@ class DciTree:
         cap = max(rows, 2 * cap)
         self._buf = grown(self._buf, cap)
         self._point = grown(self._point, cap)
+        self._top = grown(self._top, cap)
         self._start = [grown(a, cap) for a in self._start]
         self._count = [grown(a, cap) for a in self._count]
 
@@ -237,20 +245,19 @@ class DciTree:
     def _lift_clamped(self, keys: np.ndarray) -> np.ndarray:
         """Lift key rows, normalizing out-of-envelope norms instead of failing.
 
-        A decode-time key with |k| > c maps to [k/|k|, 0], which keeps the
-        image on the unit sphere at the cost of a slightly perturbed
-        ordering; the event is counted in scale_clamps. A key within the
-        envelope gets transform_key's image, bit for bit.
+        A key with |k| > c maps to [k/|k|, 0], which keeps the image on the
+        unit sphere at the cost of a slightly perturbed ordering; the event
+        is counted in scale_clamps.
         """
         if not np.isfinite(keys).all():
             raise InputError("key contains non-finite coordinates")
-        c = self.scale.c
-        norms = [math.sqrt(k.dot(k)) for k in keys]  # np.linalg.norm, row by row
+        norms = np.linalg.norm(keys, axis=1)
+        over = norms > self.scale.c
+        self.scale_clamps += int(over.sum())
+        safe_norms = np.where(over, norms, self.scale.c)
         out = np.empty((len(keys), self.dim + 1))
-        out[:, :-1] = keys / np.array([max(norm, c) for norm in norms])[:, None]
-        out[:, -1] = [0.0 if norm > c else math.sqrt(max(0.0, 1.0 - (norm / c) ** 2))
-                      for norm in norms]
-        self.scale_clamps += sum(norm > c for norm in norms)
+        out[:, :-1] = keys / safe_norms[:, None]
+        out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
         return out
 
     # -- node helpers -----------------------------------------------------
@@ -311,114 +318,58 @@ class DciTree:
 
     # -- search -------------------------------------------------------------
 
-    def _candidate_rows(self, level: int, owners: np.ndarray | None,
-                        oq: np.ndarray | None, qs: np.ndarray, visit_cap: int,
-                        row_limit: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Buffer rows searched in the nodes the given owner rows own at
-        `level`, and the query row each was searched for.
+    def _candidate_rows(self, level: int, owners: np.ndarray | None, q: np.ndarray,
+                        visit_cap: int) -> np.ndarray:
+        """Buffer rows searched for the lifted query q in the nodes the given
+        owner rows own at `level`; owners None searches the top node.
 
-        `qs` holds the lifted queries, one per row, and `oq` each owner's
-        row of it; owners None searches the top node for every query. A 1-D
-        `qs` is one query, and then `oq` and the returned query rows are
-        None. The result is grouped by query row.
-
-        `row_limit`, one per query row, first hides the points in buffer
-        rows at or past it. A node is then scanned whole when it shows that
-        row at most max(EXHAUSTIVE_NODE_LIMIT, visit_cap) members; otherwise
-        only the visit_cap shown members of smallest projection bound
+        A node is scanned whole when it has at most
+        max(EXHAUSTIVE_NODE_LIMIT, visit_cap) members; otherwise only the
+        visit_cap members of smallest projection bound
         max_j |u_j . p - u_j . q| are searched (ties toward the smaller id).
         """
         members = self._members[level - 1]
-        if owners is None and qs.ndim == 1:
+        if owners is None:
             counts = np.array([members.size])
             rows = members
-        elif owners is None:
-            oq = np.arange(len(qs))
-            counts = np.full(len(qs), members.size)
-            rows = np.tile(members, len(qs))
         else:
             starts = self._start[level - 1][owners]
             counts = self._count[level - 1][owners]
             ends = np.cumsum(counts)
             rows = members[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
-        qidx = None if oq is None else np.repeat(oq, counts)
-        limit = max(EXHAUSTIVE_NODE_LIMIT, visit_cap)
-        if row_limit is not None:
-            shown = rows < (row_limit[0] if qidx is None else row_limit[qidx])
-            if counts.max() > limit:  # hiding only shrinks a node
-                counts = np.diff(np.cumsum(shown)[np.cumsum(counts) - 1], prepend=0)
-            rows, qidx = rows[shown], None if qidx is None else qidx[shown]
-        large = np.flatnonzero(counts > limit)
+        large = np.flatnonzero(counts > max(EXHAUSTIVE_NODE_LIMIT, visit_cap))
         if not large.size:
-            return rows, qidx
+            return rows
         ends = np.cumsum(counts).tolist()
         keep = np.ones(rows.size, dtype=bool)
         for i in large.tolist():
             owner = ROOT_OWNER if owners is None else int(self._point[owners[i]])
             dirs = self._directions(self._owner_node[(owner, level)])
             a, b = ends[i] - int(counts[i]), ends[i]
-            q_vec = qs if oq is None else qs[oq[i]]
-            bound = np.abs(self._buf[rows[a:b]] @ dirs.T - dirs @ q_vec).max(axis=1)
+            bound = np.abs(self._buf[rows[a:b]] @ dirs.T - dirs @ q).max(axis=1)
             keep[a:b] = False
             keep[a + np.lexsort((self._point[rows[a:b]], bound))[:visit_cap]] = True
-        return rows[keep], None if qidx is None else qidx[keep]
+        return rows[keep]
 
-    def _distances(self, rows: np.ndarray, qs: np.ndarray, qidx: np.ndarray | None
-                   ) -> np.ndarray:
+    def _distances(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
         self.distance_evals += rows.size
-        if qidx is None:
-            diff = self._buf.take(rows, axis=0)
-            diff -= qs
-            return np.einsum("ij,ij->i", diff, diff)
-        # A batch's candidates go in blocks: a gathered (candidates, dim)
-        # query block for a whole batch runs to megabytes, and allocating
-        # that fresh on every level costs more than the loop.
-        d2 = np.empty(rows.size)
-        for a in range(0, rows.size, DISTANCE_BLOCK):
-            diff = self._buf.take(rows[a:a + DISTANCE_BLOCK], axis=0)
-            diff -= qs.take(qidx[a:a + DISTANCE_BLOCK], axis=0)
-            np.einsum("ij,ij->i", diff, diff, out=d2[a:a + DISTANCE_BLOCK])
-        return d2
-
-    def pdci_query(self, q_vec: np.ndarray, node: DciNode | int, k: int,
-                   budget: SearchBudget | None = None) -> list[int]:
-        """The node's k nearest member ids to a lifted query.
-
-        Exact for nodes up to EXHAUSTIVE_NODE_LIMIT members or whenever the
-        visit cap covers the whole node; otherwise only the visit_cap members
-        of smallest projection bound are evaluated.
-        """
-        if isinstance(node, int):
-            node = self.nodes[node]
-        if budget is None:
-            budget = SearchBudget.for_k(k)
-        owners = None if node.owner_id == ROOT_OWNER else np.array([self._row[node.owner_id]])
-        q_vec = np.asarray(q_vec)
-        rows, _ = self._candidate_rows(node.level, owners, None, q_vec, budget.visit_cap)
-        d2 = self._distances(rows, q_vec, None)
-        ids = self._point[rows]
-        return ids[_nearest(ids, d2, k)].tolist()
+        diff = self._buf.take(rows, axis=0)
+        diff -= q
+        return np.einsum("ij,ij->i", diff, diff)
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
-              budget: SearchBudget | None = None, *,
-              row_limit: np.ndarray | None = None) -> list:
+              budget: SearchBudget | None = None) -> list[int]:
         """Descend the tree and return up to k point ids nearest to q_vec.
 
         target_level SENTINEL_LEVEL descends to the bottom and ranks
         candidates collected at every level (the ids whose keys maximize
         inner product with the query); target_level = l collects only the
-        points found at level l, which is how parents are assigned. Targets
-        above the current top level clamp to it.
+        points found at level l. Targets above the current top level clamp
+        to it.
 
         Each level is one gather and one distance pass over the members of
         the surviving nodes; the `beam` nearest, ties toward the smaller id,
-        own the nodes searched one level down. A 2-D q_vec is a batch of
-        queries searched together, each row with its own beam: the result
-        is one id list per row, row i equal to query(q_vec[i], ...), and
-        every row counts as one query. `row_limit`, one per query, hides
-        the points in buffer rows at or past it (points inserted later),
-        before any large node is truncated.
+        own the nodes searched one level down.
         """
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
@@ -430,58 +381,33 @@ class DciTree:
             budget = SearchBudget.for_k(k)
         collect_all = target_level == SENTINEL_LEVEL
         floor = 1 if collect_all else min(target_level, self.levels)
-        qs = np.asarray(q_vec)
-        batched = qs.ndim == 2
-        if batched and len(qs) == 1:
-            qs = qs[0]
-        nq = len(qs) if qs.ndim == 2 else 1
-        self.query_count += nq
+        q = np.asarray(q_vec)
+        self.query_count += 1
 
         found_rows: list[np.ndarray] = []
         found_d2: list[np.ndarray] = []
-        found_q: list[np.ndarray | None] = []
-        owners = oq = None
+        owners = None
         for level in range(self.levels, floor - 1, -1):
-            rows, qidx = self._candidate_rows(level, owners, oq, qs, budget.visit_cap,
-                                              row_limit)
-            d2 = self._distances(rows, qs, qidx)
+            rows = self._candidate_rows(level, owners, q, budget.visit_cap)
+            d2 = self._distances(rows, q)
             if collect_all or level == floor:
                 found_rows.append(rows)
                 found_d2.append(d2)
-                found_q.append(qidx)
             if level > floor:
-                keep = _nearest(self._point[rows], d2, budget.beam, qidx, ranked=False)
-                owners = rows[keep]
-                oq = None if qidx is None else qidx[keep]
+                owners = rows[_nearest(self._point[rows], d2, budget.beam)]
 
         rows = np.concatenate(found_rows)
         d2 = np.concatenate(found_d2)
         ids = self._point[rows]
-        if nq == 1 and not collect_all:
-            out = [ids[_nearest(ids, d2, k)].tolist()]  # one level: no repeats
-        elif nq == 1:
-            # A point found at several levels is ranked by its first
-            # (nearest) place, so k distinct ids lie within the k + (repeats)
-            # nearest.
-            seen = np.zeros(self._n, dtype=bool)
-            seen[rows] = True
-            ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
-            first = np.unique(ids, return_index=True)[1]
-            out = [ids[np.sort(first)[:k]].tolist()]
-        else:
-            qidx = np.concatenate(found_q)
-            if collect_all:
-                # The same ranking per row: each point's nearest place wins.
-                order = np.lexsort((ids, d2, qidx))
-                first = np.unique(qidx[order] * self._n + rows[order], return_index=True)[1]
-                order = order[np.sort(first)]
-                order = order[_leading(qidx[order], k)]
-            else:
-                order = _nearest(ids, d2, k, qidx)
-            bounds = np.searchsorted(qidx[order], np.arange(nq + 1)).tolist()
-            ids = ids[order]
-            out = [ids[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
-        return out if batched else out[0]
+        if not collect_all:
+            return ids[_nearest(ids, d2, k)].tolist()  # one level: no repeats
+        # A point found at several levels is ranked by its first (nearest)
+        # place, so k distinct ids lie within the k + (repeats) nearest.
+        seen = np.zeros(self._n, dtype=bool)
+        seen[rows] = True
+        ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
+        first = np.unique(ids, return_index=True)[1]
+        return ids[np.sort(first)[:k]].tolist()
 
     # -- page placement -----------------------------------------------------
 
@@ -520,10 +446,11 @@ class DciTree:
         returns their levels: the same tree, pages and counters as inserting
         them one at a time. Levels are drawn from the tree's stream (or the
         supplied rng), all before any insert, unless given. A point's parent
-        is the nearest point one level up, and its id is appended to the
-        owning leaf's current page, opening a new page on overflow. A draw
-        above the current top level grows the tree and re-parents the former
-        top-level points to the newcomer.
+        is its exact nearest point one level up among those inserted before
+        it, found for the whole call by one `_parent_rows` scan; its id is
+        appended to the owning leaf's current page, opening a new page on
+        overflow. A draw above the current top level grows the tree and
+        re-parents the former top-level points to the newcomer.
         """
         single = np.ndim(point_id) == 0
         ids = [int(pid) for pid in np.atleast_1d(point_id)]
@@ -532,7 +459,7 @@ class DciTree:
         if keys.shape != shape:
             raise InputError(f"key must have shape {shape}, got {keys.shape}")
         for pid in ids:
-            if pid in self.point_level:
+            if pid in self._row:
                 raise InputError(f"point id {pid} already indexed")
         if len(set(ids)) != len(ids):
             raise InputError("duplicate point ids in one insert")
@@ -546,37 +473,34 @@ class DciTree:
 
         lifted = self._lift_clamped(keys.reshape(len(ids), self.dim))
         first, m = self._n, len(ids)
+        rows = np.arange(first, first + m)
         self._reserve(first + m)
-        self._buf[first: first + m] = lifted
-        self._point[first: first + m] = ids
+        self._buf[rows] = lifted
+        self._point[rows] = ids
+        self._top[rows] = levels
         self._row.update(zip(ids, range(first, first + m)))
         self._n += m
+        parents = _parent_rows(self._buf[: self._n], self._top[: self._n], rows, earlier=True)
 
+        # In stream order: each run of level-1 points in one array insert,
+        # any other point alone.
         i = 0
         while i < m:
-            j = self._segment_end(levels, i)
-            if j > i:
-                self._insert_segment(np.arange(first + i, first + j), levels[i:j])
+            j = i + 1
+            if levels[i] == 1 and self.levels:
+                while j < m and levels[j] == 1:
+                    j += 1
+                self._insert_leaves(rows[i:j], parents[i:j])
             else:
-                self._insert_point(ids[i], levels[i])
-                self._place(self.nodes[self._membership[(ids[i], 1)]], ids[i])
-                j = i + 1
+                self._insert_point(ids[i], levels[i], int(parents[i]))
             i = j
+        for pid in ids:
+            self._place(self.nodes[self._membership[(pid, 1)]], pid)
         return levels[0] if single else levels
 
-    def _segment_end(self, levels: list[int], i: int) -> int:
-        """End of the stretch of points from i that _insert_segment takes:
-        points of level 1, and of level 2 if the tree has that level. Points
-        at level 3 or above, or that grow the tree, go in alone.
-        """
-        top = min(2, self.levels)
-        j = i
-        while j < len(levels) and levels[j] <= top:
-            j += 1
-        return j
-
-    def _insert_point(self, point_id: int, level: int) -> None:
-        """Insert one point whose row is in the buffer at `level`."""
+    def _insert_point(self, point_id: int, level: int, parent: int) -> None:
+        """Insert one point whose row is in the buffer at `level`, under the
+        parent row; -1 when no earlier point reaches above `level`."""
         if self.levels == 0:
             for _ in range(level):
                 self._add_level()
@@ -587,49 +511,17 @@ class DciTree:
             chain_from = self.levels - 1  # _grow_top covers the levels above
             self._grow_top(point_id, level)
         else:
-            if level == self.levels:
-                container = self.nodes[self.top_node_id]
-            else:
-                parent = self.query(self.lifted(point_id), level + 1, 1, self.parent_budget)[0]
-                container = self.nodes[self._owner_node[(parent, level)]]
+            container = self.nodes[self.top_node_id if parent < 0 else
+                                   self._owner_node[(int(self._point[parent]), level)]]
             self._add_member(container, point_id)
             chain_from = level - 1
 
         for lv in range(chain_from, 0, -1):
             self._open_node(lv, self._membership[(point_id, lv + 1)], point_id, point_id)
-        self.point_level[point_id] = level
 
-    def _insert_segment(self, rows: np.ndarray, levels: list[int]) -> None:
-        """Insert points of levels 1 and 2 (consecutive buffer rows, in
-        stream order) with one parent search per level.
-
-        Level-2 points search levels >= 3, which nothing here changes, so
-        they go in first. The level-1 points then search levels >= 2
-        together, each reading only points of earlier rows: `row_limit`
-        hides a level-2 point later in the stream from an earlier point's
-        candidates before a large node is truncated to its smallest
-        projection bounds, so each search reads what it would have read in
-        stream order. Pages fill in stream order, so page ids match too.
-        """
-        at_one = np.asarray(levels) == 1
-        upper, lower = rows[~at_one], rows[at_one]
-        if upper.size:
-            if self.levels == 2:
-                containers = [self.nodes[self.top_node_id]] * upper.size
-            else:
-                hits = self.query(self._buf[upper], 3, 1, self.parent_budget)
-                containers = [self.nodes[self._owner_node[(hit[0], 2)]] for hit in hits]
-            for pid, node in zip(self._point[upper].tolist(), containers):
-                self._add_member(node, pid)
-                self._open_node(1, node.node_id, pid, pid)
-                self.point_level[pid] = 2
-        if lower.size:
-            self._insert_leaves(lower)
-        for pid in self._point[rows].tolist():
-            self._place(self.nodes[self._membership[(pid, 1)]], pid)
-
-    def _insert_leaves(self, rows: np.ndarray) -> None:
-        """Add level-1 points (buffer rows, in stream order) to their leaves.
+    def _insert_leaves(self, rows: np.ndarray, parents: np.ndarray) -> None:
+        """Add level-1 points (buffer rows, in stream order) to the leaves
+        their parent rows own, or to the top node of a one-level tree.
 
         Each point goes to the end of its leaf's slice: one np.insert at the
         slices' current ends (equal positions keep stream order) and one
@@ -641,18 +533,14 @@ class DciTree:
             leaves = [self.nodes[self.top_node_id]] * len(ids)
             pos = np.full(len(ids), self._members[0].size)
         else:
-            hits = self.query(self._buf[rows], 2, 1, self.parent_budget, row_limit=rows)
-            parents = [hit[0] for hit in hits]
-            leaves = [self.nodes[self._owner_node[(p, 1)]] for p in parents]
-            owners = np.fromiter((self._row[p] for p in parents), np.intp, len(parents))
+            leaves = [self.nodes[self._owner_node[(p, 1)]] for p in self._point[parents].tolist()]
             starts, counts = self._start[0], self._count[0]
-            pos = starts[owners] + counts[owners]
-            np.add.at(counts, owners, 1)
+            pos = starts[parents] + counts[parents]
+            np.add.at(counts, parents, 1)
             heads = self._members[1]  # every point above level 1 owns a leaf
             starts[heads] += np.searchsorted(np.sort(pos), starts[heads], side="right")
         self._members[0] = np.insert(self._members[0], pos, rows)
         self._membership.update(zip(zip(ids, [1] * len(ids)), (leaf.node_id for leaf in leaves)))
-        self.point_level.update(zip(ids, [1] * len(ids)))
 
     def _grow_top(self, point_id: int, new_level: int) -> None:
         """Raise the tree to new_level with point_id as the sole top point."""
@@ -724,70 +612,48 @@ class DciTree:
                 assert (pid, present) in self._membership, "missing level copy"
 
 
-def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
+def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
                  store: TierStore | None = None, scale: KeyScale | None = None,
-                 parent_budget: SearchBudget = PARENT_BUDGET, rows: int = 0) -> DciTree:
-    """Batch-build a tree over (point id, key vector) pairs.
+                 rows: int = 0) -> DciTree:
+    """Batch-build a tree over point ids and their key rows.
 
     Levels are drawn for every point first and empty levels removed; then
-    each point's parent is its exact nearest lifted neighbour one level up,
-    computed level-by-level with dense distance blocks (the same result as
-    an exhaustive-budget tree query, orders of magnitude faster). Each
-    level's nodes are ordered by their owner's first appearance in the
-    input, and their members keep input order. Leaf membership is
-    materialized into pages when a store is supplied. The tree reserves
-    room for `rows` points (at least the input), so inserts up to that
-    count never regrow it.
+    each point's parent is its exact nearest lifted neighbour one level up
+    (`_parent_rows`, the same result as an exhaustive-budget tree query,
+    orders of magnitude faster). Each level's nodes are ordered by their
+    owner's first appearance in the input, and their members keep input
+    order. Leaf membership is materialized into pages when a store is
+    supplied. The tree reserves room for `rows` points (at least the
+    input), so inserts up to that count never regrow it.
     """
-    pairs = list(keys)
-    if not pairs:
+    ids = as_ids(ids)
+    mat = np.asarray(keys, dtype=float)
+    if not ids.size:
         raise InputError("cannot index an empty key set")
-    ids = [int(pid) for pid, _ in pairs]
-    if len(set(ids)) != len(ids):
+    if mat.ndim != 2 or len(mat) != ids.size:
+        raise InputError(f"need one key row per point id, got keys of shape {mat.shape}")
+    if np.unique(ids).size != ids.size:
         raise InputError("duplicate point ids in index input")
-    mat = np.asarray([np.asarray(k, dtype=float) for _, k in pairs])
-    if mat.ndim != 2:
-        raise InputError("keys must share one dimension")
 
     if scale is None:
         scale = KeyScale.from_keys(mat)
-    tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store,
-                   parent_budget=parent_budget)
+    tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
 
-    n = len(ids)
-    drawn = np.array([assign_level(promotion_ratio, tree.rng) for _ in ids])
+    n = ids.size
+    drawn = np.array([assign_level(promotion_ratio, tree.rng) for _ in range(n)])
     occupied = np.unique(drawn)
     top = np.searchsorted(occupied, drawn) + 1  # levels compacted: none is empty
     n_levels = occupied.size
 
-    norms = np.linalg.norm(mat, axis=1)
-    over = norms > scale.c
-    tree.scale_clamps += int(over.sum())
-    safe_norms = np.where(over, norms, scale.c)
-    lifted = np.empty((n, mat.shape[1] + 1))
-    lifted[:, :-1] = mat / safe_norms[:, None]
-    lifted[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
     # Row r of the buffer is the r-th input point.
     tree._reserve(max(n, rows))
-    tree._buf[:n] = lifted
+    tree._buf[:n] = tree._lift_clamped(mat)
     tree._point[:n] = ids
-    tree._row = dict(zip(ids, range(n)))
+    tree._top[:n] = top
+    tree._row = dict(zip(ids.tolist(), range(n)))
     tree._n = n
     point = tree._point
-
-    # Exact 1-NN parent row per level: points topping out at `lv` against
-    # all points present at lv + 1, in blocks to bound memory.
-    parent = np.arange(n)
-    for lv in range(n_levels - 1, 0, -1):
-        pts = np.flatnonzero(top == lv)
-        cands = np.flatnonzero(top > lv)
-        cand_rows = lifted[cands]
-        cand_sq = np.einsum("ij,ij->i", cand_rows, cand_rows)
-        pt_rows = lifted[pts]
-        for start in range(0, pts.size, 2048):
-            block = pt_rows[start:start + 2048]
-            d2 = cand_sq[None, :] - 2.0 * (block @ cand_rows.T)
-            parent[pts[start:start + 2048]] = cands[np.argmin(d2, axis=1)]
+    parent = _parent_rows(tree._buf[:n], top, np.arange(n))
 
     for _ in range(n_levels):
         tree._add_level()
@@ -815,6 +681,5 @@ def dci_indexing(keys, promotion_ratio: float, seed: int | tuple = 0, *,
         tree._membership.update(zip(zip(point[members].tolist(), [lv] * members.size),
                                     np.repeat(node_ids, counts).tolist()))
 
-    tree.point_level = dict(zip(ids, top.tolist()))
     tree._place_leaves([tree.nodes[i] for i in node_ids], counts)
     return tree

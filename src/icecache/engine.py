@@ -218,12 +218,12 @@ class Engine:
             return store.open_pages(np.arange(start, stop), counts, role,
                                     resident=True, pinned=True).tolist()
 
-        keys = self._keys[layer, h]
-        sink = pages(SINK, 0, len(self.sink_tokens))
+        sink_end = len(self.sink_tokens)
+        sink = pages(SINK, 0, sink_end)
         window = pages(WINDOW, window_start, self.n_prefill)
         tree = dci_indexing(
-            [(t, keys[t]) for t in self.indexed_tokens], cfg.promotion_ratio,
-            seed=(cfg.seed, layer, h), store=store, rows=rows)
+            np.arange(sink_end, window_start), self._keys[layer, h, sink_end:window_start],
+            cfg.promotion_ratio, seed=(cfg.seed, layer, h), store=store, rows=rows)
         return _HeadState(tree=tree, store=store, sink=sink, window=window)
 
     # -- selection ----------------------------------------------------------

@@ -163,7 +163,7 @@ def test_07_incremental_index_parity():
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
         keys = centers[rng.integers(0, 16, size=5000)] + \
             rng.normal(size=(5000, 32)) * 0.1 / np.sqrt(32)
-        batch = dci_indexing([(i, kv) for i, kv in enumerate(keys)], 0.1, seed=seed)
+        batch = dci_indexing(np.arange(len(keys)), keys, 0.1, seed=seed)
         incremental = DciTree(32, KeyScale.from_keys(keys), 0.1, seed=seed)
         for i, kv in enumerate(keys):
             incremental.insert(i, kv)

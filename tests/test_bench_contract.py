@@ -63,8 +63,9 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
 def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     """The traced run times `dci.insert` per call and reads each tree's
     `distance_evals` at `dci.query` boundaries: a rotation must insert each
-    head's offloaded page in one call, search parents through
-    `DciTree.query` inside it, and count distances only inside queries."""
+    head's offloaded page in one call, which issues no `DciTree.query` and
+    leaves the query counters as they were, and distances are counted only
+    inside queries."""
     spec = WorkloadSpec(kind="clustered", n_tokens=560, d=16, d_prime=8, clusters=8,
                         layers=4, kv_heads=2, seed=4)
     cfg = EngineConfig(layers=4, kv_heads=2, d=16, d_prime=8, token_budget=16,
@@ -77,15 +78,16 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
 
     def insert(tree, ids, keys, **kwargs):
         stack.append("insert")
-        before = tree.distance_evals
+        before = (tree.query_count, tree.distance_evals)
         inside = len(queries)
         try:
             return original_insert(tree, ids, keys, **kwargs)
         finally:
             stack.pop()
             nested = sum(delta for _, delta in queries[inside:])
-            outside.append(tree.distance_evals - before - nested)
-            inserts.append((id(tree), np.atleast_1d(ids).tolist(), len(queries) - inside))
+            outside.append(tree.distance_evals - before[1] - nested)
+            inserts.append((id(tree), np.atleast_1d(ids).tolist(), len(queries) - inside,
+                            (tree.query_count, tree.distance_evals) != before))
 
     def query(tree, *args, **kwargs):
         where = stack[-1] if stack else "decode"
@@ -111,8 +113,9 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
         if not inserts:
             continue
         rotations += 1
-        assert sorted((tree, ids) for tree, ids, _ in inserts) == sorted(heads.values())
-        assert all(parents > 0 for _, _, parents in inserts)  # promotion 0.3: pages need parents
+        assert sorted((tree, ids) for tree, ids, _, _ in inserts) == sorted(heads.values())
+        # Parents come from the dense scan: no query, no counted distance.
+        assert not any(searched or counted for _, _, searched, counted in inserts)
         assert len([q for q in queries if q[0] == "decode"]) - len(selection) == \
             (cfg.layers - cfg.skip_layers) * cfg.n_query_heads
     assert rotations >= 1

@@ -11,11 +11,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_level, dci_indexing,
                       exact_topk, transform_key, transform_query)
-from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, PARENT_BUDGET, ROOT_OWNER
+from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, ROOT_OWNER
 
 
-def _pairs(keys):
-    return [(i, k) for i, k in enumerate(keys)]
+def _index(keys, *args, **kwargs):
+    """A batch-built tree over the key rows, point i holding row i."""
+    return dci_indexing(np.arange(len(keys)), keys, *args, **kwargs)
 
 
 def _clustered(seed, n, d, clusters, spread=0.1):
@@ -54,7 +55,7 @@ def test_assign_level_rejects_bad_ratio():
 
 def test_single_key_builds_degenerate_tree():
     store = TierStore(4, 4)
-    tree = dci_indexing([(7, np.ones(4))], 0.3, seed=0, store=store)
+    tree = dci_indexing([7], np.ones((1, 4)), 0.3, seed=0, store=store)
     assert tree.levels == 1
     assert len(tree.nodes) == 1
     top = tree.nodes[tree.top_node_id]
@@ -65,7 +66,7 @@ def test_single_key_builds_degenerate_tree():
 
 def test_duplicate_point_ids_rejected():
     with pytest.raises(InputError):
-        dci_indexing([(1, np.ones(3)), (1, np.zeros(3))], 0.1)
+        dci_indexing([1, 1], np.stack([np.ones(3), np.zeros(3)]), 0.1)
 
 
 def test_parents_stay_within_generating_cluster():
@@ -75,7 +76,7 @@ def test_parents_stay_within_generating_cluster():
     centers[1, 0] = -10.0
     labels = rng.integers(0, 2, size=2000)
     keys = centers[labels] + rng.normal(size=(2000, 16))
-    tree = dci_indexing(_pairs(keys), 0.1, seed=3)
+    tree = _index(keys, 0.1, seed=3)
     bottom = [pid for pid, lv in tree.point_level.items() if lv == 1]
     same = 0
     for pid in bottom:
@@ -88,7 +89,7 @@ def test_self_retrieval_of_indexed_keys():
     rng = np.random.default_rng(4)
     keys = rng.normal(size=(2000, 16))
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)  # equal norms: self is argmax
-    tree = dci_indexing(_pairs(keys), 0.1, seed=4)
+    tree = _index(keys, 0.1, seed=4)
     budget = SearchBudget(1, beam=32, visit_cap=128)
     hits = 0
     sample = rng.choice(2000, size=500, replace=False)
@@ -101,7 +102,7 @@ def test_self_retrieval_of_indexed_keys():
 def test_tree_structure_invariants_hold():
     keys, _, _ = _clustered(5, 1500, 12, 8)
     store = TierStore(12, 4, page_size=8)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=5, store=store)
+    tree = _index(keys, 0.2, seed=5, store=store)
     tree.check_invariants()
     # parent-level invariant, walked explicitly over points
     for pid, lv in tree.point_level.items():
@@ -111,26 +112,28 @@ def test_tree_structure_invariants_hold():
             assert parent.level == lv + 1
 
 
-# -- within-node search -------------------------------------------------------
+# -- within-node search (prioritized DCI) ---------------------------------------
+# A one-level tree's top node is its whole level, so a query searches exactly
+# that node.
 
 
 def test_pdci_query_single_member_node():
-    tree = dci_indexing([(3, np.array([1.0, 2.0]))], 0.5, seed=6)
-    top = tree.nodes[tree.top_node_id]
-    assert tree.pdci_query(np.array([0.0, 0.0, 1.0]), top, 5) == [3]
+    tree = dci_indexing([3], np.array([[1.0, 2.0]]), 0.5, seed=6)
+    assert tree.levels == 1
+    assert tree.query(np.array([0.0, 0.0, 1.0]), SENTINEL_LEVEL, 5) == [3]
 
 
 def test_pdci_query_exhaustive_cap_matches_brute_force():
     rng = np.random.default_rng(7)
     keys = rng.normal(size=(256, 10))
-    tree = dci_indexing(_pairs(keys), 1e-9, seed=7)  # one flat node
+    tree = _index(keys, 1e-9, seed=7)  # one flat node
     top = tree.nodes[tree.top_node_id]
-    assert len(top.member_ids) == 256
+    assert tree.levels == 1 and len(top.member_ids) == 256
     scale = tree.scale
     for _ in range(20):
         q = rng.normal(size=10)
         tq = transform_query(q)
-        got = tree.pdci_query(tq, top, 8, SearchBudget(8, 16, 256))
+        got = tree.query(tq, SENTINEL_LEVEL, 8, SearchBudget(8, 16, 256))
         lifted = np.stack([transform_key(k, scale) for k in keys])
         d2 = ((lifted - tq) ** 2).sum(axis=1)
         want = [int(i) for i in np.lexsort((np.arange(256), d2))[:8]]
@@ -140,10 +143,10 @@ def test_pdci_query_exhaustive_cap_matches_brute_force():
 def test_pdci_query_full_k_returns_all_ranked():
     rng = np.random.default_rng(8)
     keys = rng.normal(size=(40, 6))
-    tree = dci_indexing(_pairs(keys), 1e-9, seed=8)
-    top = tree.nodes[tree.top_node_id]
+    tree = _index(keys, 1e-9, seed=8)
+    assert tree.levels == 1
     q = transform_query(rng.normal(size=6))
-    got = tree.pdci_query(q, top, 40)
+    got = tree.query(q, SENTINEL_LEVEL, 40)
     assert sorted(got) == list(range(40))
     d2 = [float(((tree.lifted(p) - q) ** 2).sum()) for p in got]
     assert d2 == sorted(d2)
@@ -152,11 +155,11 @@ def test_pdci_query_full_k_returns_all_ranked():
 def test_pdci_projection_path_respects_visit_cap():
     rng = np.random.default_rng(9)
     keys = rng.normal(size=(500, 8))
-    tree = dci_indexing(_pairs(keys), 1e-9, seed=9)
+    tree = _index(keys, 1e-9, seed=9)
     top = tree.nodes[tree.top_node_id]
-    assert len(top.member_ids) > EXHAUSTIVE_NODE_LIMIT
+    assert tree.levels == 1 and len(top.member_ids) > EXHAUSTIVE_NODE_LIMIT
     before = tree.distance_evals
-    tree.pdci_query(transform_query(rng.normal(size=8)), top, 4, SearchBudget(4, 8, 100))
+    tree.query(transform_query(rng.normal(size=8)), SENTINEL_LEVEL, 4, SearchBudget(4, 8, 100))
     assert tree.distance_evals - before == 100
 
 
@@ -166,7 +169,7 @@ def test_pdci_projection_path_respects_visit_cap():
 def test_query_with_everything_unbounded_returns_all_ids():
     rng = np.random.default_rng(10)
     keys = rng.normal(size=(300, 8))
-    tree = dci_indexing(_pairs(keys), 0.2, seed=10)
+    tree = _index(keys, 0.2, seed=10)
     got = tree.query(transform_query(rng.normal(size=8)), SENTINEL_LEVEL,
                      300, SearchBudget.exhaustive(300))
     assert sorted(got) == list(range(300))
@@ -177,7 +180,7 @@ def test_exhaustive_budget_query_equals_exact_topk():
     for trial in range(50):
         n = int(rng.integers(50, 400))
         keys = rng.normal(size=(n, 12))
-        tree = dci_indexing(_pairs(keys), 0.15, seed=trial)
+        tree = _index(keys, 0.15, seed=trial)
         q = rng.normal(size=12)
         got = tree.query(transform_query(q), SENTINEL_LEVEL, 16,
                          SearchBudget.exhaustive(16))
@@ -186,7 +189,7 @@ def test_exhaustive_budget_query_equals_exact_topk():
 
 def test_query_clamps_target_level_above_top():
     keys = np.eye(5)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=12)
+    tree = _index(keys, 0.2, seed=12)
     got = tree.query(transform_query(keys[0]), tree.levels + 5, 2,
                      SearchBudget.exhaustive(2))
     assert len(got) == min(2, len(tree.nodes[tree.top_node_id].member_ids))
@@ -202,7 +205,7 @@ def test_planted_needle_is_always_retrieved():
         keys /= np.linalg.norm(keys, axis=1, keepdims=True)
         scale = KeyScale.from_keys(keys[:999])
         keys[999] = scale.c * target  # strongest possible inner product
-        tree = dci_indexing(_pairs(keys), 0.1, seed=seed)
+        tree = _index(keys, 0.1, seed=seed)
         got = tree.query(transform_query(target), SENTINEL_LEVEL, 16,
                          SearchBudget.for_k(16))
         assert 999 in got
@@ -210,7 +213,7 @@ def test_planted_needle_is_always_retrieved():
 
 def test_default_budget_recall_on_clustered_data():
     keys, _, centers = _clustered(13, 10_000, 64, 32)
-    tree = dci_indexing(_pairs(keys), 0.1, seed=13)
+    tree = _index(keys, 0.1, seed=13)
     rng = np.random.default_rng(14)
     budget = SearchBudget.for_k(32, beam=64)
     recalls = []
@@ -224,7 +227,7 @@ def test_default_budget_recall_on_clustered_data():
 
 def test_recall_is_monotone_in_beam():
     keys, _, centers = _clustered(15, 3000, 32, 16)
-    tree = dci_indexing(_pairs(keys), 0.1, seed=15)
+    tree = _index(keys, 0.1, seed=15)
     rng = np.random.default_rng(16)
     queries = [centers[rng.integers(0, 16)] + rng.normal(size=32) * 0.02
                for _ in range(25)]
@@ -240,7 +243,7 @@ def test_recall_is_monotone_in_beam():
 
 def test_query_counters_and_empty_tree_error():
     keys = np.eye(4)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=17)
+    tree = _index(keys, 0.2, seed=17)
     before = tree.query_count
     tree.query(transform_query(keys[0]), SENTINEL_LEVEL, 2)
     assert tree.query_count == before + 1
@@ -286,7 +289,7 @@ def test_insert_duplicate_id_rejected():
 def test_insert_above_top_grows_tree():
     rng = np.random.default_rng(21)
     keys = rng.normal(size=(50, 6))
-    tree = dci_indexing(_pairs(keys), 0.1, seed=21)
+    tree = _index(keys, 0.1, seed=21)
     old_levels = tree.levels
     tree.insert(100, rng.normal(size=6), level=old_levels + 2)
     assert tree.levels == old_levels + 2
@@ -306,7 +309,7 @@ def test_insert_clamps_out_of_envelope_keys():
 
 def test_incremental_matches_batch_recall():
     keys, _, centers = _clustered(23, 2000, 32, 16)
-    batch = dci_indexing(_pairs(keys), 0.1, seed=23)
+    batch = _index(keys, 0.1, seed=23)
     incr = DciTree(32, KeyScale.from_keys(keys), 0.1, seed=23)
     for i, k in enumerate(keys):
         incr.insert(i, k)
@@ -326,8 +329,8 @@ def test_incremental_matches_batch_recall():
 
 def test_identical_seeds_build_identical_trees():
     keys, _, _ = _clustered(25, 800, 16, 8)
-    a = dci_indexing(_pairs(keys), 0.15, seed=99)
-    b = dci_indexing(_pairs(keys), 0.15, seed=99)
+    a = _index(keys, 0.15, seed=99)
+    b = _index(keys, 0.15, seed=99)
     assert a.point_level == b.point_level
     assert {(n.node_id, n.level, n.owner_id, tuple(n.member_ids))
             for n in a.nodes.values()} == \
@@ -344,7 +347,7 @@ def test_query_results_and_distance_counts_match_golden_values():
     """Selected ids and distance evaluations pinned from the per-node
     search the level arrays replaced (ties toward the smaller id)."""
     keys, _, _ = _clustered(30, 1500, 12, 8)
-    batch = dci_indexing(_pairs(keys), 0.2, seed=30)
+    batch = _index(keys, 0.2, seed=30)
     rng = np.random.default_rng(31)
     got = [batch.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5)
            for _ in range(3)]
@@ -355,15 +358,15 @@ def test_query_results_and_distance_counts_match_golden_values():
     rng = np.random.default_rng(32)
     incr = DciTree(12, KeyScale(4.0), 0.2, seed=32)
     got = []
-    for i in range(400):  # three inserts grow the top; parent queries count too
+    for i in range(400):  # three inserts grow the top; only the queries count
         incr.insert(i, rng.normal(size=12), level=incr.levels + 1 if i % 97 == 50 else None)
         if i % 133 == 132:
             got.append(incr.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5))
     assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
-    assert (incr.distance_evals, incr.levels) == (15349, 7)
+    assert (incr.distance_evals, incr.levels) == (363, 7)
 
     rng = np.random.default_rng(33)
-    uniform = dci_indexing(_pairs(rng.normal(size=(3000, 12))), 0.02, seed=33)
+    uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)
     budget = SearchBudget.for_k(5)
     assert max(len(n.member_ids) for n in uniform.nodes.values()) > budget.visit_cap
     got = [uniform.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5, budget)
@@ -382,7 +385,7 @@ def _paged_tree(batched):
     centers = rng.normal(size=(3, 6))
     prompt = centers[rng.integers(0, 3, size=12)] + rng.normal(size=(12, 6)) * 0.1
     store = TierStore(6, 2, page_size=3)
-    tree = dci_indexing(_pairs(prompt), 0.3, seed=40, store=store)
+    tree = _index(prompt, 0.3, seed=40, store=store)
     top = tree.levels
     pages = [(100, [1, 1, 2, 1, 1], 0, (1,)), (105, [1, top, 1, 1, 1], 1, ()),
              (110, [1, 1, top + 1, 1, 1], 0, (0, 4)), (115, [None] * 6, 2, ())]
@@ -422,15 +425,15 @@ def test_page_inserts_match_golden_values(batched):
     above = {4: 2, 5: 2, 8: 2, 9: 2, 102: 2, 106: 2, 112: 3, 119: 2, 120: 2}
     assert tree.point_level == {pid: above.get(pid, 1) for pid in [*range(12), *range(100, 121)]}
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
-        (103, 18, 3, 3)
+        (0, 0, 3, 3)
 
 
 def _uniform_paged_tree():
-    """A uniform tree whose level-2 nodes outgrow PARENT_BUDGET's scan limit,
-    fed ten 16-token pages with drawn levels."""
+    """A uniform tree with level-2 nodes a query truncates, fed ten 16-token
+    pages with drawn levels."""
     rng = np.random.default_rng(5)
     keys = rng.normal(size=(8160, 16))
-    tree = dci_indexing(_pairs(keys[:8000]), 0.03, seed=5, store=TierStore(16, 16))
+    tree = _index(keys[:8000], 0.03, seed=5, store=TierStore(16, 16))
     for first in range(8000, 8160, 16):
         tree.insert(range(first, first + 16), keys[first:first + 16])
     return tree, np.stack([transform_query(q) for q in rng.normal(size=(4, 16))])
@@ -445,40 +448,41 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     projection search the query-time bound replaced."""
     tree, queries = _uniform_paged_tree()
     tree.check_invariants()
-    limit = max(EXHAUSTIVE_NODE_LIMIT, PARENT_BUDGET.visit_cap)
-    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > limit
+    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
+        EXHAUSTIVE_NODE_LIMIT
     assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
     nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
                    for n in tree.nodes.values())
     pages = [tree.store.tokens_in([pid]).tolist() for pid in np.flatnonzero(tree.store.live)]
     assert (_digest(nodes), _digest(pages)) == ("e99a32033c3e14d8", "1939b0f0dbe2bf15")
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
-        (31376, 160, 0, 3)
+        (0, 0, 0, 3)
 
     budget = SearchBudget.for_k(6, visit_cap=40)
     expected = [[332, 6096, 4856, 6157, 4334, 6931], [6569, 6357, 7347, 7156, 54, 3395],
                 [6735, 890, 5858, 4142, 7387, 2188], [92, 4035, 5515, 6422, 1438, 2086]]
     assert [tree.query(q, SENTINEL_LEVEL, 6, budget) for q in queries] == expected
-    assert tree.query(queries, SENTINEL_LEVEL, 6, budget) == expected
-    assert (tree.distance_evals, tree.query_count) == (34576, 168)
+    assert (tree.distance_evals, tree.query_count) == (1600, 4)
 
 
 def test_large_node_keeps_the_members_of_smallest_projection_bound():
-    tree, queries = _uniform_paged_tree()
-    node = max(tree.nodes.values(), key=lambda n: len(n.member_ids))
+    rng = np.random.default_rng(5)
+    tree = _index(rng.normal(size=(600, 16)), 1e-9, seed=5)  # one flat node
+    node = tree.nodes[tree.top_node_id]
     cap = 40
-    assert len(node.member_ids) > max(EXHAUSTIVE_NODE_LIMIT, cap)
+    assert tree.levels == 1 and len(node.member_ids) > max(EXHAUSTIVE_NODE_LIMIT, cap)
     # Plain reference: the node's directions come from the tree seed and
     # its id; a member's bound is its largest projected gap to the query.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1, node.node_id)))
-    dirs = rng.normal(size=(NUM_PROJECTIONS, 17))
+    dirs = np.random.default_rng(np.random.SeedSequence(
+        entropy=5, spawn_key=(1, node.node_id))).normal(size=(NUM_PROJECTIONS, 17))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for q in queries:
+    for q in rng.normal(size=(4, 16)):
+        q = transform_query(q)
         bound = {pid: max(abs(float(u @ tree.lifted(pid)) - float(u @ q)) for u in dirs)
                  for pid in node.member_ids}
         want = sorted(bound, key=lambda pid: (bound[pid], pid))[:cap]
         before = tree.distance_evals
-        got = tree.pdci_query(q, node, cap, SearchBudget(cap, cap, cap))
+        got = tree.query(q, SENTINEL_LEVEL, cap, SearchBudget(cap, cap, cap))
         assert tree.distance_evals - before == cap
         assert sorted(got) == sorted(want)
 
@@ -505,7 +509,7 @@ def _insert_both_ways(tree, pages):
 
 def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     keys, _, _ = _clustered(37, 600, 8, 4)
-    tree = dci_indexing(_pairs(keys), 0.2, seed=37, store=TierStore(8, 2, page_size=4))
+    tree = _index(keys, 0.2, seed=37, store=TierStore(8, 2, page_size=4))
     rng = np.random.default_rng(38)
     anchor = keys[0] * 1.01
     near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
@@ -521,7 +525,7 @@ def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch)
     tree.insert(0, rng.normal(size=6), level=3)
     tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
     assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
-        max(EXHAUSTIVE_NODE_LIMIT, tree.parent_budget.visit_cap)
+        EXHAUSTIVE_NODE_LIMIT
     pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
              for p in range(100, 140, 8)]
     searchers = []
@@ -533,9 +537,45 @@ def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch)
     monkeypatch.setattr(DciTree, "query", counted)
     for page in pages:
         searchers.clear()
+        counters = (tree.query_count, tree.distance_evals)
         _insert_both_ways(tree, [page])
-        # One batched parent search per level, however large the node.
-        assert sum(s is tree for s in searchers) == 2
+        # Parents come from the dense scan, however large the node: no query.
+        assert not searchers and (tree.query_count, tree.distance_evals) == counters
+
+
+def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
+    """Oracle for the parent rule on a head shaped like reuse-drift's (2048
+    prompt keys in 256 clusters, 16-token pages): drawn levels, a page that
+    grows the top, and key norms that drift past the scale and clamp. Each
+    inserted point's parent is its nearest lifted point among the earlier
+    points that reach above its top level."""
+    keys, _, _ = _clustered(41, 2048 + 24 * 16, 64, 256)
+    keys[2048:] *= 1.001 ** np.arange(1, 24 * 16 + 1)[:, None]
+    tree = _index(keys[:2048], 0.1, seed=41, store=TierStore(64, 64))
+    built_levels = tree.levels
+    rng = np.random.default_rng(42)
+    for first in range(2048, len(keys), 16):
+        levels = None  # drawn from the tree's stream
+        if first == 2048 + 12 * 16:
+            levels = [assign_level(0.1, rng) for _ in range(16)]
+            levels[5] = tree.levels + 1
+        tree.insert(range(first, first + 16), keys[first:first + 16], level=levels)
+    tree.check_invariants()
+    assert tree.levels > built_levels and tree.scale_clamps > 0
+
+    top = np.array([tree.point_level[pid] for pid in range(len(keys))])
+    lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+    checked = 0
+    for pid in range(2048, len(keys)):
+        owner = tree.nodes[tree._membership[(pid, int(top[pid]))]].owner_id
+        earlier = np.flatnonzero(top[:pid] > top[pid])
+        if not earlier.size:  # it topped the tree when it came
+            assert owner == ROOT_OWNER or owner > pid
+            continue
+        d2 = ((lifted[earlier] - lifted[pid]) ** 2).sum(axis=1)
+        assert owner in earlier and d2[earlier == owner][0] <= d2.min() + 1e-12, pid
+        checked += 1
+    assert checked >= 300
 
 
 def test_insert_returns_levels_and_rejects_bad_batches():
@@ -550,36 +590,6 @@ def test_insert_returns_levels_and_rejects_bad_batches():
             tree.insert(ids, keys, level=level)
     assert len(tree) == 3 and tree._n == 3
     tree.check_invariants()
-
-
-def _query_rows_match(tree, queries, target, k, budget):
-    twin = copy.deepcopy(tree)
-    got = tree.query(queries, target, k, budget)
-    assert got == [twin.query(q, target, k, budget) for q in queries]
-    assert (tree.query_count, tree.distance_evals) == (twin.query_count, twin.distance_evals)
-
-
-def test_batched_query_rows_equal_single_queries():
-    keys, _, _ = _clustered(34, 1500, 12, 8)
-    clustered = dci_indexing(_pairs(keys), 0.2, seed=34)
-    rng = np.random.default_rng(35)
-    queries = np.stack([transform_query(q) for q in rng.normal(size=(9, 12))])
-    for target, k in ((SENTINEL_LEVEL, 5), (1, 3), (2, 1), (clustered.levels + 2, 2)):
-        _query_rows_match(clustered, queries, target, k, SearchBudget.for_k(k, beam=8))
-    _query_rows_match(clustered, queries[:1], SENTINEL_LEVEL, 4, None)
-    assert clustered.query(queries[:1], 2, 1) == [clustered.query(queries[0], 2, 1)]
-
-    uniform = dci_indexing(_pairs(rng.normal(size=(3000, 12))), 0.02, seed=36)
-    budget = SearchBudget.for_k(5, visit_cap=20)
-    queries = np.stack([transform_query(q) for q in rng.normal(size=(7, 12))])
-    for target in (SENTINEL_LEVEL, 1, 2):
-        _query_rows_match(uniform, queries, target, 5, budget)
-    # Some row searched a truncated leaf: a row's leaves are those of its
-    # beam nearest level-2 points.
-    limit = max(EXHAUSTIVE_NODE_LIMIT, budget.visit_cap)
-    large = {n.owner_id for n in uniform.nodes.values()
-             if n.is_leaf and len(n.member_ids) > limit}
-    assert any(large & set(uniform.query(q, 2, budget.beam, budget)) for q in queries)
 
 
 class InsertQueryMachine(RuleBasedStateMachine):
