@@ -33,8 +33,9 @@ def _stream(n_tokens):
     return wl.keys[:, 0, 0], wl.values[:, 0, 0], wl.queries[:, 0, 0]
 
 
-def _build(keys):
-    return dci_indexing(np.arange(N_KEYS), keys[:N_KEYS], 0.1, seed=0, store=TierStore(64, 64))
+def _build(keys, rows=0):
+    return dci_indexing(np.arange(N_KEYS), keys[:N_KEYS], 0.1, seed=0, store=TierStore(64, 64),
+                        rows=rows)
 
 
 def test_dci_query(benchmark, stream):
@@ -50,9 +51,10 @@ def test_dci_query(benchmark, stream):
 
 
 def test_dci_insert_page(benchmark):
-    """One rotated window page folded into the tree: one insert call."""
+    """One rotated window page folded into the tree: one insert call. The
+    tree reserves the page's rows, as prefill reserves the stream's."""
     keys = _stream(N_KEYS + PAGE)[0]
-    tree = _build(keys)
+    tree = _build(keys, rows=N_KEYS + PAGE)
     ids = list(range(N_KEYS, N_KEYS + PAGE))
 
     def fresh():
@@ -66,7 +68,8 @@ def test_dci_insert_page_uniform(benchmark):
     n = 32_768
     spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)
     keys = generate_workload(spec).keys[:, 0, 0]
-    tree = dci_indexing(np.arange(n), keys[:n], 0.1, seed=0, store=TierStore(64, 64))
+    tree = dci_indexing(np.arange(n), keys[:n], 0.1, seed=0, store=TierStore(64, 64),
+                        rows=n + PAGE)
     ids = list(range(n, n + PAGE))
 
     def fresh():

@@ -9,7 +9,7 @@ oracles.
 """
 
 from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
-from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_level,
+from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_levels,
                   dci_indexing)
 from .engine import (Engine, EngineConfig, StepMetrics, pipeline_estimate, prefill,
                      token_order_select)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionOutput", "HeadGroup", "full_attention", "gqa_union", "sparse_attention",
-    "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_level", "dci_indexing",
+    "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_levels", "dci_indexing",
     "Engine", "EngineConfig", "StepMetrics", "token_order_select",
     "pipeline_estimate", "prefill",
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",

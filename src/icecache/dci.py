@@ -8,12 +8,18 @@ chain of singleton-seeded nodes down to a level-1 leaf. Leaf nodes own the
 pages that list their members' token ids, so every indexed token lives in
 exactly one leaf and one page slot.
 
+Levels are drawn for a whole batch at once (`assign_levels`), with the
+same results and generator state as one scalar draw per point.
+
 One parent rule serves the batch build and decode-time inserts: a point's
 parent is its exact nearest lifted neighbour among the points that reach
-one level above its top level, found by a dense block scan
-(`_parent_rows`). The build scans every point against all others; a page
-inserted during decode scans each of its points against the rows before
-it, so inserting a page equals inserting its points one at a time.
+one level above its top level. Lifted points are unit vectors, so that is
+the candidate of largest inner product, found by a dense scan
+(`_parent_rows`): one matmul and one argmax per block of rows. The
+build scans every point against all others, still quadratic in the key
+count; a page inserted during decode scans each of its points against the
+rows before it, so inserting a page equals inserting its points one at a
+time.
 
 Queries descend from the virtual root: at each level the members of the
 surviving clusters are ranked by lifted distance, the best `beam` survive,
@@ -52,8 +58,8 @@ NUM_PROJECTIONS = 8
 # Effectively unbounded beam / visit cap.
 UNBOUNDED = 2**62
 
-# Points per dense distance block of a parent scan.
-PARENT_BLOCK = 2048
+# Points per dot-product block of a parent scan.
+PARENT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,23 @@ class SearchBudget:
         return cls(k, UNBOUNDED, UNBOUNDED)
 
 
-def assign_level(r: float, rng: np.random.Generator) -> int:
-    """Draw a level: 1 + number of consecutive uniform draws below r."""
+def assign_levels(r: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n levels, each 1 + the number of consecutive uniform draws
+    below r: the levels of n scalar draws, leaving rng in the same state.
+
+    The draws form one stream in which every draw >= r ends a level. Each
+    round draws one uniform per unfinished point, which needs at least one
+    more, so the stream is never overdrawn.
+    """
     if not 0.0 < r < 1.0:
         raise ConfigError(f"promotion ratio must lie in (0, 1), got {r}")
-    level = 1
-    while rng.random() < r:
-        level += 1
-    return level
+    ends, drawn, need = [np.zeros(1, dtype=np.int64)], 0, n
+    while need:
+        stop = np.flatnonzero(rng.random(need) >= r)
+        ends.append(drawn + stop + 1)
+        drawn += need
+        need -= stop.size
+    return np.diff(np.concatenate(ends))
 
 
 @dataclass
@@ -130,10 +145,14 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
 
     `buf` holds the lifted points and `top` their top levels, one per row.
     A row at top level l has as candidates the rows of top level above l,
-    with `earlier` only those before it; its parent is the candidate c of
-    smallest |c|^2 - 2 p . c (ties toward the smaller row), or -1 if it has
-    none. The rows of one level go in blocks, each scanned densely against
-    all of that level's candidates.
+    with `earlier` only those before it; its parent is the candidate
+    nearest to it (ties toward the smaller row), or -1 if it has none.
+    Every row is a unit vector, so |p - c|^2 = 2 - 2 p . c and the nearest
+    candidate is the one of largest p . c: `argmax` of one matmul, whose
+    first maximum is the smallest row because candidates ascend. The rows
+    of one level go in blocks of PARENT_BLOCK, each multiplied against the
+    transposed view of all of that level's candidates (BLAS takes the
+    transpose as a flag; a contiguous copy measured no faster).
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
@@ -144,16 +163,16 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
             cands = cands[cands < rows[at].max()]
         if not cands.size:
             continue
-        cand_rows = buf[cands]
-        cand_sq = np.einsum("ij,ij->i", cand_rows, cand_rows)
+        cand_t = buf[cands].T
         for a in range(0, at.size, PARENT_BLOCK):
-            pts = rows[at[a:a + PARENT_BLOCK]]
-            d2 = cand_sq[None, :] - 2.0 * (buf[pts] @ cand_rows.T)
+            block = at[a:a + PARENT_BLOCK]
+            pts = rows[block]
+            dots = buf[pts] @ cand_t
             if earlier:
-                d2[cands >= pts[:, None]] = np.inf
-            best = np.argmin(d2, axis=1)
-            found = d2[np.arange(pts.size), best] < np.inf
-            parent[at[a:a + PARENT_BLOCK]] = np.where(found, cands[best], -1)
+                dots[cands >= pts[:, None]] = -np.inf
+            best = np.argmax(dots, axis=1)
+            found = dots[np.arange(pts.size), best] > -np.inf
+            parent[block] = np.where(found, cands[best], -1)
     return parent
 
 
@@ -465,7 +484,7 @@ class DciTree:
             raise InputError("duplicate point ids in one insert")
         if level is None:
             source = rng if rng is not None else self.rng
-            levels = [assign_level(self.promotion_ratio, source) for _ in ids]
+            levels = assign_levels(self.promotion_ratio, source, len(ids)).tolist()
         else:
             levels = [int(lv) for lv in np.atleast_1d(level)]
             if len(levels) != len(ids) or min(levels, default=1) < 1:
@@ -640,7 +659,7 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
 
     n = ids.size
-    drawn = np.array([assign_level(promotion_ratio, tree.rng) for _ in range(n)])
+    drawn = assign_levels(promotion_ratio, tree.rng, n)
     occupied = np.unique(drawn)
     top = np.searchsorted(occupied, drawn) + 1  # levels compacted: none is empty
     n_levels = occupied.size

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from icecache import (DciTree, Engine, EngineConfig, KeyScale, SearchBudget,
-                      SENTINEL_LEVEL, WorkloadSpec, assign_level, dci_indexing,
+                      SENTINEL_LEVEL, WorkloadSpec, assign_levels, dci_indexing,
                       exact_topk, full_attention, generate_workload,
                       pipeline_estimate, transform_key, transform_query)
 from icecache.pagestore import find_page_index
@@ -95,7 +95,7 @@ def test_04_geometric_level_law():
     worst = 0.0
     for r in (0.1, 0.25, 0.5):
         rng = np.random.default_rng(hash(("levels", r)) % 2**32)
-        draws = np.array([assign_level(r, rng) for _ in range(100_000)])
+        draws = assign_levels(r, rng, 100_000)
         for level in (1, 2, 3):
             err = abs((draws >= level).mean() - r ** (level - 1))
             worst = max(worst, err)

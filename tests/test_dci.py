@@ -9,9 +9,9 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
-                      SENTINEL_LEVEL, TierStore, assign_level, dci_indexing,
+                      SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
                       exact_topk, transform_key, transform_query)
-from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, ROOT_OWNER
+from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, PARENT_BLOCK, ROOT_OWNER
 
 
 def _index(keys, *args, **kwargs):
@@ -33,21 +33,40 @@ def _clustered(seed, n, d, clusters, spread=0.1):
 
 def test_assign_level_never_promotes_at_vanishing_ratio():
     rng = np.random.default_rng(0)
-    assert all(assign_level(1e-12, rng) == 1 for _ in range(1000))
+    assert (assign_levels(1e-12, rng, 1000) == 1).all()
 
 
 def test_assign_level_matches_geometric_law():
     rng = np.random.default_rng(1)
-    draws = np.array([assign_level(0.25, rng) for _ in range(100_000)])
+    draws = assign_levels(0.25, rng, 100_000)
     assert abs((draws >= 2).mean() - 0.25) < 0.01
     assert abs((draws >= 3).mean() - 0.0625) < 0.01
+
+
+@pytest.mark.parametrize("r", [1e-12, 0.1, 0.25, 0.5, 0.9])
+def test_batched_level_draws_equal_scalar_draws(r):
+    """n levels drawn at once equal the definition's n scalar draws (the
+    reference loop) and n one-level draws, so how a stream is split into
+    batches does not change it, and leave the generator where those do."""
+    for n in (0, 1, 16, 10_000):
+        batched, single, reference = (np.random.default_rng(n) for _ in range(3))
+        levels = assign_levels(r, batched, n)
+        assert levels.tolist() == [int(assign_levels(r, single, 1)[0]) for _ in range(n)]
+        expected = []
+        for _ in range(n):  # the definition: 1 + consecutive draws below r
+            level = 1
+            while reference.random() < r:
+                level += 1
+            expected.append(level)
+        assert levels.tolist() == expected
+        assert batched.random() == single.random() == reference.random()
 
 
 def test_assign_level_rejects_bad_ratio():
     rng = np.random.default_rng(2)
     for r in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ConfigError):
-            assign_level(r, rng)
+            assign_levels(r, rng, 1)
 
 
 # -- batch indexing ----------------------------------------------------------
@@ -83,6 +102,32 @@ def test_parents_stay_within_generating_cluster():
         node = tree.nodes[tree._membership[(pid, 1)]]
         same += labels[node.owner_id] == labels[pid]
     assert same / len(bottom) >= 0.95
+
+
+def test_build_gives_every_point_its_exact_nearest_parent_across_blocks():
+    """Oracle for the build's parent scan: level 1 spans several row
+    blocks, and the scale lies below the largest key norm, so some keys
+    clamp. Each point's owner at its top level is its nearest lifted point
+    among all the points that reach above that level."""
+    keys, _, _ = _clustered(43, 2048, 32, 64)
+    keys *= np.random.default_rng(44).uniform(0.5, 1.0, size=(2048, 1))
+    c = 0.95 * np.linalg.norm(keys, axis=1).max()
+    tree = _index(keys, 0.1, seed=43, scale=KeyScale(c))
+    tree.check_invariants()
+    point_level = tree.point_level
+    top = np.array([point_level[pid] for pid in range(len(keys))])
+    assert tree.scale_clamps > 0 and tree.levels >= 3
+    assert (top == 1).sum() > 4 * PARENT_BLOCK
+
+    lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+    for pid in range(len(keys)):
+        owner = tree.nodes[tree._membership[(pid, int(top[pid]))]].owner_id
+        above = np.flatnonzero(top > top[pid])
+        if not above.size:
+            assert owner == ROOT_OWNER
+            continue
+        d2 = ((lifted[above] - lifted[pid]) ** 2).sum(axis=1)
+        assert owner in above and d2[above == owner][0] <= d2.min() + 1e-12, pid
 
 
 def test_self_retrieval_of_indexed_keys():
@@ -557,13 +602,14 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
     for first in range(2048, len(keys), 16):
         levels = None  # drawn from the tree's stream
         if first == 2048 + 12 * 16:
-            levels = [assign_level(0.1, rng) for _ in range(16)]
+            levels = assign_levels(0.1, rng, 16).tolist()
             levels[5] = tree.levels + 1
         tree.insert(range(first, first + 16), keys[first:first + 16], level=levels)
     tree.check_invariants()
     assert tree.levels > built_levels and tree.scale_clamps > 0
 
-    top = np.array([tree.point_level[pid] for pid in range(len(keys))])
+    point_level = tree.point_level
+    top = np.array([point_level[pid] for pid in range(len(keys))])
     lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
     checked = 0
     for pid in range(2048, len(keys)):
