@@ -96,8 +96,9 @@ def _stack(vectors, name: str) -> np.ndarray:
     return mat
 
 
-def full_attention(q, keys, values, token_ids: Sequence[int] | None = None) -> AttentionOutput:
-    """Softmax attention of one query over every key/value pair."""
+def full_attention(q, keys, values) -> AttentionOutput:
+    """Softmax attention of one query over every key/value pair; the
+    output's token ids are the key positions."""
     q = np.asarray(q, dtype=float)
     k_mat = _stack(keys, "keys")
     v_mat = _stack(values, "values")
@@ -105,13 +106,7 @@ def full_attention(q, keys, values, token_ids: Sequence[int] | None = None) -> A
         raise InputError(f"{k_mat.shape[0]} keys but {v_mat.shape[0]} values")
     if k_mat.shape[1] != q.size:
         raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1]}")
-    if token_ids is None:
-        ids = np.arange(k_mat.shape[0])
-    else:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.shape != (k_mat.shape[0],):
-            raise InputError("token_ids must align one-to-one with keys")
-    return _attend(q, k_mat, v_mat, ids)
+    return _attend(q, k_mat, v_mat, np.arange(k_mat.shape[0]))
 
 
 def _attend(q: np.ndarray, k_mat: np.ndarray, v_mat: np.ndarray, ids: np.ndarray

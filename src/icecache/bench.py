@@ -89,7 +89,8 @@ def run_bench(cfg: EngineConfig, spec: WorkloadSpec | None, steps: int, *,
 
 def run_sweep(cfg: EngineConfig, spec: WorkloadSpec, steps: int,
               budgets: list[int]) -> dict:
-    """One bench per token budget over the identical workload."""
+    """One bench per token budget over the identical workload; each run
+    keeps its aggregates and, with compare_baseline, its baseline block."""
     if not budgets:
         raise ConfigError("sweep needs at least one budget")
     runs = []
@@ -97,6 +98,8 @@ def run_sweep(cfg: EngineConfig, spec: WorkloadSpec, steps: int,
         run_cfg = EngineConfig(**{**asdict(cfg), "token_budget": budget})
         report = run_bench(run_cfg, spec, steps)
         runs.append({"token_budget": budget, "aggregates": report["aggregates"]})
+        if "baseline" in report:
+            runs[-1]["baseline"] = report["baseline"]
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {"engine": asdict(cfg), "workload": asdict(spec), "steps": steps},

@@ -21,6 +21,12 @@ count; a page inserted during decode scans each of its points against the
 rows before it, so inserting a page equals inserting its points one at a
 time.
 
+One writer lays out the levels for both: `DciTree._link` adds buffer rows,
+whose top levels and parent rows are set, to every level they reach. The
+build links all of its rows in one call; an insert links its page in
+stretches that keep node ids equal to one point at a time. Which node holds
+a point at a level is read from the row arrays (`DciTree._node_of`).
+
 Queries descend from the virtual root: at each level the members of the
 surviving clusters are ranked by lifted distance, the best `beam` survive,
 and their child nodes are searched next. With the sentinel target level the
@@ -112,12 +118,12 @@ def assign_levels(r: float, rng: np.random.Generator, n: int) -> np.ndarray:
 class DciNode:
     """One cluster: the points at `level` sharing the same parent point.
 
-    Its members live in the tree's level arrays; `member_ids` reads them.
+    Its members live in the tree's level arrays; `member_ids` reads them and
+    `parent_id` looks up the node holding the owner one level up.
     """
 
     node_id: int
     level: int
-    parent_id: int | None      # parent node id; None for the top node
     owner_id: int              # owning point id, ROOT_OWNER for the top node
     tree: "DciTree" = field(repr=False)
     page_ids: list[int] = field(default_factory=list)  # leaf nodes only
@@ -125,6 +131,13 @@ class DciNode:
     @property
     def is_leaf(self) -> bool:
         return self.level == 1
+
+    @property
+    def parent_id(self) -> int | None:
+        """The parent node's id; None for the top node."""
+        if self.owner_id == ROOT_OWNER:
+            return None
+        return int(self.tree._node_of(self.tree._row[self.owner_id], self.level + 1))
 
     @property
     def member_ids(self) -> list[int]:
@@ -183,11 +196,14 @@ class DciTree:
     per-node projection directions) derives from the constructor seed, so
     identical inputs reproduce identical trees.
 
-    Level l is stored as arrays at index l - 1: `_members` holds the buffer
-    rows of every point present at that level, grouped by node, and
-    `_start`/`_count`, indexed by the buffer row of the node's owner (a
-    point one level up), give where that node's members sit in `_members`.
-    The top node is its whole level. `_top` holds each row's top level.
+    Every point has a buffer row: `_top` holds its top level and `_parent`
+    the row of its parent point (-1 in the top node). Level l is stored as
+    arrays at index l - 1: `_members` holds the rows of every point present
+    at that level, grouped by node, and `_start`/`_count`/`_node_id`,
+    indexed by the row of the node's owner (a point one level up), give
+    where that node's members sit in `_members` and its id. The top node is
+    its whole level. A row is in its parent's node at its top level and in
+    its own node below (`_node_of`).
     """
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
@@ -213,12 +229,12 @@ class DciTree:
         self._buf = np.empty((0, dim + 1))
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._top = np.empty(0, dtype=np.intp)     # row -> top level
+        self._parent = np.empty(0, dtype=np.intp)  # row -> parent row, -1 in the top node
         self._n = 0
         self._members: list[np.ndarray] = []
         self._start: list[np.ndarray] = []
         self._count: list[np.ndarray] = []
-        self._owner_node: dict[tuple[int, int], int] = {}   # (owner point, level) -> node
-        self._membership: dict[tuple[int, int], int] = {}   # (point, level) -> containing node
+        self._node_id: list[np.ndarray] = []
         self._dirs: dict[int, np.ndarray] = {}             # node -> projection directions
         self._next_node_id = 0
 
@@ -250,23 +266,28 @@ class DciTree:
         self._buf = grown(self._buf, cap)
         self._point = grown(self._point, cap)
         self._top = grown(self._top, cap)
+        self._parent = grown(self._parent, cap)
         self._start = [grown(a, cap) for a in self._start]
         self._count = [grown(a, cap) for a in self._count]
+        self._node_id = [grown(a, cap) for a in self._node_id]
 
     def _add_level(self) -> None:
         self._members.append(np.empty(0, dtype=np.intp))
-        self._start.append(np.zeros(self._buf.shape[0], dtype=np.intp))
-        self._count.append(np.zeros(self._buf.shape[0], dtype=np.intp))
+        for arrays in (self._start, self._count, self._node_id):
+            arrays.append(np.zeros(self._buf.shape[0], dtype=np.intp))
+        self.levels += 1
 
     def lifted(self, point_id: int) -> np.ndarray:
         return self._buf[self._row[point_id]]
 
-    def _lift_clamped(self, keys: np.ndarray) -> np.ndarray:
-        """Lift key rows, normalizing out-of-envelope norms instead of failing.
+    def _lift_clamped(self, keys: np.ndarray, first: int) -> None:
+        """Lift key rows into the buffer from row `first` on, normalizing
+        out-of-envelope norms instead of failing.
 
         A key with |k| > c maps to [k/|k|, 0], which keeps the image on the
         unit sphere at the cost of a slightly perturbed ordering; the event
-        is counted in scale_clamps.
+        is counted in scale_clamps. Non-finite keys are rejected before any
+        row or count changes.
         """
         if not np.isfinite(keys).all():
             raise InputError("key contains non-finite coordinates")
@@ -274,47 +295,40 @@ class DciTree:
         over = norms > self.scale.c
         self.scale_clamps += int(over.sum())
         safe_norms = np.where(over, norms, self.scale.c)
-        out = np.empty((len(keys), self.dim + 1))
-        out[:, :-1] = keys / safe_norms[:, None]
+        out = self._buf[first: first + len(keys)]
+        np.divide(keys, safe_norms[:, None], out=out[:, :-1])
         out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
-        return out
+
+    def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
+        """Give points the buffer rows after the last one: lifted keys, ids,
+        top levels and parents (`_parent_rows`). Returns the rows."""
+        first = self._n
+        rows = np.arange(first, first + len(keys))
+        self._reserve(first + rows.size)
+        self._lift_clamped(keys, first)
+        self._point[rows] = ids
+        self._top[rows] = top
+        self._row.update(zip(self._point[rows].tolist(), rows.tolist()))
+        self._n += rows.size
+        self._parent[rows] = _parent_rows(self._buf[: self._n], self._top[: self._n], rows,
+                                          earlier=earlier)
+        return rows
 
     # -- node helpers -----------------------------------------------------
 
-    def _new_node(self, level: int, parent_id: int | None, owner_id: int) -> DciNode:
-        node = DciNode(self._next_node_id, level, parent_id, owner_id, self)
+    def _new_node(self, level: int, owner_id: int) -> DciNode:
+        node = DciNode(self._next_node_id, level, owner_id, self)
         self._next_node_id += 1
         self.nodes[node.node_id] = node
-        self._owner_node[(owner_id, level)] = node.node_id
         return node
 
-    def _open_node(self, level: int, parent_id: int | None, owner_id: int,
-                   point_id: int) -> DciNode:
-        """A new node holding only point_id, at the end of its level's array."""
-        members = self._members[level - 1]
-        if owner_id != ROOT_OWNER:
-            owner = self._row[owner_id]
-            self._start[level - 1][owner] = members.size
-            self._count[level - 1][owner] = 1
-        self._members[level - 1] = np.append(members, self._row[point_id])
-        node = self._new_node(level, parent_id, owner_id)
-        self._membership[(point_id, level)] = node.node_id
-        return node
-
-    def _add_member(self, node: DciNode, point_id: int) -> None:
-        """Insert point_id at the end of node's slice; later slices shift up."""
-        lv = node.level - 1
-        if node.owner_id == ROOT_OWNER:
-            pos = self._members[lv].size
-        else:
-            owner = self._row[node.owner_id]
-            pos = self._start[lv][owner] + self._count[lv][owner]
-            self._count[lv][owner] += 1
-            starts = self._start[lv][: self._n]
-            starts += starts >= pos   # rows owning no node here hold 0 < pos
-        members = self._members[lv]
-        self._members[lv] = np.concatenate((members[:pos], [self._row[point_id]], members[pos:]))
-        self._membership[(point_id, node.level)] = node.node_id
+    def _node_of(self, rows, level: int):
+        """The id of the node holding each given row at `level`, where the
+        rows must be present."""
+        if level == self.levels:
+            return np.full(np.shape(rows), self.top_node_id)
+        owner = np.where(self._top[rows] == level, self._parent[rows], rows)
+        return self._node_id[level - 1][owner]
 
     def _node_rows(self, node: DciNode) -> np.ndarray:
         members = self._members[node.level - 1]
@@ -323,6 +337,74 @@ class DciTree:
         owner = self._row[node.owner_id]
         start = self._start[node.level - 1][owner]
         return members[start: start + self._count[node.level - 1][owner]]
+
+    def _link(self, rows: np.ndarray) -> None:
+        """Add ascending buffer rows, whose `_top` and `_parent` are set, to
+        every level they reach, top down.
+
+        At its top level a row joins its parent's node (the top node for
+        parent -1), below that its own node. Members go to the end of their
+        node's slice in row order; new nodes go to the end of their level in
+        order of first row, with ids counting up level by level. If the rows
+        reach above the tree, the first row at their highest level tops it
+        before any row is linked (`_grow`); on a tree that has a top node,
+        that row must come first.
+        """
+        top = self._top[rows]
+        high = int(top.max())
+        if high > self.levels:
+            self._grow(int(rows[top.argmax()]))
+        parent = self._parent[rows]
+        for lv in range(high, 0, -1):
+            at = top >= lv
+            joins = rows[at]
+            members = self._members[lv - 1]
+            if lv == self.levels:
+                if not members.size:
+                    self.top_node_id = self._new_node(lv, ROOT_OWNER).node_id
+                self._members[lv - 1] = np.concatenate((members, joins))
+                continue
+            owner = np.where(top[at] == lv, parent[at], joins)
+            start, count = self._start[lv - 1], self._count[lv - 1]
+            old = count[owner] > 0
+            if old.any():
+                # One np.insert at the slices' current ends (equal positions
+                # keep row order) and one shift of the later slices' starts.
+                pos = start[owner[old]] + count[owner[old]]
+                np.add.at(count, owner[old], 1)
+                heads = self._members[lv]  # every row one level up owns a node here
+                start[heads] += np.searchsorted(np.sort(pos), start[heads], side="right")
+                members = np.insert(members, pos, joins[old])
+            if not old.all():
+                new = ~old
+                owners, first, group = np.unique(owner[new], return_index=True,
+                                                 return_inverse=True)
+                rank = np.argsort(first)  # node order: first row
+                counts = np.bincount(group)[rank]
+                owners = owners[rank]
+                start[owners] = members.size + np.cumsum(counts) - counts
+                count[owners] = counts
+                self._node_id[lv - 1][owners] = np.arange(owners.size) + self._next_node_id
+                for owner_id in self._point[owners].tolist():
+                    self._new_node(lv, owner_id)
+                members = np.concatenate(
+                    (members, joins[new][np.argsort(first[group], kind="stable")]))
+            self._members[lv - 1] = members
+
+    def _grow(self, row: int) -> None:
+        """Raise the tree to the row's top level. The former top node becomes
+        the row's node at the former top level, its points the row's children."""
+        old = self.levels
+        while self.levels < self._top[row]:
+            self._add_level()
+        if old:
+            node = self.nodes[self.top_node_id]
+            node.owner_id = int(self._point[row])
+            members = self._members[old - 1]
+            self._parent[members] = row
+            self._start[old - 1][row] = 0
+            self._count[old - 1][row] = members.size
+            self._node_id[old - 1][row] = node.node_id
 
     def _directions(self, node_id: int) -> np.ndarray:
         """The node's unit projection directions, drawn from the tree seed."""
@@ -362,8 +444,8 @@ class DciTree:
         ends = np.cumsum(counts).tolist()
         keep = np.ones(rows.size, dtype=bool)
         for i in large.tolist():
-            owner = ROOT_OWNER if owners is None else int(self._point[owners[i]])
-            dirs = self._directions(self._owner_node[(owner, level)])
+            dirs = self._directions(self.top_node_id if owners is None else
+                                    int(self._node_id[level - 1][owners[i]]))
             a, b = ends[i] - int(counts[i]), ends[i]
             bound = np.abs(self._buf[rows[a:b]] @ dirs.T - dirs @ q).max(axis=1)
             keep[a:b] = False
@@ -439,20 +521,24 @@ class DciTree:
             leaf.page_ids.append(store.allocate_page(INDEXED))
         store.append(leaf.page_ids[-1], point_id)
 
-    def _place_leaves(self, leaves: list[DciNode], counts: np.ndarray) -> None:
-        """Fill pages for leaves whose members tile level 1 in this order,
-        as `_place` would one point at a time: a leaf of m members opens
-        ceil(m / page_size) pages, all full but the last, in leaf order."""
+    def _place_leaves(self) -> None:
+        """Fill pages for the leaves of a tree that has none, as `_place`
+        would for level 1's members in array order: a leaf of m members
+        opens ceil(m / page_size) pages, all full but the last, in leaf order."""
         if self.store is None:
             return
+        leaf = self._node_of(self._members[0], 1)  # leaves tile level 1
+        cut = np.flatnonzero(np.diff(leaf)) + 1
+        leaves = leaf[np.concatenate(([0], cut))].tolist()
+        counts = np.diff(np.concatenate(([0], cut, [leaf.size])))
         size = self.store.page_size
         pages = -(-counts // size)
         first = np.cumsum(pages) - pages
         rank = np.arange(pages.sum()) - np.repeat(first, pages)  # page's place in its leaf
         fills = np.minimum(size, np.repeat(counts, pages) - size * rank)
         ids = self.store.open_pages(self._point[self._members[0]], fills, INDEXED).tolist()
-        for leaf, a, m in zip(leaves, first.tolist(), pages.tolist()):
-            leaf.page_ids = ids[a:a + m]
+        for node_id, a, m in zip(leaves, first.tolist(), pages.tolist()):
+            self.nodes[node_id].page_ids = ids[a:a + m]
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -470,6 +556,11 @@ class DciTree:
         appended to the owning leaf's current page, opening a new page on
         overflow. A draw above the current top level grows the tree and
         re-parents the former top-level points to the newcomer.
+
+        The points go to `_link` in stretches, each ending before the next
+        point that reaches level 3 or grows the tree: within a stretch only
+        its first point opens nodes above level 1 or grows the tree, so the
+        level-by-level node ids equal those of one `_link` per point.
         """
         single = np.ndim(point_id) == 0
         ids = [int(pid) for pid in np.atleast_1d(point_id)]
@@ -490,99 +581,17 @@ class DciTree:
             if len(levels) != len(ids) or min(levels, default=1) < 1:
                 raise InputError(f"need one level >= 1 per point id, got {level}")
 
-        lifted = self._lift_clamped(keys.reshape(len(ids), self.dim))
-        first, m = self._n, len(ids)
-        rows = np.arange(first, first + m)
-        self._reserve(first + m)
-        self._buf[rows] = lifted
-        self._point[rows] = ids
-        self._top[rows] = levels
-        self._row.update(zip(ids, range(first, first + m)))
-        self._n += m
-        parents = _parent_rows(self._buf[: self._n], self._top[: self._n], rows, earlier=True)
-
-        # In stream order: each run of level-1 points in one array insert,
-        # any other point alone.
-        i = 0
-        while i < m:
-            j = i + 1
-            if levels[i] == 1 and self.levels:
-                while j < m and levels[j] == 1:
-                    j += 1
-                self._insert_leaves(rows[i:j], parents[i:j])
-            else:
-                self._insert_point(ids[i], levels[i], int(parents[i]))
-            i = j
-        for pid in ids:
-            self._place(self.nodes[self._membership[(pid, 1)]], pid)
+        rows = self._add_rows(ids, keys.reshape(len(ids), self.dim), levels, earlier=True)
+        starts, height = [], self.levels
+        for i, lv in enumerate(levels):
+            if not i or lv >= 3 or lv > height:
+                starts.append(i)
+            height = max(height, lv)
+        for a, b in zip(starts, starts[1:] + [len(ids)]):
+            self._link(rows[a:b])
+        for pid, leaf in zip(ids, self._node_of(rows, 1).tolist()):
+            self._place(self.nodes[leaf], pid)
         return levels[0] if single else levels
-
-    def _insert_point(self, point_id: int, level: int, parent: int) -> None:
-        """Insert one point whose row is in the buffer at `level`, under the
-        parent row; -1 when no earlier point reaches above `level`."""
-        if self.levels == 0:
-            for _ in range(level):
-                self._add_level()
-            self.levels = level
-            self.top_node_id = self._open_node(level, None, ROOT_OWNER, point_id).node_id
-            chain_from = level - 1
-        elif level > self.levels:
-            chain_from = self.levels - 1  # _grow_top covers the levels above
-            self._grow_top(point_id, level)
-        else:
-            container = self.nodes[self.top_node_id if parent < 0 else
-                                   self._owner_node[(int(self._point[parent]), level)]]
-            self._add_member(container, point_id)
-            chain_from = level - 1
-
-        for lv in range(chain_from, 0, -1):
-            self._open_node(lv, self._membership[(point_id, lv + 1)], point_id, point_id)
-
-    def _insert_leaves(self, rows: np.ndarray, parents: np.ndarray) -> None:
-        """Add level-1 points (buffer rows, in stream order) to the leaves
-        their parent rows own, or to the top node of a one-level tree.
-
-        Each point goes to the end of its leaf's slice: one np.insert at the
-        slices' current ends (equal positions keep stream order) and one
-        shift of the later slices' starts give the arrays one-at-a-time
-        inserts would.
-        """
-        ids = self._point[rows].tolist()
-        if self.levels == 1:
-            leaves = [self.nodes[self.top_node_id]] * len(ids)
-            pos = np.full(len(ids), self._members[0].size)
-        else:
-            leaves = [self.nodes[self._owner_node[(p, 1)]] for p in self._point[parents].tolist()]
-            starts, counts = self._start[0], self._count[0]
-            pos = starts[parents] + counts[parents]
-            np.add.at(counts, parents, 1)
-            heads = self._members[1]  # every point above level 1 owns a leaf
-            starts[heads] += np.searchsorted(np.sort(pos), starts[heads], side="right")
-        self._members[0] = np.insert(self._members[0], pos, rows)
-        self._membership.update(zip(zip(ids, [1] * len(ids)), (leaf.node_id for leaf in leaves)))
-
-    def _grow_top(self, point_id: int, new_level: int) -> None:
-        """Raise the tree to new_level with point_id as the sole top point."""
-        old_top = self.nodes[self.top_node_id]
-        old_level = self.levels
-        for _ in range(old_level, new_level):
-            self._add_level()
-        top = self._open_node(new_level, None, ROOT_OWNER, point_id)
-        del self._owner_node[(ROOT_OWNER, old_level)]
-        self.top_node_id = top.node_id
-        prev = top
-        for lv in range(new_level - 1, old_level, -1):
-            prev = self._open_node(lv, prev.node_id, point_id, point_id)
-        # The former top cluster becomes the newcomer's node at the old top
-        # level; its members re-parent to the only point above them.
-        old_top.owner_id = point_id
-        old_top.parent_id = prev.node_id
-        self._owner_node[(point_id, old_level)] = old_top.node_id
-        row = self._row[point_id]
-        self._start[old_level - 1][row] = 0
-        self._count[old_level - 1][row] = self._members[old_level - 1].size
-        self._add_member(old_top, point_id)
-        self.levels = new_level
 
     # -- integrity ------------------------------------------------------------
 
@@ -601,8 +610,8 @@ class DciTree:
             offset = 0 if node.owner_id == ROOT_OWNER else \
                 int(self._start[node.level - 1][self._row[node.owner_id]])
             slices[node.level].append((offset, rows.size))
-            assert all(self._membership[(pid, node.level)] == node.node_id
-                       for pid in members), "membership disagrees with the level arrays"
+            assert (self._node_of(rows, node.level) == node.node_id).all(), \
+                "membership disagrees with the level arrays"
             if node.node_id == self.top_node_id:
                 assert node.parent_id is None and node.owner_id == ROOT_OWNER
             else:
@@ -624,11 +633,12 @@ class DciTree:
             expected = sorted(pid for pid, top in self.point_level.items() if top >= lv)
             assert sorted(self._point[self._members[lv - 1]].tolist()) == expected, \
                 f"level {lv} holds the wrong points"
+            present = np.flatnonzero(self._top[: self._n] >= lv)
+            held = np.unique(self._node_of(present, lv)).tolist()
+            assert all(i in self.nodes and self.nodes[i].level == lv for i in held), \
+                "missing level copy"
         assert sorted(leaf_members) == sorted(self.point_level), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"
-        for pid, lv in self.point_level.items():
-            for present in range(1, lv + 1):
-                assert (pid, present) in self._membership, "missing level copy"
 
 
 def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
@@ -639,11 +649,11 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     Levels are drawn for every point first and empty levels removed; then
     each point's parent is its exact nearest lifted neighbour one level up
     (`_parent_rows`, the same result as an exhaustive-budget tree query,
-    orders of magnitude faster). Each level's nodes are ordered by their
-    owner's first appearance in the input, and their members keep input
-    order. Leaf membership is materialized into pages when a store is
-    supplied. The tree reserves room for `rows` points (at least the
-    input), so inserts up to that count never regrow it.
+    orders of magnitude faster), and one `_link` call writes every level:
+    each level's nodes are ordered by their first point in the input, and
+    their members keep input order. Leaf membership is materialized into
+    pages when a store is supplied. The tree reserves room for `rows` points
+    (at least the input), so inserts up to that count never regrow it.
     """
     ids = as_ids(ids)
     mat = np.asarray(keys, dtype=float)
@@ -657,48 +667,9 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     if scale is None:
         scale = KeyScale.from_keys(mat)
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
-
-    n = ids.size
-    drawn = assign_levels(promotion_ratio, tree.rng, n)
-    occupied = np.unique(drawn)
-    top = np.searchsorted(occupied, drawn) + 1  # levels compacted: none is empty
-    n_levels = occupied.size
-
-    # Row r of the buffer is the r-th input point.
-    tree._reserve(max(n, rows))
-    tree._buf[:n] = tree._lift_clamped(mat)
-    tree._point[:n] = ids
-    tree._top[:n] = top
-    tree._row = dict(zip(ids.tolist(), range(n)))
-    tree._n = n
-    point = tree._point
-    parent = _parent_rows(tree._buf[:n], top, np.arange(n))
-
-    for _ in range(n_levels):
-        tree._add_level()
-    tree.levels = n_levels
-    top_rows = np.flatnonzero(top == n_levels)
-    tree._members[n_levels - 1] = top_rows
-    top_node = tree._new_node(n_levels, None, ROOT_OWNER)
-    tree.top_node_id = top_node.node_id
-    node_ids, counts = [top_node.node_id], np.array([n])  # the leaves, if one level
-    tree._membership.update(dict.fromkeys(
-        zip(point[top_rows].tolist(), [n_levels] * top_rows.size), top_node.node_id))
-    for lv in range(n_levels - 1, 0, -1):
-        present = np.flatnonzero(top >= lv)
-        owner = np.where(top[present] == lv, parent[present], present)
-        owners, first, group = np.unique(owner, return_index=True, return_inverse=True)
-        rank = np.argsort(first)                       # node order: first appearance
-        members = present[np.argsort(first[group], kind="stable")]
-        counts = np.bincount(group)[rank]
-        owners = owners[rank]
-        tree._members[lv - 1] = members
-        tree._start[lv - 1][owners] = np.cumsum(counts) - counts
-        tree._count[lv - 1][owners] = counts
-        node_ids = [tree._new_node(lv, tree._membership[(int(point[o]), lv + 1)],
-                                   int(point[o])).node_id for o in owners]
-        tree._membership.update(zip(zip(point[members].tolist(), [lv] * members.size),
-                                    np.repeat(node_ids, counts).tolist()))
-
-    tree._place_leaves([tree.nodes[i] for i in node_ids], counts)
+    drawn = assign_levels(promotion_ratio, tree.rng, ids.size)
+    top = np.searchsorted(np.unique(drawn), drawn) + 1  # levels compacted: none is empty
+    tree._reserve(max(ids.size, rows))
+    tree._link(tree._add_rows(ids, mat, top, earlier=False))
+    tree._place_leaves()
     return tree

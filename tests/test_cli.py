@@ -64,6 +64,19 @@ def test_sweep_recall_monotone_in_budget(capsys):
     assert recalls[0] <= recalls[1] + 1e-9 <= recalls[2] + 2e-9
 
 
+def test_sweep_baseline_keeps_each_budgets_baseline_block(capsys):
+    code, out, _ = _run(capsys, ["sweep", *SMALL, "--steps", "6",
+                                 "--budgets", "8,16", "--baseline"])
+    assert code == 0
+    runs = json.loads(out)["sweep"]
+    assert [run["token_budget"] for run in runs] == [8, 16]
+    for run in runs:
+        assert run["baseline"]["mean_token_order_hit_rate"] is not None
+        assert run["baseline"]["mean_semantic_hit_rate"] is not None
+    code, out, _ = _run(capsys, ["sweep", *SMALL, "--steps", "2", "--budgets", "8"])
+    assert code == 0 and "baseline" not in json.loads(out)["sweep"][0]
+
+
 def test_gen_then_bench_from_trace(tmp_path, capsys):
     trace = tmp_path / "w.icet"
     code, _, _ = _run(capsys, ["gen", *SMALL, "--out", str(trace)])

@@ -19,6 +19,11 @@ def _index(keys, *args, **kwargs):
     return dci_indexing(np.arange(len(keys)), keys, *args, **kwargs)
 
 
+def _node_holding(tree, pid, level):
+    """The node that holds point pid at the level."""
+    return tree.nodes[int(tree._node_of(tree._row[pid], level))]
+
+
 def _clustered(seed, n, d, clusters, spread=0.1):
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(clusters, d))
@@ -99,7 +104,7 @@ def test_parents_stay_within_generating_cluster():
     bottom = [pid for pid, lv in tree.point_level.items() if lv == 1]
     same = 0
     for pid in bottom:
-        node = tree.nodes[tree._membership[(pid, 1)]]
+        node = _node_holding(tree, pid, 1)
         same += labels[node.owner_id] == labels[pid]
     assert same / len(bottom) >= 0.95
 
@@ -121,7 +126,7 @@ def test_build_gives_every_point_its_exact_nearest_parent_across_blocks():
 
     lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
     for pid in range(len(keys)):
-        owner = tree.nodes[tree._membership[(pid, int(top[pid]))]].owner_id
+        owner = _node_holding(tree, pid, int(top[pid])).owner_id
         above = np.flatnonzero(top > top[pid])
         if not above.size:
             assert owner == ROOT_OWNER
@@ -152,7 +157,7 @@ def test_tree_structure_invariants_hold():
     # parent-level invariant, walked explicitly over points
     for pid, lv in tree.point_level.items():
         if lv < tree.levels:
-            node = tree.nodes[tree._membership[(pid, lv)]]
+            node = _node_holding(tree, pid, lv)
             parent = tree.nodes[node.parent_id]
             assert parent.level == lv + 1
 
@@ -317,7 +322,7 @@ def test_insert_overflow_opens_second_page():
     rng = np.random.default_rng(19)
     for i in range(s + 1):  # all level 1 -> single leaf
         tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3, level=1)
-    leaf = tree.nodes[tree._membership[(0, 1)]]
+    leaf = _node_holding(tree, 0, 1)
     assert len(leaf.page_ids) == 2
     fills = store.fill[leaf.page_ids].tolist()
     assert fills == [s, 1]
@@ -552,6 +557,31 @@ def _insert_both_ways(tree, pages):
     assert _tree_state(tree) == _tree_state(twin)
 
 
+def test_random_pages_insert_as_their_points_one_at_a_time():
+    """Pages of random levels, some topping the tree, inserted page-wise
+    into built and empty trees end as the same points inserted one id at a
+    time: the same node ids, layout, pages and counters."""
+    for trial in range(60):
+        rng = np.random.default_rng(500 + trial)
+        store = TierStore(4, 2, page_size=3)
+        if trial % 3:
+            n = int(rng.integers(1, 40))
+            tree = _index(rng.normal(size=(n, 4)), 0.3, seed=trial, store=store)
+        else:
+            n = 0
+            tree = DciTree(4, KeyScale(4.0), 0.3, seed=trial, store=store)
+        height, pages = tree.levels, []
+        for _ in range(int(rng.integers(1, 5))):
+            m = int(rng.integers(1, 12))
+            levels = rng.choice([1, 1, 1, 2, 3, 4, 6], size=m).tolist()
+            if rng.random() < 0.4:
+                levels[int(rng.integers(m))] = height + int(rng.integers(1, 3))
+            height = max(height, *levels)
+            pages.append((list(range(n, n + m)), rng.normal(size=(m, 4)), levels))
+            n += m
+        _insert_both_ways(tree, pages)
+
+
 def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     keys, _, _ = _clustered(37, 600, 8, 4)
     tree = _index(keys, 0.2, seed=37, store=TierStore(8, 2, page_size=4))
@@ -560,7 +590,7 @@ def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
     page = np.vstack([near[:3], anchor, near[3:]])
     _insert_both_ways(tree, [(list(range(1000, 1008)), page, [1, 1, 1, 2, 1, 1, 1, 1])])
-    leaf = tree.nodes[tree._membership[(1003, 1)]]
+    leaf = _node_holding(tree, 1003, 1)
     assert leaf.owner_id == 1003 and leaf.member_ids == [1003, 1004, 1005, 1006, 1007]
 
 
@@ -613,7 +643,7 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
     lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
     checked = 0
     for pid in range(2048, len(keys)):
-        owner = tree.nodes[tree._membership[(pid, int(top[pid]))]].owner_id
+        owner = _node_holding(tree, pid, int(top[pid])).owner_id
         earlier = np.flatnonzero(top[:pid] > top[pid])
         if not earlier.size:  # it topped the tree when it came
             assert owner == ROOT_OWNER or owner > pid
@@ -635,6 +665,19 @@ def test_insert_returns_levels_and_rejects_bad_batches():
         with pytest.raises(InputError):
             tree.insert(ids, keys, level=level)
     assert len(tree) == 3 and tree._n == 3
+    tree.check_invariants()
+
+
+def test_non_finite_keys_are_rejected_before_the_tree_changes():
+    with pytest.raises(InputError):
+        _index(np.array([[1.0, 0.0], [np.inf, 1.0]]), 0.2)
+    tree = _index(np.eye(2), 0.2, seed=27, store=TierStore(2, 2, page_size=2))
+    before = _tree_state(tree)
+    page = np.array([[9.0, 9.0], [np.nan, 0.0]])  # the first key would clamp
+    with pytest.raises(InputError):
+        tree.insert([5, 6], page, level=[1, 1])
+    assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
+    assert tree.insert([5, 6], np.ones((2, 2)), level=[1, 1]) == [1, 1]
     tree.check_invariants()
 
 
