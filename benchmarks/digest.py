@@ -13,6 +13,8 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
   counters each tree's query count and distance evaluations
   pages    each leaf page's token ids, in slot order
   stats    each head's transfer counters
+  store    each head's live, hot and pinned masks, fills and roles over
+           its pages: the residency state after the last step
 
 and a last line digesting all of them. Sink and window pages hold
 consecutive tokens and are covered by the attended ids. Only public state
@@ -50,7 +52,7 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
     wl = bw.generate(seed)
     engine = Engine(bw.cfg).prefill(wl, bw.n_prefill)
     groups = {name: hashlib.sha256()
-              for name in ("outputs", "metrics", "trees", "counters", "pages", "stats")}
+              for name in ("outputs", "metrics", "trees", "counters", "pages", "stats", "store")}
     for i in range(steps):
         outputs, metrics = engine.decode_step(wl.decode_step(bw.n_prefill, i))
         for per_layer in outputs:
@@ -74,6 +76,11 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
         stats = state.store.stats
         groups["stats"].update(repr((key, [(f.name, getattr(stats, f.name))
                                            for f in fields(stats)])).encode())
+        store, n = state.store, state.store.n_pages
+        groups["store"].update(repr((key, n, store.roles[:n])).encode())
+        for mask in (store.live, store.hot, store.pinned):
+            groups["store"].update(np.asarray(mask[:n], dtype=bool).tobytes())
+        groups["store"].update(_ints(store.fill[:n]))
     out = {name: h.hexdigest() for name, h in groups.items()}
     out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
     return out

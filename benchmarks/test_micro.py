@@ -99,7 +99,7 @@ def test_full_attention(benchmark, stream):
 def test_decode_page_glue(benchmark):
     """One indexed head's page work for one query, shaped like reuse-drift
     (2048-token prompt, 256 clusters, queries x 8, budget 64): page lookup,
-    backload, the sink + window + loaded gather, sparse attention, eviction."""
+    backload, the sink + window + loaded gather, sparse attention."""
     spec = WorkloadSpec(kind="clustered", clusters=256, n_tokens=2048 + 16, layers=2,
                         kv_heads=1)
     wl = generate_workload(spec)
@@ -118,5 +118,4 @@ def test_decode_page_glue(benchmark):
         store.backload(pages)
         attended = store.tokens_in(np.concatenate((state.sink, state.window, pages)))
         sparse_attention(q, attended, keys, values)
-        store.evict_unselected(pages)
     benchmark(run)

@@ -29,7 +29,10 @@ EXIT_IO = 4
 
 def _seed_default() -> int:
     env = os.environ.get("ICECACHE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ConfigError(f"ICECACHE_SEED must be an integer, got {env!r}") from None
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="icecache",
         description="Semantic KV-cache paging bench: clustered index, "
                     "query-aware page selection, two-tier transfer accounting.")
-    parser.add_argument("--seed", type=int, default=_seed_default())
+    parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a workload and write a trace file")
@@ -143,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.seed = _seed_default() if args.seed is None else args.seed
         if args.command == "gen":
             spec = _spec_from(args)
             save_trace(generate_workload(spec), args.out)

@@ -7,17 +7,18 @@ attention gathers the selected rows. Prefill copies the prompt in, so later
 writes to the workload's arrays do not reach the engine, and sizes the
 arrays and every tree for the whole stream, so decode never regrows them.
 
-Prefill splits the prompt into sink pages (pinned hot), window pages
-(pinned hot, rotating), and a middle region whose keys are clustered into a
-per-(layer, head) tree whose leaves own cold pages. Decode then runs, per
-layer: window rotation (offload the oldest window page and fold its tokens
-into the tree) when the newest window page is one entry short of full,
-page selection (fresh per-query-head tree queries on anchor layers, the
-anchor's tokens on reuse layers), group-wise page union, bulk backload, and
-sparse attention over the selected pages plus the always-resident sink and
-window tokens. Selections stay int64 id arrays from the tree's result to
-the gather: the attended set is one gather over the head's sink, window
-and selected pages, in that order.
+Prefill splits the prompt into sink pages, window pages and a middle region
+whose keys are clustered into a per-(layer, head) tree whose leaves own
+indexed pages. Sink pages stay hot, window pages stay hot until rotated out,
+and indexed pages are hot only in a step that selects them. Decode then
+runs, per layer: window rotation (offload the oldest window page, which
+dissolves it, and fold its tokens into the tree) when the newest window page
+is one entry short of full, page selection (fresh per-query-head tree
+queries on anchor layers, the anchor's tokens on reuse layers), group-wise
+page union, one backload per head, and sparse attention over the selected
+pages plus the sink and window tokens. Selections stay int64 id arrays from
+the tree's result to the gather: the attended set is one gather over the
+head's sink, window and selected pages, in that order.
 
 The first skip_layers layers are not indexed and attend exactly, as does
 the whole engine when the prompt is too short to split. The engine is not
@@ -215,8 +216,7 @@ class Engine:
 
         def pages(role: str, start: int, stop: int) -> list[int]:
             counts = [min(s, stop - a) for a in range(start, stop, s)]
-            return store.open_pages(np.arange(start, stop), counts, role,
-                                    resident=True, pinned=True).tolist()
+            return store.open_pages(np.arange(start, stop), counts, role).tolist()
 
         sink_end = len(self.sink_tokens)
         sink = pages(SINK, 0, sink_end)
@@ -368,7 +368,6 @@ class Engine:
                         evals.append(self._evaluate_head(
                             layer, h, q, qh_tokens[qh], attended, out,
                             selected.size, state))
-                state.store.evict_unselected(selected)
 
         self.steps_done += 1
         recalls, hits, masses, rel_errors, base = zip(*evals) if evals else ((),) * 5
@@ -396,11 +395,10 @@ class Engine:
         for h in range(cfg.kv_heads):
             state = self.heads[(layer, h)]
             old = state.window.pop(0)
-            state.store.offload(old)
             rotated = state.store.tokens_in([old])
-            state.store.release(old)  # its tokens move to the tree's pages
+            state.store.offload(old)  # dissolves the page; its tokens move to the tree's pages
             state.tree.insert(rotated, self._keys[layer, h, rotated])
-            state.window.append(state.store.allocate_page(WINDOW, resident=True, pinned=True))
+            state.window.append(state.store.allocate_page(WINDOW))
         if layer == cfg.skip_layers:
             self.indexed_tokens.extend(rotated.tolist())
 

@@ -13,10 +13,13 @@ PagedAttention's block table does:
   hot, pinned, live    boolean masks over page ids
 
 A token sits in at most one live page. Page ids count up and are never
-reused; a released page stays dead. Pages are resident ("hot") or offloaded
-("cold"), with sink and window pages pinned hot. Indexed pages keep their
-authoritative copy cold: the hot side only ever holds copies, so eviction is
-free and only cold->hot and hot->cold moves are charged.
+reused. A page is resident ("hot") or offloaded ("cold"); its role sets its
+lifecycle. Sink pages stay pinned hot. Window pages open pinned hot until
+`offload` writes one cold and dissolves it, unmapping its tokens for the
+tree's pages. Indexed pages keep their authoritative copy cold and are hot
+only while selected: each `backload` leaves exactly the pinned and selected
+pages hot, so dropping a copy is free and only cold->hot and hot->cold moves
+are charged.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
@@ -84,9 +87,9 @@ class TierStore:
     """Pages, their token table, and hot/cold residency with bulk-transfer
     accounting.
 
-    Single-writer per (layer, head). Pages allocated with resident=True
-    (sink/window) are authoritative on the hot side and may be pinned;
-    indexed pages start cold and are only ever copied hot.
+    Single-writer per (layer, head). Sink and window pages are
+    authoritative on the hot side and pinned there; indexed pages start
+    cold and are only ever copied hot.
     """
 
     def __init__(self, d: int, d_prime: int, scalar_bytes: int = DEFAULT_SCALAR_BYTES,
@@ -109,15 +112,14 @@ class TierStore:
 
     # -- allocation and placement ---------------------------------------
 
-    def open_pages(self, token_ids: Iterable[int], counts: Iterable[int], role: str = INDEXED,
-                   *, resident: bool = False, pinned: bool = False) -> np.ndarray:
+    def open_pages(self, token_ids: Iterable[int], counts: Iterable[int],
+                   role: str = INDEXED) -> np.ndarray:
         """Open one page per count, each holding the next `count` tokens in
-        order; returns the new page ids, ascending."""
+        order; returns the new page ids, ascending. Sink and window pages
+        open pinned hot, indexed pages cold."""
         tokens, counts = as_ids(token_ids), as_ids(counts)
         if role not in (SINK, WINDOW, INDEXED):
             raise InputError(f"unknown page role {role!r}")
-        if pinned and not resident:
-            raise InputError("a pinned page must be resident")
         if counts.sum() != tokens.size or (counts.size and _top(counts) > self.page_size):
             raise InputError(f"need one count in [0, {self.page_size}] per page, "
                              "summing to the number of tokens")
@@ -138,7 +140,8 @@ class TierStore:
             self.fill, self.live = grown(self.fill, cap, 0), grown(self.live, cap, False)
             self.hot, self.pinned = grown(self.hot, cap, False), grown(self.pinned, cap, False)
         new = slice(first, self.n_pages)
-        self.live[new], self.hot[new], self.pinned[new] = True, resident, pinned
+        self.live[new] = True
+        self.hot[new] = self.pinned[new] = role != INDEXED
         self.fill[new] = counts
         self.roles.extend([role] * counts.size)
         ids = np.arange(first, self.n_pages)
@@ -149,10 +152,9 @@ class TierStore:
             self.page_of[tokens] = owner
         return ids
 
-    def allocate_page(self, role: str = INDEXED, *, resident: bool = False,
-                      pinned: bool = False) -> int:
+    def allocate_page(self, role: str = INDEXED) -> int:
         """Open one empty page."""
-        return int(self.open_pages((), [0], role, resident=resident, pinned=pinned)[0])
+        return int(self.open_pages((), [0], role)[0])
 
     def _reserve_tokens(self, top: int) -> None:
         if top > self.page_of.size:
@@ -173,12 +175,6 @@ class TierStore:
         self.fill[page_id] = slot + 1
         self.page_of[token_id] = page_id
 
-    def release(self, page_id: int) -> None:
-        """Drop a dissolved page and its tokens' mapping (no transfer implied)."""
-        self._live(page_id)
-        self.page_of[self.slots[page_id, : self.fill[page_id]]] = NO_PAGE
-        self.live[page_id] = self.hot[page_id] = self.pinned[page_id] = False
-
     # -- lookup -----------------------------------------------------------
 
     def _live(self, page_ids):
@@ -194,14 +190,6 @@ class TierStore:
             raise ConsistencyError(f"unknown page id among {pages.tolist()}")
         return pages
 
-    def _distinct(self, page_ids: Iterable[int]) -> np.ndarray:
-        pages = self._live(page_ids)
-        seen = np.zeros(self.n_pages, dtype=bool)
-        seen[pages] = True
-        if np.count_nonzero(seen) != pages.size:
-            raise InputError("page ids repeat")
-        return pages
-
     def tokens_in(self, page_ids: Iterable[int]) -> np.ndarray:
         """The token ids of the given pages, in page then slot order."""
         pages = self._live(page_ids)
@@ -214,13 +202,19 @@ class TierStore:
         return int(tokens) * (self.d + self.d_prime) * self.scalar_bytes
 
     def backload(self, selected: Iterable[int]) -> TransferStats:
-        """Bring the selected pages hot; returns the delta for this call.
+        """Make the hot set exactly the pinned pages plus the selected ones;
+        returns the delta for this call.
 
-        Pages already resident are filtered out; whatever remains moves in
-        exactly one transaction (zero if nothing remains). A page listed
-        twice is an InputError.
+        Selected pages already resident are filtered out; whatever remains
+        moves in exactly one transaction (zero if nothing remains). Other
+        unpinned pages drop out of the hot set for free: their
+        authoritative copy is cold. A page listed twice is an InputError.
         """
-        pages = self._distinct(selected)
+        pages = self._live(selected)
+        keep = np.zeros_like(self.hot)
+        keep[pages] = True
+        if np.count_nonzero(keep) != pages.size:
+            raise InputError("page ids repeat")
         to_move = pages[~self.hot[pages]]
         delta = TransferStats(
             transactions=1 if to_move.size else 0,
@@ -228,30 +222,22 @@ class TierStore:
             pages_backloaded=int(to_move.size),
             pages_filtered_resident=int(pages.size - to_move.size),
         )
-        self.hot[to_move] = True
+        np.logical_or(keep, self.pinned, out=self.hot)
         self.stats.add(delta)
         return delta
 
     def offload(self, page_id: int) -> TransferStats:
-        """Move a hot page to the cold tier (one transaction)."""
+        """Write a window page to the cold tier (one transaction) and
+        dissolve it: the page dies and its tokens are unmapped, ready for
+        the tree's own pages. Read its tokens first."""
         self._live(page_id)
-        if self.roles[page_id] == SINK:
-            raise PolicyError(f"sink page {page_id} cannot be offloaded")
         if not self.hot[page_id]:
             raise ConsistencyError(f"page {page_id} is not resident")
-        self.hot[page_id] = self.pinned[page_id] = False
+        if self.roles[page_id] != WINDOW:
+            raise PolicyError(f"{self.roles[page_id]} page {page_id} cannot be offloaded")
+        self.page_of[self.slots[page_id, : self.fill[page_id]]] = NO_PAGE
+        self.live[page_id] = self.hot[page_id] = self.pinned[page_id] = False
         delta = TransferStats(transactions=1, bytes_moved=self._bytes(self.fill[page_id]),
                               pages_offloaded=1)
         self.stats.add(delta)
         return delta
-
-    def evict_unselected(self, keep: Iterable[int]) -> None:
-        """Shrink the hot set to keep | pinned; evictions cost nothing.
-
-        Evicted pages are indexed pages whose authoritative copy already
-        lives cold, so no write-back is modeled. A page listed twice is an
-        InputError.
-        """
-        keep = self._distinct(keep)
-        np.copyto(self.hot, self.pinned)
-        self.hot[keep] = True

@@ -195,7 +195,8 @@ def save_trace(workload: Workload, path: str) -> None:
 def load_trace(path: str) -> Workload:
     """Read a trace file back into a Workload.
 
-    Malformed files raise TraceFormatError naming the failing byte offset.
+    Malformed files, non-finite values included, raise TraceFormatError
+    naming the failing byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -214,6 +215,9 @@ def load_trace(path: str) -> Workload:
         raise TraceFormatError(
             f"payload is {body} bytes, expected {expected}: file ends at byte offset {len(raw)}")
     payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:
+        raise TraceFormatError(f"non-finite value at byte offset {_HEADER.size + 4 * bad[0]}")
     payload = payload.reshape(n, L, H, d + dv + d).astype(float)
 
     spec = WorkloadSpec(kind="trace_file", n_tokens=n, d=d, d_prime=dv,

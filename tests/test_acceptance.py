@@ -126,7 +126,7 @@ def test_05_page_bound_fuzz():
         if loaded > len(pages) * s or len(pages) > k:
             violations += 1
         if i % 7 == 0:
-            state.store.evict_unselected([])
+            state.store.backload([])
     _report(5, "page bound (loaded tokens <= pages x page size)", violations == 0,
             f"0 violations required, saw {violations} in 10000 select->backload pairs",
             time.time() - t0, 30.0)
@@ -194,12 +194,11 @@ def test_08_bulk_transfer_accounting():
         pages.append(page)
     first = store.backload(pages)
     ok = first.transactions == 1 and first.pages_backloaded == 7
-    store.evict_unselected(pages)
     second = store.backload(pages)
     ok = ok and second.transactions == 0 and second.bytes_moved == 0
     partial = store.backload(pages[:3])  # still resident
     ok = ok and partial.transactions == 0
-    store.evict_unselected([])
+    store.backload([])
     third = store.backload(pages[:3])
     ok = ok and third.transactions == 1 and third.pages_backloaded == 3
     _report(8, "bulk-transfer accounting", ok,

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from icecache import Engine, InvariantViolation
@@ -118,6 +119,25 @@ def test_io_error_exit_code(tmp_path, capsys):
                                  str(tmp_path / "missing.icet"), "--steps", "2"])
     assert code == 4
     assert "i/o error" in err
+
+
+def test_non_finite_trace_is_io_error(tmp_path, capsys):
+    trace = tmp_path / "w.icet"
+    assert _run(capsys, ["gen", *SMALL, "--out", str(trace)])[0] == 0
+    raw = bytearray(trace.read_bytes())
+    offset = 32 + 590 * 3 * (16 + 8 + 16) * 4  # token 590's first key float
+    raw[offset:offset + 4] = np.float32(np.nan).tobytes()
+    trace.write_bytes(bytes(raw))
+    code, _, err = _run(capsys, ["bench", *SMALL, "--trace", str(trace), "--steps", "5"])
+    assert code == 4
+    assert f"i/o error: non-finite value at byte offset {offset}" in err
+
+
+def test_bad_seed_env_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("ICECACHE_SEED", "abc")
+    code, _, err = _run(capsys, ["bench", *SMALL, "--steps", "2", "--budget", "8"])
+    assert code == 2
+    assert "config error: ICECACHE_SEED" in err
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

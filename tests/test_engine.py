@@ -363,6 +363,11 @@ class DecodeMachine(RuleBasedStateMachine):
             state.tree.check_invariants()
             store = state.store
             assert not (store.pinned & ~store.hot).any()
+            assert np.flatnonzero(store.pinned).tolist() == sorted(state.sink + state.window)
+            leaf_pages = {p for node in state.tree.nodes.values() if node.is_leaf
+                          for p in node.page_ids}
+            # every unpinned live page is a leaf's: no offloaded window page stays live
+            assert set(np.flatnonzero(store.live & ~store.pinned).tolist()) <= leaf_pages
             listed = Counter(store.tokens_in(np.flatnonzero(store.live)).tolist())
             for t in state.tree.point_ids:
                 assert listed[t] == 1

@@ -8,14 +8,17 @@ from icecache import ConsistencyError, InputError, PolicyError, TierStore, find_
 from icecache.pagestore import INDEXED, NO_PAGE, SINK, WINDOW
 
 
-def _store_with_pages(n_pages, fill, capacity=16, d=8, d_prime=8, resident=False):
+def _store_with_pages(n_pages, fill, capacity=16, d=8, d_prime=8, hot=False):
+    """Indexed pages, cold unless `hot`, when a first backload brings them in."""
     store = TierStore(d, d_prime, page_size=capacity)
     pages = []
     for i in range(n_pages):
-        page = store.allocate_page(INDEXED, resident=resident)
+        page = store.allocate_page(INDEXED)
         for j in range(fill):
             store.append(page, i * capacity + j)
         pages.append(page)
+    if hot:
+        store.backload(pages)
     return store, pages
 
 
@@ -76,8 +79,15 @@ def test_loaded_token_bound():
 # -- backload -------------------------------------------------------------------
 
 
+def test_pages_open_hot_and_pinned_by_role():
+    store = TierStore(4, 4, page_size=8)
+    sink, window, indexed = (store.allocate_page(role) for role in (SINK, WINDOW, INDEXED))
+    assert store.hot[[sink, window, indexed]].tolist() == [True, True, False]
+    assert store.pinned[[sink, window, indexed]].tolist() == [True, True, False]
+
+
 def test_backload_all_resident_is_free():
-    store, pages = _store_with_pages(3, fill=4, resident=True)
+    store, pages = _store_with_pages(3, fill=4, hot=True)
     delta = store.backload(pages)
     assert (delta.transactions, delta.bytes_moved, delta.pages_backloaded) == (0, 0, 0)
     assert delta.pages_filtered_resident == 3
@@ -106,33 +116,76 @@ def test_backload_unknown_page():
         store.backload([404])
 
 
+def test_backload_nothing_leaves_only_pinned_pages_hot():
+    store, pages = _store_with_pages(3, fill=1, hot=True)
+    sink = store.allocate_page(SINK)
+    delta = store.backload([])
+    assert _hot(store) == {sink}
+    assert store.live[pages].all()  # dropped from the hot set, not dissolved
+    assert (delta.transactions, delta.bytes_moved, delta.pages_backloaded) == (0, 0, 0)
+
+
+def test_backload_keeps_exactly_pinned_and_selected_hot():
+    store, pages = _store_with_pages(4, fill=1, hot=True)
+    window = store.allocate_page(WINDOW)
+    store.backload(pages[1:3])
+    assert _hot(store) == {*pages[1:3], window}
+
+
+def test_repeated_selection_backloads_nothing():
+    store, pages = _store_with_pages(4, fill=2)
+    first = store.backload(pages)
+    hot = _hot(store)
+    second = store.backload(pages)
+    assert first.pages_backloaded == 4
+    assert (second.pages_backloaded, second.bytes_moved, second.transactions) == (0, 0, 0)
+    assert second.pages_filtered_resident == 4 and _hot(store) == hot
+
+
 # -- offload ----------------------------------------------------------------------
 
 
-def test_offload_backload_round_trip():
-    store, (page,) = _store_with_pages(1, fill=3, resident=True)
-    before = store.tokens_in([page]).tolist()
-    store.offload(page)
-    assert page not in _hot(store)
-    store.backload([page])
-    assert page in _hot(store)
-    assert store.stats.transactions == 2
-    # conservation: the page lists the same token ids after the round trip
-    assert before == store.tokens_in([page]).tolist()
+def test_offload_dissolves_a_window_page():
+    # a 3-token window page, d = d' = 8: 3 x 16 x 4 = 192 bytes
+    store = TierStore(8, 8)
+    page = store.open_pages([5, 6, 7], [3], WINDOW)[0]
+    delta = store.offload(page)
+    assert (delta.transactions, delta.bytes_moved, delta.pages_offloaded) == (1, 192, 1)
+    assert store.stats.transactions == 1
+    assert not (store.live[page] or store.hot[page] or store.pinned[page])
+    assert (store.page_of[5:8] == NO_PAGE).all()
+    with pytest.raises(ConsistencyError):
+        find_page_index([5], store)
+    with pytest.raises(ConsistencyError):
+        store.tokens_in([page])
+    with pytest.raises(ConsistencyError):
+        store.backload([page])
+    with pytest.raises(ConsistencyError):
+        store.offload(page)
+    # the freed tokens can be filed in another page
+    assert store.open_pages([5, 6, 7], [3]).tolist() == [1]
 
 
 def test_offload_empty_page_counts_one_transaction():
     store = TierStore(8, 8)
-    page = store.allocate_page(WINDOW, resident=True)
+    page = store.allocate_page(WINDOW)
     delta = store.offload(page)
     assert (delta.transactions, delta.bytes_moved, delta.pages_offloaded) == (1, 0, 1)
 
 
 def test_offload_sink_page_is_policy_error():
     store = TierStore(8, 8)
-    page = store.allocate_page(SINK, resident=True, pinned=True)
+    page = store.allocate_page(SINK)
     with pytest.raises(PolicyError):
         store.offload(page)
+    assert store.live[page] and store.stats.pages_offloaded == 0
+
+
+def test_offload_hot_indexed_page_is_policy_error():
+    store, (page,) = _store_with_pages(1, fill=1, hot=True)
+    with pytest.raises(PolicyError):
+        store.offload(page)
+    assert store.live[page] and store.stats.pages_offloaded == 0
 
 
 def test_offload_cold_page_is_inconsistent():
@@ -143,46 +196,18 @@ def test_offload_cold_page_is_inconsistent():
 
 def test_offload_unpins_window_pages():
     store = TierStore(4, 4, page_size=8)
-    page = store.allocate_page(WINDOW, resident=True, pinned=True)
+    page = store.allocate_page(WINDOW)
     store.offload(page)
     assert not store.pinned[page]
 
 
-# -- eviction -----------------------------------------------------------------------
-
-
-def test_evict_keep_current_hot_is_noop():
-    store, pages = _store_with_pages(4, fill=1, resident=True)
-    hot = _hot(store)
-    store.evict_unselected(hot)
-    assert _hot(store) == hot
-
-
-def test_evict_everything_leaves_pinned():
-    store = TierStore(4, 4, page_size=8)
-    pinned = store.allocate_page(SINK, resident=True, pinned=True)
-    loose = store.allocate_page(INDEXED, resident=True)
-    store.evict_unselected([])
-    assert _hot(store) == {pinned}
-    assert store.live[loose]  # evicted, not released
-
-
-def test_repeated_selection_backloads_nothing_after_eviction():
-    store, pages = _store_with_pages(4, fill=2)
-    ids = pages
-    first = store.backload(ids)
-    store.evict_unselected(ids)
-    second = store.backload(ids)
-    assert first.pages_backloaded == 4
-    assert (second.pages_backloaded, second.bytes_moved, second.transactions) == (0, 0, 0)
-
-
 def test_stats_counters_are_monotone():
     store, pages = _store_with_pages(3, fill=2)
+    window = store.open_pages([100, 101], [2], WINDOW)[0]
     snapshots = []
     store.backload([pages[0]])
     snapshots.append(store.stats.__dict__.copy())
-    store.offload(pages[0])
+    store.offload(window)
     snapshots.append(store.stats.__dict__.copy())
     store.backload(pages)
     snapshots.append(store.stats.__dict__.copy())
@@ -190,22 +215,11 @@ def test_stats_counters_are_monotone():
         assert all(b[k] >= a[k] for k in a)
 
 
-def test_release_forgets_page():
-    store, (page,) = _store_with_pages(1, fill=1, resident=True)
-    store.release(page)
-    with pytest.raises(ConsistencyError):
-        store.tokens_in([page])
-    with pytest.raises(ConsistencyError):
-        find_page_index([0], store)  # its token is unmapped too
-
-
 def test_repeated_page_ids_are_input_errors():
     # one cold 4-token page, d = d' = 8: a page is 4 x 16 x 4 = 256 bytes
     store, (page,) = _store_with_pages(1, fill=4)
     with pytest.raises(InputError):
         store.backload([page, page])
-    with pytest.raises(InputError):
-        store.evict_unselected([page, page])
     assert store.stats.bytes_moved == 0 and not store.hot[page]
     delta = store.backload([page])
     assert (delta.bytes_moved, delta.pages_backloaded) == (256, 1)

@@ -125,3 +125,9 @@ def test_malformed_traces_name_byte_offsets(tmp_path):
     path.write_bytes(truncated)
     with pytest.raises(TraceFormatError, match="byte offset"):
         load_trace(str(path))
+    # 6 floats per token after a 32-byte header: float 13 is token 2's key[1]
+    payload = np.frombuffer(good.read_bytes(), dtype="<f4", offset=32).copy()
+    payload[13], payload[20] = np.nan, -np.inf
+    path.write_bytes(good.read_bytes()[:32] + payload.tobytes())
+    with pytest.raises(TraceFormatError, match="non-finite value at byte offset 84$"):
+        load_trace(str(path))
