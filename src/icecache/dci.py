@@ -4,9 +4,10 @@ Every point draws a level from a geometric distribution (ratio r): level
 1 + the number of consecutive uniform draws below r. A point at level l is
 present at every level from 1 up to l. At its top level it joins the node
 (cluster) of its nearest neighbour one level up; below that it heads its own
-chain of singleton-seeded nodes down to a level-1 leaf. Leaf nodes own the
-pages that list their members' token ids, so every indexed token lives in
-exactly one leaf and one page slot.
+chain of singleton-seeded nodes down to a level-1 leaf. Pages list each
+leaf's members in order, so every indexed token lives in exactly one leaf
+and one page slot. The row arrays and the store's page table are the tree's
+only state; node records (`DciTree.nodes`) are read from them.
 
 Levels are drawn for a whole batch at once (`assign_levels`), with the
 same results and generator state as one scalar draw per point.
@@ -40,7 +41,7 @@ bound is computed at query time, with one matmul over the node's members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,34 +115,25 @@ def assign_levels(r: float, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.diff(np.concatenate(ends))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DciNode:
     """One cluster: the points at `level` sharing the same parent point.
 
-    Its members live in the tree's level arrays; `member_ids` reads them and
-    `parent_id` looks up the node holding the owner one level up.
+    A record read from the tree's arrays (`DciTree.nodes`), holding no
+    reference back to the tree. A leaf's `page_ids` are the pages listing
+    its members, ascending (none without a store).
     """
 
     node_id: int
     level: int
     owner_id: int              # owning point id, ROOT_OWNER for the top node
-    tree: "DciTree" = field(repr=False)
-    page_ids: list[int] = field(default_factory=list)  # leaf nodes only
+    parent_id: int | None      # None for the top node
+    member_ids: list[int]
+    page_ids: list[int]        # leaf nodes only
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 1
-
-    @property
-    def parent_id(self) -> int | None:
-        """The parent node's id; None for the top node."""
-        if self.owner_id == ROOT_OWNER:
-            return None
-        return int(self.tree._node_of(self.tree._row[self.owner_id], self.level + 1))
-
-    @property
-    def member_ids(self) -> list[int]:
-        return self.tree._point[self.tree._node_rows(self)].tolist()
 
 
 def _nearest(ids: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
@@ -171,9 +163,7 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     levels = top[rows]
     for lv in np.unique(levels).tolist():
         at = np.flatnonzero(levels == lv)
-        cands = np.flatnonzero(top > lv)
-        if earlier:
-            cands = cands[cands < rows[at].max()]
+        cands = np.flatnonzero((top[: rows[at].max()] if earlier else top) > lv)
         if not cands.size:
             continue
         cand_t = buf[cands].T
@@ -183,9 +173,8 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
             dots = buf[pts] @ cand_t
             if earlier:
                 dots[cands >= pts[:, None]] = -np.inf
-            best = np.argmax(dots, axis=1)
-            found = dots[np.arange(pts.size), best] > -np.inf
-            parent[block] = np.where(found, cands[best], -1)
+            best = cands[np.argmax(dots, axis=1)]  # all masked: cands[0], not earlier
+            parent[block] = np.where(best < pts, best, -1) if earlier else best
     return parent
 
 
@@ -223,7 +212,6 @@ class DciTree:
             np.random.SeedSequence(entropy=self._seed_seq.entropy, spawn_key=(0,)))
 
         self.levels = 0
-        self.nodes: dict[int, DciNode] = {}
         self.top_node_id: int | None = None
         self._row: dict[int, int] = {}          # point id -> row in the point buffer
         self._buf = np.empty((0, dim + 1))
@@ -255,6 +243,24 @@ class DciTree:
     def point_level(self) -> dict[int, int]:
         """Each point's top level, by id."""
         return dict(zip(self.point_ids, self._top[: self._n].tolist()))
+
+    @property
+    def nodes(self) -> dict[int, DciNode]:
+        """Every node by ascending id, read from the level arrays: each row
+        present at level l + 1 owns one node at level l, and the top node is
+        its whole level. A leaf's pages are its members' pages in the store."""
+        found = [(self.top_node_id, self.levels, ROOT_OWNER, None, self._members[-1])] \
+            if self.levels else []
+        for lv in range(1, self.levels):
+            owners, members = self._members[lv], self._members[lv - 1]
+            found += [(i, lv, owner, parent, members[a:a + c]) for i, owner, parent, a, c in zip(
+                self._node_id[lv - 1][owners].tolist(), self._point[owners].tolist(),
+                self._node_of(owners, lv + 1).tolist(), self._start[lv - 1][owners].tolist(),
+                self._count[lv - 1][owners].tolist())]
+        return {i: DciNode(i, lv, owner, parent, self._point[rows].tolist(),
+                           sorted(set(self.store.page_of[self._point[rows]].tolist()))
+                           if lv == 1 and self.store is not None else [])
+                for i, lv, owner, parent, rows in sorted(found, key=lambda f: f[0])}
 
     def _reserve(self, rows: int) -> None:
         """Grow every row-indexed array to hold `rows` points: exactly
@@ -301,7 +307,10 @@ class DciTree:
 
     def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
         """Give points the buffer rows after the last one: lifted keys, ids,
-        top levels and parents (`_parent_rows`). Returns the rows."""
+        top levels and parents (`_parent_rows`). Returns the rows. Ids a
+        store cannot list and non-finite keys fail before any row is added."""
+        if self.store is not None:
+            self.store.check_unlisted(ids)
         first = self._n
         rows = np.arange(first, first + len(keys))
         self._reserve(first + rows.size)
@@ -316,12 +325,6 @@ class DciTree:
 
     # -- node helpers -----------------------------------------------------
 
-    def _new_node(self, level: int, owner_id: int) -> DciNode:
-        node = DciNode(self._next_node_id, level, owner_id, self)
-        self._next_node_id += 1
-        self.nodes[node.node_id] = node
-        return node
-
     def _node_of(self, rows, level: int):
         """The id of the node holding each given row at `level`, where the
         rows must be present."""
@@ -329,14 +332,6 @@ class DciTree:
             return np.full(np.shape(rows), self.top_node_id)
         owner = np.where(self._top[rows] == level, self._parent[rows], rows)
         return self._node_id[level - 1][owner]
-
-    def _node_rows(self, node: DciNode) -> np.ndarray:
-        members = self._members[node.level - 1]
-        if node.owner_id == ROOT_OWNER:
-            return members
-        owner = self._row[node.owner_id]
-        start = self._start[node.level - 1][owner]
-        return members[start: start + self._count[node.level - 1][owner]]
 
     def _link(self, rows: np.ndarray) -> None:
         """Add ascending buffer rows, whose `_top` and `_parent` are set, to
@@ -361,7 +356,8 @@ class DciTree:
             members = self._members[lv - 1]
             if lv == self.levels:
                 if not members.size:
-                    self.top_node_id = self._new_node(lv, ROOT_OWNER).node_id
+                    self.top_node_id = self._next_node_id
+                    self._next_node_id += 1
                 self._members[lv - 1] = np.concatenate((members, joins))
                 continue
             owner = np.where(top[at] == lv, parent[at], joins)
@@ -385,8 +381,7 @@ class DciTree:
                 start[owners] = members.size + np.cumsum(counts) - counts
                 count[owners] = counts
                 self._node_id[lv - 1][owners] = np.arange(owners.size) + self._next_node_id
-                for owner_id in self._point[owners].tolist():
-                    self._new_node(lv, owner_id)
+                self._next_node_id += owners.size
                 members = np.concatenate(
                     (members, joins[new][np.argsort(first[group], kind="stable")]))
             self._members[lv - 1] = members
@@ -398,13 +393,11 @@ class DciTree:
         while self.levels < self._top[row]:
             self._add_level()
         if old:
-            node = self.nodes[self.top_node_id]
-            node.owner_id = int(self._point[row])
             members = self._members[old - 1]
             self._parent[members] = row
             self._start[old - 1][row] = 0
             self._count[old - 1][row] = members.size
-            self._node_id[old - 1][row] = node.node_id
+            self._node_id[old - 1][row] = self.top_node_id
 
     def _directions(self, node_id: int) -> np.ndarray:
         """The node's unit projection directions, drawn from the tree seed."""
@@ -512,33 +505,32 @@ class DciTree:
 
     # -- page placement -----------------------------------------------------
 
-    def _place(self, leaf: DciNode, point_id: int) -> None:
-        """Append an id to the leaf's last page, opening a page when it is full."""
+    def _place(self, rows: np.ndarray) -> None:
+        """Give linked rows' ids page slots, taking the rows in the given
+        order, in which each leaf's given rows are its last members: an id
+        whose position in its leaf is a multiple of page_size opens a page,
+        and every other id joins the page of the id before it in its leaf.
+        New pages open in one call, in the order of the ids opening them."""
         store = self.store
-        if store is None:
+        if store is None or not rows.size:
             return
-        if not leaf.page_ids or store.fill[leaf.page_ids[-1]] >= store.page_size:
-            leaf.page_ids.append(store.allocate_page(INDEXED))
-        store.append(leaf.page_ids[-1], point_id)
-
-    def _place_leaves(self) -> None:
-        """Fill pages for the leaves of a tree that has none, as `_place`
-        would for level 1's members in array order: a leaf of m members
-        opens ceil(m / page_size) pages, all full but the last, in leaf order."""
-        if self.store is None:
-            return
-        leaf = self._node_of(self._members[0], 1)  # leaves tile level 1
-        cut = np.flatnonzero(np.diff(leaf)) + 1
-        leaves = leaf[np.concatenate(([0], cut))].tolist()
-        counts = np.diff(np.concatenate(([0], cut, [leaf.size])))
-        size = self.store.page_size
-        pages = -(-counts // size)
-        first = np.cumsum(pages) - pages
-        rank = np.arange(pages.sum()) - np.repeat(first, pages)  # page's place in its leaf
-        fills = np.minimum(size, np.repeat(counts, pages) - size * rank)
-        ids = self.store.open_pages(self._point[self._members[0]], fills, INDEXED).tolist()
-        for node_id, a, m in zip(leaves, first.tolist(), pages.tolist()):
-            self.nodes[node_id].page_ids = ids[a:a + m]
+        owner = np.where(self._top[rows] == 1, self._parent[rows], rows)  # -1: the top node
+        start, size = (self._start[0], self._count[0]) if self.levels > 1 else \
+            (np.zeros(1, dtype=np.intp), np.array([self._members[0].size]))  # owner -1 reads these
+        order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
+        leaf, at = owner[order], np.arange(rows.size)
+        pos = size[leaf] - np.searchsorted(leaf, leaf, side="right") + at  # place in the leaf
+        slot = pos % store.page_size
+        fresh = at - slot >= np.searchsorted(leaf, leaf)  # the page opens in this call
+        ids = self._point[rows[order]]
+        opener = order[(at - slot)[fresh]]  # given place of the id opening a new page
+        counts = np.bincount(opener)
+        # The ids were checked before any row was added (`_add_rows`).
+        store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0], INDEXED)
+        first = self._members[0][(start[leaf] + pos - slot)[~fresh]]  # opened the page earlier
+        for page_id, pid in zip(store.page_of[self._point[first]].tolist(),
+                                ids[~fresh].tolist()):
+            store.append(page_id, pid)
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -552,10 +544,11 @@ class DciTree:
         them one at a time. Levels are drawn from the tree's stream (or the
         supplied rng), all before any insert, unless given. A point's parent
         is its exact nearest point one level up among those inserted before
-        it, found for the whole call by one `_parent_rows` scan; its id is
-        appended to the owning leaf's current page, opening a new page on
-        overflow. A draw above the current top level grows the tree and
-        re-parents the former top-level points to the newcomer.
+        it, found for the whole call by one `_parent_rows` scan; `_place`
+        gives its id a page slot. A draw above the current top level grows the
+        tree and re-parents the former top-level points to the newcomer. A
+        batch failing a check (an id already indexed or listed by a page, a
+        bad key or level) leaves the tree and store unchanged.
 
         The points go to `_link` in stretches, each ending before the next
         point that reaches level 3 or grows the tree: within a stretch only
@@ -563,7 +556,8 @@ class DciTree:
         level-by-level node ids equal those of one `_link` per point.
         """
         single = np.ndim(point_id) == 0
-        ids = [int(pid) for pid in np.atleast_1d(point_id)]
+        pids = as_ids(np.atleast_1d(point_id))
+        ids = pids.tolist()
         keys = np.asarray(key, dtype=float)
         shape = (self.dim,) if single else (len(ids), self.dim)
         if keys.shape != shape:
@@ -581,7 +575,7 @@ class DciTree:
             if len(levels) != len(ids) or min(levels, default=1) < 1:
                 raise InputError(f"need one level >= 1 per point id, got {level}")
 
-        rows = self._add_rows(ids, keys.reshape(len(ids), self.dim), levels, earlier=True)
+        rows = self._add_rows(pids, keys.reshape(len(ids), self.dim), levels, earlier=True)
         starts, height = [], self.levels
         for i, lv in enumerate(levels):
             if not i or lv >= 3 or lv > height:
@@ -589,8 +583,7 @@ class DciTree:
             height = max(height, lv)
         for a, b in zip(starts, starts[1:] + [len(ids)]):
             self._link(rows[a:b])
-        for pid, leaf in zip(ids, self._node_of(rows, 1).tolist()):
-            self._place(self.nodes[leaf], pid)
+        self._place(rows)
         return levels[0] if single else levels
 
     # -- integrity ------------------------------------------------------------
@@ -599,14 +592,15 @@ class DciTree:
         """Full structural walk; raises AssertionError on violation."""
         assert self.levels >= 1 and self.top_node_id is not None
         assert len(self._members) == self.levels, "level arrays != levels"
-        seen_levels = {node.level for node in self.nodes.values()}
+        nodes, store = self.nodes, self.store
+        points, top = self._point[: self._n], self._top[: self._n]
+        seen_levels = {node.level for node in nodes.values()}
         assert seen_levels == set(range(1, self.levels + 1)), "empty level present"
         slices: dict[int, list[tuple[int, int]]] = {lv: [] for lv in seen_levels}
-        leaf_members: list[int] = []
-        for node in self.nodes.values():
-            rows = self._node_rows(node)
-            members = self._point[rows].tolist()
+        for node in nodes.values():
+            members = node.member_ids
             assert members, f"empty node {node.node_id}"
+            rows = np.array([self._row[pid] for pid in members])
             offset = 0 if node.owner_id == ROOT_OWNER else \
                 int(self._start[node.level - 1][self._row[node.owner_id]])
             slices[node.level].append((offset, rows.size))
@@ -615,14 +609,17 @@ class DciTree:
             if node.node_id == self.top_node_id:
                 assert node.parent_id is None and node.owner_id == ROOT_OWNER
             else:
-                parent = self.nodes[node.parent_id]
+                parent = nodes[node.parent_id]
                 assert parent.level == node.level + 1, "parent not one level up"
                 assert node.owner_id in parent.member_ids, "owner missing from parent"
-            if node.is_leaf:
-                leaf_members.extend(members)
-                if self.store is not None:
-                    assert self.store.tokens_in(node.page_ids).tolist() == members, \
-                        "pages do not list the leaf's members in order"
+            if node.is_leaf and store is not None:  # the rule `_place` keeps
+                pages, listed = np.asarray(node.page_ids), store.page_of[members]
+                assert (store.fill[pages[:-1]] == store.page_size).all(), \
+                    "a leaf's inner page is not full"
+                assert (listed == pages[np.arange(listed.size) // store.page_size]).all(), \
+                    "page j (pages ascending) does not list members from j * page_size on"
+                assert store.tokens_in(pages).tolist() == members, \
+                    "pages do not list the leaf's members in order"
         for lv, spans in slices.items():
             # The nodes of a level tile its member array exactly.
             spans.sort()
@@ -630,14 +627,13 @@ class DciTree:
             assert [start for start, _ in spans] == [0] + ends[:-1], \
                 f"node slices overlap or leave gaps at level {lv}"
             assert ends[-1] == self._members[lv - 1].size, f"stray rows at level {lv}"
-            expected = sorted(pid for pid, top in self.point_level.items() if top >= lv)
-            assert sorted(self._point[self._members[lv - 1]].tolist()) == expected, \
-                f"level {lv} holds the wrong points"
-            present = np.flatnonzero(self._top[: self._n] >= lv)
-            held = np.unique(self._node_of(present, lv)).tolist()
-            assert all(i in self.nodes and self.nodes[i].level == lv for i in held), \
+            assert np.array_equal(np.sort(self._point[self._members[lv - 1]]),
+                                  np.sort(points[top >= lv])), f"level {lv} holds the wrong points"
+            held = np.unique(self._node_of(np.flatnonzero(top >= lv), lv)).tolist()
+            assert all(i in nodes and nodes[i].level == lv for i in held), \
                 "missing level copy"
-        assert sorted(leaf_members) == sorted(self.point_level), "leaf coverage broken"
+        leaf_members = [pid for node in nodes.values() if node.is_leaf for pid in node.member_ids]
+        assert sorted(leaf_members) == sorted(points.tolist()), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"
 
 
@@ -651,9 +647,10 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     (`_parent_rows`, the same result as an exhaustive-budget tree query,
     orders of magnitude faster), and one `_link` call writes every level:
     each level's nodes are ordered by their first point in the input, and
-    their members keep input order. Leaf membership is materialized into
-    pages when a store is supplied. The tree reserves room for `rows` points
-    (at least the input), so inserts up to that count never regrow it.
+    their members keep input order. With a store, one `_place` call lists
+    every leaf's members in pages, opened in leaf order. The tree reserves
+    room for `rows` points (at least the input), so inserts up to that count
+    never regrow it.
     """
     ids = as_ids(ids)
     mat = np.asarray(keys, dtype=float)
@@ -671,5 +668,5 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     top = np.searchsorted(np.unique(drawn), drawn) + 1  # levels compacted: none is empty
     tree._reserve(max(ids.size, rows))
     tree._link(tree._add_rows(ids, mat, top, earlier=False))
-    tree._place_leaves()
+    tree._place(tree._members[0])
     return tree

@@ -59,7 +59,6 @@ class EngineConfig:
     beam: int | None = None      # survivors per level; default 2 x budget
     visit_cap: int | None = None  # per-node evaluations; default 4 x budget
     seed: int = 0
-    scalar_bytes: int = 4
     evaluate: bool = False        # compute exact oracles per step
     compare_baseline: bool = False
 
@@ -79,8 +78,6 @@ class EngineConfig:
             raise ConfigError("skip_layers must be >= 0")
         if self.reuse_stride == 1 or self.reuse_stride < 0:
             raise ConfigError("reuse_stride must be 0 (off) or >= 2")
-        if self.scalar_bytes < 1:
-            raise ConfigError("scalar_bytes must be >= 1")
         self.budget()  # beam and visit_cap must cover token_budget
 
     @property
@@ -212,7 +209,7 @@ class Engine:
     def _build_head(self, layer: int, h: int, window_start: int, rows: int) -> _HeadState:
         cfg = self.cfg
         s = cfg.page_size
-        store = TierStore(cfg.d, cfg.d_prime, cfg.scalar_bytes, s)
+        store = TierStore(cfg.d, cfg.d_prime, s)
 
         def pages(role: str, start: int, stop: int) -> list[int]:
             counts = [min(s, stop - a) for a in range(start, stop, s)]

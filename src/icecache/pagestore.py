@@ -23,7 +23,7 @@ are charged.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
-counted as tokens x (d + d') x bytes-per-scalar.
+counted as tokens x (d + d') x SCALAR_BYTES (float32).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ WINDOW = "window"
 INDEXED = "indexed"
 
 DEFAULT_PAGE_SIZE = 16
-DEFAULT_SCALAR_BYTES = 4
+SCALAR_BYTES = 4
 
 NO_PAGE = -1
 
@@ -92,13 +92,11 @@ class TierStore:
     cold and are only ever copied hot.
     """
 
-    def __init__(self, d: int, d_prime: int, scalar_bytes: int = DEFAULT_SCALAR_BYTES,
-                 page_size: int = DEFAULT_PAGE_SIZE):
-        if min(d, d_prime, scalar_bytes, page_size) < 1:
-            raise InputError("d, d_prime, scalar_bytes and page_size must all be >= 1")
+    def __init__(self, d: int, d_prime: int, page_size: int = DEFAULT_PAGE_SIZE):
+        if min(d, d_prime, page_size) < 1:
+            raise InputError("d, d_prime and page_size must all be >= 1")
         self.d = d
         self.d_prime = d_prime
-        self.scalar_bytes = scalar_bytes
         self.page_size = page_size
         self.n_pages = 0                 # pages ever allocated: the next page id
         self.slots = np.zeros((0, page_size), dtype=np.int64)
@@ -123,15 +121,23 @@ class TierStore:
         if counts.sum() != tokens.size or (counts.size and _top(counts) > self.page_size):
             raise InputError(f"need one count in [0, {self.page_size}] per page, "
                              "summing to the number of tokens")
-        if tokens.size:
-            if tokens.min() < 0:
-                raise InputError("token ids must be >= 0")
-            top = int(tokens.max()) + 1
-            self._reserve_tokens(top)
-            seen = np.zeros(top, dtype=bool)
-            seen[tokens] = True
-            if np.count_nonzero(seen) != tokens.size or (self.page_of[tokens] != NO_PAGE).any():
-                raise InputError("a token repeats or is already in a page")
+        self.check_unlisted(tokens)
+        return self._open(tokens, counts, role)
+
+    def check_unlisted(self, token_ids: Iterable[int]) -> None:
+        """InputError unless the tokens are distinct, >= 0 and in no page."""
+        tokens = as_ids(token_ids)
+        top = _top(tokens) + 1 if tokens.size else 0  # a negative id reads as the largest
+        if top > 2**63:
+            raise InputError("token ids must be >= 0")
+        self._reserve_tokens(top)
+        seen = np.zeros(top, dtype=bool)
+        seen[tokens] = True
+        if np.count_nonzero(seen) != tokens.size or (self.page_of[tokens] != NO_PAGE).any():
+            raise InputError("a token repeats or is already in a page")
+
+    def _open(self, tokens: np.ndarray, counts: np.ndarray, role: str) -> np.ndarray:
+        """`open_pages` without its checks, for tokens `check_unlisted` passed."""
         first = self.n_pages
         self.n_pages += counts.size
         if self.n_pages > self.fill.size:
@@ -146,10 +152,8 @@ class TierStore:
         self.roles.extend([role] * counts.size)
         ids = np.arange(first, self.n_pages)
         if tokens.size:
-            owner = np.repeat(ids, counts)
-            slot = np.arange(tokens.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            self.slots[owner, slot] = tokens
-            self.page_of[tokens] = owner
+            self.slots[new][np.arange(self.page_size) < counts[:, None]] = tokens
+            self.page_of[tokens] = np.repeat(ids, counts)
         return ids
 
     def allocate_page(self, role: str = INDEXED) -> int:
@@ -199,7 +203,7 @@ class TierStore:
     # -- transfers ----------------------------------------------------
 
     def _bytes(self, tokens: int) -> int:
-        return int(tokens) * (self.d + self.d_prime) * self.scalar_bytes
+        return int(tokens) * (self.d + self.d_prime) * SCALAR_BYTES
 
     def backload(self, selected: Iterable[int]) -> TransferStats:
         """Make the hot set exactly the pinned pages plus the selected ones;

@@ -12,6 +12,7 @@ from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
                       exact_topk, transform_key, transform_query)
 from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, PARENT_BLOCK, ROOT_OWNER
+from icecache.pagestore import INDEXED, WINDOW
 
 
 def _index(keys, *args, **kwargs):
@@ -19,9 +20,10 @@ def _index(keys, *args, **kwargs):
     return dci_indexing(np.arange(len(keys)), keys, *args, **kwargs)
 
 
-def _node_holding(tree, pid, level):
-    """The node that holds point pid at the level."""
-    return tree.nodes[int(tree._node_of(tree._row[pid], level))]
+def _node_holding(tree, nodes, pid, level):
+    """The node that holds point pid at the level, looked up in one
+    `tree.nodes` snapshot."""
+    return nodes[int(tree._node_of(tree._row[pid], level))]
 
 
 def _clustered(seed, n, d, clusters, spread=0.1):
@@ -103,8 +105,9 @@ def test_parents_stay_within_generating_cluster():
     tree = _index(keys, 0.1, seed=3)
     bottom = [pid for pid, lv in tree.point_level.items() if lv == 1]
     same = 0
+    nodes = tree.nodes
     for pid in bottom:
-        node = _node_holding(tree, pid, 1)
+        node = _node_holding(tree, nodes, pid, 1)
         same += labels[node.owner_id] == labels[pid]
     assert same / len(bottom) >= 0.95
 
@@ -125,8 +128,9 @@ def test_build_gives_every_point_its_exact_nearest_parent_across_blocks():
     assert (top == 1).sum() > 4 * PARENT_BLOCK
 
     lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+    nodes = tree.nodes
     for pid in range(len(keys)):
-        owner = _node_holding(tree, pid, int(top[pid])).owner_id
+        owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
         above = np.flatnonzero(top > top[pid])
         if not above.size:
             assert owner == ROOT_OWNER
@@ -155,10 +159,11 @@ def test_tree_structure_invariants_hold():
     tree = _index(keys, 0.2, seed=5, store=store)
     tree.check_invariants()
     # parent-level invariant, walked explicitly over points
+    nodes = tree.nodes
     for pid, lv in tree.point_level.items():
         if lv < tree.levels:
-            node = _node_holding(tree, pid, lv)
-            parent = tree.nodes[node.parent_id]
+            node = _node_holding(tree, nodes, pid, lv)
+            parent = nodes[node.parent_id]
             assert parent.level == lv + 1
 
 
@@ -322,7 +327,7 @@ def test_insert_overflow_opens_second_page():
     rng = np.random.default_rng(19)
     for i in range(s + 1):  # all level 1 -> single leaf
         tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3, level=1)
-    leaf = _node_holding(tree, 0, 1)
+    leaf = _node_holding(tree, tree.nodes, 0, 1)
     assert len(leaf.page_ids) == 2
     fills = store.fill[leaf.page_ids].tolist()
     assert fills == [s, 1]
@@ -582,6 +587,69 @@ def test_random_pages_insert_as_their_points_one_at_a_time():
         _insert_both_ways(tree, pages)
 
 
+def _place_by_rule(twin, leaf_pages, placed):
+    """The placement rule spelled out on a twin store: each (leaf, id) in
+    turn appends the id to the leaf's last page, opening a page first when
+    that page is full or the leaf has none."""
+    for leaf, pid in placed:
+        pages = leaf_pages.setdefault(leaf, [])
+        if not pages or twin.fill[pages[-1]] == twin.page_size:
+            pages.append(twin.allocate_page(INDEXED))
+        twin.append(pages[-1], pid)
+
+
+def _assert_pages_equal(tree, twin, leaf_pages):
+    store, n = tree.store, twin.n_pages
+    assert store.n_pages == n
+    assert {node.node_id: node.page_ids for node in tree.nodes.values() if node.is_leaf} == \
+        leaf_pages
+    assert store.fill[:n].tolist() == twin.fill[:n].tolist()
+    assert store.tokens_in(range(n)).tolist() == twin.tokens_in(range(n)).tolist()
+
+
+@pytest.mark.parametrize("page_size", [2, 3])
+def test_page_writer_matches_the_placement_rule(page_size):
+    """Oracle for `_place`: page ids, fills and slot order equal the rule
+    applied one id at a time, for builds (leaves in id order) and for page
+    inserts (ids in insert order), where one call opens several pages in
+    one leaf, opens pages in a leaf the call created, and grows the tree."""
+    seen = set()
+    for trial in range(30):
+        rng = np.random.default_rng(700 + trial)
+        n = int(rng.integers(1, 30))
+        tree = _index(rng.normal(size=(n, 4)), 0.3, seed=trial,
+                      store=TierStore(4, 2, page_size=page_size))
+        twin, leaf_pages = TierStore(4, 2, page_size=page_size), {}
+        leaves = sorted((node for node in tree.nodes.values() if node.is_leaf),
+                        key=lambda node: node.node_id)
+        _place_by_rule(twin, leaf_pages, [(leaf.node_id, pid) for leaf in leaves
+                                          for pid in leaf.member_ids])
+        _assert_pages_equal(tree, twin, leaf_pages)
+        for _ in range(4):
+            m = int(rng.integers(1, 10))
+            levels = rng.choice([1, 1, 1, 1, 2, 3], size=m).tolist()
+            if rng.random() < 0.3:
+                levels[int(rng.integers(m))] = tree.levels + 1
+            old_leaves, height, opened = set(leaf_pages), tree.levels, twin.n_pages
+            tree.insert(range(n, n + m), rng.normal(size=(m, 4)), level=levels)
+            nodes = tree.nodes
+            placed = [(_node_holding(tree, nodes, pid, 1).node_id, pid)
+                      for pid in range(n, n + m)]
+            _place_by_rule(twin, leaf_pages, placed)
+            _assert_pages_equal(tree, twin, leaf_pages)
+            new_pages = [leaf for leaf, pages in leaf_pages.items() for page in pages
+                         if page >= opened]
+            if len(new_pages) > len(set(new_pages)):
+                seen.add("several pages in one leaf")
+            if set(leaf_pages) - old_leaves:
+                seen.add("pages in a new leaf")
+            if tree.levels > height:
+                seen.add("growth")
+            n += m
+        tree.check_invariants()
+    assert seen == {"several pages in one leaf", "pages in a new leaf", "growth"}
+
+
 def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     keys, _, _ = _clustered(37, 600, 8, 4)
     tree = _index(keys, 0.2, seed=37, store=TierStore(8, 2, page_size=4))
@@ -590,7 +658,7 @@ def test_page_inserts_hide_later_points_from_earlier_parent_searches():
     near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
     page = np.vstack([near[:3], anchor, near[3:]])
     _insert_both_ways(tree, [(list(range(1000, 1008)), page, [1, 1, 1, 2, 1, 1, 1, 1])])
-    leaf = _node_holding(tree, 1003, 1)
+    leaf = _node_holding(tree, tree.nodes, 1003, 1)
     assert leaf.owner_id == 1003 and leaf.member_ids == [1003, 1004, 1005, 1006, 1007]
 
 
@@ -642,8 +710,9 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
     top = np.array([point_level[pid] for pid in range(len(keys))])
     lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
     checked = 0
+    nodes = tree.nodes
     for pid in range(2048, len(keys)):
-        owner = _node_holding(tree, pid, int(top[pid])).owner_id
+        owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
         earlier = np.flatnonzero(top[:pid] > top[pid])
         if not earlier.size:  # it topped the tree when it came
             assert owner == ROOT_OWNER or owner > pid
@@ -677,6 +746,15 @@ def test_non_finite_keys_are_rejected_before_the_tree_changes():
     with pytest.raises(InputError):
         tree.insert([5, 6], page, level=[1, 1])
     assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
+    # An id a live page already lists (here a window page's) or a negative
+    # id fails before any row is added, like a bad key.
+    tree.store.open_pages([100], [1], WINDOW)
+    before = _tree_state(tree)
+    for ids in ([5, 100], [5, -1]):
+        with pytest.raises(InputError):
+            tree.insert(ids, np.ones((2, 2)), level=[1, 1])
+        assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
+    tree.check_invariants()
     assert tree.insert([5, 6], np.ones((2, 2)), level=[1, 1]) == [1, 1]
     tree.check_invariants()
 
