@@ -16,7 +16,7 @@ from .engine import (Engine, EngineConfig, StepMetrics, pipeline_estimate, prefi
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
                      IceCacheError, InputError, InvariantViolation, PolicyError,
                      ScaleViolationError, TraceFormatError)
-from .geometry import KeyScale, exact_topk, squared_distance, transform_key, transform_query
+from .geometry import KeyScale, exact_topk, transform_key, transform_query
 from .pagestore import INDEXED, SINK, WINDOW, TierStore, TransferStats, find_page_index
 from .workload import (DecodeStep, Workload, WorkloadSpec, generate_workload,
                        load_trace, save_trace)
@@ -31,7 +31,7 @@ __all__ = [
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
     "DegenerateQueryError", "ConsistencyError", "PolicyError",
     "InvariantViolation", "TraceFormatError",
-    "KeyScale", "exact_topk", "squared_distance", "transform_key", "transform_query",
+    "KeyScale", "exact_topk", "transform_key", "transform_query",
     "INDEXED", "SINK", "WINDOW", "TierStore",
     "TransferStats", "find_page_index",
     "DecodeStep", "Workload", "WorkloadSpec", "generate_workload",

@@ -28,10 +28,11 @@ build links all of its rows in one call; an insert links its page in
 stretches that keep node ids equal to one point at a time. Which node holds
 a point at a level is read from the row arrays (`DciTree._node_of`).
 
-Queries descend from the virtual root: at each level the members of the
-surviving clusters are ranked by lifted distance, the best `beam` survive,
-and their child nodes are searched next. With the sentinel target level the
-candidates of every level feed a global top-k. A node is scanned whole when
+Queries descend from the virtual root to level 1: at each level the
+members of the surviving clusters are ranked by inner product with the
+lifted query (on the unit sphere the same order as lifted distance), the
+best `beam` survive, and their child nodes are searched next. The
+candidates of every level feed one top-k. A node is scanned whole when
 it is small; in a large one only `visit_cap` members are evaluated, those of
 smallest prioritized projection bound: with unit directions u_1..u_m drawn
 per node, max_j |u_j . (p - q)| <= |p - q|, so the bound ranks members
@@ -50,7 +51,7 @@ from .errors import ConfigError, InputError
 from .geometry import KeyScale
 from .pagestore import INDEXED, TierStore
 
-# Target-level sentinel: descend to the bottom, collecting at every level.
+# The only target level a query takes: descend to level 1, collecting at every level.
 SENTINEL_LEVEL = -1
 
 # Owner id of the virtual root's node (the top-level cluster).
@@ -72,7 +73,7 @@ PARENT_BLOCK = 256
 @dataclass(frozen=True)
 class SearchBudget:
     """Work bounds for one query: result count, per-level survivors, and
-    true-distance evaluations per node."""
+    scored members per node."""
 
     k: int
     beam: int
@@ -136,12 +137,13 @@ class DciNode:
         return self.level == 1
 
 
-def _nearest(ids: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
-    """Positions of the m smallest (d2, id) pairs, nearest first."""
-    if d2.size > m:
-        within = np.flatnonzero(d2 <= np.partition(d2, m - 1)[m - 1])
-        return within[np.lexsort((ids[within], d2[within]))[:m]]
-    return np.lexsort((ids, d2))
+def _nearest(ids: np.ndarray, score: np.ndarray, m: int) -> np.ndarray:
+    """Positions of the m smallest (score, id) pairs, smallest first. A
+    query's scores are negated inner products, so this ranks nearest first."""
+    if score.size > m:
+        within = np.flatnonzero(score <= np.partition(score, m - 1)[m - 1])
+        return within[np.lexsort((ids[within], score[within]))[:m]]
+    return np.lexsort((ids, score))
 
 
 def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
@@ -445,63 +447,50 @@ class DciTree:
             keep[a + np.lexsort((self._point[rows[a:b]], bound))[:visit_cap]] = True
         return rows[keep]
 
-    def _distances(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        self.distance_evals += rows.size
-        diff = self._buf.take(rows, axis=0)
-        diff -= q
-        return np.einsum("ij,ij->i", diff, diff)
-
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
               budget: SearchBudget | None = None) -> list[int]:
-        """Descend the tree and return up to k point ids nearest to q_vec.
+        """Descend the tree to level 1 and return up to k point ids, those
+        whose lifted points have the largest inner product with q_vec found
+        on the way, best first, ties toward the smaller id. target_level
+        must be SENTINEL_LEVEL.
 
-        target_level SENTINEL_LEVEL descends to the bottom and ranks
-        candidates collected at every level (the ids whose keys maximize
-        inner product with the query); target_level = l collects only the
-        points found at level l. Targets above the current top level clamp
-        to it.
-
-        Each level is one gather and one distance pass over the members of
-        the surviving nodes; the `beam` nearest, ties toward the smaller id,
-        own the nodes searched one level down.
+        Each level is one gather and one product pass over the members of
+        the surviving nodes, scored by negated inner product; the `beam`
+        best own the nodes searched one level down. The candidates of every
+        level are ranked once, a point found at several levels once.
+        `distance_evals` counts the scored candidates.
         """
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
         if self.levels == 0:
             raise InputError("query on an empty tree")
-        if target_level != SENTINEL_LEVEL and target_level < 1:
-            raise InputError(f"target level must be {SENTINEL_LEVEL} or >= 1, got {target_level}")
+        if target_level != SENTINEL_LEVEL:
+            raise InputError(f"target level must be {SENTINEL_LEVEL}, got {target_level}")
         if budget is None:
             budget = SearchBudget.for_k(k)
-        collect_all = target_level == SENTINEL_LEVEL
-        floor = 1 if collect_all else min(target_level, self.levels)
         q = np.asarray(q_vec)
         self.query_count += 1
 
-        found_rows: list[np.ndarray] = []
-        found_d2: list[np.ndarray] = []
+        found_ids: list[np.ndarray] = []
+        found_scores: list[np.ndarray] = []
         owners = None
-        for level in range(self.levels, floor - 1, -1):
+        for level in range(self.levels, 0, -1):
             rows = self._candidate_rows(level, owners, q, budget.visit_cap)
-            d2 = self._distances(rows, q)
-            if collect_all or level == floor:
-                found_rows.append(rows)
-                found_d2.append(d2)
-            if level > floor:
-                owners = rows[_nearest(self._point[rows], d2, budget.beam)]
+            ids = self._point[rows]
+            # einsum, not `@`: BLAS gemv scores a call's last rows with
+            # another kernel, so equal rows could get unequal scores.
+            score = -np.einsum("ij,j->i", self._buf.take(rows, axis=0), q)
+            self.distance_evals += rows.size
+            found_ids.append(ids)
+            found_scores.append(score)
+            if level > 1:
+                owners = rows[_nearest(ids, score, budget.beam)]
 
-        rows = np.concatenate(found_rows)
-        d2 = np.concatenate(found_d2)
-        ids = self._point[rows]
-        if not collect_all:
-            return ids[_nearest(ids, d2, k)].tolist()  # one level: no repeats
-        # A point found at several levels is ranked by its first (nearest)
-        # place, so k distinct ids lie within the k + (repeats) nearest.
-        seen = np.zeros(self._n, dtype=bool)
-        seen[rows] = True
-        ids = ids[_nearest(ids, d2, k + rows.size - np.count_nonzero(seen))]
-        first = np.unique(ids, return_index=True)[1]
-        return ids[np.sort(first)[:k]].tolist()
+        # A point found at several levels has one row, so one score: its
+        # copies rank side by side, and the best k x levels hold k points.
+        ids = np.concatenate(found_ids)
+        ids = ids[_nearest(ids, np.concatenate(found_scores), k * self.levels)]
+        return ids[np.concatenate(([True], ids[1:] != ids[:-1]))][:k].tolist()
 
     # -- page placement -----------------------------------------------------
 

@@ -14,11 +14,12 @@ and indexed pages are hot only in a step that selects them. Decode then
 runs, per layer: window rotation (offload the oldest window page, which
 dissolves it, and fold its tokens into the tree) when the newest window page
 is one entry short of full, page selection (fresh per-query-head tree
-queries on anchor layers, the anchor's tokens on reuse layers), group-wise
-page union, one backload per head, and sparse attention over the selected
-pages plus the sink and window tokens. Selections stay int64 id arrays from
-the tree's result to the gather: the attended set is one gather over the
-head's sink, window and selected pages, in that order.
+queries on anchor layers, the anchor's tokens on reuse layers), one page
+lookup of the group's token union, one backload per head, and sparse
+attention over the selected pages plus the sink and window tokens.
+Selections stay int64 id arrays from the tree's result to the gather: the
+attended set is one gather over the head's sink, window and selected pages,
+in that order.
 
 The first skip_layers layers are not indexed and attend exactly, as does
 the whole engine when the prompt is too short to split. The engine is not
@@ -255,34 +256,30 @@ class Engine:
                           ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
         """Pages per kv head and selected tokens per query head, as id arrays.
 
-        Anchor layers run a fresh tree query per query head; each head's
-        tokens are its own result, the group's pages the union of theirs,
-        and the group's token union is recorded. Reuse layers take the most
-        recent anchor's token union for every head of the group, mapped
-        through their own page table without touching the tree.
+        Anchor layers run a fresh tree query per query head, ranked by inner
+        product; each head's tokens are its own result, and the group's token
+        union is recorded. Reuse layers take the most recent anchor's token
+        union for every head of the group, without touching the tree. Either
+        way the group's pages are its token union's, looked up once in the
+        layer's own page table.
         """
         pages_by_head: dict[int, np.ndarray] = {}
         tokens_by_qh: dict[int, np.ndarray] = {}
         anchor = self.is_anchor_layer(layer)
         for group in self.groups:
             h = group.kv_head_id
-            store = self.heads[(layer, h)].store
             if anchor:
-                per_head_pages, per_head_tokens = [], []
                 for qh in group.query_head_ids:
-                    tokens = self._select_tokens(layer_queries[qh], layer, h)
-                    tokens_by_qh[qh] = tokens
-                    per_head_tokens.append(tokens)
-                    per_head_pages.append(find_page_index(tokens, store))
-                self._anchor_tokens[h] = gqa_union(per_head_tokens)
-                pages_by_head[h] = gqa_union(per_head_pages)
+                    tokens_by_qh[qh] = self._select_tokens(layer_queries[qh], layer, h)
+                self._anchor_tokens[h] = gqa_union(
+                    [tokens_by_qh[qh] for qh in group.query_head_ids])
+            elif h not in self._anchor_tokens:
+                raise ConfigError(f"no anchor selection recorded yet for head {h}")
             else:
-                if h not in self._anchor_tokens:
-                    raise ConfigError(f"no anchor selection recorded yet for head {h}")
-                tokens = self._anchor_tokens[h]
-                pages_by_head[h] = find_page_index(tokens, store)
                 for qh in group.query_head_ids:
-                    tokens_by_qh[qh] = tokens
+                    tokens_by_qh[qh] = self._anchor_tokens[h]
+            pages_by_head[h] = find_page_index(self._anchor_tokens[h],
+                                               self.heads[(layer, h)].store)
         return pages_by_head, tokens_by_qh
 
     # -- decode ---------------------------------------------------------------

@@ -12,9 +12,9 @@ vectors and
     |transform_query(q) - transform_key(k)|^2 = 2 - 2 (q . k) / (c |q|),
 
 so for a fixed query the nearest lifted keys are exactly the keys with the
-largest inner products. All distances in this package are squared Euclidean
-(monotone in Euclidean, no square roots). Ties break toward the smaller
-token id everywhere so results are reproducible.
+largest inner products, and the index ranks lifted points by inner product
+directly. Ties break toward the smaller token id everywhere so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ def transform_query(q) -> np.ndarray:
     out[:-1] = q / norm
     out[-1] = 0.0
     return out
-
-
-def squared_distance(a, b) -> float:
-    """Squared Euclidean distance, the package-wide internal metric."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(diff @ diff)
 
 
 def exact_topk(q, keys, k: int) -> list[int]:

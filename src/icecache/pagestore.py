@@ -131,9 +131,8 @@ class TierStore:
         if top > 2**63:
             raise InputError("token ids must be >= 0")
         self._reserve_tokens(top)
-        seen = np.zeros(top, dtype=bool)
-        seen[tokens] = True
-        if np.count_nonzero(seen) != tokens.size or (self.page_of[tokens] != NO_PAGE).any():
+        ordered = np.sort(tokens)
+        if (ordered[1:] == ordered[:-1]).any() or (self.page_of[tokens] != NO_PAGE).any():
             raise InputError("a token repeats or is already in a page")
 
     def _open(self, tokens: np.ndarray, counts: np.ndarray, role: str) -> np.ndarray:

@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import icecache.engine as engine_mod  # noqa: E402
 from icecache import Engine, EngineConfig, WorkloadSpec, generate_workload  # noqa: E402
 from perfbench.check import attended_ids  # noqa: E402
-from perfbench.spans import _entry_points  # noqa: E402
+from perfbench.spans import SpanRecorder, _distance_note, _entry_points  # noqa: E402
 
 
 def test_every_traced_entry_point_exists_on_the_engine_module():
@@ -48,16 +48,51 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
 
     for name in ("sparse_attention", "find_page_index"):
         monkeypatch.setattr(engine_mod, name, counted(name))
+    selected = defaultdict(set)  # tree -> ids its queries returned
+    original_query = engine_mod.DciTree.query
+
+    def query(tree, *args):
+        result = original_query(tree, *args)
+        selected[id(tree)].update(result)
+        return result
+    monkeypatch.setattr(engine_mod.DciTree, "query", query)
     outs, _ = eng.decode_step(wl.decode_step(500, 0))
 
     indexed = cfg.layers - cfg.skip_layers
     assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
-    assert len(calls["find_page_index"]) == indexed * cfg.n_query_heads
+    # One page lookup per (layer, kv head), given the group's token union.
+    tree_of = {id(state.store): state.tree for state in eng.heads.values()}
+    assert sorted(id(args[1]) for args, _ in calls["find_page_index"]) == sorted(tree_of)
+    for (tokens, store), pages in calls["find_page_index"]:
+        assert tokens.tolist() == sorted(selected[id(tree_of[id(store)])])
+        assert pages.tolist() == sorted(set(store.page_of[tokens].tolist()))
     returned = [outs[layer][qh] for layer in range(cfg.skip_layers, cfg.layers)
                 for qh in range(cfg.n_query_heads)]
     assert all(result is out for (_, result), out in zip(calls["sparse_attention"], returned))
     for args, out in calls["sparse_attention"]:
         assert attended_ids(out).tolist() == [int(t) for t in args[1]]
+
+
+def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):
+    """The traced run notes each `DciTree.query` call by unpacking
+    `tree, q_vec, _, k` from its positional arguments, so every selection
+    query must pass the lifted query, the target level and k in that order."""
+    spec = WorkloadSpec(kind="clustered", n_tokens=600, d=16, d_prime=8, clusters=8,
+                        layers=4, kv_heads=2, query_heads_per_group=2, seed=3)
+    cfg = EngineConfig(layers=4, kv_heads=2, query_heads_per_group=2, d=16, d_prime=8,
+                       token_budget=16, seed=3)
+    wl = generate_workload(spec)
+    eng = Engine(cfg).prefill(wl, 500)
+    rec = SpanRecorder()
+    monkeypatch.setattr(engine_mod.DciTree, "query",
+                        rec.wrap("dci.query", engine_mod.DciTree.query, _distance_note()))
+    eng.decode_step(wl.decode_step(500, 0))
+
+    assert len(rec.notes) == (cfg.layers - cfg.skip_layers) * cfg.n_query_heads
+    for tree, q_vec, k, result, delta, size in rec.notes.values():
+        assert type(k) is int and k == cfg.token_budget
+        assert np.shape(q_vec) == (cfg.d + 1,)
+        assert len(result) == k and delta > 0 and size == len(tree)
 
 
 def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):

@@ -231,23 +231,39 @@ def test_query_with_everything_unbounded_returns_all_ids():
 
 
 def test_exhaustive_budget_query_equals_exact_topk():
+    """The ordered result is the brute-force ranking of the lifted keys:
+    inner product descending, ties toward the smaller id. In the last
+    trials every key row repeats, so equal scores tie across ids and a
+    point is found at several levels; each id is still returned once."""
     rng = np.random.default_rng(11)
-    for trial in range(50):
+    ties = repeats = 0
+    for trial in range(70):
         n = int(rng.integers(50, 400))
         keys = rng.normal(size=(n, 12))
+        if trial >= 50:
+            keys = keys[rng.integers(0, n // 8, size=n)]
         tree = _index(keys, 0.15, seed=trial)
         q = rng.normal(size=12)
-        got = tree.query(transform_query(q), SENTINEL_LEVEL, 16,
-                         SearchBudget.exhaustive(16))
-        assert set(got) == set(exact_topk(q, keys, 16))
+        tq = transform_query(q)
+        got = tree.query(tq, SENTINEL_LEVEL, 16, SearchBudget.exhaustive(16))
+        if trial < 50:
+            assert set(got) == set(exact_topk(q, keys, 16))
+        scores = np.array([transform_key(k, tree.scale) @ tq for k in keys])
+        want = np.lexsort((np.arange(n), -scores))[:16].tolist()
+        assert got == want and len(set(got)) == 16
+        ties += len(np.unique(scores[want])) < 16
+        repeats += sum(tree.point_level[pid] > 1 for pid in got)  # found at several levels
+    assert ties == 20 and repeats >= 20
 
 
-def test_query_clamps_target_level_above_top():
+def test_query_rejects_targets_other_than_the_sentinel():
     keys = np.eye(5)
     tree = _index(keys, 0.2, seed=12)
-    got = tree.query(transform_query(keys[0]), tree.levels + 5, 2,
-                     SearchBudget.exhaustive(2))
-    assert len(got) == min(2, len(tree.nodes[tree.top_node_id].member_ids))
+    for target in (1, tree.levels, tree.levels + 5, 0, -2):
+        with pytest.raises(InputError):
+            tree.query(transform_query(keys[0]), target, 2, SearchBudget.exhaustive(2))
+    assert tree.query_count == 0
+    assert tree.query(transform_query(keys[0]), SENTINEL_LEVEL, 2)[0] == 0
 
 
 def test_planted_needle_is_always_retrieved():

@@ -39,6 +39,7 @@ def test_page_rejects_overflow_and_duplicates():
     with pytest.raises(InputError):
         store.append(page, 3)
     for tokens, counts in (([4, 4], [2]),     # a token in two slots
+                           ([7, 10**5, 10**5], [1, 2]),  # the same, far past the table
                            ([2], [1]),        # already in the first page
                            ([4, 5, 6], [3]),  # overflow
                            ([4, 5], [1]),     # counts short of the tokens
