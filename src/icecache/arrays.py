@@ -19,3 +19,12 @@ def grown(arr: np.ndarray, rows: int, fill=0) -> np.ndarray:
     out = np.full((rows,) + arr.shape[1:], fill, dtype=arr.dtype)
     out[: arr.shape[0]] = arr
     return out
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The ascending distinct values of a 1-D array: `np.unique` by one sort
+    and a neighbour compare, without its per-call overhead."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import as_ids
+from .arrays import as_ids, distinct
 from .errors import InputError
 
 
@@ -154,4 +154,4 @@ def gqa_union(per_query_selections: Sequence[Iterable[int]]) -> np.ndarray:
     """Ascending distinct union of the selections of the query heads in one group."""
     if len(per_query_selections) == 0:
         raise InputError("need at least one selection to union")
-    return np.unique(np.concatenate([as_ids(s) for s in per_query_selections]))
+    return distinct(np.concatenate([as_ids(s) for s in per_query_selections]))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_ids, grown
+from .arrays import as_ids, distinct, grown
 from .errors import ConfigError, InputError
 from .geometry import KeyScale
 from .pagestore import INDEXED, TierStore
@@ -163,7 +163,7 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
-    for lv in np.unique(levels).tolist():
+    for lv in np.flatnonzero(np.bincount(levels)).tolist():  # the levels present
         at = np.flatnonzero(levels == lv)
         cands = np.flatnonzero((top[: rows[at].max()] if earlier else top) > lv)
         if not cands.size:
@@ -517,9 +517,7 @@ class DciTree:
         # The ids were checked before any row was added (`_add_rows`).
         store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0], INDEXED)
         first = self._members[0][(start[leaf] + pos - slot)[~fresh]]  # opened the page earlier
-        for page_id, pid in zip(store.page_of[self._point[first]].tolist(),
-                                ids[~fresh].tolist()):
-            store.append(page_id, pid)
+        store._join(store.page_of[self._point[first]], ids[~fresh])
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -647,14 +645,14 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
         raise InputError("cannot index an empty key set")
     if mat.ndim != 2 or len(mat) != ids.size:
         raise InputError(f"need one key row per point id, got keys of shape {mat.shape}")
-    if np.unique(ids).size != ids.size:
+    if distinct(ids).size != ids.size:
         raise InputError("duplicate point ids in index input")
 
     if scale is None:
         scale = KeyScale.from_keys(mat)
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
     drawn = assign_levels(promotion_ratio, tree.rng, ids.size)
-    top = np.searchsorted(np.unique(drawn), drawn) + 1  # levels compacted: none is empty
+    top = np.searchsorted(distinct(drawn), drawn) + 1  # levels compacted: none is empty
     tree._reserve(max(ids.size, rows))
     tree._link(tree._add_rows(ids, mat, top, earlier=False))
     tree._place(tree._members[0])

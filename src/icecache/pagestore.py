@@ -155,6 +155,17 @@ class TierStore:
             self.page_of[tokens] = np.repeat(ids, counts)
         return ids
 
+    def _join(self, page_ids: np.ndarray, tokens: np.ndarray) -> None:
+        """Put token i in the next free slot of page page_ids[i], each page
+        taking its tokens in the given order. Unchecked: the tokens passed
+        `check_unlisted` and the pages are live with room for them."""
+        order = np.argsort(page_ids, kind="stable")
+        pages = page_ids[order]
+        rank = np.arange(pages.size) - np.searchsorted(pages, pages)
+        self.slots[pages, self.fill[pages] + rank] = tokens[order]
+        np.add.at(self.fill, pages, 1)
+        self.page_of[tokens] = page_ids
+
     def allocate_page(self, role: str = INDEXED) -> int:
         """Open one empty page."""
         return int(self.open_pages((), [0], role)[0])

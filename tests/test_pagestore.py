@@ -52,6 +52,21 @@ def test_page_rejects_overflow_and_duplicates():
     assert store.tokens_in([3, 1, 2]).tolist() == [6, 4, 5]
 
 
+def test_join_equals_appends_in_order():
+    # The tree's one array write for ids joining existing pages: each page
+    # takes its ids in the given order, as one append per id would.
+    joined, appended = (_store_with_pages(4, 1, capacity=4)[0] for _ in range(2))
+    pages, tokens = np.array([2, 0, 2, 3, 2]), np.array([40, 41, 42, 43, 44])
+    joined.check_unlisted(tokens)
+    joined._join(pages, tokens)
+    for page, token in zip(pages.tolist(), tokens.tolist()):
+        appended.append(page, token)
+    for name in ("slots", "fill", "page_of"):
+        assert np.array_equal(getattr(joined, name), getattr(appended, name)), name
+    joined._join(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert np.array_equal(joined.fill, appended.fill)
+
+
 def test_find_page_index_single_page():
     store = TierStore(4, 4)
     assert store.open_pages(range(8), [0] * 5 + [8]).tolist() == list(range(6))
