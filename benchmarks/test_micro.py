@@ -51,8 +51,9 @@ def test_dci_query(benchmark, stream):
 
 
 def test_dci_insert_page(benchmark):
-    """One rotated window page folded into the tree: one insert call. The
-    tree reserves the page's rows, as prefill reserves the stream's."""
+    """One folded window page inserted into the tree: one insert call, as
+    each head of the folding anchor group makes on its fold step. The tree
+    reserves the page's rows, as prefill reserves the stream's."""
     keys = _stream(N_KEYS + PAGE)[0]
     tree = _build(keys, rows=N_KEYS + PAGE)
     ids = list(range(N_KEYS, N_KEYS + PAGE))
@@ -63,7 +64,7 @@ def test_dci_insert_page(benchmark):
 
 
 def test_dci_insert_page_uniform(benchmark):
-    """One page into a 32k uniform tree, as uniform-32k rotates it: the
+    """One page into a 32k uniform tree, as uniform-32k folds it: the
     page's parent scan runs over the largest tree of the workloads."""
     n = 32_768
     spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)

@@ -9,14 +9,25 @@ arrays and every tree for the whole stream, so decode never regrows them.
 
 Prefill splits the prompt into sink pages, window pages and a middle region
 whose keys are clustered into a per-(layer, head) tree whose leaves own
-indexed pages. Sink pages stay hot, window pages stay hot until rotated out,
+indexed pages. Sink pages stay hot, window pages stay hot until folded,
 and indexed pages are hot only in a step that selects them. Decode then
-runs, per layer: window rotation (offload the oldest window page, which
-dissolves it, and fold its tokens into the tree) when the newest window page
-is one entry short of full, page selection (fresh per-query-head tree
-queries on anchor layers, the anchor's tokens on reuse layers), one page
-lookup of the group's token union, one backload per head, and sparse
-attention over the selected pages plus the sink and window tokens.
+runs, per layer: the token's window append (into a fresh window page when
+the newest is full), the window fold (offload the oldest window page, which
+dissolves it, and insert its tokens into the tree) at the layer's fold
+step, page selection (fresh per-query-head tree queries on anchor layers,
+the anchor's tokens on reuse layers), one page lookup of the group's token
+union, one backload per head, and sparse attention over the selected pages
+plus the sink and window tokens.
+
+Folds are spread over the page, so that no step pays every tree's insert.
+An anchor group is an anchor layer and the reuse layers that read its
+selection; group g of G folds when the newest window page's fill reaches
+page_size * g // G + 1, and only while its window holds more than
+window_pages pages. So a window holds window_pages to window_pages + 1
+pages, and with G <= page_size at most one group folds on a step. A group
+folds together because a reuse layer looks its anchor's tokens up in its
+own page table: a token the anchor has folded must have left the reuse
+layer's window too.
 Selections stay int64 id arrays from the tree's result to the gather: the
 attended set is one gather over the head's sink, window and selected pages,
 in that order.
@@ -155,8 +166,8 @@ class Engine:
         self._values = np.empty((0, 0, 0, cfg.d_prime))
         self._n = 0                                       # tokens held by every buffer
         self.sink_tokens: list[int] = []
-        self.indexed_tokens: list[int] = []
         self.selection_queries = 0
+        self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
         self._anchor_tokens: dict[int, np.ndarray] = {}
 
     # -- prefill -----------------------------------------------------------
@@ -198,9 +209,11 @@ class Engine:
         sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
         self.sink_tokens = list(range(sink_end))
-        self.indexed_tokens = list(range(sink_end, window_start))
 
+        groups, group = len(self.anchor_layers()), -1
         for layer in range(cfg.skip_layers, cfg.layers):
+            group += self.is_anchor_layer(layer)
+            self._fold_at[layer] = s * group // groups + 1
             for h in range(cfg.kv_heads):
                 self.heads[(layer, h)] = self._build_head(layer, h, window_start, rows)
 
@@ -312,13 +325,13 @@ class Engine:
         pages_selected = tokens_loaded = 0
         queries_before = self.selection_queries
 
-        rotate = False
+        fill = 0  # the newest window page's fill once it holds this token
         if not self.fallback:
-            # Every head takes one token per step, so all rotate together.
+            # Every head takes one token per step, so all windows share one boundary.
             fills = {int(state.store.fill[state.window[-1]]) for state in self.heads.values()}
             if len(fills) != 1:
                 raise InvariantViolation(f"newest window pages differ in fill: {sorted(fills)}")
-            rotate = fills.pop() >= cfg.page_size - 1
+            fill = fills.pop() % cfg.page_size + 1  # a full page: the token opens a fresh one
 
         if self._n == self._keys.shape[2]:  # a stream longer than the prefilled workload
             pad = ((0, 0), (0, 0), (0, self._n), (0, 0))
@@ -334,13 +347,14 @@ class Engine:
                         layer, qh // cfg.query_heads_per_group, step.queries[layer, qh])
                 continue
 
-            if rotate:
-                self._rotate_layer(layer)
             for h in range(cfg.kv_heads):
                 state = self.heads[(layer, h)]
-                fill = state.store.fill
-                state.store.append(next(p for p in state.window if fill[p] < cfg.page_size),
-                                   token)
+                if fill == 1:
+                    state.window.append(state.store.allocate_page(WINDOW))
+                state.store.append(state.window[-1], token)
+            # The layer's heads hold equal windows; `state` is its last head's.
+            if fill == self._fold_at[layer] and len(state.window) > cfg.window_pages:
+                self._rotate_layer(layer)
 
             pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
             for group in self.groups:
@@ -384,17 +398,14 @@ class Engine:
         return outputs, metrics
 
     def _rotate_layer(self, layer: int) -> None:
-        """Offload the oldest window page and fold its tokens into the tree."""
-        cfg = self.cfg
-        for h in range(cfg.kv_heads):
+        """Fold each head's oldest window page: offload it and insert its
+        tokens into the head's tree."""
+        for h in range(self.cfg.kv_heads):
             state = self.heads[(layer, h)]
             old = state.window.pop(0)
             rotated = state.store.tokens_in([old])
             state.store.offload(old)  # dissolves the page; its tokens move to the tree's pages
             state.tree.insert(rotated, self._keys[layer, h, rotated])
-            state.window.append(state.store.allocate_page(WINDOW))
-        if layer == cfg.skip_layers:
-            self.indexed_tokens.extend(rotated.tolist())
 
     def _evaluate_head(self, layer: int, kv_head: int, q: np.ndarray,
                        selected_tokens: np.ndarray, attended: np.ndarray,
@@ -404,8 +415,10 @@ class Engine:
         ref = self._full_output(layer, kv_head, q)
         ref_w, ref_v = ref.dense_weights, ref.value_out
 
-        k_eff = min(cfg.token_budget, len(self.indexed_tokens))
-        indexed = np.asarray(self.indexed_tokens)
+        # The head's own tree: groups fold on different steps, so their
+        # indexed tokens differ for up to page_size - 1 steps.
+        indexed = np.asarray(state.tree.point_ids)
+        k_eff = min(cfg.token_budget, indexed.size)
         indexed_keys = self._keys[layer, kv_head, indexed]
         oracle_indexed = indexed[exact_topk(q, indexed_keys, k_eff)]
         recall = int(np.isin(oracle_indexed, selected_tokens).sum()) / k_eff

@@ -97,10 +97,10 @@ def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):
 
 def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     """The traced run times `dci.insert` per call and reads each tree's
-    `distance_evals` at `dci.query` boundaries: a rotation must insert each
-    head's offloaded page in one call, which issues no `DciTree.query` and
-    leaves the query counters as they were, and distances are counted only
-    inside queries."""
+    `distance_evals` at `dci.query` boundaries: a fold must insert each of
+    the folding anchor group's heads' offloaded page in one call (and no
+    other head's), which issues no `DciTree.query` and leaves the query
+    counters as they were, and distances are counted only inside queries."""
     spec = WorkloadSpec(kind="clustered", n_tokens=560, d=16, d_prime=8, clusters=8,
                         layers=4, kv_heads=2, seed=4)
     cfg = EngineConfig(layers=4, kv_heads=2, d=16, d_prime=8, token_budget=16,
@@ -135,23 +135,30 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     monkeypatch.setattr(tree_cls, "insert", insert)
     monkeypatch.setattr(tree_cls, "query", query)
     trees = [state.tree for state in eng.heads.values()]
-    rotations = 0
+    anchors = eng.anchor_layers()
+    assert len(anchors) == 3  # every indexed layer is its own group: folds at fills 1, 6, 11
+    folds = []
     for step in range(2 * cfg.page_size):
-        heads = {key: (id(state.tree), state.store.tokens_in([state.window[0]]).tolist())
-                 for key, state in eng.heads.items()}
+        heads = {key: (id(state.tree), state.store.tokens_in([state.window[0]]).tolist(),
+                       len(state.window)) for key, state in eng.heads.items()}
         inserts.clear()
         selection = [q for q in queries if q[0] == "decode"]
         evals, counted = sum(t.distance_evals for t in trees), len(queries)
         eng.decode_step(wl.decode_step(500, step))
         assert sum(t.distance_evals for t in trees) - evals == \
             sum(delta for _, delta in queries[counted:])
+        state = eng.heads[(anchors[0], 0)]
+        fill = int(state.store.fill[state.window[-1]])
+        due = {key: (tree, ids) for key, (tree, ids, pages) in heads.items()
+               if fill == cfg.page_size * anchors.index(key[0]) // len(anchors) + 1
+               and pages + (fill == 1) > cfg.window_pages}
+        assert sorted((tree, ids) for tree, ids, _, _ in inserts) == sorted(due.values())
         if not inserts:
             continue
-        rotations += 1
-        assert sorted((tree, ids) for tree, ids, _, _ in inserts) == sorted(heads.values())
+        folds.append(fill)
         # Parents come from the dense scan: no query, no counted distance.
         assert not any(searched or counted for _, _, searched, counted in inserts)
         assert len([q for q in queries if q[0] == "decode"]) - len(selection) == \
             (cfg.layers - cfg.skip_layers) * cfg.n_query_heads
-    assert rotations >= 1
+    assert folds == [1, 6, 11, 1]
     assert outside and not any(outside)

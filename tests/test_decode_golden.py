@@ -1,8 +1,9 @@
-"""Decode outputs pinned to integers captured before the page store became
-arrays: attended ids, integer StepMetrics fields and leaf page token order;
-and the structure the build and rotation inserts give every tree (captured
-before node membership moved into row arrays): each node's id, level,
-parent, owner and members, and each point's level.
+"""Decode outputs pinned to integers: attended ids, integer StepMetrics
+fields and leaf page token order (captured once window folds were spread
+over the page, each anchor group at its own fill); and the structure the
+build and fold inserts give every tree (captured before node membership
+moved into row arrays, and unchanged by the spread folds): each node's
+id, level, parent, owner and members, and each point's level.
 
 Only integers are digested, so BLAS rounding cannot move these values; the
 float outputs follow from the attended ids through the same arithmetic.
@@ -21,22 +22,22 @@ INT_FIELDS = ("step", "token_id", "pages_selected", "pages_loaded", "tokens_load
 # config overrides -> (attended-ids digest, metrics digest, per-field sums, pages digest,
 #                      trees digest)
 GOLDEN = {
-    (): ("d3d3012ebf314c0b762967d2b122621f58ac68dd148e2827be38a99eb9412e5b",
-         "c19033155cccf3814934c13150cb8555bc6d2387084585138efbfe64705ed580",
-         [780, 20780, 1475, 1268, 13463, 1086240, 153, 160],
-         "436578d42f0804893dcbb0611452d105c80e783a761c2d5fc0fcee3f7cea45c5",
+    (): ("31357ad036f89bb8bf5c914233c3815b3884906fddea9c56ac24a98b2ab31635",
+         "6da01c00b015924ca36cafcb075841d323d59fe8e0fe29b3fceec8e76492da50",
+         [780, 20780, 1494, 1280, 13646, 1095360, 154, 160],
+         "fcffb111f61363a422d77ac19fac300c8cf8c1c66f77d1544fc5eb4cf3d46148",
          "17d14d022ca659e309ee393e3ee3a3c060c4a016296655a4cbbf3ab9c3fff987"),
     (("skip_layers", 1), ("reuse_stride", 3)): (
-        "b94c5f86b9b1f998564d4498c52da056f8292e65ab043d16214ffee1cdae3be5",
-        "5c0f453967b43b2ebae999359094ac4b5903e981fb89eca786d38c45668b8f17",
-        [780, 20780, 2326, 2005, 20347, 1636608, 232, 80],
-        "55fb5722a891f8a90b43b76afdfcca2d38edf4193c7894a43ef509e7f866ddca",
+        "611dcf3669cd89a714712851250146ead59141f8bfccbf0bdad507a7e4330ad4",
+        "f35a2c625f39c652a3046ac488b09537a51099483a0a3fdf4a2a8ad16fca4430",
+        [780, 20780, 2337, 2012, 20449, 1643808, 232, 80],
+        "4b1722c1f696c5d3c8cdb84e4c2691d47a861b731a4170fb19ca175335c9526c",
         "625f7e1ad513ff19e15c57617023cf9b2bad2b3859b00d0e57d262ce3d514ae5"),
     (("query_heads_per_group", 2),): (
-        "a65a1f572ac60320da71b2d7fcb4ab3f47952253545e2d030928c3f833d48644",
-        "77d7d60b4055113276fdcf21ced636de0a999df63767046ceb664a687da22244",
-        [780, 20780, 1564, 1352, 14031, 1138368, 155, 320],
-        "d26caac4e1ea485f9661e7a96216f095ce8f9efaf168e97f9edc63621fb84bbe",
+        "dcab2a33d3b04a957622b5513c4c855f8ac4c62e25cfdcc785f1f5ba59372fb0",
+        "0c4b2a3f8de4d616fd0edf3bf1107025ccf56ae13abdff754d985002403cd302",
+        [780, 20780, 1592, 1368, 14355, 1152960, 156, 320],
+        "9ddfa771ffb7776987d419ce1b8236f140e0397ae4f240f929cb5ce78ee9ee1b",
         "87c58bce2c3228479612f0dd51181d0dd2d405003be9416fc7bddfb9493ae090"),
 }
 

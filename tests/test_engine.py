@@ -11,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from icecache import (ConfigError, Engine, EngineConfig, InputError, InvariantViolation,
                       SearchBudget, WorkloadSpec, full_attention, generate_workload,
                       pipeline_estimate, prefill)
+from icecache.geometry import exact_topk
 from icecache.pagestore import INDEXED, SINK, WINDOW
 
 
@@ -48,8 +49,9 @@ def test_prefill_coverage_and_roles():
     for page in np.flatnonzero(store.live).tolist():
         if store.roles[page] == INDEXED:
             seen.extend(store.tokens_in([page]).tolist())
-    assert sorted(seen) == eng.indexed_tokens
-    assert len(state.tree) == len(eng.indexed_tokens)
+    indexed = list(range(cfg.sink_pages * s, (32 - cfg.window_pages) * s))  # 500 tokens: 32 pages
+    assert sorted(seen) == indexed
+    assert state.tree.point_ids == indexed
     assert eng.sink_tokens == list(range(cfg.sink_pages * s))
     assert eng.token_census(2, 0) == 500
 
@@ -80,30 +82,63 @@ def test_prefill_validates_inputs():
 # -- decode flow ------------------------------------------------------------------
 
 
-def test_window_rotation_fires_at_capacity_minus_one():
-    wl, cfg = _small(n_tokens=700, token_budget=8)
-    n_prefill = 512  # multiple of page size: newest window page starts full
+def test_each_anchor_group_folds_once_per_page_at_its_fill():
+    # Group g of G folds its oldest window page when the newest window
+    # page's fill reaches page_size * g // G + 1: anchors 1 and 3 lead the
+    # groups {1, 2} and {3, 4}, which fold at fills 1 and 9.
+    wl, cfg = _small(n_tokens=600, layers=5, skip_layers=1, reuse_stride=2, token_budget=8)
+    n_prefill = 512  # multiple of page size: the first token opens a fresh window page
     eng = Engine(cfg).prefill(wl, n_prefill)
-    state = eng.heads[(2, 0)]
     s = cfg.page_size
-
-    # first step must rotate immediately (newest fill = s >= s-1)
-    tree_before = len(state.tree)
-    eng.decode_step(wl.decode_step(n_prefill, 0))
-    assert state.store.stats.pages_offloaded == 1
-    assert len(state.tree) == tree_before + s
-
-    # the fresh window page then takes s-1 appends before the next rotation
-    offloads_before = state.store.stats.pages_offloaded
-    steps_until = 0
-    for t in range(1, 2 * s):
+    assert eng.anchor_layers() == [1, 3]
+    group = {1: 0, 2: 0, 3: 1, 4: 1}
+    folds = {key: [] for key in eng.heads}  # (step, newest window fill) of each fold
+    for t in range(3 * s):
+        before = {key: (state.store.stats.pages_offloaded, len(state.tree))
+                  for key, state in eng.heads.items()}
         eng.decode_step(wl.decode_step(n_prefill, t))
-        steps_until += 1
-        if state.store.stats.pages_offloaded > offloads_before:
-            break
-    assert steps_until == s - 1
-    inserted = len(state.tree) - tree_before - s
-    assert inserted == s  # the offloaded page was full
+        for key, state in eng.heads.items():
+            offloaded, size = before[key]
+            assert state.store.stats.pages_offloaded - offloaded in (0, 1)
+            if state.store.stats.pages_offloaded > offloaded:
+                assert len(state.tree) == size + s  # the folded page was full
+                folds[key].append((t, int(state.store.fill[state.window[-1]])))
+            assert cfg.window_pages <= len(state.window) <= cfg.window_pages + 1
+    for (layer, h), seen in folds.items():
+        g = group[layer]
+        assert seen == [(page * s + g * s // 2, g * s // 2 + 1) for page in range(3)], (layer, h)
+
+
+def test_recall_is_scored_against_each_heads_own_tree():
+    # Layers 2 and 3 are two groups folding at fills 1 and 9, so for half
+    # of each page a token is in layer 2's tree but still in layer 3's
+    # window, where no selection returns it. The recall oracle of a head
+    # ranks its own tree's points only.
+    wl, cfg = _small(n_tokens=600, layers=4, token_budget=8, evaluate=True,
+                     query_heads_per_group=2)
+    n_prefill = 512
+    eng = Engine(cfg).prefill(wl, n_prefill)
+    apart = 0
+    for t in range(2 * cfg.page_size):
+        outputs, metrics = eng.decode_step(wl.decode_step(n_prefill, t))
+        apart += len(eng.heads[(2, 0)].tree) != len(eng.heads[(3, 0)].tree)
+        recalls = []
+        for layer in (2, 3):
+            # The step's selection again: folds precede it, so the trees are as it saw them.
+            _, selected = eng.select_with_reuse(layer, wl.queries[n_prefill + t, layer])
+            for qh in range(cfg.n_query_heads):
+                h = qh // cfg.query_heads_per_group
+                state = eng.heads[(layer, h)]
+                points = np.asarray(state.tree.point_ids)
+                window = state.store.tokens_in(state.window)
+                assert not np.isin(points, window).any()
+                assert np.isin(window, outputs[layer][qh].token_ids).all()
+                k = min(cfg.token_budget, points.size)
+                q = wl.queries[n_prefill + t, layer, qh]
+                oracle = points[exact_topk(q, wl.keys[points, layer, h], k)]
+                recalls.append(np.isin(oracle, selected[qh]).sum() / k)
+        assert metrics.recall_at_k == pytest.approx(np.mean(recalls), abs=1e-12)
+    assert apart == cfg.page_size  # fills 1 to 8 of both pages
 
 
 def test_rotation_requires_every_head_to_agree():
@@ -333,29 +368,42 @@ def test_config_validation():
 
 
 class DecodeMachine(RuleBasedStateMachine):
-    """Decode steps on small engines whose 4-token window pages rotate every
-    few steps, with and without key norms that outgrow the prefill scale."""
+    """Decode steps on small engines whose 4-token window pages fold every
+    few steps, with and without key norms that outgrow the prefill scale;
+    one shape has two anchor groups, folding at window fills 1 and 3. A
+    prompt of 118 tokens ends mid-page, past the first group's fill."""
 
-    PREFILL = 120
     MAX_STEPS = 100
 
     @initialize(drift=st.sampled_from([0.0, 0.03]), shape=st.sampled_from(
-        [{}, {"skip_layers": 1, "reuse_stride": 2}, {"query_heads_per_group": 2}]),
-        seed=st.integers(0, 2**16))
-    def start(self, drift, shape, seed):
-        self.wl, cfg = _small(seed=seed, n_tokens=self.PREFILL + self.MAX_STEPS, d=8,
+        [{}, {"skip_layers": 1, "reuse_stride": 2}, {"query_heads_per_group": 2},
+         {"layers": 4, "skip_layers": 1, "reuse_stride": 2}]),
+        seed=st.integers(0, 2**16), prefill=st.sampled_from([120, 118]))
+    def start(self, drift, shape, seed, prefill):
+        self.prefill = prefill
+        self.wl, cfg = _small(seed=seed, n_tokens=prefill + self.MAX_STEPS, d=8,
                               page_size=4, token_budget=8, promotion_ratio=0.3, **shape)
         if drift:
             growth = (1.0 + drift) ** np.arange(1, self.MAX_STEPS + 1)
-            self.wl.keys[self.PREFILL:] *= growth[:, None, None, None]
-        self.eng = Engine(cfg).prefill(self.wl, self.PREFILL)
+            self.wl.keys[prefill:] *= growth[:, None, None, None]
+        self.eng = Engine(cfg).prefill(self.wl, prefill)
         self.steps = 0
+        self.folding: list[list[int]] = []  # anchors whose group folded, per step
 
     @rule(n=st.integers(1, 6))
     def decode(self, n):
+        anchors = self.eng.anchor_layers()
         for _ in range(min(n, self.MAX_STEPS - self.steps)):
-            self.eng.decode_step(self.wl.decode_step(self.PREFILL, self.steps))
+            before = [self.eng.heads[(a, 0)].store.stats.pages_offloaded for a in anchors]
+            self.eng.decode_step(self.wl.decode_step(self.prefill, self.steps))
             self.steps += 1
+            self.folding.append([a for a, b in zip(anchors, before)
+                                 if self.eng.heads[(a, 0)].store.stats.pages_offloaded > b])
+
+    @invariant()
+    def one_group_folds_per_step(self):
+        # Fold fills page_size * g // G + 1 are distinct while G <= page_size.
+        assert all(len(folded) <= 1 for folded in self.folding)
 
     @invariant()
     def state_holds(self):
@@ -372,7 +420,12 @@ class DecodeMachine(RuleBasedStateMachine):
             for t in state.tree.point_ids:
                 assert listed[t] == 1
                 assert t in store.tokens_in([store.page_of[t]])
-            assert self.eng.token_census(layer, h) == self.PREFILL + self.steps
+            assert self.eng.token_census(layer, h) == self.prefill + self.steps
+            cfg = self.eng.cfg
+            assert cfg.window_pages <= len(state.window) <= cfg.window_pages + 1
+            anchor = max(a for a in self.eng.anchor_layers() if a <= layer)
+            # A group folds together, so a reuse layer indexes its anchor's points.
+            assert state.tree.point_ids == self.eng.heads[(anchor, h)].tree.point_ids
 
 
 TestDecodeMachine = DecodeMachine.TestCase
