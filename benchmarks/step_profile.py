@@ -36,7 +36,7 @@ def profile(workload: str, seed: int, repeats: int) -> tuple[np.ndarray, list[li
     times, folds = [], [[] for _ in range(runner.wl.window)]
     for _ in range(repeats):
         engine, _ = runner.setup()
-        anchors = engine.anchor_layers() if engine.heads else []
+        anchors = engine.anchor_layers()
         offloads = [0] * len(anchors)
 
         def after_step(i, dt):

@@ -28,6 +28,7 @@ pages, and with G <= page_size at most one group folds on a step. A group
 folds together because a reuse layer looks its anchor's tokens up in its
 own page table: a token the anchor has folded must have left the reuse
 layer's window too.
+
 Selections stay int64 id arrays from the tree's result to the gather: the
 attended set is one gather over the head's sink, window and selected pages,
 in that order.
