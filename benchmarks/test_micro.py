@@ -63,14 +63,39 @@ def test_dci_insert_page(benchmark):
     benchmark.pedantic(lambda t, i, k: t.insert(i, k), setup=fresh, rounds=50, iterations=1)
 
 
-def test_dci_insert_page_uniform(benchmark):
+N_UNIFORM = 32_768
+
+
+@pytest.fixture(scope="module")
+def uniform():
+    """The uniform-32k key shape: its stream and a tree over its first
+    N_UNIFORM keys, with room for one more page."""
+    spec = WorkloadSpec(kind="uniform", n_tokens=N_UNIFORM + PAGE, layers=1, kv_heads=1)
+    wl = generate_workload(spec)
+    keys = wl.keys[:, 0, 0]
+    tree = dci_indexing(np.arange(N_UNIFORM), keys[:N_UNIFORM], 0.1, seed=0,
+                        store=TierStore(64, 64), rows=N_UNIFORM + PAGE)
+    return keys, wl.queries[:, 0, 0], tree
+
+
+def test_dci_query_uniform(benchmark, uniform):
+    """64 queries on the 32k uniform tree, the only key shape whose nodes
+    pass 256 members: every node the beam keeps is scanned whole."""
+    _, queries, tree = uniform
+    lifted = [transform_query(q) for q in queries[:64]]
+    budget = SearchBudget.for_k(64)
+
+    def run():
+        for q in lifted:
+            tree.query(q, SENTINEL_LEVEL, 64, budget)
+    benchmark(run)
+
+
+def test_dci_insert_page_uniform(benchmark, uniform):
     """One page into a 32k uniform tree, as uniform-32k folds it: the
     page's parent scan runs over the largest tree of the workloads."""
-    n = 32_768
-    spec = WorkloadSpec(kind="uniform", n_tokens=n + PAGE, layers=1, kv_heads=1)
-    keys = generate_workload(spec).keys[:, 0, 0]
-    tree = dci_indexing(np.arange(n), keys[:n], 0.1, seed=0, store=TierStore(64, 64),
-                        rows=n + PAGE)
+    keys, _, tree = uniform
+    n = N_UNIFORM
     ids = list(range(n, n + PAGE))
 
     def fresh():

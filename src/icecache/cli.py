@@ -61,7 +61,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--skip-layers", type=int, default=2)
     parser.add_argument("--reuse-stride", type=int, default=0)
     parser.add_argument("--beam", type=int, default=None)
-    parser.add_argument("--visit-cap", type=int, default=None)
 
 
 def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
@@ -80,7 +79,7 @@ def _config_from(args: argparse.Namespace, *, baseline: bool = False) -> EngineC
         page_size=args.page_size, token_budget=args.budget,
         promotion_ratio=args.ratio, sink_pages=args.sink_pages,
         window_pages=args.window_pages, skip_layers=args.skip_layers,
-        reuse_stride=args.reuse_stride, beam=args.beam, visit_cap=args.visit_cap,
+        reuse_stride=args.reuse_stride, beam=args.beam,
         seed=args.seed, evaluate=True,
         compare_baseline=baseline or args.baseline)
 

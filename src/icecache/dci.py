@@ -15,12 +15,12 @@ same results and generator state as one scalar draw per point.
 One parent rule serves the batch build and decode-time inserts: a point's
 parent is its exact nearest lifted neighbour among the points that reach
 one level above its top level. Lifted points are unit vectors, so that is
-the candidate of largest inner product, found by a dense scan
-(`_parent_rows`): one matmul and one argmax per block of rows. The
-build scans every point against all others, still quadratic in the key
-count; a page inserted during decode scans each of its points against the
-rows before it, so inserting a page equals inserting its points one at a
-time.
+the candidate of largest inner product (any one of several equal ones),
+found by a dense scan (`_parent_rows`): one matmul and one argmax per
+block of rows. The build scans every point against all others, still
+quadratic in the key count; a page inserted during decode scans each of
+its points against the rows before it, so inserting a page equals
+inserting its points one at a time.
 
 One writer lays out the levels for both: `DciTree._link` adds buffer rows,
 whose top levels and parent rows are set, to every level they reach. The
@@ -32,12 +32,8 @@ Queries descend from the virtual root to level 1: at each level the
 members of the surviving clusters are ranked by inner product with the
 lifted query (on the unit sphere the same order as lifted distance), the
 best `beam` survive, and their child nodes are searched next. The
-candidates of every level feed one top-k. A node is scanned whole when
-it is small; in a large one only `visit_cap` members are evaluated, those of
-smallest prioritized projection bound: with unit directions u_1..u_m drawn
-per node, max_j |u_j . (p - q)| <= |p - q|, so the bound ranks members
-without their true distances (exact once the cap covers the node). The
-bound is computed at query time, with one matmul over the node's members.
+candidates of every level feed one top-k. Every surviving node is scanned
+whole.
 """
 
 from __future__ import annotations
@@ -57,13 +53,7 @@ SENTINEL_LEVEL = -1
 # Owner id of the virtual root's node (the top-level cluster).
 ROOT_OWNER = -1
 
-# Nodes at or below this size are scanned exhaustively (exact).
-EXHAUSTIVE_NODE_LIMIT = 64
-
-# Number of random projection directions per large node.
-NUM_PROJECTIONS = 8
-
-# Effectively unbounded beam / visit cap.
+# Effectively unbounded beam.
 UNBOUNDED = 2**62
 
 # Points per dot-product block of a parent scan.
@@ -72,29 +62,32 @@ PARENT_BLOCK = 256
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Work bounds for one query: result count, per-level survivors, and
-    scored members per node."""
+    """Work bounds for one query: result count and per-level survivors.
+    Every surviving node is scanned whole."""
 
     k: int
     beam: int
-    visit_cap: int
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.beam < self.k:
             raise ConfigError(f"beam ({self.beam}) must be >= k ({self.k})")
-        if self.visit_cap < self.k:
-            raise ConfigError(f"visit_cap ({self.visit_cap}) must be >= k ({self.k})")
+
+    @property
+    def visit_cap(self) -> int:
+        """Scored members per node: no node's scan is capped. Kept because
+        perfbench's traced run reads it for `dci.nodes_over_visit_cap`; it
+        goes when the benchmark drops that metric."""
+        return UNBOUNDED
 
     @classmethod
-    def for_k(cls, k: int, beam: int | None = None, visit_cap: int | None = None) -> "SearchBudget":
-        return cls(k, beam if beam is not None else 2 * k,
-                   visit_cap if visit_cap is not None else 4 * k)
+    def for_k(cls, k: int, beam: int | None = None) -> "SearchBudget":
+        return cls(k, beam if beam is not None else 2 * k)
 
     @classmethod
     def exhaustive(cls, k: int) -> "SearchBudget":
-        return cls(k, UNBOUNDED, UNBOUNDED)
+        return cls(k, UNBOUNDED)
 
 
 def assign_levels(r: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -153,13 +146,15 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     `buf` holds the lifted points and `top` their top levels, one per row.
     A row at top level l has as candidates the rows of top level above l,
     with `earlier` only those before it; its parent is the candidate
-    nearest to it (ties toward the smaller row), or -1 if it has none.
-    Every row is a unit vector, so |p - c|^2 = 2 - 2 p . c and the nearest
-    candidate is the one of largest p . c: `argmax` of one matmul, whose
-    first maximum is the smallest row because candidates ascend. The rows
-    of one level go in blocks of PARENT_BLOCK, each multiplied against the
-    transposed view of all of that level's candidates (BLAS takes the
-    transpose as a flag; a contiguous copy measured no faster).
+    nearest to it, or -1 if it has none. Every row is a unit vector, so
+    |p - c|^2 = 2 - 2 p . c and the nearest candidate is the one of largest
+    p . c: `argmax` of one matmul. Among candidates of equal p . c the
+    parent is one of them, not always the smallest row: BLAS computes a
+    product's edge tiles with other kernels, so equal products may round
+    apart either way. The rows of one level go in blocks of PARENT_BLOCK,
+    each multiplied against the transposed view of all of that level's
+    candidates (BLAS takes the transpose as a flag; a contiguous copy
+    measured no faster).
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
@@ -183,9 +178,8 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
 class DciTree:
     """Per-head hierarchical index with dynamic insertion.
 
-    One tree has one writer; reads are pure. All randomness (level draws,
-    per-node projection directions) derives from the constructor seed, so
-    identical inputs reproduce identical trees.
+    One tree has one writer; reads are pure. The level draws come from
+    the constructor seed, so identical inputs reproduce identical trees.
 
     Every point has a buffer row: `_top` holds its top level and `_parent`
     the row of its parent point (-1 in the top node). Level l is stored as
@@ -208,10 +202,8 @@ class DciTree:
         self.promotion_ratio = promotion_ratio
         self.store = store
 
-        entropy = seed if isinstance(seed, int) else list(seed)
-        self._seed_seq = np.random.SeedSequence(entropy)
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self._seed_seq.entropy, spawn_key=(0,)))
+        entropy = np.random.SeedSequence(seed if isinstance(seed, int) else list(seed)).entropy
+        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0,)))
 
         self.levels = 0
         self.top_node_id: int | None = None
@@ -225,7 +217,6 @@ class DciTree:
         self._start: list[np.ndarray] = []
         self._count: list[np.ndarray] = []
         self._node_id: list[np.ndarray] = []
-        self._dirs: dict[int, np.ndarray] = {}             # node -> projection directions
         self._next_node_id = 0
 
         self.query_count = 0
@@ -401,51 +392,7 @@ class DciTree:
             self._count[old - 1][row] = members.size
             self._node_id[old - 1][row] = self.top_node_id
 
-    def _directions(self, node_id: int) -> np.ndarray:
-        """The node's unit projection directions, drawn from the tree seed."""
-        dirs = self._dirs.get(node_id)
-        if dirs is None:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=self._seed_seq.entropy, spawn_key=(1, node_id)))
-            dirs = rng.normal(size=(NUM_PROJECTIONS, self.dim + 1))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            self._dirs[node_id] = dirs
-        return dirs
-
     # -- search -------------------------------------------------------------
-
-    def _candidate_rows(self, level: int, owners: np.ndarray | None, q: np.ndarray,
-                        visit_cap: int) -> np.ndarray:
-        """Buffer rows searched for the lifted query q in the nodes the given
-        owner rows own at `level`; owners None searches the top node.
-
-        A node is scanned whole when it has at most
-        max(EXHAUSTIVE_NODE_LIMIT, visit_cap) members; otherwise only the
-        visit_cap members of smallest projection bound
-        max_j |u_j . p - u_j . q| are searched (ties toward the smaller id).
-        """
-        members = self._members[level - 1]
-        if owners is None:
-            counts = np.array([members.size])
-            rows = members
-        else:
-            starts = self._start[level - 1][owners]
-            counts = self._count[level - 1][owners]
-            ends = np.cumsum(counts)
-            rows = members[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
-        large = np.flatnonzero(counts > max(EXHAUSTIVE_NODE_LIMIT, visit_cap))
-        if not large.size:
-            return rows
-        ends = np.cumsum(counts).tolist()
-        keep = np.ones(rows.size, dtype=bool)
-        for i in large.tolist():
-            dirs = self._directions(self.top_node_id if owners is None else
-                                    int(self._node_id[level - 1][owners[i]]))
-            a, b = ends[i] - int(counts[i]), ends[i]
-            bound = np.abs(self._buf[rows[a:b]] @ dirs.T - dirs @ q).max(axis=1)
-            keep[a:b] = False
-            keep[a + np.lexsort((self._point[rows[a:b]], bound))[:visit_cap]] = True
-        return rows[keep]
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
               budget: SearchBudget | None = None) -> list[int]:
@@ -473,9 +420,8 @@ class DciTree:
 
         found_ids: list[np.ndarray] = []
         found_scores: list[np.ndarray] = []
-        owners = None
+        rows = self._members[-1]  # the top node is its whole level
         for level in range(self.levels, 0, -1):
-            rows = self._candidate_rows(level, owners, q, budget.visit_cap)
             ids = self._point[rows]
             # einsum, not `@`: BLAS gemv scores a call's last rows with
             # another kernel, so equal rows could get unequal scores.
@@ -483,8 +429,13 @@ class DciTree:
             self.distance_evals += rows.size
             found_ids.append(ids)
             found_scores.append(score)
-            if level > 1:
+            if level > 1:  # the members of the survivors' nodes one level down
                 owners = rows[_nearest(ids, score, budget.beam)]
+                starts = self._start[level - 2][owners]
+                counts = self._count[level - 2][owners]
+                ends = np.cumsum(counts)
+                rows = self._members[level - 2][
+                    np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
 
         # A point found at several levels has one row, so one score: its
         # copies rank side by side, and the best k x levels hold k points.
@@ -521,20 +472,19 @@ class DciTree:
 
     # -- dynamic insertion ----------------------------------------------------
 
-    def insert(self, point_id, key, *, rng: np.random.Generator | None = None,
-               level=None):
+    def insert(self, point_id, key, *, level=None):
         """Insert keys during decode; returns the levels assigned.
 
         A scalar id with a 1-D key inserts one point and returns its level.
         A sequence of ids with one key row each inserts them in order and
         returns their levels: the same tree, pages and counters as inserting
-        them one at a time. Levels are drawn from the tree's stream (or the
-        supplied rng), all before any insert, unless given. A point's parent
-        is its exact nearest point one level up among those inserted before
-        it, found for the whole call by one `_parent_rows` scan; `_place`
-        gives its id a page slot. A draw above the current top level grows the
-        tree and re-parents the former top-level points to the newcomer. A
-        batch failing a check (an id already indexed or listed by a page, a
+        them one at a time. Levels are drawn from the tree's stream, all
+        before any insert, unless given. A point's parent is its exact
+        nearest point one level up among those inserted before it, found for
+        the whole call by one `_parent_rows` scan; `_place` gives its id a
+        page slot. A draw above the current top level grows the tree and
+        re-parents the former top-level points to the newcomer. A batch
+        failing a check (an id already indexed or listed by a page, a
         bad key or level) leaves the tree and store unchanged.
 
         The points go to `_link` in stretches, each ending before the next
@@ -555,8 +505,7 @@ class DciTree:
         if len(set(ids)) != len(ids):
             raise InputError("duplicate point ids in one insert")
         if level is None:
-            source = rng if rng is not None else self.rng
-            levels = assign_levels(self.promotion_ratio, source, len(ids)).tolist()
+            levels = assign_levels(self.promotion_ratio, self.rng, len(ids)).tolist()
         else:
             levels = [int(lv) for lv in np.atleast_1d(level)]
             if len(levels) != len(ids) or min(levels, default=1) < 1:

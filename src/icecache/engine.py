@@ -70,7 +70,6 @@ class EngineConfig:
     skip_layers: int = 2
     reuse_stride: int = 0        # 0: every indexed layer is an anchor; >= 2 enables reuse
     beam: int | None = None      # survivors per level; default 2 x budget
-    visit_cap: int | None = None  # per-node evaluations; default 4 x budget
     seed: int = 0
     evaluate: bool = False        # compute exact oracles per step
     compare_baseline: bool = False
@@ -91,14 +90,14 @@ class EngineConfig:
             raise ConfigError("skip_layers must be >= 0")
         if self.reuse_stride == 1 or self.reuse_stride < 0:
             raise ConfigError("reuse_stride must be 0 (off) or >= 2")
-        self.budget()  # beam and visit_cap must cover token_budget
+        self.budget()  # beam must cover token_budget
 
     @property
     def n_query_heads(self) -> int:
         return self.kv_heads * self.query_heads_per_group
 
     def budget(self) -> SearchBudget:
-        return SearchBudget.for_k(self.token_budget, self.beam, self.visit_cap)
+        return SearchBudget.for_k(self.token_budget, self.beam)
 
     def head_groups(self) -> list[HeadGroup]:
         g = self.query_heads_per_group

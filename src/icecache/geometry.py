@@ -13,8 +13,8 @@ vectors and
 
 so for a fixed query the nearest lifted keys are exactly the keys with the
 largest inner products, and the index ranks lifted points by inner product
-directly. Ties break toward the smaller token id everywhere so results are
-reproducible.
+directly. Rankings break ties toward the smaller token id so results are
+reproducible (a tree's parent scan is the exception: `dci._parent_rows`).
 """
 
 from __future__ import annotations

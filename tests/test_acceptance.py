@@ -48,7 +48,7 @@ def test_02_full_budget_equivalence():
                         clusters=8, layers=4, kv_heads=4, seed=102)
     wl = generate_workload(spec)
     cfg = EngineConfig(layers=4, kv_heads=4, d=32, d_prime=16,
-                       token_budget=10**6, beam=2**61, visit_cap=2**61, seed=102)
+                       token_budget=10**6, beam=2**61, seed=102)
     eng = Engine(cfg).prefill(wl, 1024)
     worst = 0.0
     for t in range(50):

@@ -109,9 +109,9 @@ def test_search_budget_error_exits_before_prefill(capsys, monkeypatch):
     def prefill(*args, **kwargs):
         raise AssertionError("prefill ran on a config with a bad search budget")
     monkeypatch.setattr(Engine, "prefill", prefill)
-    code, _, err = _run(capsys, ["bench", *SMALL, "--steps", "5", "--visit-cap", "10"])
+    code, _, err = _run(capsys, ["bench", *SMALL, "--steps", "5", "--beam", "10"])
     assert code == 2
-    assert "visit_cap (10) must be >= k (64)" in err
+    assert "beam (10) must be >= k (64)" in err
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
                       exact_topk, transform_key, transform_query)
-from icecache.dci import EXHAUSTIVE_NODE_LIMIT, NUM_PROJECTIONS, PARENT_BLOCK, ROOT_OWNER
+from icecache.dci import PARENT_BLOCK, ROOT_OWNER
 from icecache.pagestore import INDEXED, WINDOW
 
 
@@ -139,12 +139,36 @@ def test_build_gives_every_point_its_exact_nearest_parent_across_blocks():
         assert owner in above and d2[above == owner][0] <= d2.min() + 1e-12, pid
 
 
+def test_parent_is_one_of_the_equal_nearest_candidates():
+    """Key rows repeat, so a point can have several candidates of one
+    lifted vector, all equally near. Its parent is one of them; which one
+    BLAS rounding decides, not the row order."""
+    rng = np.random.default_rng(45)
+    ties = 0
+    for seed in range(4):
+        keys = rng.normal(size=(40, 64))[rng.integers(0, 40, size=600)]
+        tree = _index(keys, 0.3, seed=seed)
+        point_level = tree.point_level
+        top = np.array([point_level[pid] for pid in range(len(keys))])
+        lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+        nodes = tree.nodes
+        for pid in np.flatnonzero(top < tree.levels):
+            owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
+            above = np.flatnonzero(top > top[pid])
+            d2 = ((lifted[above] - lifted[pid]) ** 2).sum(axis=1)
+            nearest = above[d2 <= d2.min() + 1e-12]
+            assert (lifted[nearest] == lifted[nearest[0]]).all(), pid  # copies of one row
+            assert owner in nearest, pid
+            ties += nearest.size > 1
+    assert ties > 100
+
+
 def test_self_retrieval_of_indexed_keys():
     rng = np.random.default_rng(4)
     keys = rng.normal(size=(2000, 16))
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)  # equal norms: self is argmax
     tree = _index(keys, 0.1, seed=4)
-    budget = SearchBudget(1, beam=32, visit_cap=128)
+    budget = SearchBudget(1, beam=32)
     hits = 0
     sample = rng.choice(2000, size=500, replace=False)
     for pid in sample:
@@ -167,7 +191,7 @@ def test_tree_structure_invariants_hold():
             assert parent.level == lv + 1
 
 
-# -- within-node search (prioritized DCI) ---------------------------------------
+# -- within-node search ------------------------------------------------------------
 # A one-level tree's top node is its whole level, so a query searches exactly
 # that node.
 
@@ -188,7 +212,7 @@ def test_pdci_query_exhaustive_cap_matches_brute_force():
     for _ in range(20):
         q = rng.normal(size=10)
         tq = transform_query(q)
-        got = tree.query(tq, SENTINEL_LEVEL, 8, SearchBudget(8, 16, 256))
+        got = tree.query(tq, SENTINEL_LEVEL, 8, SearchBudget(8, 16))
         lifted = np.stack([transform_key(k, scale) for k in keys])
         d2 = ((lifted - tq) ** 2).sum(axis=1)
         want = [int(i) for i in np.lexsort((np.arange(256), d2))[:8]]
@@ -207,15 +231,26 @@ def test_pdci_query_full_k_returns_all_ranked():
     assert d2 == sorted(d2)
 
 
-def test_pdci_projection_path_respects_visit_cap():
+def test_large_node_is_scanned_whole():
+    """A node far past the former projection cut (max(64, 4k) = 256 members)
+    is scored member by member: the query returns the brute-force ranking
+    and counts one evaluation per member."""
     rng = np.random.default_rng(9)
-    keys = rng.normal(size=(500, 8))
-    tree = _index(keys, 1e-9, seed=9)
-    top = tree.nodes[tree.top_node_id]
-    assert tree.levels == 1 and len(top.member_ids) > EXHAUSTIVE_NODE_LIMIT
-    before = tree.distance_evals
-    tree.query(transform_query(rng.normal(size=8)), SENTINEL_LEVEL, 4, SearchBudget(4, 8, 100))
-    assert tree.distance_evals - before == 100
+    keys = rng.normal(size=(600, 8))
+    keys[300:320] = keys[:20]  # equal rows: ties go toward the smaller id
+    tree = _index(keys, 1e-9, seed=9)  # one flat node
+    assert tree.levels == 1 and len(tree.nodes[tree.top_node_id].member_ids) == 600
+    lifted = np.stack([tree.lifted(pid) for pid in range(600)])
+    for k in (1, 4, 64):
+        for q in rng.normal(size=(3, 8)):
+            q = transform_query(q)
+            score = np.einsum("ij,j->i", lifted, q)
+            want = np.lexsort((np.arange(600), -score))[:k].tolist()
+            before = tree.distance_evals
+            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget.for_k(k)) == want
+            assert tree.distance_evals - before == 600
+    q = transform_query(keys[5])  # ranks id 5 and its copy 305 first
+    assert tree.query(q, SENTINEL_LEVEL, 2, SearchBudget.for_k(2)) == [5, 305]
 
 
 # -- multi-level query ---------------------------------------------------------
@@ -439,12 +474,12 @@ def test_query_results_and_distance_counts_match_golden_values():
     rng = np.random.default_rng(33)
     uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)
     budget = SearchBudget.for_k(5)
-    assert max(len(n.member_ids) for n in uniform.nodes.values()) > budget.visit_cap
+    assert max(len(n.member_ids) for n in uniform.nodes.values()) > 64  # scanned whole
     got = [uniform.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5, budget)
            for _ in range(3)]
     assert got == [[356, 1691, 2568, 981, 2760], [2928, 1960, 2930, 2489, 2666],
                    [2760, 1691, 2568, 356, 1391]]
-    assert uniform.distance_evals == 879
+    assert uniform.distance_evals == 1738
 
 
 def _paged_tree(batched):
@@ -500,8 +535,8 @@ def test_page_inserts_match_golden_values(batched):
 
 
 def _uniform_paged_tree():
-    """A uniform tree with level-2 nodes a query truncates, fed ten 16-token
-    pages with drawn levels."""
+    """A uniform tree with level-2 nodes of more than 64 members, fed ten
+    16-token pages with drawn levels."""
     rng = np.random.default_rng(5)
     keys = rng.normal(size=(8160, 16))
     tree = _index(keys[:8000], 0.03, seed=5, store=TierStore(16, 16))
@@ -515,12 +550,12 @@ def _digest(value):
 
 
 def test_truncated_page_inserts_and_queries_match_golden_values():
-    """Tree, pages, counters and query results pinned from the prioritized
-    projection search the query-time bound replaced."""
+    """Tree, pages, counters and query results pinned on a tree whose
+    level-2 nodes pass 64 members; every node a query keeps is scanned
+    whole."""
     tree, queries = _uniform_paged_tree()
     tree.check_invariants()
-    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
-        EXHAUSTIVE_NODE_LIMIT
+    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
     assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
     nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
                    for n in tree.nodes.values())
@@ -529,33 +564,11 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
         (0, 0, 0, 3)
 
-    budget = SearchBudget.for_k(6, visit_cap=40)
+    budget = SearchBudget.for_k(6)
     expected = [[332, 6096, 4856, 6157, 4334, 6931], [6569, 6357, 7347, 7156, 54, 3395],
                 [6735, 890, 5858, 4142, 7387, 2188], [92, 4035, 5515, 6422, 1438, 2086]]
     assert [tree.query(q, SENTINEL_LEVEL, 6, budget) for q in queries] == expected
-    assert (tree.distance_evals, tree.query_count) == (1600, 4)
-
-
-def test_large_node_keeps_the_members_of_smallest_projection_bound():
-    rng = np.random.default_rng(5)
-    tree = _index(rng.normal(size=(600, 16)), 1e-9, seed=5)  # one flat node
-    node = tree.nodes[tree.top_node_id]
-    cap = 40
-    assert tree.levels == 1 and len(node.member_ids) > max(EXHAUSTIVE_NODE_LIMIT, cap)
-    # Plain reference: the node's directions come from the tree seed and
-    # its id; a member's bound is its largest projected gap to the query.
-    dirs = np.random.default_rng(np.random.SeedSequence(
-        entropy=5, spawn_key=(1, node.node_id))).normal(size=(NUM_PROJECTIONS, 17))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for q in rng.normal(size=(4, 16)):
-        q = transform_query(q)
-        bound = {pid: max(abs(float(u @ tree.lifted(pid)) - float(u @ q)) for u in dirs)
-                 for pid in node.member_ids}
-        want = sorted(bound, key=lambda pid: (bound[pid], pid))[:cap]
-        before = tree.distance_evals
-        got = tree.query(q, SENTINEL_LEVEL, cap, SearchBudget(cap, cap, cap))
-        assert tree.distance_evals - before == cap
-        assert sorted(got) == sorted(want)
+    assert (tree.distance_evals, tree.query_count) == (2002, 4)
 
 
 def _tree_state(tree):
@@ -683,8 +696,7 @@ def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch)
     tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2, page_size=4))
     tree.insert(0, rng.normal(size=6), level=3)
     tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
-    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > \
-        EXHAUSTIVE_NODE_LIMIT
+    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
     pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
              for p in range(100, 140, 8)]
     searchers = []

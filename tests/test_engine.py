@@ -174,8 +174,7 @@ def test_decode_never_regrows_a_tree():
 
 
 def test_rotated_tokens_become_selectable():
-    wl, cfg = _small(n_tokens=700, token_budget=10**6,
-                     beam=2**61, visit_cap=2**61)
+    wl, cfg = _small(n_tokens=700, token_budget=10**6, beam=2**61)
     n_prefill = 512
     eng = Engine(cfg).prefill(wl, n_prefill)
     outs, _ = eng.decode_step(wl.decode_step(n_prefill, 0))  # rotation step
@@ -193,8 +192,7 @@ def test_token_accounting_across_steps():
 
 
 def test_full_budget_reproduces_full_attention():
-    wl, cfg = _small(n_tokens=400, token_budget=10**6, beam=2**61,
-                     visit_cap=2**61, evaluate=True)
+    wl, cfg = _small(n_tokens=400, token_budget=10**6, beam=2**61, evaluate=True)
     eng = Engine(cfg).prefill(wl, 350)
     for t in range(20):
         _, m = eng.decode_step(wl.decode_step(350, t))
@@ -355,13 +353,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(token_budget=0)
     # The search budget is checked when the config is built, not at decode.
-    for bad in ({"visit_cap": 10}, {"beam": 63}, {"token_budget": 300, "visit_cap": 256}):
+    for bad in ({"beam": 63}, {"token_budget": 300, "beam": 256}):
         with pytest.raises(ConfigError):
             EngineConfig(**bad)
     # A fallback engine never queries a tree, but its budget is checked too.
     with pytest.raises(ConfigError):
-        EngineConfig(layers=2, skip_layers=2, beam=0, visit_cap=-5)
-    assert EngineConfig(beam=64, visit_cap=64).budget() == SearchBudget(64, 64, 64)
+        EngineConfig(layers=2, skip_layers=2, beam=0)
+    assert EngineConfig(beam=64).budget() == SearchBudget(64, 64)
 
 
 # -- decode as a state machine ------------------------------------------------------------
