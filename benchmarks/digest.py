@@ -8,18 +8,20 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
 
   outputs  every AttentionOutput: attended ids, dense weights, value_out bytes
   metrics  every StepMetrics row (repr of each field, so floats are exact)
-  trees    each tree's nodes (id, level, parent, owner, members, page ids),
+  trees    each tree's nodes (id, level, parent, owner, members, page ranks),
            point levels and scale clamps: its structure
   counters each tree's query count and distance evaluations
-  pages    each leaf page's token ids, in slot order
+  pages    each leaf page's rank and token ids, in slot order
   stats    each head's transfer counters
-  store    each head's live, hot and pinned masks, fills and roles over
-           its pages: the residency state after the last step
+  store    each head's hot leaf pages and leaf page fills: the residency
+           state after the last step
 
-and a last line digesting all of them. Sink and window pages hold
-consecutive tokens and are covered by the attended ids. Only public state
-is read, so the same file runs on two checkouts and equal lines mean equal
-runs. BLAS runs on one thread.
+and a last line digesting all of them. A page is named by its rank among
+its head's leaf pages in ascending id order, so two page layouts that open
+the same leaf pages in the same order digest equal even if other pages
+take ids between them. The sink and window tokens are covered by the
+attended ids. Only public state is read, so the same file runs on two
+checkouts and equal lines mean equal runs. BLAS runs on one thread.
 """
 
 import os
@@ -64,23 +66,23 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
                                        for f in fields(metrics)]).encode())
     for key in sorted(engine.heads):
         state = engine.heads[key]
-        tree = state.tree
+        tree, store = state.tree, state.store
+        leaf_pages = np.sort([p for n in tree.nodes.values() for p in n.page_ids])
+        rank = dict(zip(leaf_pages.tolist(), range(leaf_pages.size)))
         nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
-                        tuple(n.page_ids)) for n in tree.nodes.values())
+                        tuple(rank[p] for p in n.page_ids)) for n in tree.nodes.values())
         groups["trees"].update(repr((key, tree.levels, nodes, sorted(tree.point_level.items()),
                                      tree.scale_clamps)).encode())
         groups["counters"].update(repr((key, tree.query_count, tree.distance_evals)).encode())
         for node in sorted(tree.nodes.values(), key=lambda n: n.node_id):
             for pid in node.page_ids:
-                groups["pages"].update(_ints([pid]) + _ints(state.store.tokens_in([pid])))
-        stats = state.store.stats
+                groups["pages"].update(_ints([rank[pid]]) + _ints(store.tokens_in([pid])))
+        stats = store.stats
         groups["stats"].update(repr((key, [(f.name, getattr(stats, f.name))
                                            for f in fields(stats)])).encode())
-        store, n = state.store, state.store.n_pages
-        groups["store"].update(repr((key, n, store.roles[:n])).encode())
-        for mask in (store.live, store.hot, store.pinned):
-            groups["store"].update(np.asarray(mask[:n], dtype=bool).tobytes())
-        groups["store"].update(_ints(store.fill[:n]))
+        groups["store"].update(repr((key, leaf_pages.size)).encode())
+        groups["store"].update(_ints(np.flatnonzero(store.hot[leaf_pages])))
+        groups["store"].update(_ints(store.fill[leaf_pages]))
     out = {name: h.hexdigest() for name, h in groups.items()}
     out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
     return out

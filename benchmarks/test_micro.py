@@ -142,6 +142,6 @@ def test_decode_page_glue(benchmark):
         store = state.store
         pages = find_page_index(tokens, store)
         store.backload(pages)
-        attended = store.tokens_in(np.concatenate((state.sink, state.window, pages)))
+        attended = np.concatenate((eng._resident(1), store.tokens_in(pages)))
         sparse_attention(q, attended, keys, values)
     benchmark(run)

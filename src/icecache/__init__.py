@@ -3,7 +3,7 @@
 Keys are clustered into a per-head hierarchical index whose leaves map to
 fixed-size pages; decode-time queries select the pages holding their most
 relevant tokens, a two-tier store accounts bulk transfers, and sparse
-attention runs over the loaded pages plus the pinned sink and window
+attention runs over the loaded pages plus the resident sink and window
 tokens. Every approximate path is testable against exact brute-force
 oracles.
 """
@@ -14,10 +14,10 @@ from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_levels,
 from .engine import (Engine, EngineConfig, StepMetrics, pipeline_estimate, prefill,
                      token_order_select)
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
-                     IceCacheError, InputError, InvariantViolation, PolicyError,
+                     IceCacheError, InputError, InvariantViolation,
                      ScaleViolationError, TraceFormatError)
 from .geometry import KeyScale, exact_topk, transform_key, transform_query
-from .pagestore import INDEXED, SINK, WINDOW, TierStore, TransferStats, find_page_index
+from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import (DecodeStep, Workload, WorkloadSpec, generate_workload,
                        load_trace, save_trace)
 
@@ -29,11 +29,10 @@ __all__ = [
     "Engine", "EngineConfig", "StepMetrics", "token_order_select",
     "pipeline_estimate", "prefill",
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
-    "DegenerateQueryError", "ConsistencyError", "PolicyError",
+    "DegenerateQueryError", "ConsistencyError",
     "InvariantViolation", "TraceFormatError",
     "KeyScale", "exact_topk", "transform_key", "transform_query",
-    "INDEXED", "SINK", "WINDOW", "TierStore",
-    "TransferStats", "find_page_index",
+    "TierStore", "TransferStats", "find_page_index",
     "DecodeStep", "Workload", "WorkloadSpec", "generate_workload",
     "load_trace", "save_trace",
 ]

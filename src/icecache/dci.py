@@ -45,7 +45,7 @@ import numpy as np
 from .arrays import as_ids, distinct, grown
 from .errors import ConfigError, InputError
 from .geometry import KeyScale
-from .pagestore import INDEXED, TierStore
+from .pagestore import TierStore
 
 # The only target level a query takes: descend to level 1, collecting at every level.
 SENTINEL_LEVEL = -1
@@ -466,7 +466,7 @@ class DciTree:
         opener = order[(at - slot)[fresh]]  # given place of the id opening a new page
         counts = np.bincount(opener)
         # The ids were checked before any row was added (`_add_rows`).
-        store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0], INDEXED)
+        store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0])
         first = self._members[0][(start[leaf] + pos - slot)[~fresh]]  # opened the page earlier
         store._join(store.page_of[self._point[first]], ids[~fresh])
 

@@ -7,31 +7,33 @@ attention gathers the selected rows. Prefill copies the prompt in, so later
 writes to the workload's arrays do not reach the engine, and sizes the
 arrays and every tree for the whole stream, so decode never regrows them.
 
-Prefill splits the prompt into sink pages, window pages and a middle region
+Prefill splits the prompt into the sink, the window and a middle region
 whose keys are clustered into a per-(layer, head) tree whose leaves own
-indexed pages. Sink pages stay hot, window pages stay hot until folded,
-and indexed pages are hot only in a step that selects them. Decode then
-runs, per layer: the token's window append (into a fresh window page when
-the newest is full), the window fold (offload the oldest window page, which
-dissolves it, and insert its tokens into the tree) at the layer's fold
-step, page selection (fresh per-query-head tree queries on anchor layers,
-the anchor's tokens on reuse layers), one page lookup of the group's token
-union, one backload per head, and sparse attention over the selected pages
-plus the sink and window tokens.
+the store's pages. The sink and each indexed layer's window are token
+ranges that stay resident, as in StreamingLLM: the sink is [0, sink_end)
+and a layer's window is [window_start[layer], n), where window_start is
+page-aligned. The store's pages are hot only in a step that selects them.
+Decode then runs, per layer: the window fold (charge the offload of the
+window's oldest page, insert its tokens into every head's tree, and move
+window_start up by page_size) at the layer's fold step, page selection
+(fresh per-query-head tree queries on anchor layers, the anchor's tokens
+on reuse layers), one page lookup of the group's token union, one backload
+per head, and sparse attention over the sink and window tokens plus the
+selected pages.
 
 Folds are spread over the page, so that no step pays every tree's insert.
 An anchor group is an anchor layer and the reuse layers that read its
-selection; group g of G folds when the newest window page's fill reaches
-page_size * g // G + 1, and only while its window holds more than
-window_pages pages. So a window holds window_pages to window_pages + 1
-pages, and with G <= page_size at most one group folds on a step. A group
-folds together because a reuse layer looks its anchor's tokens up in its
-own page table: a token the anchor has folded must have left the reuse
-layer's window too.
+selection; group g of G folds when the newest window page's fill, token %
+page_size + 1 for every layer, reaches page_size * g // G + 1, and only
+while its window holds more than window_pages pages. So a window holds
+window_pages to window_pages + 1 pages, and with G <= page_size at most one
+group folds on a step. A group folds together because a reuse layer looks
+its anchor's tokens up in its own page table: a token the anchor has
+folded must have left the reuse layer's window too.
 
 Selections stay int64 id arrays from the tree's result to the gather: the
-attended set is one gather over the head's sink, window and selected pages,
-in that order.
+attended set is the sink range, the window range and one gather over the
+selected pages, in that order.
 
 The first skip_layers layers are not indexed and attend exactly, as does
 the whole engine when the prompt is too short to split. The engine is not
@@ -41,15 +43,15 @@ a transformer: embeddings come from the workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
-from .errors import ConfigError, InputError, InvariantViolation
+from .errors import ConfigError, InputError
 from .geometry import exact_topk, transform_query
-from .pagestore import SINK, WINDOW, TierStore, TransferStats, find_page_index
+from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
 
 
@@ -147,8 +149,6 @@ class _HeadState:
 
     tree: DciTree
     store: TierStore
-    sink: list[int] = field(default_factory=list)    # sink page ids
-    window: list[int] = field(default_factory=list)  # window page ids, oldest first
 
 
 class Engine:
@@ -165,7 +165,8 @@ class Engine:
         self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
         self._values = np.empty((0, 0, 0, cfg.d_prime))
         self._n = 0                                       # tokens held by every buffer
-        self.sink_tokens: list[int] = []
+        self.sink_end = 0                                 # the sink is tokens [0, sink_end)
+        self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.selection_queries = 0
         self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
         self._anchor_tokens: dict[int, np.ndarray] = {}
@@ -206,14 +207,14 @@ class Engine:
             self.prefilled = True
             return self
 
-        sink_end = cfg.sink_pages * s
+        self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
-        self.sink_tokens = list(range(sink_end))
 
         groups, group = len(self.anchor_layers()), -1
         for layer in range(cfg.skip_layers, cfg.layers):
             group += self.is_anchor_layer(layer)
             self._fold_at[layer] = s * group // groups + 1
+            self.window_start[layer] = window_start
             for h in range(cfg.kv_heads):
                 self.heads[(layer, h)] = self._build_head(layer, h, window_start, rows)
 
@@ -222,20 +223,12 @@ class Engine:
 
     def _build_head(self, layer: int, h: int, window_start: int, rows: int) -> _HeadState:
         cfg = self.cfg
-        s = cfg.page_size
-        store = TierStore(cfg.d, cfg.d_prime, s)
-
-        def pages(role: str, start: int, stop: int) -> list[int]:
-            counts = [min(s, stop - a) for a in range(start, stop, s)]
-            return store.open_pages(np.arange(start, stop), counts, role).tolist()
-
-        sink_end = len(self.sink_tokens)
-        sink = pages(SINK, 0, sink_end)
-        window = pages(WINDOW, window_start, self.n_prefill)
+        store = TierStore(cfg.d, cfg.d_prime, cfg.page_size)
         tree = dci_indexing(
-            np.arange(sink_end, window_start), self._keys[layer, h, sink_end:window_start],
+            np.arange(self.sink_end, window_start),
+            self._keys[layer, h, self.sink_end:window_start],
             cfg.promotion_ratio, seed=(cfg.seed, layer, h), store=store, rows=rows)
-        return _HeadState(tree=tree, store=store, sink=sink, window=window)
+        return _HeadState(tree=tree, store=store)
 
     # -- selection ----------------------------------------------------------
 
@@ -301,6 +294,11 @@ class Engine:
         """The head's key and value rows, row t holding token t."""
         return self._keys[layer, kv_head, : self._n], self._values[layer, kv_head, : self._n]
 
+    def _resident(self, layer: int) -> np.ndarray:
+        """The sink and window token ids of an indexed layer, in order."""
+        return np.concatenate((np.arange(self.sink_end),
+                               np.arange(self.window_start[layer], self._n)))
+
     def _full_output(self, layer: int, kv_head: int, q: np.ndarray) -> AttentionOutput:
         return full_attention(q, *self._kv(layer, kv_head))
 
@@ -325,20 +323,13 @@ class Engine:
         pages_selected = tokens_loaded = 0
         queries_before = self.selection_queries
 
-        fill = 0  # the newest window page's fill once it holds this token
-        if not self.fallback:
-            # Every head takes one token per step, so all windows share one boundary.
-            fills = {int(state.store.fill[state.window[-1]]) for state in self.heads.values()}
-            if len(fills) != 1:
-                raise InvariantViolation(f"newest window pages differ in fill: {sorted(fills)}")
-            fill = fills.pop() % cfg.page_size + 1  # a full page: the token opens a fresh one
-
         if self._n == self._keys.shape[2]:  # a stream longer than the prefilled workload
             pad = ((0, 0), (0, 0), (0, self._n), (0, 0))
             self._keys, self._values = np.pad(self._keys, pad), np.pad(self._values, pad)
         self._keys[:, :, self._n] = step.keys
         self._values[:, :, self._n] = step.values
         self._n += 1
+        fill = token % cfg.page_size + 1  # the newest window page's, as windows start on a page
 
         for layer in range(cfg.layers):
             if self.fallback or layer < cfg.skip_layers:
@@ -347,14 +338,10 @@ class Engine:
                         layer, qh // cfg.query_heads_per_group, step.queries[layer, qh])
                 continue
 
-            for h in range(cfg.kv_heads):
-                state = self.heads[(layer, h)]
-                if fill == 1:
-                    state.window.append(state.store.allocate_page(WINDOW))
-                state.store.append(state.window[-1], token)
-            # The layer's heads hold equal windows; `state` is its last head's.
-            if fill == self._fold_at[layer] and len(state.window) > cfg.window_pages:
+            if (fill == self._fold_at[layer]
+                    and self._n - self.window_start[layer] > cfg.window_pages * cfg.page_size):
                 self._rotate_layer(layer)
+            resident = self._resident(layer)
 
             pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
             for group in self.groups:
@@ -364,9 +351,7 @@ class Engine:
                 moved.add(state.store.backload(selected))
                 pages_selected += selected.size
                 tokens_loaded += int(state.store.fill[selected].sum())
-                # sink + window + loaded: each list of pages holds its tokens in order
-                attended = state.store.tokens_in(
-                    np.concatenate((state.sink, state.window, selected)))
+                attended = np.concatenate((resident, state.store.tokens_in(selected)))
                 keys, values = self._kv(layer, h)
                 for qh in group.query_head_ids:
                     q = step.queries[layer, qh]
@@ -398,13 +383,15 @@ class Engine:
         return outputs, metrics
 
     def _rotate_layer(self, layer: int) -> None:
-        """Fold each head's oldest window page: offload it and insert its
-        tokens into the head's tree."""
+        """Fold the layer's oldest window page: charge each head's offload
+        and insert the page's tokens into the head's tree."""
+        s = self.cfg.page_size
+        start = self.window_start[layer]
+        rotated = np.arange(start, start + s)
+        self.window_start[layer] = start + s
         for h in range(self.cfg.kv_heads):
             state = self.heads[(layer, h)]
-            old = state.window.pop(0)
-            rotated = state.store.tokens_in([old])
-            state.store.offload(old)  # dissolves the page; its tokens move to the tree's pages
+            state.store.offload(s)
             state.tree.insert(rotated, self._keys[layer, h, rotated])
 
     def _evaluate_head(self, layer: int, kv_head: int, q: np.ndarray,
@@ -436,16 +423,16 @@ class Engine:
         if cfg.compare_baseline:
             base_attended = np.concatenate((
                 token_order_select(q, indexed, indexed_keys, cfg.page_size, n_pages),
-                state.store.tokens_in(state.sink + state.window)))
+                self._resident(layer)))
             base_hit = int(np.isin(oracle_all, base_attended).sum()) / k_all
         return recall, hit, mass, rel, base_hit
 
     # -- bookkeeping ----------------------------------------------------------
 
     def token_census(self, layer: int, kv_head: int) -> int:
-        """Tokens across sink + window + indexed pages for one head."""
+        """Tokens across the sink, the window and the store's pages for one head."""
         store = self.heads[(layer, kv_head)].store
-        return int(store.fill[store.live].sum())
+        return self.sink_end + self._n - self.window_start[layer] + int(store.fill.sum())
 
 
 def prefill(workload: Workload, cfg: EngineConfig, n_prefill: int | None = None) -> Engine:

@@ -29,10 +29,6 @@ class ConsistencyError(IceCacheError):
     """Internal mapping out of sync (unknown page or unmapped token)."""
 
 
-class PolicyError(IceCacheError):
-    """Operation forbidden by residency policy, e.g. offloading a sink page."""
-
-
 class InvariantViolation(IceCacheError):
     """A runtime invariant check failed."""
 

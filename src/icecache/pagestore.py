@@ -5,21 +5,20 @@ residency, selection, and transfer. Pages hold no vectors: each token's key
 and value live once, in the engine's per-(layer, kv head) buffers at the row
 given by the token id, as in a page table over one KV pool.
 
-One TierStore per (layer, kv head) keeps the page layer as flat arrays, as
-PagedAttention's block table does:
+One TierStore per (layer, kv head) keeps the index's pages as flat arrays,
+as PagedAttention's block table does:
 
   slots[p, :fill[p]]   the token ids of page p, in slot order (later slots unused)
-  page_of[t]           the live page listing token t, or NO_PAGE
-  hot, pinned, live    boolean masks over page ids
+  page_of[t]           the page listing token t, or NO_PAGE
+  hot                  a boolean mask over page ids
 
-A token sits in at most one live page. Page ids count up and are never
-reused. A page is resident ("hot") or offloaded ("cold"); its role sets its
-lifecycle. Sink pages stay pinned hot. Window pages open pinned hot until
-`offload` writes one cold and dissolves it, unmapping its tokens for the
-tree's pages. Indexed pages keep their authoritative copy cold and are hot
-only while selected: each `backload` leaves exactly the pinned and selected
-pages hot, so dropping a copy is free and only cold->hot and hot->cold moves
-are charged.
+A token sits in at most one page. Page ids count up and pages are never
+closed. Every page keeps its authoritative copy cold and is resident
+("hot") only while selected: each `backload` leaves exactly the selected
+pages hot, so dropping a copy is free and only cold->hot moves are
+charged. The sink and window tokens stay resident outside the store, as
+token ranges the engine owns; `offload` charges the write of a window page
+folded into the index.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
@@ -34,11 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .arrays import as_ids, grown
-from .errors import ConsistencyError, InputError, PolicyError
-
-SINK = "sink"
-WINDOW = "window"
-INDEXED = "indexed"
+from .errors import ConsistencyError, InputError
 
 DEFAULT_PAGE_SIZE = 16
 SCALAR_BYTES = 4
@@ -84,12 +79,11 @@ def find_page_index(key_ids: Iterable[int], store: "TierStore") -> np.ndarray:
 
 
 class TierStore:
-    """Pages, their token table, and hot/cold residency with bulk-transfer
-    accounting.
+    """The index's pages, their token table, and hot/cold residency with
+    bulk-transfer accounting.
 
-    Single-writer per (layer, head). Sink and window pages are
-    authoritative on the hot side and pinned there; indexed pages start
-    cold and are only ever copied hot.
+    Single-writer per (layer, head). Pages open cold and are only ever
+    copied hot.
     """
 
     def __init__(self, d: int, d_prime: int, page_size: int = DEFAULT_PAGE_SIZE):
@@ -98,31 +92,24 @@ class TierStore:
         self.d = d
         self.d_prime = d_prime
         self.page_size = page_size
-        self.n_pages = 0                 # pages ever allocated: the next page id
+        self.n_pages = 0                 # pages opened so far: the next page id
         self.slots = np.zeros((0, page_size), dtype=np.int64)
         self.fill = np.zeros(0, dtype=np.int64)
-        self.live = np.zeros(0, dtype=bool)
         self.hot = np.zeros(0, dtype=bool)
-        self.pinned = np.zeros(0, dtype=bool)
-        self.roles: list[str] = []
         self.page_of = np.zeros(0, dtype=np.int64)
         self.stats = TransferStats()
 
-    # -- allocation and placement ---------------------------------------
+    # -- placement --------------------------------------------------------
 
-    def open_pages(self, token_ids: Iterable[int], counts: Iterable[int],
-                   role: str = INDEXED) -> np.ndarray:
-        """Open one page per count, each holding the next `count` tokens in
-        order; returns the new page ids, ascending. Sink and window pages
-        open pinned hot, indexed pages cold."""
+    def open_pages(self, token_ids: Iterable[int], counts: Iterable[int]) -> np.ndarray:
+        """Open one cold page per count, each holding the next `count` tokens
+        in order; returns the new page ids, ascending."""
         tokens, counts = as_ids(token_ids), as_ids(counts)
-        if role not in (SINK, WINDOW, INDEXED):
-            raise InputError(f"unknown page role {role!r}")
         if counts.sum() != tokens.size or (counts.size and _top(counts) > self.page_size):
             raise InputError(f"need one count in [0, {self.page_size}] per page, "
                              "summing to the number of tokens")
         self.check_unlisted(tokens)
-        return self._open(tokens, counts, role)
+        return self._open(tokens, counts)
 
     def check_unlisted(self, token_ids: Iterable[int]) -> None:
         """InputError unless the tokens are distinct, >= 0 and in no page."""
@@ -130,25 +117,22 @@ class TierStore:
         top = _top(tokens) + 1 if tokens.size else 0  # a negative id reads as the largest
         if top > 2**63:
             raise InputError("token ids must be >= 0")
-        self._reserve_tokens(top)
+        if top > self.page_of.size:
+            self.page_of = grown(self.page_of, max(64, 2 * self.page_of.size, top), NO_PAGE)
         ordered = np.sort(tokens)
         if (ordered[1:] == ordered[:-1]).any() or (self.page_of[tokens] != NO_PAGE).any():
             raise InputError("a token repeats or is already in a page")
 
-    def _open(self, tokens: np.ndarray, counts: np.ndarray, role: str) -> np.ndarray:
+    def _open(self, tokens: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """`open_pages` without its checks, for tokens `check_unlisted` passed."""
         first = self.n_pages
         self.n_pages += counts.size
         if self.n_pages > self.fill.size:
             cap = max(64, 2 * self.fill.size, self.n_pages)
             self.slots = grown(self.slots, cap)
-            self.fill, self.live = grown(self.fill, cap, 0), grown(self.live, cap, False)
-            self.hot, self.pinned = grown(self.hot, cap, False), grown(self.pinned, cap, False)
+            self.fill, self.hot = grown(self.fill, cap, 0), grown(self.hot, cap, False)
         new = slice(first, self.n_pages)
-        self.live[new] = True
-        self.hot[new] = self.pinned[new] = role != INDEXED
         self.fill[new] = counts
-        self.roles.extend([role] * counts.size)
         ids = np.arange(first, self.n_pages)
         if tokens.size:
             self.slots[new][np.arange(self.page_size) < counts[:, None]] = tokens
@@ -158,7 +142,7 @@ class TierStore:
     def _join(self, page_ids: np.ndarray, tokens: np.ndarray) -> None:
         """Put token i in the next free slot of page page_ids[i], each page
         taking its tokens in the given order. Unchecked: the tokens passed
-        `check_unlisted` and the pages are live with room for them."""
+        `check_unlisted` and the pages have room for them."""
         order = np.argsort(page_ids, kind="stable")
         pages = page_ids[order]
         rank = np.arange(pages.size) - np.searchsorted(pages, pages)
@@ -166,47 +150,19 @@ class TierStore:
         np.add.at(self.fill, pages, 1)
         self.page_of[tokens] = page_ids
 
-    def allocate_page(self, role: str = INDEXED) -> int:
-        """Open one empty page."""
-        return int(self.open_pages((), [0], role)[0])
-
-    def _reserve_tokens(self, top: int) -> None:
-        if top > self.page_of.size:
-            self.page_of = grown(self.page_of, max(64, 2 * self.page_of.size, top), NO_PAGE)
-
-    def append(self, page_id: int, token_id: int) -> None:
-        """Put one token in the page's next slot."""
-        self._live(page_id)
-        slot = self.fill[page_id]
-        if slot >= self.page_size:
-            raise InputError(f"page {page_id} is full")
-        if token_id < 0:
-            raise InputError(f"token id {token_id} is negative")
-        self._reserve_tokens(token_id + 1)
-        if self.page_of[token_id] != NO_PAGE:
-            raise InputError(f"token {token_id} already in page {self.page_of[token_id]}")
-        self.slots[page_id, slot] = token_id
-        self.fill[page_id] = slot + 1
-        self.page_of[token_id] = page_id
-
     # -- lookup -----------------------------------------------------------
 
-    def _live(self, page_ids):
-        """The given page ids as an int array (a scalar stays a scalar);
-        ConsistencyError when one is not a live page."""
-        if isinstance(page_ids, (int, np.integer)):
-            if not (0 <= page_ids < self.n_pages and self.live[page_ids]):
-                raise ConsistencyError(f"unknown page id {page_ids}")
-            return page_ids
+    def _pages(self, page_ids: Iterable[int]) -> np.ndarray:
+        """The given page ids as an int array; ConsistencyError when one is
+        not an open page."""
         pages = as_ids(page_ids)
-        if pages.size and (_top(pages) >= self.n_pages
-                           or np.count_nonzero(self.live[pages]) != pages.size):
+        if pages.size and _top(pages) >= self.n_pages:
             raise ConsistencyError(f"unknown page id among {pages.tolist()}")
         return pages
 
     def tokens_in(self, page_ids: Iterable[int]) -> np.ndarray:
         """The token ids of the given pages, in page then slot order."""
-        pages = self._live(page_ids)
+        pages = self._pages(page_ids)
         in_use = np.arange(self.page_size) < self.fill.take(pages)[:, None]
         return self.slots.take(pages, axis=0)[in_use]
 
@@ -216,15 +172,15 @@ class TierStore:
         return int(tokens) * (self.d + self.d_prime) * SCALAR_BYTES
 
     def backload(self, selected: Iterable[int]) -> TransferStats:
-        """Make the hot set exactly the pinned pages plus the selected ones;
-        returns the delta for this call.
+        """Make the hot set exactly the selected pages; returns the delta for
+        this call.
 
         Selected pages already resident are filtered out; whatever remains
         moves in exactly one transaction (zero if nothing remains). Other
-        unpinned pages drop out of the hot set for free: their
-        authoritative copy is cold. A page listed twice is an InputError.
+        pages drop out of the hot set for free: their authoritative copy is
+        cold. A page listed twice is an InputError.
         """
-        pages = self._live(selected)
+        pages = self._pages(selected)
         keep = np.zeros_like(self.hot)
         keep[pages] = True
         if np.count_nonzero(keep) != pages.size:
@@ -236,22 +192,14 @@ class TierStore:
             pages_backloaded=int(to_move.size),
             pages_filtered_resident=int(pages.size - to_move.size),
         )
-        np.logical_or(keep, self.pinned, out=self.hot)
+        self.hot = keep
         self.stats.add(delta)
         return delta
 
-    def offload(self, page_id: int) -> TransferStats:
-        """Write a window page to the cold tier (one transaction) and
-        dissolve it: the page dies and its tokens are unmapped, ready for
-        the tree's own pages. Read its tokens first."""
-        self._live(page_id)
-        if not self.hot[page_id]:
-            raise ConsistencyError(f"page {page_id} is not resident")
-        if self.roles[page_id] != WINDOW:
-            raise PolicyError(f"{self.roles[page_id]} page {page_id} cannot be offloaded")
-        self.page_of[self.slots[page_id, : self.fill[page_id]]] = NO_PAGE
-        self.live[page_id] = self.hot[page_id] = self.pinned[page_id] = False
-        delta = TransferStats(transactions=1, bytes_moved=self._bytes(self.fill[page_id]),
+    def offload(self, n_tokens: int) -> TransferStats:
+        """Charge writing one window page of n_tokens tokens to the cold tier:
+        one transaction. The tokens then join the index's pages."""
+        delta = TransferStats(transactions=1, bytes_moved=self._bytes(n_tokens),
                               pages_offloaded=1)
         self.stats.add(delta)
         return delta

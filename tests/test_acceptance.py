@@ -184,14 +184,8 @@ def test_07_incremental_index_parity():
 def test_08_bulk_transfer_accounting():
     t0 = time.time()
     from icecache import TierStore
-    from icecache.pagestore import INDEXED
     store = TierStore(8, 8)
-    pages = []
-    for i in range(7):
-        page = store.allocate_page(INDEXED)
-        for j in range(16):
-            store.append(page, i * 16 + j)
-        pages.append(page)
+    pages = store.open_pages(range(7 * 16), [16] * 7).tolist()
     first = store.backload(pages)
     ok = first.transactions == 1 and first.pages_backloaded == 7
     second = store.backload(pages)

@@ -138,20 +138,22 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     anchors = eng.anchor_layers()
     assert len(anchors) == 3  # every indexed layer is its own group: folds at fills 1, 6, 11
     folds = []
-    for step in range(2 * cfg.page_size):
-        heads = {key: (id(state.tree), state.store.tokens_in([state.window[0]]).tolist(),
-                       len(state.window)) for key, state in eng.heads.items()}
+    s = cfg.page_size
+    for step in range(2 * s):
+        n = 500 + step + 1  # tokens once this step's token is in
+        heads = {key: (id(state.tree), list(range(eng.window_start[key[0]],
+                                                  eng.window_start[key[0]] + s)),
+                       n - eng.window_start[key[0]]) for key, state in eng.heads.items()}
         inserts.clear()
         selection = [q for q in queries if q[0] == "decode"]
         evals, counted = sum(t.distance_evals for t in trees), len(queries)
         eng.decode_step(wl.decode_step(500, step))
         assert sum(t.distance_evals for t in trees) - evals == \
             sum(delta for _, delta in queries[counted:])
-        state = eng.heads[(anchors[0], 0)]
-        fill = int(state.store.fill[state.window[-1]])
-        due = {key: (tree, ids) for key, (tree, ids, pages) in heads.items()
-               if fill == cfg.page_size * anchors.index(key[0]) // len(anchors) + 1
-               and pages + (fill == 1) > cfg.window_pages}
+        fill = (n - 1) % s + 1  # the newest window page's: windows start on a page
+        due = {key: (tree, ids) for key, (tree, ids, window) in heads.items()
+               if fill == s * anchors.index(key[0]) // len(anchors) + 1
+               and window > cfg.window_pages * s}
         assert sorted((tree, ids) for tree, ids, _, _ in inserts) == sorted(due.values())
         if not inserts:
             continue

@@ -12,7 +12,6 @@ from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
                       exact_topk, transform_key, transform_query)
 from icecache.dci import PARENT_BLOCK, ROOT_OWNER
-from icecache.pagestore import INDEXED, WINDOW
 
 
 def _index(keys, *args, **kwargs):
@@ -559,7 +558,7 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
     nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
                    for n in tree.nodes.values())
-    pages = [tree.store.tokens_in([pid]).tolist() for pid in np.flatnonzero(tree.store.live)]
+    pages = [tree.store.tokens_in([pid]).tolist() for pid in range(tree.store.n_pages)]
     assert (_digest(nodes), _digest(pages)) == ("e99a32033c3e14d8", "1939b0f0dbe2bf15")
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
         (0, 0, 0, 3)
@@ -575,7 +574,7 @@ def _tree_state(tree):
     return (sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
                     tuple(n.page_ids)) for n in tree.nodes.values()),
             [(pid, tuple(tree.store.tokens_in([pid]).tolist()))
-             for pid in np.flatnonzero(tree.store.live).tolist()],
+             for pid in range(tree.store.n_pages)],
             tree.point_level, tree.distance_evals, tree.query_count, tree.scale_clamps)
 
 
@@ -616,24 +615,24 @@ def test_random_pages_insert_as_their_points_one_at_a_time():
         _insert_both_ways(tree, pages)
 
 
-def _place_by_rule(twin, leaf_pages, placed):
-    """The placement rule spelled out on a twin store: each (leaf, id) in
-    turn appends the id to the leaf's last page, opening a page first when
-    that page is full or the leaf has none."""
+def _place_by_rule(twin, leaf_pages, placed, page_size):
+    """The placement rule spelled out on twin pages, each a list of ids:
+    each (leaf, id) in turn appends the id to the leaf's last page, opening
+    a page first when that page is full or the leaf has none."""
     for leaf, pid in placed:
         pages = leaf_pages.setdefault(leaf, [])
-        if not pages or twin.fill[pages[-1]] == twin.page_size:
-            pages.append(twin.allocate_page(INDEXED))
-        twin.append(pages[-1], pid)
+        if not pages or len(twin[pages[-1]]) == page_size:
+            pages.append(len(twin))
+            twin.append([])
+        twin[pages[-1]].append(pid)
 
 
 def _assert_pages_equal(tree, twin, leaf_pages):
-    store, n = tree.store, twin.n_pages
-    assert store.n_pages == n
+    store = tree.store
+    assert store.n_pages == len(twin)
     assert {node.node_id: node.page_ids for node in tree.nodes.values() if node.is_leaf} == \
         leaf_pages
-    assert store.fill[:n].tolist() == twin.fill[:n].tolist()
-    assert store.tokens_in(range(n)).tolist() == twin.tokens_in(range(n)).tolist()
+    assert [store.tokens_in([p]).tolist() for p in range(store.n_pages)] == twin
 
 
 @pytest.mark.parametrize("page_size", [2, 3])
@@ -648,23 +647,23 @@ def test_page_writer_matches_the_placement_rule(page_size):
         n = int(rng.integers(1, 30))
         tree = _index(rng.normal(size=(n, 4)), 0.3, seed=trial,
                       store=TierStore(4, 2, page_size=page_size))
-        twin, leaf_pages = TierStore(4, 2, page_size=page_size), {}
+        twin, leaf_pages = [], {}
         leaves = sorted((node for node in tree.nodes.values() if node.is_leaf),
                         key=lambda node: node.node_id)
         _place_by_rule(twin, leaf_pages, [(leaf.node_id, pid) for leaf in leaves
-                                          for pid in leaf.member_ids])
+                                          for pid in leaf.member_ids], page_size)
         _assert_pages_equal(tree, twin, leaf_pages)
         for _ in range(4):
             m = int(rng.integers(1, 10))
             levels = rng.choice([1, 1, 1, 1, 2, 3], size=m).tolist()
             if rng.random() < 0.3:
                 levels[int(rng.integers(m))] = tree.levels + 1
-            old_leaves, height, opened = set(leaf_pages), tree.levels, twin.n_pages
+            old_leaves, height, opened = set(leaf_pages), tree.levels, len(twin)
             tree.insert(range(n, n + m), rng.normal(size=(m, 4)), level=levels)
             nodes = tree.nodes
             placed = [(_node_holding(tree, nodes, pid, 1).node_id, pid)
                       for pid in range(n, n + m)]
-            _place_by_rule(twin, leaf_pages, placed)
+            _place_by_rule(twin, leaf_pages, placed, page_size)
             _assert_pages_equal(tree, twin, leaf_pages)
             new_pages = [leaf for leaf, pages in leaf_pages.items() for page in pages
                          if page >= opened]
@@ -774,9 +773,9 @@ def test_non_finite_keys_are_rejected_before_the_tree_changes():
     with pytest.raises(InputError):
         tree.insert([5, 6], page, level=[1, 1])
     assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
-    # An id a live page already lists (here a window page's) or a negative
-    # id fails before any row is added, like a bad key.
-    tree.store.open_pages([100], [1], WINDOW)
+    # An id a page already lists or a negative id fails before any row is
+    # added, like a bad key.
+    tree.store.open_pages([100], [1])
     before = _tree_state(tree)
     for ids in ([5, 100], [5, -1]):
         with pytest.raises(InputError):

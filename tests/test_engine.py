@@ -8,11 +8,11 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from icecache import (ConfigError, Engine, EngineConfig, InputError, InvariantViolation,
-                      SearchBudget, WorkloadSpec, full_attention, generate_workload,
-                      pipeline_estimate, prefill)
+from icecache import (ConfigError, Engine, EngineConfig, InputError, SearchBudget,
+                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate,
+                      prefill)
 from icecache.geometry import exact_topk
-from icecache.pagestore import INDEXED, SINK, WINDOW
+from icecache.pagestore import NO_PAGE
 
 
 def _small(seed=0, n_tokens=600, layers=3, kv_heads=2, d=16, d_prime=8, **cfg_kwargs):
@@ -42,17 +42,16 @@ def test_prefill_coverage_and_roles():
     s = cfg.page_size
     state = eng.heads[(2, 0)]
     store = state.store
-    assert [store.roles[p] for p in state.sink] == [SINK] * cfg.sink_pages
-    assert all(store.roles[p] == WINDOW for p in state.window)
-    # every middle token sits in exactly one indexed page slot
-    seen = []
-    for page in np.flatnonzero(store.live).tolist():
-        if store.roles[page] == INDEXED:
-            seen.extend(store.tokens_in([page]).tolist())
-    indexed = list(range(cfg.sink_pages * s, (32 - cfg.window_pages) * s))  # 500 tokens: 32 pages
+    # 500 tokens: 32 pages, the last two the window's
+    assert eng.sink_end == cfg.sink_pages * s
+    assert eng.window_start == {2: (32 - cfg.window_pages) * s}
+    # every middle token sits in exactly one page slot; sink and window tokens in none
+    seen = store.tokens_in(range(store.n_pages)).tolist()
+    indexed = list(range(cfg.sink_pages * s, (32 - cfg.window_pages) * s))
     assert sorted(seen) == indexed
     assert state.tree.point_ids == indexed
-    assert eng.sink_tokens == list(range(cfg.sink_pages * s))
+    assert (store.page_of[: cfg.sink_pages * s] == NO_PAGE).all()
+    assert (store.page_of[(32 - cfg.window_pages) * s: 500] == NO_PAGE).all()
     assert eng.token_census(2, 0) == 500
 
 
@@ -97,13 +96,15 @@ def test_each_anchor_group_folds_once_per_page_at_its_fill():
         before = {key: (state.store.stats.pages_offloaded, len(state.tree))
                   for key, state in eng.heads.items()}
         eng.decode_step(wl.decode_step(n_prefill, t))
+        n = n_prefill + t + 1
         for key, state in eng.heads.items():
             offloaded, size = before[key]
+            window = n - eng.window_start[key[0]]
             assert state.store.stats.pages_offloaded - offloaded in (0, 1)
             if state.store.stats.pages_offloaded > offloaded:
                 assert len(state.tree) == size + s  # the folded page was full
-                folds[key].append((t, int(state.store.fill[state.window[-1]])))
-            assert cfg.window_pages <= len(state.window) <= cfg.window_pages + 1
+                folds[key].append((t, (window - 1) % s + 1))
+            assert (cfg.window_pages - 1) * s < window <= (cfg.window_pages + 1) * s
     for (layer, h), seen in folds.items():
         g = group[layer]
         assert seen == [(page * s + g * s // 2, g * s // 2 + 1) for page in range(3)], (layer, h)
@@ -130,7 +131,7 @@ def test_recall_is_scored_against_each_heads_own_tree():
                 h = qh // cfg.query_heads_per_group
                 state = eng.heads[(layer, h)]
                 points = np.asarray(state.tree.point_ids)
-                window = state.store.tokens_in(state.window)
+                window = np.arange(eng.window_start[layer], n_prefill + t + 1)
                 assert not np.isin(points, window).any()
                 assert np.isin(window, outputs[layer][qh].token_ids).all()
                 k = min(cfg.token_budget, points.size)
@@ -141,18 +142,41 @@ def test_recall_is_scored_against_each_heads_own_tree():
     assert apart == cfg.page_size  # fills 1 to 8 of both pages
 
 
-def test_rotation_requires_every_head_to_agree():
-    wl, cfg = _small(n_tokens=700, token_budget=8)
-    eng = Engine(cfg).prefill(wl, 520)
-    eng.decode_step(wl.decode_step(520, 0))
-    fills = {int(state.store.fill[state.window[-1]]) for state in eng.heads.values()}
-    assert fills == {9}
-    store, newest = eng.heads[(2, 1)].store, eng.heads[(2, 1)].window[-1]
-    dropped = store.tokens_in([newest])[-1]
-    store.fill[newest] -= 1  # one head a token behind
-    assert dropped not in store.tokens_in([newest])  # fill alone says what a page holds
-    with pytest.raises(InvariantViolation, match="differ in fill"):
-        eng.decode_step(wl.decode_step(520, 1))
+def test_fold_charges_each_heads_page_write_and_moves_the_window_up_a_page():
+    # 512 tokens: the first decode token opens window page 3 of 2, so the
+    # lone anchor group (fill 1) folds the window's oldest page into every head.
+    wl, cfg = _small(n_tokens=600, token_budget=8)
+    eng = Engine(cfg).prefill(wl, 512)
+    s, start = cfg.page_size, eng.window_start[2]
+    assert start == 512 - cfg.window_pages * s
+    _, metrics = eng.decode_step(wl.decode_step(512, 0))
+    assert eng.window_start == {2: start + s}
+    stats = [state.store.stats for state in eng.heads.values()]
+    assert [st.pages_offloaded for st in stats] == [1] * cfg.kv_heads
+    # Beyond the step's backloads, each head pays one transaction of one full page.
+    page_bytes = s * (cfg.d + cfg.d_prime) * 4
+    assert sum(st.transactions for st in stats) == metrics.transactions + cfg.kv_heads
+    assert sum(st.bytes_moved for st in stats) == metrics.bytes_moved + cfg.kv_heads * page_bytes
+    for state in eng.heads.values():
+        assert state.tree.point_ids[-s:] == list(range(start, start + s))
+
+
+def test_attended_ids_are_the_sink_the_window_then_the_selected_pages():
+    # Layer 2 is the one indexed layer; the prompt ends mid-page and step 7 folds.
+    wl, cfg = _small(n_tokens=600, kv_heads=2, query_heads_per_group=2, token_budget=8)
+    eng = Engine(cfg).prefill(wl, 505)
+    for t in range(8):
+        step = wl.decode_step(505, t)
+        outputs, _ = eng.decode_step(step)
+        # The step's selection again: folds precede it, so the trees are as it saw them.
+        pages, _ = eng.select_with_reuse(2, step.queries[2])
+        for qh, out in enumerate(outputs[2]):
+            store = eng.heads[(2, qh // 2)].store
+            expected = np.concatenate((np.arange(eng.sink_end),
+                                       np.arange(eng.window_start[2], 505 + t + 1),
+                                       store.tokens_in(pages[qh // 2])))
+            assert out.token_ids.tolist() == expected.tolist()
+    assert eng.window_start[2] == 496
 
 
 def test_decode_never_regrows_a_tree():
@@ -393,7 +417,7 @@ class DecodeMachine(RuleBasedStateMachine):
         anchors = self.eng.anchor_layers()
         for _ in range(min(n, self.MAX_STEPS - self.steps)):
             before = [self.eng.heads[(a, 0)].store.stats.pages_offloaded for a in anchors]
-            self.eng.decode_step(self.wl.decode_step(self.prefill, self.steps))
+            self.outputs, _ = self.eng.decode_step(self.wl.decode_step(self.prefill, self.steps))
             self.steps += 1
             self.folding.append([a for a, b in zip(anchors, before)
                                  if self.eng.heads[(a, 0)].store.stats.pages_offloaded > b])
@@ -405,25 +429,42 @@ class DecodeMachine(RuleBasedStateMachine):
 
     @invariant()
     def state_holds(self):
-        for (layer, h), state in self.eng.heads.items():
+        eng, n = self.eng, self.prefill + self.steps
+        cfg, s = eng.cfg, eng.cfg.page_size
+        for (layer, h), state in eng.heads.items():
             state.tree.check_invariants()
             store = state.store
-            assert not (store.pinned & ~store.hot).any()
-            assert np.flatnonzero(store.pinned).tolist() == sorted(state.sink + state.window)
-            leaf_pages = {p for node in state.tree.nodes.values() if node.is_leaf
-                          for p in node.page_ids}
-            # every unpinned live page is a leaf's: no offloaded window page stays live
-            assert set(np.flatnonzero(store.live & ~store.pinned).tolist()) <= leaf_pages
-            listed = Counter(store.tokens_in(np.flatnonzero(store.live)).tolist())
+            start = eng.window_start[layer]
+            # The sink range, the window range and the tree's points partition [0, n).
+            covered = np.concatenate((np.arange(eng.sink_end), np.arange(start, n),
+                                      state.tree.point_ids))
+            assert np.array_equal(np.sort(covered), np.arange(n))
+            # The window starts on a page and spans window_pages to window_pages + 1 pages.
+            assert start % s == 0
+            assert (cfg.window_pages - 1) * s < n - start <= (cfg.window_pages + 1) * s
+            # Every store page is a leaf's page, listing each tree point once.
+            leaf_pages = sorted(p for node in state.tree.nodes.values() if node.is_leaf
+                                for p in node.page_ids)
+            assert leaf_pages == list(range(store.n_pages))
+            listed = Counter(store.tokens_in(leaf_pages).tolist())
             for t in state.tree.point_ids:
                 assert listed[t] == 1
                 assert t in store.tokens_in([store.page_of[t]])
-            assert self.eng.token_census(layer, h) == self.prefill + self.steps
-            cfg = self.eng.cfg
-            assert cfg.window_pages <= len(state.window) <= cfg.window_pages + 1
-            anchor = max(a for a in self.eng.anchor_layers() if a <= layer)
+            assert eng.token_census(layer, h) == n
+            anchor = max(a for a in eng.anchor_layers() if a <= layer)
             # A group folds together, so a reuse layer indexes its anchor's points.
-            assert state.tree.point_ids == self.eng.heads[(anchor, h)].tree.point_ids
+            assert state.tree.point_ids == eng.heads[(anchor, h)].tree.point_ids
+
+    @invariant()
+    def attended_ids_start_with_the_sink_and_window(self):
+        if not self.steps:
+            return
+        eng, n = self.eng, self.prefill + self.steps
+        for layer in {layer for layer, _ in eng.heads}:
+            resident = np.concatenate((np.arange(eng.sink_end),
+                                       np.arange(eng.window_start[layer], n)))
+            for qh, out in enumerate(self.outputs[layer]):
+                assert np.array_equal(out.token_ids[: resident.size], resident), (layer, qh)
 
 
 TestDecodeMachine = DecodeMachine.TestCase

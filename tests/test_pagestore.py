@@ -4,19 +4,16 @@ import pytest
 
 import numpy as np
 
-from icecache import ConsistencyError, InputError, PolicyError, TierStore, find_page_index
-from icecache.pagestore import INDEXED, NO_PAGE, SINK, WINDOW
+from icecache import ConsistencyError, InputError, TierStore, TransferStats, find_page_index
+from icecache.pagestore import NO_PAGE
 
 
 def _store_with_pages(n_pages, fill, capacity=16, d=8, d_prime=8, hot=False):
-    """Indexed pages, cold unless `hot`, when a first backload brings them in."""
+    """Pages of `fill` tokens each, page i holding tokens i * capacity on;
+    cold unless `hot`, when a first backload brings them in."""
     store = TierStore(d, d_prime, page_size=capacity)
-    pages = []
-    for i in range(n_pages):
-        page = store.allocate_page(INDEXED)
-        for j in range(fill):
-            store.append(page, i * capacity + j)
-        pages.append(page)
+    tokens = (np.arange(n_pages)[:, None] * capacity + np.arange(fill)).ravel()
+    pages = store.open_pages(tokens, [fill] * n_pages).tolist()
     if hot:
         store.backload(pages)
     return store, pages
@@ -31,14 +28,9 @@ def _hot(store):
 
 def test_page_rejects_overflow_and_duplicates():
     store = TierStore(4, 4, page_size=2)
-    page = store.allocate_page()
-    store.append(page, 1)
-    with pytest.raises(InputError):
-        store.append(page, 1)
-    store.append(page, 2)
-    with pytest.raises(InputError):
-        store.append(page, 3)
+    (page,) = store.open_pages([1, 2], [2])
     for tokens, counts in (([4, 4], [2]),     # a token in two slots
+                           ([-1], [1]),       # a negative id
                            ([7, 10**5, 10**5], [1, 2]),  # the same, far past the table
                            ([2], [1]),        # already in the first page
                            ([4, 5, 6], [3]),  # overflow
@@ -54,17 +46,20 @@ def test_page_rejects_overflow_and_duplicates():
 
 def test_join_equals_appends_in_order():
     # The tree's one array write for ids joining existing pages: each page
-    # takes its ids in the given order, as one append per id would.
-    joined, appended = (_store_with_pages(4, 1, capacity=4)[0] for _ in range(2))
+    # takes its ids in the given order, as appending one id at a time to
+    # each page's token list would.
+    store, _ = _store_with_pages(4, 1, capacity=4)
+    appended = [store.tokens_in([p]).tolist() for p in range(4)]
     pages, tokens = np.array([2, 0, 2, 3, 2]), np.array([40, 41, 42, 43, 44])
-    joined.check_unlisted(tokens)
-    joined._join(pages, tokens)
+    store.check_unlisted(tokens)
+    store._join(pages, tokens)
     for page, token in zip(pages.tolist(), tokens.tolist()):
-        appended.append(page, token)
-    for name in ("slots", "fill", "page_of"):
-        assert np.array_equal(getattr(joined, name), getattr(appended, name)), name
-    joined._join(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    assert np.array_equal(joined.fill, appended.fill)
+        appended[page].append(token)
+    assert [store.tokens_in([p]).tolist() for p in range(4)] == appended
+    assert store.fill[:4].tolist() == [len(page) for page in appended]
+    assert store.page_of[tokens].tolist() == pages.tolist()
+    store._join(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert store.fill[:4].tolist() == [len(page) for page in appended]
 
 
 def test_find_page_index_single_page():
@@ -95,11 +90,10 @@ def test_loaded_token_bound():
 # -- backload -------------------------------------------------------------------
 
 
-def test_pages_open_hot_and_pinned_by_role():
+def test_pages_open_cold():
     store = TierStore(4, 4, page_size=8)
-    sink, window, indexed = (store.allocate_page(role) for role in (SINK, WINDOW, INDEXED))
-    assert store.hot[[sink, window, indexed]].tolist() == [True, True, False]
-    assert store.pinned[[sink, window, indexed]].tolist() == [True, True, False]
+    pages = store.open_pages(range(10), [8, 0, 2])
+    assert not store.hot[pages].any() and store.stats == TransferStats()
 
 
 def test_backload_all_resident_is_free():
@@ -132,20 +126,21 @@ def test_backload_unknown_page():
         store.backload([404])
 
 
+# The sink and window stay resident outside the store, so no page is pinned.
+
+
 def test_backload_nothing_leaves_only_pinned_pages_hot():
     store, pages = _store_with_pages(3, fill=1, hot=True)
-    sink = store.allocate_page(SINK)
     delta = store.backload([])
-    assert _hot(store) == {sink}
-    assert store.live[pages].all()  # dropped from the hot set, not dissolved
+    assert _hot(store) == set()
+    assert store.tokens_in(pages).tolist() == [0, 16, 32]  # dropped from the hot set, still listed
     assert (delta.transactions, delta.bytes_moved, delta.pages_backloaded) == (0, 0, 0)
 
 
 def test_backload_keeps_exactly_pinned_and_selected_hot():
     store, pages = _store_with_pages(4, fill=1, hot=True)
-    window = store.allocate_page(WINDOW)
     store.backload(pages[1:3])
-    assert _hot(store) == {*pages[1:3], window}
+    assert _hot(store) == {*pages[1:3]}
 
 
 def test_repeated_selection_backloads_nothing():
@@ -161,69 +156,30 @@ def test_repeated_selection_backloads_nothing():
 # -- offload ----------------------------------------------------------------------
 
 
-def test_offload_dissolves_a_window_page():
+def test_offload_charges_one_page_write():
     # a 3-token window page, d = d' = 8: 3 x 16 x 4 = 192 bytes
-    store = TierStore(8, 8)
-    page = store.open_pages([5, 6, 7], [3], WINDOW)[0]
-    delta = store.offload(page)
+    store, pages = _store_with_pages(2, fill=1, hot=True)
+    before = (store.slots.copy(), store.fill.copy(), store.page_of.copy(), _hot(store))
+    delta = store.offload(3)
     assert (delta.transactions, delta.bytes_moved, delta.pages_offloaded) == (1, 192, 1)
-    assert store.stats.transactions == 1
-    assert not (store.live[page] or store.hot[page] or store.pinned[page])
-    assert (store.page_of[5:8] == NO_PAGE).all()
-    with pytest.raises(ConsistencyError):
-        find_page_index([5], store)
-    with pytest.raises(ConsistencyError):
-        store.tokens_in([page])
-    with pytest.raises(ConsistencyError):
-        store.backload([page])
-    with pytest.raises(ConsistencyError):
-        store.offload(page)
-    # the freed tokens can be filed in another page
-    assert store.open_pages([5, 6, 7], [3]).tolist() == [1]
+    assert store.stats.transactions == 2 and store.stats.pages_offloaded == 1
+    after = (store.slots, store.fill, store.page_of, _hot(store))
+    assert all(np.array_equal(a, b) for a, b in zip(before[:3], after[:3]))
+    assert before[3] == after[3]  # a write to the cold tier leaves the pages as they were
 
 
 def test_offload_empty_page_counts_one_transaction():
     store = TierStore(8, 8)
-    page = store.allocate_page(WINDOW)
-    delta = store.offload(page)
+    delta = store.offload(0)
     assert (delta.transactions, delta.bytes_moved, delta.pages_offloaded) == (1, 0, 1)
-
-
-def test_offload_sink_page_is_policy_error():
-    store = TierStore(8, 8)
-    page = store.allocate_page(SINK)
-    with pytest.raises(PolicyError):
-        store.offload(page)
-    assert store.live[page] and store.stats.pages_offloaded == 0
-
-
-def test_offload_hot_indexed_page_is_policy_error():
-    store, (page,) = _store_with_pages(1, fill=1, hot=True)
-    with pytest.raises(PolicyError):
-        store.offload(page)
-    assert store.live[page] and store.stats.pages_offloaded == 0
-
-
-def test_offload_cold_page_is_inconsistent():
-    store, (page,) = _store_with_pages(1, fill=1)
-    with pytest.raises(ConsistencyError):
-        store.offload(page)
-
-
-def test_offload_unpins_window_pages():
-    store = TierStore(4, 4, page_size=8)
-    page = store.allocate_page(WINDOW)
-    store.offload(page)
-    assert not store.pinned[page]
 
 
 def test_stats_counters_are_monotone():
     store, pages = _store_with_pages(3, fill=2)
-    window = store.open_pages([100, 101], [2], WINDOW)[0]
     snapshots = []
     store.backload([pages[0]])
     snapshots.append(store.stats.__dict__.copy())
-    store.offload(window)
+    store.offload(2)
     snapshots.append(store.stats.__dict__.copy())
     store.backload(pages)
     snapshots.append(store.stats.__dict__.copy())
