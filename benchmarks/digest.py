@@ -8,20 +8,22 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
 
   outputs  every AttentionOutput: attended ids, dense weights, value_out bytes
   metrics  every StepMetrics row (repr of each field, so floats are exact)
-  trees    each tree's nodes (id, level, parent, owner, members, page ranks),
-           point levels and scale clamps: its structure
+  trees    each tree's nodes (level, owner, parent's owner, members, page
+           ranks), point levels and scale clamps: its structure
   counters each tree's query count and distance evaluations
-  pages    each leaf page's rank and token ids, in slot order
+  pages    each leaf page's rank and token ids, in slot order, leaf by leaf
   stats    each head's transfer counters
   store    each head's hot leaf pages and leaf page fills: the residency
            state after the last step
 
-and a last line digesting all of them. A page is named by its rank among
-its head's leaf pages in ascending id order, so two page layouts that open
-the same leaf pages in the same order digest equal even if other pages
-take ids between them. The sink and window tokens are covered by the
-attended ids. Only public state is read, so the same file runs on two
-checkouts and equal lines mean equal runs. BLAS runs on one thread.
+and a last line digesting all of them. A node is named by its level and
+its owner, the point one level up whose children it holds (-1 for the top
+node), and nodes are walked in that order. A page is named by its rank
+among its head's leaf pages in ascending id order, so two page layouts
+that open the same leaf pages in the same order digest equal even if
+other pages take ids between them. The sink and window tokens are covered
+by the attended ids. Only public state is read, so the same file runs on
+two checkouts and equal lines mean equal runs. BLAS runs on one thread.
 """
 
 import os
@@ -67,14 +69,15 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
     for key in sorted(engine.heads):
         state = engine.heads[key]
         tree, store = state.tree, state.store
-        leaf_pages = np.sort([p for n in tree.nodes.values() for p in n.page_ids])
+        nodes = tree.nodes.values()  # in (level, owner) order
+        leaf_pages = np.sort([p for n in nodes for p in n.page_ids])
         rank = dict(zip(leaf_pages.tolist(), range(leaf_pages.size)))
-        nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
-                        tuple(rank[p] for p in n.page_ids)) for n in tree.nodes.values())
-        groups["trees"].update(repr((key, tree.levels, nodes, sorted(tree.point_level.items()),
+        named = [(n.level, n.owner_id, n.parent_owner, tuple(n.member_ids),
+                  tuple(rank[p] for p in n.page_ids)) for n in nodes]
+        groups["trees"].update(repr((key, tree.levels, named, sorted(tree.point_level.items()),
                                      tree.scale_clamps)).encode())
         groups["counters"].update(repr((key, tree.query_count, tree.distance_evals)).encode())
-        for node in sorted(tree.nodes.values(), key=lambda n: n.node_id):
+        for node in nodes:
             for pid in node.page_ids:
                 groups["pages"].update(_ints([rank[pid]]) + _ints(store.tokens_in([pid])))
         stats = store.stats

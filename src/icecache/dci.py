@@ -24,9 +24,12 @@ inserting its points one at a time.
 
 One writer lays out the levels for both: `DciTree._link` adds buffer rows,
 whose top levels and parent rows are set, to every level they reach. The
-build links all of its rows in one call; an insert links its page in
-stretches that keep node ids equal to one point at a time. Which node holds
-a point at a level is read from the row arrays (`DciTree._node_of`).
+build links all of its rows in one call; an insert links its page in one
+call, split only before a point that grows the tree. A node is named by its
+owner, the point one level up whose children it holds (`ROOT_OWNER` for the
+top node), so a node's name does not depend on how its points were batched.
+Which node holds a point at a level is read from the row arrays
+(`DciTree._node_of`).
 
 Queries descend from the virtual root to level 1: at each level the
 members of the surviving clusters are ranked by inner product with the
@@ -111,17 +114,18 @@ def assign_levels(r: float, rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DciNode:
-    """One cluster: the points at `level` sharing the same parent point.
+    """One cluster: the points at `level` sharing the same parent point,
+    its owner.
 
-    A record read from the tree's arrays (`DciTree.nodes`), holding no
-    reference back to the tree. A leaf's `page_ids` are the pages listing
-    its members, ascending (none without a store).
+    A record read from the tree's arrays (`DciTree.nodes`, keyed by
+    `(level, owner_id)`), holding no reference back to the tree. Its parent
+    node is `(level + 1, parent_owner)`. A leaf's `page_ids` are the pages
+    listing its members, ascending (none without a store).
     """
 
-    node_id: int
     level: int
     owner_id: int              # owning point id, ROOT_OWNER for the top node
-    parent_id: int | None      # None for the top node
+    parent_owner: int | None   # the parent node's owner_id, None for the top node
     member_ids: list[int]
     page_ids: list[int]        # leaf nodes only
 
@@ -184,11 +188,12 @@ class DciTree:
     Every point has a buffer row: `_top` holds its top level and `_parent`
     the row of its parent point (-1 in the top node). Level l is stored as
     arrays at index l - 1: `_members` holds the rows of every point present
-    at that level, grouped by node, and `_start`/`_count`/`_node_id`,
-    indexed by the row of the node's owner (a point one level up), give
-    where that node's members sit in `_members` and its id. The top node is
-    its whole level. A row is in its parent's node at its top level and in
-    its own node below (`_node_of`).
+    at that level, grouped by node, and `_start`/`_count`, indexed by the
+    row of the node's owner (a point one level up), give where that node's
+    members sit in `_members`. A node is named by its owner; the top node,
+    owned by no point (`ROOT_OWNER`, row -1), is its whole level. A row is
+    in its parent's node at its top level and in its own node below
+    (`_node_of`).
     """
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
@@ -206,7 +211,6 @@ class DciTree:
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0,)))
 
         self.levels = 0
-        self.top_node_id: int | None = None
         self._row: dict[int, int] = {}          # point id -> row in the point buffer
         self._buf = np.empty((0, dim + 1))
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
@@ -216,8 +220,6 @@ class DciTree:
         self._members: list[np.ndarray] = []
         self._start: list[np.ndarray] = []
         self._count: list[np.ndarray] = []
-        self._node_id: list[np.ndarray] = []
-        self._next_node_id = 0
 
         self.query_count = 0
         self.distance_evals = 0
@@ -238,22 +240,23 @@ class DciTree:
         return dict(zip(self.point_ids, self._top[: self._n].tolist()))
 
     @property
-    def nodes(self) -> dict[int, DciNode]:
-        """Every node by ascending id, read from the level arrays: each row
-        present at level l + 1 owns one node at level l, and the top node is
-        its whole level. A leaf's pages are its members' pages in the store."""
-        found = [(self.top_node_id, self.levels, ROOT_OWNER, None, self._members[-1])] \
-            if self.levels else []
+    def nodes(self) -> dict[tuple[int, int], DciNode]:
+        """Every node by ascending (level, owner id), read from the level
+        arrays: each row present at level l + 1 owns one node at level l,
+        and the top node is its whole level. A leaf's pages are its
+        members' pages in the store."""
+        found = [(self.levels, ROOT_OWNER, None, self._members[-1])] if self.levels else []
         for lv in range(1, self.levels):
             owners, members = self._members[lv], self._members[lv - 1]
-            found += [(i, lv, owner, parent, members[a:a + c]) for i, owner, parent, a, c in zip(
-                self._node_id[lv - 1][owners].tolist(), self._point[owners].tolist(),
-                self._node_of(owners, lv + 1).tolist(), self._start[lv - 1][owners].tolist(),
+            parents = self._point[self._node_of(owners, lv + 1)].tolist() \
+                if lv + 1 < self.levels else [ROOT_OWNER] * owners.size
+            found += [(lv, owner, parent, members[a:a + c]) for owner, parent, a, c in zip(
+                self._point[owners].tolist(), parents, self._start[lv - 1][owners].tolist(),
                 self._count[lv - 1][owners].tolist())]
-        return {i: DciNode(i, lv, owner, parent, self._point[rows].tolist(),
-                           sorted(set(self.store.page_of[self._point[rows]].tolist()))
-                           if lv == 1 and self.store is not None else [])
-                for i, lv, owner, parent, rows in sorted(found, key=lambda f: f[0])}
+        return {(lv, owner): DciNode(lv, owner, parent, self._point[rows].tolist(),
+                                     sorted(set(self.store.page_of[self._point[rows]].tolist()))
+                                     if lv == 1 and self.store is not None else [])
+                for lv, owner, parent, rows in sorted(found, key=lambda f: f[:2])}
 
     def _reserve(self, rows: int) -> None:
         """Grow every row-indexed array to hold `rows` points: exactly
@@ -268,11 +271,10 @@ class DciTree:
         self._parent = grown(self._parent, cap)
         self._start = [grown(a, cap) for a in self._start]
         self._count = [grown(a, cap) for a in self._count]
-        self._node_id = [grown(a, cap) for a in self._node_id]
 
     def _add_level(self) -> None:
         self._members.append(np.empty(0, dtype=np.intp))
-        for arrays in (self._start, self._count, self._node_id):
+        for arrays in (self._start, self._count):
             arrays.append(np.zeros(self._buf.shape[0], dtype=np.intp))
         self.levels += 1
 
@@ -319,12 +321,10 @@ class DciTree:
     # -- node helpers -----------------------------------------------------
 
     def _node_of(self, rows, level: int):
-        """The id of the node holding each given row at `level`, where the
-        rows must be present."""
-        if level == self.levels:
-            return np.full(np.shape(rows), self.top_node_id)
-        owner = np.where(self._top[rows] == level, self._parent[rows], rows)
-        return self._node_id[level - 1][owner]
+        """The owner row of the node holding each given row at `level`, where
+        the rows must be present: its parent at its top level, itself below.
+        At the top level that is -1, the top node's (`ROOT_OWNER`)."""
+        return np.where(self._top[rows] == level, self._parent[rows], rows)
 
     def _link(self, rows: np.ndarray) -> None:
         """Add ascending buffer rows, whose `_top` and `_parent` are set, to
@@ -333,10 +333,9 @@ class DciTree:
         At its top level a row joins its parent's node (the top node for
         parent -1), below that its own node. Members go to the end of their
         node's slice in row order; new nodes go to the end of their level in
-        order of first row, with ids counting up level by level. If the rows
-        reach above the tree, the first row at their highest level tops it
-        before any row is linked (`_grow`); on a tree that has a top node,
-        that row must come first.
+        order of first row. If the rows reach above the tree, the first row
+        at their highest level tops it before any row is linked (`_grow`); on
+        a tree that has a top node, that row must come first.
         """
         top = self._top[rows]
         high = int(top.max())
@@ -348,9 +347,6 @@ class DciTree:
             joins = rows[at]
             members = self._members[lv - 1]
             if lv == self.levels:
-                if not members.size:
-                    self.top_node_id = self._next_node_id
-                    self._next_node_id += 1
                 self._members[lv - 1] = np.concatenate((members, joins))
                 continue
             owner = np.where(top[at] == lv, parent[at], joins)
@@ -373,8 +369,6 @@ class DciTree:
                 owners = owners[rank]
                 start[owners] = members.size + np.cumsum(counts) - counts
                 count[owners] = counts
-                self._node_id[lv - 1][owners] = np.arange(owners.size) + self._next_node_id
-                self._next_node_id += owners.size
                 members = np.concatenate(
                     (members, joins[new][np.argsort(first[group], kind="stable")]))
             self._members[lv - 1] = members
@@ -390,7 +384,6 @@ class DciTree:
             self._parent[members] = row
             self._start[old - 1][row] = 0
             self._count[old - 1][row] = members.size
-            self._node_id[old - 1][row] = self.top_node_id
 
     # -- search -------------------------------------------------------------
 
@@ -454,7 +447,7 @@ class DciTree:
         store = self.store
         if store is None or not rows.size:
             return
-        owner = np.where(self._top[rows] == 1, self._parent[rows], rows)  # -1: the top node
+        owner = self._node_of(rows, 1)  # -1: the top node
         start, size = (self._start[0], self._count[0]) if self.levels > 1 else \
             (np.zeros(1, dtype=np.intp), np.array([self._members[0].size]))  # owner -1 reads these
         order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
@@ -487,10 +480,10 @@ class DciTree:
         failing a check (an id already indexed or listed by a page, a
         bad key or level) leaves the tree and store unchanged.
 
-        The points go to `_link` in stretches, each ending before the next
-        point that reaches level 3 or grows the tree: within a stretch only
-        its first point opens nodes above level 1 or grows the tree, so the
-        level-by-level node ids equal those of one `_link` per point.
+        The page goes to `_link` in one call, split only before a point
+        that grows the tree: `_grow` hands the former top node to that
+        point, so the points before it must be linked first. Nodes are named
+        by their owners, so the split does not change what they are called.
         """
         single = np.ndim(point_id) == 0
         pids = as_ids(np.atleast_1d(point_id))
@@ -514,7 +507,7 @@ class DciTree:
         rows = self._add_rows(pids, keys.reshape(len(ids), self.dim), levels, earlier=True)
         starts, height = [], self.levels
         for i, lv in enumerate(levels):
-            if not i or lv >= 3 or lv > height:
+            if not i or lv > height:
                 starts.append(i)
             height = max(height, lv)
         for a, b in zip(starts, starts[1:] + [len(ids)]):
@@ -526,28 +519,27 @@ class DciTree:
 
     def check_invariants(self) -> None:
         """Full structural walk; raises AssertionError on violation."""
-        assert self.levels >= 1 and self.top_node_id is not None
+        assert self.levels >= 1
         assert len(self._members) == self.levels, "level arrays != levels"
         nodes, store = self.nodes, self.store
         points, top = self._point[: self._n], self._top[: self._n]
-        seen_levels = {node.level for node in nodes.values()}
+        seen_levels = {lv for lv, _ in nodes}
         assert seen_levels == set(range(1, self.levels + 1)), "empty level present"
         slices: dict[int, list[tuple[int, int]]] = {lv: [] for lv in seen_levels}
-        for node in nodes.values():
+        for (lv, owner), node in nodes.items():
             members = node.member_ids
-            assert members, f"empty node {node.node_id}"
+            assert members, f"empty node {(lv, owner)}"
             rows = np.array([self._row[pid] for pid in members])
-            offset = 0 if node.owner_id == ROOT_OWNER else \
-                int(self._start[node.level - 1][self._row[node.owner_id]])
-            slices[node.level].append((offset, rows.size))
-            assert (self._node_of(rows, node.level) == node.node_id).all(), \
+            owner_row = -1 if owner == ROOT_OWNER else self._row[owner]
+            offset = 0 if owner == ROOT_OWNER else int(self._start[lv - 1][owner_row])
+            slices[lv].append((offset, rows.size))
+            assert (self._node_of(rows, lv) == owner_row).all(), \
                 "membership disagrees with the level arrays"
-            if node.node_id == self.top_node_id:
-                assert node.parent_id is None and node.owner_id == ROOT_OWNER
+            if owner == ROOT_OWNER:
+                assert lv == self.levels and node.parent_owner is None, "top node below the top"
             else:
-                parent = nodes[node.parent_id]
-                assert parent.level == node.level + 1, "parent not one level up"
-                assert node.owner_id in parent.member_ids, "owner missing from parent"
+                parent = nodes[(lv + 1, node.parent_owner)]
+                assert owner in parent.member_ids, "owner missing from parent"
             if node.is_leaf and store is not None:  # the rule `_place` keeps
                 pages, listed = np.asarray(node.page_ids), store.page_of[members]
                 assert (store.fill[pages[:-1]] == store.page_size).all(), \
@@ -566,8 +558,8 @@ class DciTree:
             assert np.array_equal(np.sort(self._point[self._members[lv - 1]]),
                                   np.sort(points[top >= lv])), f"level {lv} holds the wrong points"
             held = np.unique(self._node_of(np.flatnonzero(top >= lv), lv)).tolist()
-            assert all(i in nodes and nodes[i].level == lv for i in held), \
-                "missing level copy"
+            assert all((lv, ROOT_OWNER if r < 0 else int(self._point[r])) in nodes
+                       for r in held), "missing level copy"
         leaf_members = [pid for node in nodes.values() if node.is_leaf for pid in node.member_ids]
         assert sorted(leaf_members) == sorted(points.tolist()), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"

@@ -67,12 +67,9 @@ def _top(ids: np.ndarray) -> int:
 def find_page_index(key_ids: Iterable[int], store: "TierStore") -> np.ndarray:
     """Deduplicated, ascending page ids containing the given tokens."""
     ids = as_ids(key_ids)
-    unmapped = ConsistencyError("a token is not mapped to any page")
-    if ids.size and _top(ids) >= store.page_of.size:
-        raise unmapped
-    pages = store.page_of[ids]
-    if (pages < 0).any():
-        raise unmapped
+    pages = store.page_of[ids] if not ids.size or _top(ids) < store.page_of.size else None
+    if pages is None or (pages < 0).any():
+        raise ConsistencyError("a token is not mapped to any page")
     listed = np.zeros(store.n_pages, dtype=bool)
     listed[pages] = True
     return np.flatnonzero(listed)

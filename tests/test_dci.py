@@ -22,7 +22,8 @@ def _index(keys, *args, **kwargs):
 def _node_holding(tree, nodes, pid, level):
     """The node that holds point pid at the level, looked up in one
     `tree.nodes` snapshot."""
-    return nodes[int(tree._node_of(tree._row[pid], level))]
+    owner = int(tree._node_of(tree._row[pid], level))
+    return nodes[(level, ROOT_OWNER if owner < 0 else int(tree._point[owner]))]
 
 
 def _clustered(seed, n, d, clusters, spread=0.1):
@@ -83,7 +84,7 @@ def test_single_key_builds_degenerate_tree():
     tree = dci_indexing([7], np.ones((1, 4)), 0.3, seed=0, store=store)
     assert tree.levels == 1
     assert len(tree.nodes) == 1
-    top = tree.nodes[tree.top_node_id]
+    top = tree.nodes[(tree.levels, ROOT_OWNER)]
     assert top.owner_id == ROOT_OWNER and top.member_ids == [7]
     assert len(top.page_ids) == 1 and store.fill[top.page_ids[0]] == 1
     tree.check_invariants()
@@ -186,8 +187,7 @@ def test_tree_structure_invariants_hold():
     for pid, lv in tree.point_level.items():
         if lv < tree.levels:
             node = _node_holding(tree, nodes, pid, lv)
-            parent = nodes[node.parent_id]
-            assert parent.level == lv + 1
+            assert node.owner_id in nodes[(lv + 1, node.parent_owner)].member_ids
 
 
 # -- within-node search ------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_pdci_query_exhaustive_cap_matches_brute_force():
     rng = np.random.default_rng(7)
     keys = rng.normal(size=(256, 10))
     tree = _index(keys, 1e-9, seed=7)  # one flat node
-    top = tree.nodes[tree.top_node_id]
+    top = tree.nodes[(tree.levels, ROOT_OWNER)]
     assert tree.levels == 1 and len(top.member_ids) == 256
     scale = tree.scale
     for _ in range(20):
@@ -238,7 +238,7 @@ def test_large_node_is_scanned_whole():
     keys = rng.normal(size=(600, 8))
     keys[300:320] = keys[:20]  # equal rows: ties go toward the smaller id
     tree = _index(keys, 1e-9, seed=9)  # one flat node
-    assert tree.levels == 1 and len(tree.nodes[tree.top_node_id].member_ids) == 600
+    assert tree.levels == 1 and len(tree.nodes[(tree.levels, ROOT_OWNER)].member_ids) == 600
     lifted = np.stack([tree.lifted(pid) for pid in range(600)])
     for k in (1, 4, 64):
         for q in rng.normal(size=(3, 8)):
@@ -365,7 +365,7 @@ def test_insert_into_empty_tree():
     tree = DciTree(3, KeyScale(2.0), 0.2, seed=18, store=store)
     tree.insert(0, np.ones(3), level=1)
     assert tree.levels == 1 and len(tree.nodes) == 1
-    leaf = tree.nodes[tree.top_node_id]
+    leaf = tree.nodes[(tree.levels, ROOT_OWNER)]
     assert leaf.page_ids and store.fill[leaf.page_ids[0]] == 1
     tree.check_invariants()
 
@@ -437,9 +437,9 @@ def test_identical_seeds_build_identical_trees():
     a = _index(keys, 0.15, seed=99)
     b = _index(keys, 0.15, seed=99)
     assert a.point_level == b.point_level
-    assert {(n.node_id, n.level, n.owner_id, tuple(n.member_ids))
+    assert {(n.level, n.owner_id, n.parent_owner, tuple(n.member_ids))
             for n in a.nodes.values()} == \
-           {(n.node_id, n.level, n.owner_id, tuple(n.member_ids))
+           {(n.level, n.owner_id, n.parent_owner, tuple(n.member_ids))
             for n in b.nodes.values()}
     q = transform_query(keys[0])
     assert a.query(q, SENTINEL_LEVEL, 8) == b.query(q, SENTINEL_LEVEL, 8)
@@ -512,17 +512,17 @@ def test_page_inserts_match_golden_values(batched):
     """Tree, pages and counters pinned from one-at-a-time inserts."""
     tree, store = _paged_tree(batched)
     tree.check_invariants()
-    assert sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids)
-                  for n in tree.nodes.values()) == [
-        (0, 2, 7, 112, [4, 5, 8, 9, 102, 106, 112, 119, 120]),
-        (1, 1, 0, 8, [0, 1, 2, 3, 8, 10, 11, 100, 101, 115, 116, 117, 118]),
-        (2, 1, 0, 4, [4, 6]), (3, 1, 0, 5, [5, 7]), (4, 1, 0, 9, [9, 105]),
-        (5, 1, 0, 102, [102, 103, 104, 110, 111, 113]), (6, 1, 0, 106, [106, 107, 108, 109]),
-        (7, 3, None, -1, [112]), (8, 1, 0, 112, [112, 114]), (9, 1, 0, 119, [119]),
-        (10, 1, 0, 120, [120])]
-    assert sorted((n.node_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf) == [
-        (1, [0, 1, 2, 11, 12]), (2, [3]), (3, [4]), (4, [5]), (5, [6, 9]), (6, [7, 8]),
-        (8, [10]), (9, [13]), (10, [14])]
+    assert [(n.level, n.owner_id, n.parent_owner, n.member_ids)
+            for n in tree.nodes.values()] == [
+        (1, 4, 112, [4, 6]), (1, 5, 112, [5, 7]),
+        (1, 8, 112, [0, 1, 2, 3, 8, 10, 11, 100, 101, 115, 116, 117, 118]),
+        (1, 9, 112, [9, 105]), (1, 102, 112, [102, 103, 104, 110, 111, 113]),
+        (1, 106, 112, [106, 107, 108, 109]), (1, 112, 112, [112, 114]), (1, 119, 112, [119]),
+        (1, 120, 112, [120]), (2, 112, ROOT_OWNER, [4, 5, 8, 9, 102, 106, 112, 119, 120]),
+        (3, ROOT_OWNER, None, [112])]
+    assert [(n.owner_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf] == [
+        (4, [3]), (5, [4]), (8, [0, 1, 2, 11, 12]), (9, [5]), (102, [6, 9]), (106, [7, 8]),
+        (112, [10]), (119, [13]), (120, [14])]
     assert [store.tokens_in([pid]).tolist() for pid in range(15)] == [
         [0, 1, 2], [3, 8, 10], [11, 100, 101], [4, 6], [5, 7], [9, 105], [102, 103, 104],
         [106, 107, 108], [109], [110, 111, 113], [112, 114], [115, 116, 117], [118], [119],
@@ -556,10 +556,10 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     tree.check_invariants()
     assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
     assert any(tree.point_level[pid] == 2 for pid in range(8000, 8160))
-    nodes = sorted((n.node_id, n.level, n.parent_id, n.owner_id, n.member_ids, n.page_ids)
-                   for n in tree.nodes.values())
+    nodes = [(n.level, n.owner_id, n.parent_owner, n.member_ids, n.page_ids)
+             for n in tree.nodes.values()]
     pages = [tree.store.tokens_in([pid]).tolist() for pid in range(tree.store.n_pages)]
-    assert (_digest(nodes), _digest(pages)) == ("e99a32033c3e14d8", "1939b0f0dbe2bf15")
+    assert (_digest(nodes), _digest(pages)) == ("774d974dd7c6c6fc", "1939b0f0dbe2bf15")
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
         (0, 0, 0, 3)
 
@@ -571,8 +571,8 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
 
 
 def _tree_state(tree):
-    return (sorted((n.node_id, n.level, n.parent_id, n.owner_id, tuple(n.member_ids),
-                    tuple(n.page_ids)) for n in tree.nodes.values()),
+    return ([(n.level, n.owner_id, n.parent_owner, tuple(n.member_ids), tuple(n.page_ids))
+             for n in tree.nodes.values()],
             [(pid, tuple(tree.store.tokens_in([pid]).tolist()))
              for pid in range(tree.store.n_pages)],
             tree.point_level, tree.distance_evals, tree.query_count, tree.scale_clamps)
@@ -593,7 +593,7 @@ def _insert_both_ways(tree, pages):
 def test_random_pages_insert_as_their_points_one_at_a_time():
     """Pages of random levels, some topping the tree, inserted page-wise
     into built and empty trees end as the same points inserted one id at a
-    time: the same node ids, layout, pages and counters."""
+    time: the same nodes, layout, pages and counters."""
     for trial in range(60):
         rng = np.random.default_rng(500 + trial)
         store = TierStore(4, 2, page_size=3)
@@ -615,6 +615,30 @@ def test_random_pages_insert_as_their_points_one_at_a_time():
         _insert_both_ways(tree, pages)
 
 
+def test_page_inserts_split_only_before_a_point_that_grows_the_tree(monkeypatch):
+    """A page goes to `_link` in one call however high its points reach
+    below the top, and in two when a point grows the tree, which must find
+    the points before it linked. Both end as one-at-a-time inserts."""
+    rng = np.random.default_rng(46)
+    tree = DciTree(4, KeyScale(4.0), 0.3, seed=46, store=TierStore(4, 2, page_size=3))
+    tree.insert(range(12), rng.normal(size=(12, 4)), level=[4] + [1, 2, 3] * 3 + [1, 1])
+    calls = []
+    link = DciTree._link
+
+    def counted(self, rows):
+        calls.append((self, rows.size))
+        return link(self, rows)
+    monkeypatch.setattr(DciTree, "_link", counted)
+    n = 12
+    for levels, linked in (([1, 2, 3, 1, 1], [5]), ([1, 3, 5, 1, 2], [2, 3])):
+        calls.clear()
+        height = tree.levels
+        _insert_both_ways(tree, [(list(range(n, n + 5)), rng.normal(size=(5, 4)), levels)])
+        assert [size for t, size in calls if t is tree] == linked
+        assert tree.levels == max(height, *levels)
+        n += 5
+
+
 def _place_by_rule(twin, leaf_pages, placed, page_size):
     """The placement rule spelled out on twin pages, each a list of ids:
     each (leaf, id) in turn appends the id to the leaf's last page, opening
@@ -630,7 +654,7 @@ def _place_by_rule(twin, leaf_pages, placed, page_size):
 def _assert_pages_equal(tree, twin, leaf_pages):
     store = tree.store
     assert store.n_pages == len(twin)
-    assert {node.node_id: node.page_ids for node in tree.nodes.values() if node.is_leaf} == \
+    assert {node.owner_id: node.page_ids for node in tree.nodes.values() if node.is_leaf} == \
         leaf_pages
     assert [store.tokens_in([p]).tolist() for p in range(store.n_pages)] == twin
 
@@ -638,9 +662,10 @@ def _assert_pages_equal(tree, twin, leaf_pages):
 @pytest.mark.parametrize("page_size", [2, 3])
 def test_page_writer_matches_the_placement_rule(page_size):
     """Oracle for `_place`: page ids, fills and slot order equal the rule
-    applied one id at a time, for builds (leaves in id order) and for page
-    inserts (ids in insert order), where one call opens several pages in
-    one leaf, opens pages in a leaf the call created, and grows the tree."""
+    applied one id at a time, for builds (leaves in order of their first
+    point) and for page inserts (ids in insert order), where one call opens
+    several pages in one leaf, opens pages in a leaf the call created, and
+    grows the tree."""
     seen = set()
     for trial in range(30):
         rng = np.random.default_rng(700 + trial)
@@ -649,8 +674,8 @@ def test_page_writer_matches_the_placement_rule(page_size):
                       store=TierStore(4, 2, page_size=page_size))
         twin, leaf_pages = [], {}
         leaves = sorted((node for node in tree.nodes.values() if node.is_leaf),
-                        key=lambda node: node.node_id)
-        _place_by_rule(twin, leaf_pages, [(leaf.node_id, pid) for leaf in leaves
+                        key=lambda node: node.member_ids[0])
+        _place_by_rule(twin, leaf_pages, [(leaf.owner_id, pid) for leaf in leaves
                                           for pid in leaf.member_ids], page_size)
         _assert_pages_equal(tree, twin, leaf_pages)
         for _ in range(4):
@@ -661,7 +686,12 @@ def test_page_writer_matches_the_placement_rule(page_size):
             old_leaves, height, opened = set(leaf_pages), tree.levels, len(twin)
             tree.insert(range(n, n + m), rng.normal(size=(m, 4)), level=levels)
             nodes = tree.nodes
-            placed = [(_node_holding(tree, nodes, pid, 1).node_id, pid)
+            if ROOT_OWNER in leaf_pages and tree.levels > 1:
+                # The former top leaf is now owned by the point that grew the tree.
+                grower = _node_holding(tree, nodes, twin[leaf_pages[ROOT_OWNER][0]][0], 1).owner_id
+                leaf_pages[grower] = leaf_pages.pop(ROOT_OWNER)
+                old_leaves.add(grower)
+            placed = [(_node_holding(tree, nodes, pid, 1).owner_id, pid)
                       for pid in range(n, n + m)]
             _place_by_rule(twin, leaf_pages, placed, page_size)
             _assert_pages_equal(tree, twin, leaf_pages)

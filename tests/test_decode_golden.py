@@ -2,10 +2,11 @@
 fields and leaf page token order (captured once window folds were spread
 over the page, each anchor group at its own fill; pages are named by their
 rank among the head's leaf pages, which the sink and window leaving the
-store did not move); and the structure the
-build and fold inserts give every tree (captured before node membership
-moved into row arrays, and unchanged by the spread folds): each node's
-id, level, parent, owner and members, and each point's level.
+store did not move); and the structure the build and fold inserts give
+every tree: each node's level, owner, parent node's owner and members,
+and each point's level. Nodes are named by their owner points, and the
+trees and pages digests were re-pinned from the same trees when they
+stopped being named by counter-issued ids.
 
 Only integers are digested, so BLAS rounding cannot move these values; the
 float outputs follow from the attended ids through the same arithmetic.
@@ -27,20 +28,20 @@ GOLDEN = {
     (): ("31357ad036f89bb8bf5c914233c3815b3884906fddea9c56ac24a98b2ab31635",
          "6da01c00b015924ca36cafcb075841d323d59fe8e0fe29b3fceec8e76492da50",
          [780, 20780, 1494, 1280, 13646, 1095360, 154, 160],
-         "64f61a91f0b1848438a42ecf32cefd1364023219729bf1f3d30c86df7e0c6013",
-         "17d14d022ca659e309ee393e3ee3a3c060c4a016296655a4cbbf3ab9c3fff987"),
+         "ce87666b9a316cde628abf041d97119886d39edca8296724102bea7a0680de70",
+         "c3b46e9126c2be96d21d4473a8cf48e52fda2d45fc1fe05b0bb3446acf5ff6e6"),
     (("skip_layers", 1), ("reuse_stride", 3)): (
         "611dcf3669cd89a714712851250146ead59141f8bfccbf0bdad507a7e4330ad4",
         "f35a2c625f39c652a3046ac488b09537a51099483a0a3fdf4a2a8ad16fca4430",
         [780, 20780, 2337, 2012, 20449, 1643808, 232, 80],
-        "1463c51a79530423c4f205f12b925a47b2ce8a9182095734b5bcb45bb48a54c6",
-        "625f7e1ad513ff19e15c57617023cf9b2bad2b3859b00d0e57d262ce3d514ae5"),
+        "a3a72317900125fc5dcb64c658e226d3df2f9044d5e76208d05577757dc51183",
+        "715f7ea82cbd535f09dfa2bb1fcf11f1abc793b3bab3c7233f6e152df3e18f8e"),
     (("query_heads_per_group", 2),): (
         "dcab2a33d3b04a957622b5513c4c855f8ac4c62e25cfdcc785f1f5ba59372fb0",
         "0c4b2a3f8de4d616fd0edf3bf1107025ccf56ae13abdff754d985002403cd302",
         [780, 20780, 1592, 1368, 14355, 1152960, 156, 320],
-        "0a3e6a1c6e2d69650d0f5dc1b4c65c255fa99be2d614b7898d86ab5ae263a7da",
-        "87c58bce2c3228479612f0dd51181d0dd2d405003be9416fc7bddfb9493ae090"),
+        "b0758797165fe766e154dc270e9480f04f0d719231d96fdebcb1477f70f464e5",
+        "29aecf2f8da2f24de8cb043e3ab936adcf3c4ccee22708de1a3e7f83cd56c4e4"),
 }
 
 
@@ -66,23 +67,20 @@ def _decode(overrides: dict, steps: int = 40):
     pages = hashlib.sha256()
     for key in sorted(eng.heads):
         state = eng.heads[key]
-        nodes = sorted(state.tree.nodes.values(), key=lambda n: n.node_id)
+        nodes = state.tree.nodes.values()  # in (level, owner) order
         # A page is named by its rank among the head's leaf pages, ascending.
         rank = {pid: i for i, pid in enumerate(sorted(p for n in nodes for p in n.page_ids))}
         for node in nodes:
             for pid in node.page_ids:
                 tokens = list(state.store.tokens_in([pid]))
-                pages.update(_ints([key[0], key[1], node.node_id, rank[pid], len(tokens)]))
+                pages.update(_ints([key[0], key[1], node.owner_id, rank[pid], len(tokens)]))
                 pages.update(_ints(tokens))
     trees = hashlib.sha256()
     for key in sorted(eng.heads):
         tree = eng.heads[key].tree
-        for node in sorted(tree.nodes.values(), key=lambda n: n.node_id):
-            parent = -1 if node.parent_id is None else node.parent_id
-            members = node.member_ids
-            trees.update(_ints([key[0], key[1], node.node_id, node.level, parent,
-                                node.owner_id, len(members)]))
-            trees.update(_ints(members))
+        for node in tree.nodes.values():
+            trees.update(repr((key, node.level, node.owner_id, node.parent_owner,
+                               node.member_ids)).encode())
         trees.update(_ints(np.ravel(sorted(tree.point_level.items()))))
     rows = np.asarray(rows, dtype=np.int64)
     return (attended.hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest(),

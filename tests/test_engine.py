@@ -186,14 +186,14 @@ def test_decode_never_regrows_a_tree():
     eng = Engine(cfg).prefill(wl, 512)
     trees = [state.tree for state in eng.heads.values()]
     buffers = [(tree._buf, tree._point, tree._top, tree._parent,
-                [*tree._start, *tree._count, *tree._node_id]) for tree in trees]
+                [*tree._start, *tree._count]) for tree in trees]
     for t in range(80):
         eng.decode_step(wl.decode_step(512, t))
     assert all(state.store.stats.pages_offloaded >= 5 for state in eng.heads.values())
     for tree, (buf, point, top, parent, per_level) in zip(trees, buffers):
         assert tree._buf is buf and tree._point is point and tree._top is top
         assert tree._parent is parent
-        assert all(a is b for a, b in zip([*tree._start, *tree._count, *tree._node_id],
+        assert all(a is b for a, b in zip([*tree._start, *tree._count],
                                           per_level))
 
 

@@ -77,6 +77,12 @@ def test_find_page_index_distinct_pages_sorted():
 def test_find_page_index_unmapped_token():
     with pytest.raises(ConsistencyError):
         find_page_index([42], TierStore(4, 4))
+    store = TierStore(4, 4)
+    store.open_pages([0, 1, 5], [2, 1])
+    for ids in ([3], [0, 6], [-1], [0, 100]):  # unlisted inside the page table, then past it
+        with pytest.raises(ConsistencyError):
+            find_page_index(ids, store)
+    assert find_page_index([5, 0], store).tolist() == [0, 1]
 
 
 def test_loaded_token_bound():
