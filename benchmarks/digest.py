@@ -24,6 +24,10 @@ that open the same leaf pages in the same order digest equal even if
 other pages take ids between them. The sink and window tokens are covered
 by the attended ids. Only public state is read, so the same file runs on
 two checkouts and equal lines mean equal runs. BLAS runs on one thread.
+
+`--workload all` runs every perfbench workload in turn and prefixes each
+line with the workload's name, so one `diff` of two checkouts' output
+compares them all.
 """
 
 import os
@@ -93,14 +97,17 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=[*sorted(WORKLOADS), "all"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=64)
     parser.add_argument("--evaluate", action="store_true",
                         help="also compute the engine's oracle fields in StepMetrics")
     args = parser.parse_args()
-    for name, digest in run(args.workload, args.seed, args.steps, args.evaluate).items():
-        print(f"{name:8s} {digest}")
+    every = args.workload == "all"
+    for workload in WORKLOADS if every else [args.workload]:
+        prefix = f"{workload} " if every else ""
+        for name, digest in run(workload, args.seed, args.steps, args.evaluate).items():
+            print(f"{prefix}{name:8s} {digest}")
     return 0
 
 

@@ -31,12 +31,12 @@ top node), so a node's name does not depend on how its points were batched.
 Which node holds a point at a level is read from the row arrays
 (`DciTree._node_of`).
 
-Queries descend from the virtual root to level 1: at each level the
-members of the surviving clusters are ranked by inner product with the
-lifted query (on the unit sphere the same order as lifted distance), the
-best `beam` survive, and their child nodes are searched next. The
-candidates of every level feed one top-k. Every surviving node is scanned
-whole.
+Queries descend to level 1 from the highest level holding more than
+`beam` points, scanned whole: at each level the members of the surviving
+clusters are ranked by inner product with the lifted query (on the unit
+sphere the same order as lifted distance), the best `beam` survive, and
+their child nodes are searched next. The top k come from the level-1
+candidates alone. Every surviving node is scanned whole.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import ConfigError, InputError
 from .geometry import KeyScale
 from .pagestore import TierStore
 
-# The only target level a query takes: descend to level 1, collecting at every level.
+# The only target level a query takes: descend to level 1 and rank its candidates.
 SENTINEL_LEVEL = -1
 
 # Owner id of the virtual root's node (the top-level cluster).
@@ -389,39 +389,42 @@ class DciTree:
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
               budget: SearchBudget | None = None) -> list[int]:
-        """Descend the tree to level 1 and return up to k point ids, those
-        whose lifted points have the largest inner product with q_vec found
-        on the way, best first, ties toward the smaller id. target_level
-        must be SENTINEL_LEVEL.
+        """Descend the tree to level 1 and return up to k point ids, the
+        level-1 candidates whose lifted points have the largest inner
+        product with q_vec (dim + 1 finite coordinates), best first, ties
+        toward the smaller id. k lies in [1, beam]; target_level must be
+        SENTINEL_LEVEL.
 
-        Each level is one gather and one product pass over the members of
-        the surviving nodes, scored by negated inner product; the `beam`
-        best own the nodes searched one level down. The candidates of every
-        level are ranked once, a point found at several levels once.
-        `distance_evals` counts the scored candidates.
+        The descent starts at the highest level holding more than `beam`
+        points, scanned whole: the levels above it would survive whole, and
+        their points are its members. Each level is one gather and one
+        product pass over the members of the surviving nodes, scored by
+        negated inner product; the `beam` best own the nodes searched one
+        level down. A point among a level's k best survives the beam and
+        is a member of its own node below, so no level above 1 adds to the
+        result. `distance_evals` counts the scored candidates.
         """
-        if k < 1:
-            raise InputError(f"k must be >= 1, got {k}")
+        if k < 1 or (budget is not None and k > budget.beam):
+            raise InputError(f"k must lie in [1, beam], got {k}")
         if self.levels == 0:
             raise InputError("query on an empty tree")
         if target_level != SENTINEL_LEVEL:
             raise InputError(f"target level must be {SENTINEL_LEVEL}, got {target_level}")
+        q = np.asarray(q_vec)
+        if q.shape != (self.dim + 1,) or not np.isfinite(q).all():
+            raise InputError(f"query must be {self.dim + 1} finite coordinates")
         if budget is None:
             budget = SearchBudget.for_k(k)
-        q = np.asarray(q_vec)
         self.query_count += 1
 
-        found_ids: list[np.ndarray] = []
-        found_scores: list[np.ndarray] = []
-        rows = self._members[-1]  # the top node is its whole level
-        for level in range(self.levels, 0, -1):
+        top = max(1, sum(members.size > budget.beam for members in self._members))
+        rows = self._members[top - 1]  # level sizes shrink upward: top is the last over beam
+        for level in range(top, 0, -1):
             ids = self._point[rows]
             # einsum, not `@`: BLAS gemv scores a call's last rows with
             # another kernel, so equal rows could get unequal scores.
             score = -np.einsum("ij,j->i", self._buf.take(rows, axis=0), q)
             self.distance_evals += rows.size
-            found_ids.append(ids)
-            found_scores.append(score)
             if level > 1:  # the members of the survivors' nodes one level down
                 owners = rows[_nearest(ids, score, budget.beam)]
                 starts = self._start[level - 2][owners]
@@ -429,12 +432,7 @@ class DciTree:
                 ends = np.cumsum(counts)
                 rows = self._members[level - 2][
                     np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
-
-        # A point found at several levels has one row, so one score: its
-        # copies rank side by side, and the best k x levels hold k points.
-        ids = np.concatenate(found_ids)
-        ids = ids[_nearest(ids, np.concatenate(found_scores), k * self.levels)]
-        return ids[np.concatenate(([True], ids[1:] != ids[:-1]))][:k].tolist()
+        return ids[_nearest(ids, score, k)].tolist()
 
     # -- page placement -----------------------------------------------------
 

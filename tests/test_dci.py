@@ -267,8 +267,8 @@ def test_query_with_everything_unbounded_returns_all_ids():
 def test_exhaustive_budget_query_equals_exact_topk():
     """The ordered result is the brute-force ranking of the lifted keys:
     inner product descending, ties toward the smaller id. In the last
-    trials every key row repeats, so equal scores tie across ids and a
-    point is found at several levels; each id is still returned once."""
+    trials every key row repeats, so equal scores tie across ids, and
+    returned points reach above level 1; each id is returned once."""
     rng = np.random.default_rng(11)
     ties = repeats = 0
     for trial in range(70):
@@ -286,7 +286,7 @@ def test_exhaustive_budget_query_equals_exact_topk():
         want = np.lexsort((np.arange(n), -scores))[:16].tolist()
         assert got == want and len(set(got)) == 16
         ties += len(np.unique(scores[want])) < 16
-        repeats += sum(tree.point_level[pid] > 1 for pid in got)  # found at several levels
+        repeats += sum(tree.point_level[pid] > 1 for pid in got)  # reach above level 1
     assert ties == 20 and repeats >= 20
 
 
@@ -298,6 +298,79 @@ def test_query_rejects_targets_other_than_the_sentinel():
             tree.query(transform_query(keys[0]), target, 2, SearchBudget.exhaustive(2))
     assert tree.query_count == 0
     assert tree.query(transform_query(keys[0]), SENTINEL_LEVEL, 2)[0] == 0
+
+
+def test_query_rejects_bad_vectors_and_k_outside_the_beam():
+    """A query that is not dim + 1 finite coordinates, or a k outside
+    [1, beam], fails before the query is counted: a length-1 vector would
+    broadcast through the scores, and k over the beam could lose points
+    that only a level above 1 ranks among the k best."""
+    rng = np.random.default_rng(13)
+    tree = _index(rng.normal(size=(300, 8)), 0.2, seed=13)
+    q = transform_query(rng.normal(size=8))
+    inf = q.copy()
+    inf[3] = np.inf
+    for bad in (q[:1], np.full(9, np.nan), inf, q[:8], np.append(q, 0.0), q[None], q[0]):
+        with pytest.raises(InputError):
+            tree.query(bad, SENTINEL_LEVEL, 3)
+    for k, budget in ((0, None), (-2, SearchBudget(4, 8)), (9, SearchBudget(4, 8)),
+                      (64, SearchBudget.for_k(16))):
+        with pytest.raises(InputError):
+            tree.query(q, SENTINEL_LEVEL, k, budget)
+    assert (tree.query_count, tree.distance_evals) == (0, 0)
+    assert len(tree.query(q, SENTINEL_LEVEL, 8, SearchBudget(4, 8))) == 8
+    assert tree.query_count == 1
+
+
+def _union_of_levels(tree, q, k, beam):
+    """The former query, as a reference: walk down from the top level and
+    rank every level's candidates together, each id once."""
+    rows, found = tree._members[-1], []
+    for level in range(tree.levels, 0, -1):
+        score = -np.einsum("ij,j->i", tree._buf.take(rows, axis=0), q)
+        ids = tree._point[rows]
+        found += zip(score.tolist(), ids.tolist())
+        if level > 1:
+            owners = rows[np.lexsort((ids, score))[:beam]]
+            starts, counts = tree._start[level - 2][owners], tree._count[level - 2][owners]
+            rows = np.concatenate([tree._members[level - 2][a:a + c]
+                                   for a, c in zip(starts, counts)])
+    return list(dict.fromkeys(pid for _, pid in sorted(found)))[:k]
+
+
+def test_query_equals_the_union_of_levels_ranking():
+    """With k <= beam, ranking level 1 alone returns the lists that ranking
+    the union of every level's candidates did: on built trees and on trees
+    grown by page inserts (some topping the tree), at several ratios, with
+    repeated key rows so that scores tie."""
+    rng = np.random.default_rng(60)
+    deep = grown = 0
+    for trial in range(24):
+        r = (0.05, 0.1, 0.2, 0.5)[trial % 4]
+        n = int(rng.integers(100, 1000))
+        keys = rng.normal(size=(n, 8))
+        if trial % 3 == 0:
+            keys = keys[rng.integers(0, n // 8, size=n)]  # repeated rows: tied scores
+        if trial % 2:
+            tree = _index(keys, r, seed=trial)
+        else:
+            tree = DciTree(8, KeyScale.from_keys(keys), r, seed=trial)
+            for first in range(0, n, 16):
+                ids = list(range(first, min(first + 16, n)))
+                levels = assign_levels(r, rng, len(ids))
+                if first % 160 == 80:
+                    levels[len(ids) // 2] = tree.levels + 1  # tops the tree mid-page
+                    grown += 1
+                tree.insert(ids, keys[ids], level=levels.tolist())
+        for _ in range(12):
+            k = int(rng.integers(1, 17))
+            beam = int(rng.integers(k, 4 * k + 1))
+            q = transform_query(keys[rng.integers(n)] if rng.random() < 0.5
+                                else rng.normal(size=8))
+            deep += sum(members.size > beam for members in tree._members) > 1
+            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)) == \
+                _union_of_levels(tree, q, k, beam), (trial, k, beam)
+    assert deep > 200 and grown > 40
 
 
 def test_planted_needle_is_always_retrieved():
@@ -449,8 +522,9 @@ def test_identical_seeds_build_identical_trees():
 
 
 def test_query_results_and_distance_counts_match_golden_values():
-    """Selected ids and distance evaluations pinned from the per-node
-    search the level arrays replaced (ties toward the smaller id)."""
+    """Selected ids pinned from the per-node search the level arrays
+    replaced (ties toward the smaller id); distance evaluations pinned from
+    the descent that starts at the highest level over the beam."""
     keys, _, _ = _clustered(30, 1500, 12, 8)
     batch = _index(keys, 0.2, seed=30)
     rng = np.random.default_rng(31)
@@ -458,7 +532,7 @@ def test_query_results_and_distance_counts_match_golden_values():
            for _ in range(3)]
     assert got == [[186, 982, 517, 1078, 994], [998, 321, 691, 603, 1379],
                    [686, 341, 1438, 199, 588]]
-    assert batch.distance_evals == 442
+    assert batch.distance_evals == 433
 
     rng = np.random.default_rng(32)
     incr = DciTree(12, KeyScale(4.0), 0.2, seed=32)
@@ -468,7 +542,7 @@ def test_query_results_and_distance_counts_match_golden_values():
         if i % 133 == 132:
             got.append(incr.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5))
     assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
-    assert (incr.distance_evals, incr.levels) == (363, 7)
+    assert (incr.distance_evals, incr.levels) == (335, 7)
 
     rng = np.random.default_rng(33)
     uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)
@@ -567,7 +641,7 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     expected = [[332, 6096, 4856, 6157, 4334, 6931], [6569, 6357, 7347, 7156, 54, 3395],
                 [6735, 890, 5858, 4142, 7387, 2188], [92, 4035, 5515, 6422, 1438, 2086]]
     assert [tree.query(q, SENTINEL_LEVEL, 6, budget) for q in queries] == expected
-    assert (tree.distance_evals, tree.query_count) == (2002, 4)
+    assert (tree.distance_evals, tree.query_count) == (1982, 4)
 
 
 def _tree_state(tree):
