@@ -29,7 +29,8 @@ call, split only before a point that grows the tree. A node is named by its
 owner, the point one level up whose children it holds (`ROOT_OWNER` for the
 top node), so a node's name does not depend on how its points were batched.
 Which node holds a point at a level is read from the row arrays
-(`DciTree._node_of`).
+(`DciTree._node_of`). Each level keeps its rows sorted by (owner row, row),
+so a node is one run of its level and a binary search finds it.
 
 Queries descend to level 1 from the highest level holding more than
 `beam` points, scanned whole: at each level the members of the surviving
@@ -85,8 +86,8 @@ class SearchBudget:
         return UNBOUNDED
 
     @classmethod
-    def for_k(cls, k: int, beam: int | None = None) -> "SearchBudget":
-        return cls(k, beam if beam is not None else 2 * k)
+    def for_k(cls, k: int) -> "SearchBudget":
+        return cls(k, 2 * k)
 
     @classmethod
     def exhaustive(cls, k: int) -> "SearchBudget":
@@ -187,13 +188,13 @@ class DciTree:
 
     Every point has a buffer row: `_top` holds its top level and `_parent`
     the row of its parent point (-1 in the top node). Level l is stored as
-    arrays at index l - 1: `_members` holds the rows of every point present
-    at that level, grouped by node, and `_start`/`_count`, indexed by the
-    row of the node's owner (a point one level up), give where that node's
-    members sit in `_members`. A node is named by its owner; the top node,
-    owned by no point (`ROOT_OWNER`, row -1), is its whole level. A row is
-    in its parent's node at its top level and in its own node below
-    (`_node_of`).
+    two parallel arrays at index l - 1: `_members` holds the rows of every
+    point present at that level and `_owners` the row of the owner of each
+    one's node (a point one level up, -1 for the top node, which is owned by
+    no point: `ROOT_OWNER`), sorted by (owner row, row). A node is named by
+    its owner, and its members are the run of its owner's row in `_owners`.
+    A row is in its parent's node at its top level and in its own node
+    below (`_node_of`).
     """
 
     def __init__(self, dim: int, scale: KeyScale, promotion_ratio: float,
@@ -218,8 +219,7 @@ class DciTree:
         self._parent = np.empty(0, dtype=np.intp)  # row -> parent row, -1 in the top node
         self._n = 0
         self._members: list[np.ndarray] = []
-        self._start: list[np.ndarray] = []
-        self._count: list[np.ndarray] = []
+        self._owners: list[np.ndarray] = []
 
         self.query_count = 0
         self.distance_evals = 0
@@ -242,17 +242,15 @@ class DciTree:
     @property
     def nodes(self) -> dict[tuple[int, int], DciNode]:
         """Every node by ascending (level, owner id), read from the level
-        arrays: each row present at level l + 1 owns one node at level l,
-        and the top node is its whole level. A leaf's pages are its
+        arrays: each run of equal owners is one node. A leaf's pages are its
         members' pages in the store."""
-        found = [(self.levels, ROOT_OWNER, None, self._members[-1])] if self.levels else []
-        for lv in range(1, self.levels):
-            owners, members = self._members[lv], self._members[lv - 1]
-            parents = self._point[self._node_of(owners, lv + 1)].tolist() \
-                if lv + 1 < self.levels else [ROOT_OWNER] * owners.size
-            found += [(lv, owner, parent, members[a:a + c]) for owner, parent, a, c in zip(
-                self._point[owners].tolist(), parents, self._start[lv - 1][owners].tolist(),
-                self._count[lv - 1][owners].tolist())]
+        found = []
+        for lv in range(1, self.levels + 1):
+            heads, first = np.unique(self._owners[lv - 1], return_index=True)
+            parents = self._ids(self._node_of(heads, lv + 1)).tolist() if lv < self.levels \
+                else [None] * heads.size
+            found += zip([lv] * heads.size, self._ids(heads).tolist(), parents,
+                         np.split(self._members[lv - 1], first[1:]))
         return {(lv, owner): DciNode(lv, owner, parent, self._point[rows].tolist(),
                                      sorted(set(self.store.page_of[self._point[rows]].tolist()))
                                      if lv == 1 and self.store is not None else [])
@@ -269,14 +267,10 @@ class DciTree:
         self._point = grown(self._point, cap)
         self._top = grown(self._top, cap)
         self._parent = grown(self._parent, cap)
-        self._start = [grown(a, cap) for a in self._start]
-        self._count = [grown(a, cap) for a in self._count]
 
-    def _add_level(self) -> None:
-        self._members.append(np.empty(0, dtype=np.intp))
-        for arrays in (self._start, self._count):
-            arrays.append(np.zeros(self._buf.shape[0], dtype=np.intp))
-        self.levels += 1
+    def _ids(self, rows: np.ndarray) -> np.ndarray:
+        """The point ids of owner rows, ROOT_OWNER for row -1."""
+        return np.where(rows < 0, ROOT_OWNER, self._point[rows])
 
     def lifted(self, point_id: int) -> np.ndarray:
         return self._buf[self._row[point_id]]
@@ -327,63 +321,42 @@ class DciTree:
         return np.where(self._top[rows] == level, self._parent[rows], rows)
 
     def _link(self, rows: np.ndarray) -> None:
-        """Add ascending buffer rows, whose `_top` and `_parent` are set, to
-        every level they reach, top down.
+        """Add buffer rows, ascending and after every linked row, whose `_top`
+        and `_parent` are set, to every level they reach.
 
         At its top level a row joins its parent's node (the top node for
-        parent -1), below that its own node. Members go to the end of their
-        node's slice in row order; new nodes go to the end of their level in
-        order of first row. If the rows reach above the tree, the first row
-        at their highest level tops it before any row is linked (`_grow`); on
-        a tree that has a top node, that row must come first.
+        parent -1), below that its own node. Each row goes after the last
+        member of its node, found by one binary search over the level's
+        owners; rows joining one node keep row order (equal insert positions
+        keep the order given), so the (owner, row) pairs still ascend. If
+        the rows reach above the tree, the first row at their highest level
+        tops it before any row is linked (`_grow`); on a tree that has a top
+        node, that row must come first.
         """
         top = self._top[rows]
         high = int(top.max())
         if high > self.levels:
             self._grow(int(rows[top.argmax()]))
-        parent = self._parent[rows]
         for lv in range(high, 0, -1):
-            at = top >= lv
-            joins = rows[at]
-            members = self._members[lv - 1]
-            if lv == self.levels:
-                self._members[lv - 1] = np.concatenate((members, joins))
-                continue
-            owner = np.where(top[at] == lv, parent[at], joins)
-            start, count = self._start[lv - 1], self._count[lv - 1]
-            old = count[owner] > 0
-            if old.any():
-                # One np.insert at the slices' current ends (equal positions
-                # keep row order) and one shift of the later slices' starts.
-                pos = start[owner[old]] + count[owner[old]]
-                np.add.at(count, owner[old], 1)
-                heads = self._members[lv]  # every row one level up owns a node here
-                start[heads] += np.searchsorted(np.sort(pos), start[heads], side="right")
-                members = np.insert(members, pos, joins[old])
-            if not old.all():
-                new = ~old
-                owners, first, group = np.unique(owner[new], return_index=True,
-                                                 return_inverse=True)
-                rank = np.argsort(first)  # node order: first row
-                counts = np.bincount(group)[rank]
-                owners = owners[rank]
-                start[owners] = members.size + np.cumsum(counts) - counts
-                count[owners] = counts
-                members = np.concatenate(
-                    (members, joins[new][np.argsort(first[group], kind="stable")]))
-            self._members[lv - 1] = members
+            joins = rows[top >= lv]
+            owner = self._node_of(joins, lv)
+            order = np.argsort(owner, kind="stable")  # by (owner, row): the rows ascend
+            joins, owner = joins[order], owner[order]
+            pos = np.searchsorted(self._owners[lv - 1], owner, side="right")
+            self._owners[lv - 1] = np.insert(self._owners[lv - 1], pos, owner)
+            self._members[lv - 1] = np.insert(self._members[lv - 1], pos, joins)
 
     def _grow(self, row: int) -> None:
         """Raise the tree to the row's top level. The former top node becomes
         the row's node at the former top level, its points the row's children."""
         old = self.levels
         while self.levels < self._top[row]:
-            self._add_level()
+            self._members.append(np.empty(0, dtype=np.intp))
+            self._owners.append(np.empty(0, dtype=np.intp))
+            self.levels += 1
         if old:
-            members = self._members[old - 1]
-            self._parent[members] = row
-            self._start[old - 1][row] = 0
-            self._count[old - 1][row] = members.size
+            self._parent[self._members[old - 1]] = row
+            self._owners[old - 1][:] = row
 
     # -- search -------------------------------------------------------------
 
@@ -400,7 +373,8 @@ class DciTree:
         their points are its members. Each level is one gather and one
         product pass over the members of the surviving nodes, scored by
         negated inner product; the `beam` best own the nodes searched one
-        level down. A point among a level's k best survives the beam and
+        level down, whose members one mask over that level's owners picks
+        out. A point among a level's k best survives the beam and
         is a member of its own node below, so no level above 1 adds to the
         result. `distance_evals` counts the scored candidates.
         """
@@ -426,12 +400,9 @@ class DciTree:
             score = -np.einsum("ij,j->i", self._buf.take(rows, axis=0), q)
             self.distance_evals += rows.size
             if level > 1:  # the members of the survivors' nodes one level down
-                owners = rows[_nearest(ids, score, budget.beam)]
-                starts = self._start[level - 2][owners]
-                counts = self._count[level - 2][owners]
-                ends = np.cumsum(counts)
-                rows = self._members[level - 2][
-                    np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+                survives = np.zeros(self._n, dtype=bool)
+                survives[rows[_nearest(ids, score, budget.beam)]] = True
+                rows = self._members[level - 2][survives[self._owners[level - 2]]]
         return ids[_nearest(ids, score, k)].tolist()
 
     # -- page placement -----------------------------------------------------
@@ -446,11 +417,10 @@ class DciTree:
         if store is None or not rows.size:
             return
         owner = self._node_of(rows, 1)  # -1: the top node
-        start, size = (self._start[0], self._count[0]) if self.levels > 1 else \
-            (np.zeros(1, dtype=np.intp), np.array([self._members[0].size]))  # owner -1 reads these
         order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
         leaf, at = owner[order], np.arange(rows.size)
-        pos = size[leaf] - np.searchsorted(leaf, leaf, side="right") + at  # place in the leaf
+        start, stop = np.searchsorted(self._owners[0], [leaf, leaf + 1])
+        pos = stop - start - np.searchsorted(leaf, leaf, side="right") + at  # place in the leaf
         slot = pos % store.page_size
         fresh = at - slot >= np.searchsorted(leaf, leaf)  # the page opens in this call
         ids = self._point[rows[order]]
@@ -458,7 +428,7 @@ class DciTree:
         counts = np.bincount(opener)
         # The ids were checked before any row was added (`_add_rows`).
         store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0])
-        first = self._members[0][(start[leaf] + pos - slot)[~fresh]]  # opened the page earlier
+        first = self._members[0][(start + pos - slot)[~fresh]]  # opened the page earlier
         store._join(store.page_of[self._point[first]], ids[~fresh])
 
     # -- dynamic insertion ----------------------------------------------------
@@ -521,18 +491,10 @@ class DciTree:
         assert len(self._members) == self.levels, "level arrays != levels"
         nodes, store = self.nodes, self.store
         points, top = self._point[: self._n], self._top[: self._n]
-        seen_levels = {lv for lv, _ in nodes}
-        assert seen_levels == set(range(1, self.levels + 1)), "empty level present"
-        slices: dict[int, list[tuple[int, int]]] = {lv: [] for lv in seen_levels}
+        assert {lv for lv, _ in nodes} == set(range(1, self.levels + 1)), "empty level present"
         for (lv, owner), node in nodes.items():
             members = node.member_ids
             assert members, f"empty node {(lv, owner)}"
-            rows = np.array([self._row[pid] for pid in members])
-            owner_row = -1 if owner == ROOT_OWNER else self._row[owner]
-            offset = 0 if owner == ROOT_OWNER else int(self._start[lv - 1][owner_row])
-            slices[lv].append((offset, rows.size))
-            assert (self._node_of(rows, lv) == owner_row).all(), \
-                "membership disagrees with the level arrays"
             if owner == ROOT_OWNER:
                 assert lv == self.levels and node.parent_owner is None, "top node below the top"
             else:
@@ -546,18 +508,15 @@ class DciTree:
                     "page j (pages ascending) does not list members from j * page_size on"
                 assert store.tokens_in(pages).tolist() == members, \
                     "pages do not list the leaf's members in order"
-        for lv, spans in slices.items():
-            # The nodes of a level tile its member array exactly.
-            spans.sort()
-            ends = np.cumsum([count for _, count in spans]).tolist()
-            assert [start for start, _ in spans] == [0] + ends[:-1], \
-                f"node slices overlap or leave gaps at level {lv}"
-            assert ends[-1] == self._members[lv - 1].size, f"stray rows at level {lv}"
-            assert np.array_equal(np.sort(self._point[self._members[lv - 1]]),
-                                  np.sort(points[top >= lv])), f"level {lv} holds the wrong points"
-            held = np.unique(self._node_of(np.flatnonzero(top >= lv), lv)).tolist()
-            assert all((lv, ROOT_OWNER if r < 0 else int(self._point[r])) in nodes
-                       for r in held), "missing level copy"
+        for lv in range(1, self.levels + 1):
+            members, owners = self._members[lv - 1], self._owners[lv - 1]
+            assert np.array_equal(owners, self._node_of(members, lv)), \
+                "membership disagrees with the level arrays"
+            step = np.diff(owners)
+            assert ((step > 0) | (step == 0) & (np.diff(members) > 0)).all(), \
+                f"level {lv} is not sorted by (owner, row)"
+            assert np.array_equal(np.sort(self._point[members]), np.sort(points[top >= lv])), \
+                f"level {lv} holds the wrong points"
         leaf_members = [pid for node in nodes.values() if node.is_leaf for pid in node.member_ids]
         assert sorted(leaf_members) == sorted(points.tolist()), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"
@@ -572,9 +531,9 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     each point's parent is its exact nearest lifted neighbour one level up
     (`_parent_rows`, the same result as an exhaustive-budget tree query,
     orders of magnitude faster), and one `_link` call writes every level:
-    each level's nodes are ordered by their first point in the input, and
-    their members keep input order. With a store, one `_place` call lists
-    every leaf's members in pages, opened in leaf order. The tree reserves
+    each node's members keep input order. With a store, one `_place` call
+    lists every leaf's members in pages, taking the leaves in order of
+    their first point in the input. The tree reserves
     room for `rows` points (at least the input), so inserts up to that count
     never regrow it.
     """
@@ -594,5 +553,7 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     top = np.searchsorted(distinct(drawn), drawn) + 1  # levels compacted: none is empty
     tree._reserve(max(ids.size, rows))
     tree._link(tree._add_rows(ids, mat, top, earlier=False))
-    tree._place(tree._members[0])
+    leaves, owners = tree._members[0], tree._owners[0]
+    first = leaves[np.searchsorted(owners, owners)]  # each member's leaf's first row
+    tree._place(leaves[np.argsort(first, kind="stable")])  # leaves in first-row order
     return tree

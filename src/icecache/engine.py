@@ -71,7 +71,6 @@ class EngineConfig:
     window_pages: int = 2
     skip_layers: int = 2
     reuse_stride: int = 0        # 0: every indexed layer is an anchor; >= 2 enables reuse
-    beam: int | None = None      # survivors per level; default 2 x budget
     seed: int = 0
     evaluate: bool = False        # compute exact oracles per step
     compare_baseline: bool = False
@@ -92,14 +91,13 @@ class EngineConfig:
             raise ConfigError("skip_layers must be >= 0")
         if self.reuse_stride == 1 or self.reuse_stride < 0:
             raise ConfigError("reuse_stride must be 0 (off) or >= 2")
-        self.budget()  # beam must cover token_budget
 
     @property
     def n_query_heads(self) -> int:
         return self.kv_heads * self.query_heads_per_group
 
     def budget(self) -> SearchBudget:
-        return SearchBudget.for_k(self.token_budget, self.beam)
+        return SearchBudget.for_k(self.token_budget)
 
     def head_groups(self) -> list[HeadGroup]:
         g = self.query_heads_per_group

@@ -190,6 +190,26 @@ def test_tree_structure_invariants_hold():
             assert node.owner_id in nodes[(lv + 1, node.parent_owner)].member_ids
 
 
+def test_invariant_check_catches_a_broken_level_layout():
+    """`check_invariants` rejects a level whose owners disagree with the row
+    arrays, and one whose (owner, row) pairs do not ascend."""
+    keys, _, _ = _clustered(5, 1500, 12, 8)
+    tree = _index(keys, 0.2, seed=5)
+    owners, members = tree._owners[0], tree._members[0]
+    ends = np.flatnonzero(np.diff(owners))  # the last member of a node
+    ends = ends[(ends > 0) & (owners[ends - 1] == owners[ends])
+                & (members[ends] < members[ends + 1])]
+    moved = copy.deepcopy(tree)
+    moved._owners[0][ends[0]] = owners[ends[0] + 1]  # into the next node, order kept
+    with pytest.raises(AssertionError, match="membership disagrees"):
+        moved.check_invariants()
+    i = int(np.flatnonzero(np.diff(owners) == 0)[0])  # two members of one node
+    swapped = copy.deepcopy(tree)
+    swapped._members[0][[i, i + 1]] = members[[i + 1, i]]
+    with pytest.raises(AssertionError, match="not sorted"):
+        swapped.check_invariants()
+
+
 # -- within-node search ------------------------------------------------------------
 # A one-level tree's top node is its whole level, so a query searches exactly
 # that node.
@@ -324,17 +344,19 @@ def test_query_rejects_bad_vectors_and_k_outside_the_beam():
 
 def _union_of_levels(tree, q, k, beam):
     """The former query, as a reference: walk down from the top level and
-    rank every level's candidates together, each id once."""
-    rows, found = tree._members[-1], []
+    rank every level's candidates together, each id once. A survivor's
+    children are read from the row arrays `_top` and `_parent`, in row
+    order, not from the level layout under test."""
+    top, parent = tree._top[:len(tree)], tree._parent[:len(tree)]
+    rows, found = np.flatnonzero(top == tree.levels), []
     for level in range(tree.levels, 0, -1):
         score = -np.einsum("ij,j->i", tree._buf.take(rows, axis=0), q)
         ids = tree._point[rows]
         found += zip(score.tolist(), ids.tolist())
         if level > 1:
             owners = rows[np.lexsort((ids, score))[:beam]]
-            starts, counts = tree._start[level - 2][owners], tree._count[level - 2][owners]
-            rows = np.concatenate([tree._members[level - 2][a:a + c]
-                                   for a, c in zip(starts, counts)])
+            owner = np.where(top == level - 1, parent, np.arange(top.size))
+            rows = np.flatnonzero((top >= level - 1) & np.isin(owner, owners))
     return list(dict.fromkeys(pid for _, pid in sorted(found)))[:k]
 
 
@@ -393,7 +415,7 @@ def test_default_budget_recall_on_clustered_data():
     keys, _, centers = _clustered(13, 10_000, 64, 32)
     tree = _index(keys, 0.1, seed=13)
     rng = np.random.default_rng(14)
-    budget = SearchBudget.for_k(32, beam=64)
+    budget = SearchBudget(32, 64)
     recalls = []
     for _ in range(30):
         q = centers[rng.integers(0, 32)] + rng.normal(size=64) * 0.1 / 8.0
@@ -412,7 +434,7 @@ def test_recall_is_monotone_in_beam():
     k = 16
     means = []
     for beam in (k, 2 * k, 4 * k):
-        budget = SearchBudget.for_k(k, beam=beam)
+        budget = SearchBudget(k, beam)
         r = [len(set(tree.query(transform_query(q), SENTINEL_LEVEL, k, budget))
                  & set(exact_topk(q, keys, k))) / k for q in queries]
         means.append(float(np.mean(r)))

@@ -185,20 +185,17 @@ def test_decode_never_regrows_a_tree():
     wl, cfg = _small(n_tokens=512 + 80, token_budget=8)
     eng = Engine(cfg).prefill(wl, 512)
     trees = [state.tree for state in eng.heads.values()]
-    buffers = [(tree._buf, tree._point, tree._top, tree._parent,
-                [*tree._start, *tree._count]) for tree in trees]
+    buffers = [(tree._buf, tree._point, tree._top, tree._parent) for tree in trees]
     for t in range(80):
         eng.decode_step(wl.decode_step(512, t))
     assert all(state.store.stats.pages_offloaded >= 5 for state in eng.heads.values())
-    for tree, (buf, point, top, parent, per_level) in zip(trees, buffers):
+    for tree, (buf, point, top, parent) in zip(trees, buffers):
         assert tree._buf is buf and tree._point is point and tree._top is top
         assert tree._parent is parent
-        assert all(a is b for a, b in zip([*tree._start, *tree._count],
-                                          per_level))
 
 
 def test_rotated_tokens_become_selectable():
-    wl, cfg = _small(n_tokens=700, token_budget=10**6, beam=2**61)
+    wl, cfg = _small(n_tokens=700, token_budget=10**6)
     n_prefill = 512
     eng = Engine(cfg).prefill(wl, n_prefill)
     outs, _ = eng.decode_step(wl.decode_step(n_prefill, 0))  # rotation step
@@ -216,7 +213,7 @@ def test_token_accounting_across_steps():
 
 
 def test_full_budget_reproduces_full_attention():
-    wl, cfg = _small(n_tokens=400, token_budget=10**6, beam=2**61, evaluate=True)
+    wl, cfg = _small(n_tokens=400, token_budget=10**6, evaluate=True)
     eng = Engine(cfg).prefill(wl, 350)
     for t in range(20):
         _, m = eng.decode_step(wl.decode_step(350, t))
@@ -376,14 +373,11 @@ def test_config_validation():
         EngineConfig(promotion_ratio=1.0)
     with pytest.raises(ConfigError):
         EngineConfig(token_budget=0)
-    # The search budget is checked when the config is built, not at decode.
-    for bad in ({"beam": 63}, {"token_budget": 300, "beam": 256}):
-        with pytest.raises(ConfigError):
-            EngineConfig(**bad)
     # A fallback engine never queries a tree, but its budget is checked too.
     with pytest.raises(ConfigError):
-        EngineConfig(layers=2, skip_layers=2, beam=0)
-    assert EngineConfig(beam=64).budget() == SearchBudget(64, 64)
+        EngineConfig(layers=2, skip_layers=2, token_budget=0)
+    # The beam is twice the token budget.
+    assert EngineConfig(token_budget=32).budget() == SearchBudget(32, 64)
 
 
 # -- decode as a state machine ------------------------------------------------------------
