@@ -8,11 +8,10 @@ tokens. Every approximate path is testable against exact brute-force
 oracles.
 """
 
-from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
+from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_levels,
                   dci_indexing)
-from .engine import (Engine, EngineConfig, StepMetrics, pipeline_estimate, prefill,
-                     token_order_select)
+from .engine import Engine, EngineConfig, StepMetrics, pipeline_estimate, token_order_select
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
                      IceCacheError, InputError, InvariantViolation,
                      ScaleViolationError, TraceFormatError)
@@ -24,10 +23,10 @@ from .workload import (DecodeStep, Workload, WorkloadSpec, generate_workload,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionOutput", "HeadGroup", "full_attention", "gqa_union", "sparse_attention",
+    "AttentionOutput", "full_attention", "gqa_union", "sparse_attention",
     "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_levels", "dci_indexing",
     "Engine", "EngineConfig", "StepMetrics", "token_order_select",
-    "pipeline_estimate", "prefill",
+    "pipeline_estimate",
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
     "DegenerateQueryError", "ConsistencyError",
     "InvariantViolation", "TraceFormatError",

@@ -79,14 +79,6 @@ class AttentionOutput:
         return float(self.dense_weights[np.isin(self.token_ids, as_ids(token_ids))].sum())
 
 
-@dataclass(frozen=True)
-class HeadGroup:
-    """One kv head and the query heads that share its key embeddings."""
-
-    kv_head_id: int
-    query_head_ids: tuple[int, ...]
-
-
 def _stack(vectors, name: str) -> np.ndarray:
     mat = np.asarray(vectors, dtype=float)
     if mat.ndim == 1:

@@ -71,7 +71,7 @@ def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
         query_heads_per_group=args.group_size)
 
 
-def _config_from(args: argparse.Namespace, *, baseline: bool = False) -> EngineConfig:
+def _config_from(args: argparse.Namespace, *, baseline: bool) -> EngineConfig:
     return EngineConfig(
         layers=args.layers, kv_heads=args.kv_heads,
         query_heads_per_group=args.group_size, d=args.d, d_prime=args.d_prime,
@@ -80,7 +80,7 @@ def _config_from(args: argparse.Namespace, *, baseline: bool = False) -> EngineC
         window_pages=args.window_pages, skip_layers=args.skip_layers,
         reuse_stride=args.reuse_stride,
         seed=args.seed, evaluate=True,
-        compare_baseline=baseline or args.baseline)
+        compare_baseline=baseline)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_engine_args(cmd)
         cmd.add_argument("--trace", default=None, help="read the workload from a trace file")
         cmd.add_argument("--steps", type=int, default=100)
-        cmd.add_argument("--baseline", action="store_true",
-                         help="also measure the token-order baseline")
         cmd.add_argument("--report", default=None, help="write the JSON report here")
         cmd.add_argument("--csv", default=None, help="also write per-step rows as CSV")
 
@@ -128,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=100)
     sweep.add_argument("--budgets", default="64,128,256",
                        help="comma-separated token budgets")
-    sweep.add_argument("--baseline", action="store_true")
+    sweep.add_argument("--baseline", action="store_true",
+                       help="also measure the token-order baseline")
     sweep.add_argument("--report", default=None)
 
     pipe = sub.add_parser("pipeline-est", help="serial vs pipelined prefill estimate")
@@ -156,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args)
         elif args.command == "sweep":
             budgets = [int(b) for b in args.budgets.split(",") if b]
-            report = run_sweep(_config_from(args), _spec_from(args), args.steps, budgets)
+            report = run_sweep(_config_from(args, baseline=args.baseline), _spec_from(args),
+                               args.steps, budgets)
             _emit(report, args)
         elif args.command == "pipeline-est":
             report = pipeline_report(args.prefill, args.offload, args.index, args.layers)

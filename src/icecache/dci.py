@@ -4,10 +4,13 @@ Every point draws a level from a geometric distribution (ratio r): level
 1 + the number of consecutive uniform draws below r. A point at level l is
 present at every level from 1 up to l. At its top level it joins the node
 (cluster) of its nearest neighbour one level up; below that it heads its own
-chain of singleton-seeded nodes down to a level-1 leaf. Pages list each
-leaf's members in order, so every indexed token lives in exactly one leaf
-and one page slot. The row arrays and the store's page table are the tree's
-only state; node records (`DciTree.nodes`) are read from them.
+chain of singleton-seeded nodes down to a level-1 leaf. Every tree pages
+its points: pages list each leaf's members in order, so every indexed token
+lives in exactly one leaf and one page slot. The row arrays and the store's
+page table are the tree's only state; node records (`DciTree.nodes`) are
+read from them. A batch is checked once (`DciTree._check`) before any level
+is drawn, so a rejected batch leaves the tree, its store and its level
+stream as they were.
 
 Levels are drawn for a whole batch at once (`assign_levels`), with the
 same results and generator state as one scalar draw per point.
@@ -121,7 +124,7 @@ class DciNode:
     A record read from the tree's arrays (`DciTree.nodes`, keyed by
     `(level, owner_id)`), holding no reference back to the tree. Its parent
     node is `(level + 1, parent_owner)`. A leaf's `page_ids` are the pages
-    listing its members, ascending (none without a store).
+    listing its members, ascending.
     """
 
     level: int
@@ -185,6 +188,8 @@ class DciTree:
 
     One tree has one writer; reads are pure. The level draws come from
     the constructor seed, so identical inputs reproduce identical trees.
+    Its pages live in `store`; a tree built without one makes its own
+    `TierStore(dim, dim)`.
 
     Every point has a buffer row: `_top` holds its top level and `_parent`
     the row of its parent point (-1 in the top node). Level l is stored as
@@ -206,13 +211,12 @@ class DciTree:
         self.dim = dim
         self.scale = scale
         self.promotion_ratio = promotion_ratio
-        self.store = store
+        self.store = store if store is not None else TierStore(dim, dim)
 
         entropy = np.random.SeedSequence(seed if isinstance(seed, int) else list(seed)).entropy
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0,)))
 
         self.levels = 0
-        self._row: dict[int, int] = {}          # point id -> row in the point buffer
         self._buf = np.empty((0, dim + 1))
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._top = np.empty(0, dtype=np.intp)     # row -> top level
@@ -253,7 +257,7 @@ class DciTree:
                          np.split(self._members[lv - 1], first[1:]))
         return {(lv, owner): DciNode(lv, owner, parent, self._point[rows].tolist(),
                                      sorted(set(self.store.page_of[self._point[rows]].tolist()))
-                                     if lv == 1 and self.store is not None else [])
+                                     if lv == 1 else [])
                 for lv, owner, parent, rows in sorted(found, key=lambda f: f[:2])}
 
     def _reserve(self, rows: int) -> None:
@@ -272,8 +276,13 @@ class DciTree:
         """The point ids of owner rows, ROOT_OWNER for row -1."""
         return np.where(rows < 0, ROOT_OWNER, self._point[rows])
 
-    def lifted(self, point_id: int) -> np.ndarray:
-        return self._buf[self._row[point_id]]
+    def _check(self, ids: np.ndarray, keys: np.ndarray) -> None:
+        """InputError unless the store can list the ids (distinct, >= 0 and
+        in no page, so not yet indexed) and every key is finite. Runs before
+        any level is drawn or any row is added."""
+        self.store.check_unlisted(ids)
+        if not np.isfinite(keys).all():
+            raise InputError("key contains non-finite coordinates")
 
     def _lift_clamped(self, keys: np.ndarray, first: int) -> None:
         """Lift key rows into the buffer from row `first` on, normalizing
@@ -281,11 +290,8 @@ class DciTree:
 
         A key with |k| > c maps to [k/|k|, 0], which keeps the image on the
         unit sphere at the cost of a slightly perturbed ordering; the event
-        is counted in scale_clamps. Non-finite keys are rejected before any
-        row or count changes.
+        is counted in scale_clamps. The keys are finite (`_check`).
         """
-        if not np.isfinite(keys).all():
-            raise InputError("key contains non-finite coordinates")
         norms = np.linalg.norm(keys, axis=1)
         over = norms > self.scale.c
         self.scale_clamps += int(over.sum())
@@ -296,17 +302,14 @@ class DciTree:
 
     def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
         """Give points the buffer rows after the last one: lifted keys, ids,
-        top levels and parents (`_parent_rows`). Returns the rows. Ids a
-        store cannot list and non-finite keys fail before any row is added."""
-        if self.store is not None:
-            self.store.check_unlisted(ids)
+        top levels and parents (`_parent_rows`). Returns the rows. The batch
+        passed `_check`."""
         first = self._n
         rows = np.arange(first, first + len(keys))
         self._reserve(first + rows.size)
         self._lift_clamped(keys, first)
         self._point[rows] = ids
         self._top[rows] = top
-        self._row.update(zip(self._point[rows].tolist(), rows.tolist()))
         self._n += rows.size
         self._parent[rows] = _parent_rows(self._buf[: self._n], self._top[: self._n], rows,
                                           earlier=earlier)
@@ -414,7 +417,7 @@ class DciTree:
         and every other id joins the page of the id before it in its leaf.
         New pages open in one call, in the order of the ids opening them."""
         store = self.store
-        if store is None or not rows.size:
+        if not rows.size:
             return
         owner = self._node_of(rows, 1)  # -1: the top node
         order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
@@ -426,88 +429,64 @@ class DciTree:
         ids = self._point[rows[order]]
         opener = order[(at - slot)[fresh]]  # given place of the id opening a new page
         counts = np.bincount(opener)
-        # The ids were checked before any row was added (`_add_rows`).
+        # The ids were checked before any row was added (`_check`).
         store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0])
         first = self._members[0][(start + pos - slot)[~fresh]]  # opened the page earlier
         store._join(store.page_of[self._point[first]], ids[~fresh])
 
     # -- dynamic insertion ----------------------------------------------------
 
-    def insert(self, point_id, key, *, level=None):
-        """Insert keys during decode; returns the levels assigned.
+    def insert(self, point_ids, keys, *, level=None) -> list[int]:
+        """Insert a sequence of ids, with one key row each, in order during
+        decode; returns their levels.
 
-        A scalar id with a 1-D key inserts one point and returns its level.
-        A sequence of ids with one key row each inserts them in order and
-        returns their levels: the same tree, pages and counters as inserting
-        them one at a time. Levels are drawn from the tree's stream, all
-        before any insert, unless given. A point's parent is its exact
-        nearest point one level up among those inserted before it, found for
-        the whole call by one `_parent_rows` scan; `_place` gives its id a
-        page slot. A draw above the current top level grows the tree and
-        re-parents the former top-level points to the newcomer. A batch
-        failing a check (an id already indexed or listed by a page, a
-        bad key or level) leaves the tree and store unchanged.
+        The result is the same tree, pages and counters as inserting the ids
+        one at a time. The batch is checked first (`_check`, the key shape
+        and any given levels); a batch that fails leaves the tree, the store
+        and the level stream unchanged. Levels are then drawn from the
+        tree's stream, all before any insert, unless given (`level=`, one
+        per id). A point's parent is its exact nearest point one level up
+        among those inserted before it, found for the whole call by one
+        `_parent_rows` scan; `_place` gives its id a page slot. A draw above
+        the current top level grows the tree and re-parents the former
+        top-level points to the newcomer.
 
         The page goes to `_link` in one call, split only before a point
         that grows the tree: `_grow` hands the former top node to that
         point, so the points before it must be linked first. Nodes are named
         by their owners, so the split does not change what they are called.
         """
-        single = np.ndim(point_id) == 0
-        pids = as_ids(np.atleast_1d(point_id))
-        ids = pids.tolist()
-        keys = np.asarray(key, dtype=float)
-        shape = (self.dim,) if single else (len(ids), self.dim)
-        if keys.shape != shape:
-            raise InputError(f"key must have shape {shape}, got {keys.shape}")
-        for pid in ids:
-            if pid in self._row:
-                raise InputError(f"point id {pid} already indexed")
-        if len(set(ids)) != len(ids):
-            raise InputError("duplicate point ids in one insert")
+        ids = as_ids(point_ids)
+        keys = np.asarray(keys, dtype=float)
+        if keys.shape != (ids.size, self.dim):
+            raise InputError(f"keys must have shape {(ids.size, self.dim)}, got {keys.shape}")
+        if level is not None and (len(level) != ids.size or min(level, default=1) < 1):
+            raise InputError(f"need one level >= 1 per point id, got {level}")
+        self._check(ids, keys)
         if level is None:
-            levels = assign_levels(self.promotion_ratio, self.rng, len(ids)).tolist()
+            levels = assign_levels(self.promotion_ratio, self.rng, ids.size).tolist()
         else:
-            levels = [int(lv) for lv in np.atleast_1d(level)]
-            if len(levels) != len(ids) or min(levels, default=1) < 1:
-                raise InputError(f"need one level >= 1 per point id, got {level}")
+            levels = [int(lv) for lv in level]
 
-        rows = self._add_rows(pids, keys.reshape(len(ids), self.dim), levels, earlier=True)
+        rows = self._add_rows(ids, keys, levels, earlier=True)
         starts, height = [], self.levels
         for i, lv in enumerate(levels):
             if not i or lv > height:
                 starts.append(i)
             height = max(height, lv)
-        for a, b in zip(starts, starts[1:] + [len(ids)]):
+        for a, b in zip(starts, starts[1:] + [ids.size]):
             self._link(rows[a:b])
         self._place(rows)
-        return levels[0] if single else levels
+        return levels
 
     # -- integrity ------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full structural walk; raises AssertionError on violation."""
+        """Full structural walk, level arrays first (the node records are read
+        from them); raises AssertionError on violation."""
         assert self.levels >= 1
         assert len(self._members) == self.levels, "level arrays != levels"
-        nodes, store = self.nodes, self.store
         points, top = self._point[: self._n], self._top[: self._n]
-        assert {lv for lv, _ in nodes} == set(range(1, self.levels + 1)), "empty level present"
-        for (lv, owner), node in nodes.items():
-            members = node.member_ids
-            assert members, f"empty node {(lv, owner)}"
-            if owner == ROOT_OWNER:
-                assert lv == self.levels and node.parent_owner is None, "top node below the top"
-            else:
-                parent = nodes[(lv + 1, node.parent_owner)]
-                assert owner in parent.member_ids, "owner missing from parent"
-            if node.is_leaf and store is not None:  # the rule `_place` keeps
-                pages, listed = np.asarray(node.page_ids), store.page_of[members]
-                assert (store.fill[pages[:-1]] == store.page_size).all(), \
-                    "a leaf's inner page is not full"
-                assert (listed == pages[np.arange(listed.size) // store.page_size]).all(), \
-                    "page j (pages ascending) does not list members from j * page_size on"
-                assert store.tokens_in(pages).tolist() == members, \
-                    "pages do not list the leaf's members in order"
         for lv in range(1, self.levels + 1):
             members, owners = self._members[lv - 1], self._owners[lv - 1]
             assert np.array_equal(owners, self._node_of(members, lv)), \
@@ -517,6 +496,24 @@ class DciTree:
                 f"level {lv} is not sorted by (owner, row)"
             assert np.array_equal(np.sort(self._point[members]), np.sort(points[top >= lv])), \
                 f"level {lv} holds the wrong points"
+        nodes, store = self.nodes, self.store
+        assert {lv for lv, _ in nodes} == set(range(1, self.levels + 1)), "empty level present"
+        for (lv, owner), node in nodes.items():
+            members = node.member_ids
+            assert members, f"empty node {(lv, owner)}"
+            if owner == ROOT_OWNER:
+                assert lv == self.levels and node.parent_owner is None, "top node below the top"
+            else:
+                parent = nodes[(lv + 1, node.parent_owner)]
+                assert owner in parent.member_ids, "owner missing from parent"
+            if node.is_leaf:  # the rule `_place` keeps
+                pages, listed = np.asarray(node.page_ids), store.page_of[members]
+                assert (store.fill[pages[:-1]] == store.page_size).all(), \
+                    "a leaf's inner page is not full"
+                assert (listed == pages[np.arange(listed.size) // store.page_size]).all(), \
+                    "page j (pages ascending) does not list members from j * page_size on"
+                assert store.tokens_in(pages).tolist() == members, \
+                    "pages do not list the leaf's members in order"
         leaf_members = [pid for node in nodes.values() if node.is_leaf for pid in node.member_ids]
         assert sorted(leaf_members) == sorted(points.tolist()), "leaf coverage broken"
         assert len(set(leaf_members)) == len(leaf_members), "duplicate leaf membership"
@@ -531,11 +528,12 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     each point's parent is its exact nearest lifted neighbour one level up
     (`_parent_rows`, the same result as an exhaustive-budget tree query,
     orders of magnitude faster), and one `_link` call writes every level:
-    each node's members keep input order. With a store, one `_place` call
-    lists every leaf's members in pages, taking the leaves in order of
-    their first point in the input. The tree reserves
-    room for `rows` points (at least the input), so inserts up to that count
-    never regrow it.
+    each node's members keep input order. One `_place` call lists every
+    leaf's members in pages of `store` (the tree's own store without one),
+    taking the leaves in order of their first point in the input. The ids
+    and keys are checked (`DciTree._check`) before any level is drawn. The
+    tree reserves room for `rows` points (at least the input), so inserts up
+    to that count never regrow it.
     """
     ids = as_ids(ids)
     mat = np.asarray(keys, dtype=float)
@@ -543,12 +541,10 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
         raise InputError("cannot index an empty key set")
     if mat.ndim != 2 or len(mat) != ids.size:
         raise InputError(f"need one key row per point id, got keys of shape {mat.shape}")
-    if distinct(ids).size != ids.size:
-        raise InputError("duplicate point ids in index input")
-
     if scale is None:
         scale = KeyScale.from_keys(mat)
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
+    tree._check(ids, mat)
     drawn = assign_levels(promotion_ratio, tree.rng, ids.size)
     top = np.searchsorted(distinct(drawn), drawn) + 1  # levels compacted: none is empty
     tree._reserve(max(ids.size, rows))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionOutput, HeadGroup, full_attention, gqa_union, sparse_attention
+from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
 from .geometry import exact_topk, transform_query
@@ -99,11 +99,6 @@ class EngineConfig:
     def budget(self) -> SearchBudget:
         return SearchBudget.for_k(self.token_budget)
 
-    def head_groups(self) -> list[HeadGroup]:
-        g = self.query_heads_per_group
-        return [HeadGroup(h, tuple(range(h * g, (h + 1) * g)))
-                for h in range(self.kv_heads)]
-
 
 @dataclass
 class StepMetrics:
@@ -154,7 +149,6 @@ class Engine:
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        self.groups = cfg.head_groups()
         self.prefilled = False
         self.fallback = False
         self.n_prefill = 0
@@ -230,12 +224,6 @@ class Engine:
 
     # -- selection ----------------------------------------------------------
 
-    def page_select(self, q, layer: int, kv_head: int,
-                    budget: SearchBudget | None = None) -> list[int]:
-        """Pages containing the tree's top-budget tokens for one query."""
-        tokens = self._select_tokens(q, layer, kv_head, budget)
-        return find_page_index(tokens, self.heads[(layer, kv_head)].store).tolist()
-
     def _select_tokens(self, q, layer: int, kv_head: int,
                        budget: SearchBudget | None = None) -> np.ndarray:
         if (layer, kv_head) not in self.heads:
@@ -270,17 +258,17 @@ class Engine:
         pages_by_head: dict[int, np.ndarray] = {}
         tokens_by_qh: dict[int, np.ndarray] = {}
         anchor = self.is_anchor_layer(layer)
-        for group in self.groups:
-            h = group.kv_head_id
+        g = self.cfg.query_heads_per_group
+        for h in range(self.cfg.kv_heads):
+            group = range(h * g, (h + 1) * g)
             if anchor:
-                for qh in group.query_head_ids:
+                for qh in group:
                     tokens_by_qh[qh] = self._select_tokens(layer_queries[qh], layer, h)
-                self._anchor_tokens[h] = gqa_union(
-                    [tokens_by_qh[qh] for qh in group.query_head_ids])
+                self._anchor_tokens[h] = gqa_union([tokens_by_qh[qh] for qh in group])
             elif h not in self._anchor_tokens:
                 raise ConfigError(f"no anchor selection recorded yet for head {h}")
             else:
-                for qh in group.query_head_ids:
+                for qh in group:
                     tokens_by_qh[qh] = self._anchor_tokens[h]
             pages_by_head[h] = find_page_index(self._anchor_tokens[h],
                                                self.heads[(layer, h)].store)
@@ -342,8 +330,7 @@ class Engine:
             resident = self._resident(layer)
 
             pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
-            for group in self.groups:
-                h = group.kv_head_id
+            for h in range(cfg.kv_heads):
                 state = self.heads[(layer, h)]
                 selected = pages_by_head[h]
                 moved.add(state.store.backload(selected))
@@ -351,7 +338,8 @@ class Engine:
                 tokens_loaded += int(state.store.fill[selected].sum())
                 attended = np.concatenate((resident, state.store.tokens_in(selected)))
                 keys, values = self._kv(layer, h)
-                for qh in group.query_head_ids:
+                for qh in range(h * cfg.query_heads_per_group,
+                                (h + 1) * cfg.query_heads_per_group):
                     q = step.queries[layer, qh]
                     out = sparse_attention(q, attended, keys, values)
                     outputs[layer][qh] = out
@@ -397,7 +385,8 @@ class Engine:
                        out: AttentionOutput, n_pages: int, state: _HeadState
                        ) -> tuple[float, float, float, float, float | None]:
         cfg = self.cfg
-        ref = self._full_output(layer, kv_head, q)
+        keys, values = self._kv(layer, kv_head)
+        ref = full_attention(q, keys, values)
         ref_w, ref_v = ref.dense_weights, ref.value_out
 
         # The head's own tree: groups fold on different steps, so their
@@ -410,12 +399,14 @@ class Engine:
 
         n_all = ref_w.size
         k_all = min(cfg.token_budget, n_all)
-        oracle_all = exact_topk(q, self._kv(layer, kv_head)[0], k_all)
+        oracle_all = exact_topk(q, keys, k_all)
         hit = int(np.isin(oracle_all, attended).sum()) / k_all
 
         mass = float(ref_w[np.sort(attended)].sum())  # attended ids are distinct
-        denom = float(np.linalg.norm(ref_v))
-        rel = float(np.linalg.norm(out.value_out - ref_v)) / max(denom, 1e-300)
+        # Relative to the RMS value norm over the tokens so far: |ref_v| is near
+        # zero when values cancel, the RMS norm only when every value is zero.
+        rms = float(np.sqrt(np.einsum("td,td->", values, values) / values.shape[0]))
+        rel = float(np.linalg.norm(out.value_out - ref_v)) / max(rms, 1e-300)
 
         base_hit = None
         if cfg.compare_baseline:
@@ -431,13 +422,6 @@ class Engine:
         """Tokens across the sink, the window and the store's pages for one head."""
         store = self.heads[(layer, kv_head)].store
         return self.sink_end + self._n - self.window_start[layer] + int(store.fill.sum())
-
-
-def prefill(workload: Workload, cfg: EngineConfig, n_prefill: int | None = None) -> Engine:
-    """Build an engine and run its prefill phase over the stream's head."""
-    if n_prefill is None:
-        n_prefill = workload.n_tokens
-    return Engine(cfg).prefill(workload, n_prefill)
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

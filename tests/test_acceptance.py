@@ -79,7 +79,8 @@ def test_03_planted_needle_retrieval():
                            token_budget=64, seed=seed)
         eng = Engine(cfg).prefill(wl, 10_000)
         state = eng.heads[(2, 0)]
-        pages = eng.page_select(wl.queries[10_000, 2, 0], 2, 0)
+        pages = find_page_index(eng._select_tokens(wl.queries[10_000, 2, 0], 2, 0),
+                                state.store)
         page_hit = state.store.page_of[wl.needle_token] in pages
         outs, _ = eng.decode_step(wl.decode_step(10_000, 0))
         weights = outs[2][0].weights
@@ -166,7 +167,7 @@ def test_07_incremental_index_parity():
         batch = dci_indexing(np.arange(len(keys)), keys, 0.1, seed=seed)
         incremental = DciTree(32, KeyScale.from_keys(keys), 0.1, seed=seed)
         for i, kv in enumerate(keys):
-            incremental.insert(i, kv)
+            incremental.insert([i], kv[None])
         budget = SearchBudget.for_k(k)
         rb, ri = [], []
         for _ in range(50):

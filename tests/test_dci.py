@@ -19,10 +19,22 @@ def _index(keys, *args, **kwargs):
     return dci_indexing(np.arange(len(keys)), keys, *args, **kwargs)
 
 
+def _rows(tree, ids):
+    """The buffer rows of the given point ids."""
+    points = tree._point[: len(tree)]
+    order = np.argsort(points)
+    return order[np.searchsorted(points, ids, sorter=order)]
+
+
+def _lifted(tree, ids):
+    """The lifted points of the given ids, one row each."""
+    return tree._buf[_rows(tree, ids)]
+
+
 def _node_holding(tree, nodes, pid, level):
     """The node that holds point pid at the level, looked up in one
     `tree.nodes` snapshot."""
-    owner = int(tree._node_of(tree._row[pid], level))
+    owner = int(tree._node_of(_rows(tree, pid), level))
     return nodes[(level, ROOT_OWNER if owner < 0 else int(tree._point[owner]))]
 
 
@@ -127,7 +139,7 @@ def test_build_gives_every_point_its_exact_nearest_parent_across_blocks():
     assert tree.scale_clamps > 0 and tree.levels >= 3
     assert (top == 1).sum() > 4 * PARENT_BLOCK
 
-    lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+    lifted = _lifted(tree, range(len(keys)))
     nodes = tree.nodes
     for pid in range(len(keys)):
         owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
@@ -150,7 +162,7 @@ def test_parent_is_one_of_the_equal_nearest_candidates():
         tree = _index(keys, 0.3, seed=seed)
         point_level = tree.point_level
         top = np.array([point_level[pid] for pid in range(len(keys))])
-        lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+        lifted = _lifted(tree, range(len(keys)))
         nodes = tree.nodes
         for pid in np.flatnonzero(top < tree.levels):
             owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
@@ -246,7 +258,7 @@ def test_pdci_query_full_k_returns_all_ranked():
     q = transform_query(rng.normal(size=6))
     got = tree.query(q, SENTINEL_LEVEL, 40)
     assert sorted(got) == list(range(40))
-    d2 = [float(((tree.lifted(p) - q) ** 2).sum()) for p in got]
+    d2 = ((_lifted(tree, got) - q) ** 2).sum(axis=1).tolist()
     assert d2 == sorted(d2)
 
 
@@ -259,7 +271,7 @@ def test_large_node_is_scanned_whole():
     keys[300:320] = keys[:20]  # equal rows: ties go toward the smaller id
     tree = _index(keys, 1e-9, seed=9)  # one flat node
     assert tree.levels == 1 and len(tree.nodes[(tree.levels, ROOT_OWNER)].member_ids) == 600
-    lifted = np.stack([tree.lifted(pid) for pid in range(600)])
+    lifted = _lifted(tree, range(600))
     for k in (1, 4, 64):
         for q in rng.normal(size=(3, 8)):
             q = transform_query(q)
@@ -458,7 +470,7 @@ def test_query_counters_and_empty_tree_error():
 def test_insert_into_empty_tree():
     store = TierStore(3, 3, page_size=4)
     tree = DciTree(3, KeyScale(2.0), 0.2, seed=18, store=store)
-    tree.insert(0, np.ones(3), level=1)
+    tree.insert([0], np.ones((1, 3)), level=[1])
     assert tree.levels == 1 and len(tree.nodes) == 1
     leaf = tree.nodes[(tree.levels, ROOT_OWNER)]
     assert leaf.page_ids and store.fill[leaf.page_ids[0]] == 1
@@ -471,7 +483,7 @@ def test_insert_overflow_opens_second_page():
     tree = DciTree(2, KeyScale(5.0), 0.2, seed=19, store=store)
     rng = np.random.default_rng(19)
     for i in range(s + 1):  # all level 1 -> single leaf
-        tree.insert(i, np.array([1.0, 0.0]) + rng.normal(size=2) * 1e-3, level=1)
+        tree.insert([i], np.array([[1.0, 0.0]]) + rng.normal(size=(1, 2)) * 1e-3, level=[1])
     leaf = _node_holding(tree, tree.nodes, 0, 1)
     assert len(leaf.page_ids) == 2
     fills = store.fill[leaf.page_ids].tolist()
@@ -481,9 +493,9 @@ def test_insert_overflow_opens_second_page():
 
 def test_insert_duplicate_id_rejected():
     tree = DciTree(2, KeyScale(5.0), 0.2, seed=20)
-    tree.insert(1, np.ones(2))
+    tree.insert([1], np.ones((1, 2)))
     with pytest.raises(InputError):
-        tree.insert(1, np.zeros(2))
+        tree.insert([1], np.zeros((1, 2)))
 
 
 def test_insert_above_top_grows_tree():
@@ -491,7 +503,7 @@ def test_insert_above_top_grows_tree():
     keys = rng.normal(size=(50, 6))
     tree = _index(keys, 0.1, seed=21)
     old_levels = tree.levels
-    tree.insert(100, rng.normal(size=6), level=old_levels + 2)
+    tree.insert([100], rng.normal(size=(1, 6)), level=[old_levels + 2])
     assert tree.levels == old_levels + 2
     tree.check_invariants()
     # the grown tree still answers exactly under unbounded budgets
@@ -502,9 +514,9 @@ def test_insert_above_top_grows_tree():
 
 def test_insert_clamps_out_of_envelope_keys():
     tree = DciTree(2, KeyScale(1.0), 0.2, seed=22)
-    tree.insert(0, np.array([5.0, 0.0]))
+    tree.insert([0], np.array([[5.0, 0.0]]))
     assert tree.scale_clamps == 1
-    assert abs(np.linalg.norm(tree.lifted(0)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(_lifted(tree, 0)) - 1.0) < 1e-12
 
 
 def test_incremental_matches_batch_recall():
@@ -512,7 +524,7 @@ def test_incremental_matches_batch_recall():
     batch = _index(keys, 0.1, seed=23)
     incr = DciTree(32, KeyScale.from_keys(keys), 0.1, seed=23)
     for i, k in enumerate(keys):
-        incr.insert(i, k)
+        incr.insert([i], k[None])
     incr.check_invariants()
     rng = np.random.default_rng(24)
     k = 32
@@ -560,7 +572,7 @@ def test_query_results_and_distance_counts_match_golden_values():
     incr = DciTree(12, KeyScale(4.0), 0.2, seed=32)
     got = []
     for i in range(400):  # three inserts grow the top; only the queries count
-        incr.insert(i, rng.normal(size=12), level=incr.levels + 1 if i % 97 == 50 else None)
+        incr.insert([i], rng.normal(size=(1, 12)), level=[incr.levels + 1] if i % 97 == 50 else None)
         if i % 133 == 132:
             got.append(incr.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5))
     assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
@@ -599,7 +611,7 @@ def _paged_tree(batched):
             tree.insert(ids, keys, level=None if drawn else levels)
         else:
             for pid, key, lv in zip(ids, keys, levels):
-                tree.insert(pid, key, level=lv)
+                tree.insert([pid], key[None], level=None if drawn else [lv])
     return tree, store
 
 
@@ -681,7 +693,7 @@ def _insert_both_ways(tree, pages):
     for ids, keys, levels in pages:
         assert tree.insert(ids, keys, level=levels) == levels
         for pid, key, lv in zip(ids, keys, levels):
-            twin.insert(pid, key, level=lv)
+            twin.insert([pid], key[None], level=[lv])
     tree.check_invariants()
     assert _tree_state(tree) == _tree_state(twin)
 
@@ -819,7 +831,7 @@ def test_page_inserts_hide_later_points_from_earlier_parent_searches():
 def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch):
     rng = np.random.default_rng(39)
     tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2, page_size=4))
-    tree.insert(0, rng.normal(size=6), level=3)
+    tree.insert([0], rng.normal(size=(1, 6)), level=[3])
     tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
     assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
     pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
@@ -861,7 +873,7 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
 
     point_level = tree.point_level
     top = np.array([point_level[pid] for pid in range(len(keys))])
-    lifted = np.stack([tree.lifted(pid) for pid in range(len(keys))])
+    lifted = _lifted(tree, range(len(keys)))
     checked = 0
     nodes = tree.nodes
     for pid in range(2048, len(keys)):
@@ -878,12 +890,13 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
 
 def test_insert_returns_levels_and_rejects_bad_batches():
     tree = DciTree(2, KeyScale(5.0), 0.2, seed=26)
-    assert tree.insert(0, np.ones(2), level=3) == 3
+    assert tree.insert([0], np.ones((1, 2)), level=[3]) == [3]
     assert tree.insert([1, 2], np.ones((2, 2)), level=[1, 2]) == [1, 2]
     assert tree.insert([], np.empty((0, 2))) == []
     for ids, keys, level in (([3, 3], np.ones((2, 2)), None), ([3, 1], np.ones((2, 2)), None),
                              ([3, 4], np.ones((3, 2)), None), ([3, 4], np.ones((2, 2)), [1]),
-                             ([3, 4], np.ones((2, 2)), [1, 0])):
+                             ([3, 4], np.ones((2, 2)), [1, 0]), ([3], np.ones(2), None),
+                             ([3, -1], np.ones((2, 2)), None)):
         with pytest.raises(InputError):
             tree.insert(ids, keys, level=level)
     assert len(tree) == 3 and tree._n == 3
@@ -898,7 +911,7 @@ def test_non_finite_keys_are_rejected_before_the_tree_changes():
     page = np.array([[9.0, 9.0], [np.nan, 0.0]])  # the first key would clamp
     with pytest.raises(InputError):
         tree.insert([5, 6], page, level=[1, 1])
-    assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
+    assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree.point_level
     # An id a page already lists or a negative id fails before any row is
     # added, like a bad key.
     tree.store.open_pages([100], [1])
@@ -906,9 +919,32 @@ def test_non_finite_keys_are_rejected_before_the_tree_changes():
     for ids in ([5, 100], [5, -1]):
         with pytest.raises(InputError):
             tree.insert(ids, np.ones((2, 2)), level=[1, 1])
-        assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree._row
+        assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree.point_level
     tree.check_invariants()
     assert tree.insert([5, 6], np.ones((2, 2)), level=[1, 1]) == [1, 1]
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("bad", ["nan key", "listed id", "negative id"])
+def test_a_rejected_batch_leaves_the_level_stream_as_it_was(bad):
+    """A batch that fails its check draws no levels: the next insert draws
+    the same levels, and ends in the same state, as on a twin tree that
+    never saw it."""
+    rng = np.random.default_rng(3)
+    tree = _index(rng.normal(size=(40, 4)), 0.5, seed=3, store=TierStore(4, 2, page_size=4))
+    tree.store.open_pages([100], [1])
+    twin = copy.deepcopy(tree)
+    ids, keys = [1000, 1001, 1002, 1003, 1004, 1005], rng.normal(size=(6, 4))
+    if bad == "nan key":
+        keys[4, 1] = np.nan
+    else:
+        ids[2] = 100 if bad == "listed id" else -3
+    with pytest.raises(InputError):
+        tree.insert(ids, keys)
+    for first in (40, 46):
+        page, ids = rng.normal(size=(6, 4)), range(first, first + 6)
+        assert tree.insert(ids, page) == twin.insert(ids, page)
+    assert _tree_state(tree) == _tree_state(twin)
     tree.check_invariants()
 
 
@@ -924,8 +960,8 @@ class InsertQueryMachine(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 2**32 - 1), grow=st.integers(0, 7))
     def insert(self, seed, grow):
         key = np.random.default_rng(seed).uniform(-1.0, 1.0, size=6)  # |key| < c
-        level = self.tree.levels + 1 if grow == 0 and self.keys else None
-        self.tree.insert(len(self.keys), key, level=level)
+        level = [self.tree.levels + 1] if grow == 0 and self.keys else None
+        self.tree.insert([len(self.keys)], key[None], level=level)
         self.keys.append(key)
 
     @rule(seed=st.integers(0, 2**32 - 1),

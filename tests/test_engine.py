@@ -8,11 +8,10 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from icecache import (ConfigError, Engine, EngineConfig, InputError, SearchBudget,
-                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate,
-                      prefill)
+from icecache import (ConfigError, Engine, EngineConfig, InputError, SearchBudget, Workload,
+                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate)
 from icecache.geometry import exact_topk
-from icecache.pagestore import NO_PAGE
+from icecache.pagestore import NO_PAGE, find_page_index
 
 
 def _small(seed=0, n_tokens=600, layers=3, kv_heads=2, d=16, d_prime=8, **cfg_kwargs):
@@ -24,6 +23,12 @@ def _small(seed=0, n_tokens=600, layers=3, kv_heads=2, d=16, d_prime=8, **cfg_kw
                        query_heads_per_group=spec.query_heads_per_group,
                        seed=seed, **cfg_kwargs)
     return wl, cfg
+
+
+def _pages(eng, q, layer, kv_head):
+    """The pages holding the tree's top-budget tokens for one query."""
+    return find_page_index(eng._select_tokens(q, layer, kv_head),
+                           eng.heads[(layer, kv_head)].store).tolist()
 
 
 # -- prefill -------------------------------------------------------------------
@@ -221,6 +226,44 @@ def test_full_budget_reproduces_full_attention():
         assert m.covered_attention_mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_output_error_is_relative_to_the_rms_value_norm():
+    """approx_rel_error divides the output error by the head's RMS value
+    norm over the tokens so far, not by the exact output's norm: on a
+    stream whose values average to zero under flat logits, the exact output
+    nearly cancels, yet the error stays below 1."""
+    wl, cfg = _small(seed=4, kv_heads=1, evaluate=True, token_budget=8)
+    wl.keys *= 1e-3  # flat logits: nearly uniform weights
+    wl.values -= wl.values[:520].mean(axis=0)
+    eng = Engine(cfg).prefill(wl, 520)
+    for t in range(8):
+        outs, m = eng.decode_step(wl.decode_step(520, t))
+        values = wl.values[:521 + t, 2, 0]
+        ref = full_attention(wl.queries[520 + t, 2, 0], wl.keys[:521 + t, 2, 0], values)
+        rms = np.sqrt((values ** 2).sum() / len(values))
+        err = np.linalg.norm(outs[2][0].value_out - ref.value_out) / rms
+        assert m.approx_rel_error == pytest.approx(err, rel=1e-12)
+        assert np.linalg.norm(ref.value_out) < 0.1 * rms and m.approx_rel_error < 1.0
+
+
+def test_decode_past_the_prefilled_workload_grows_the_buffers():
+    """An engine prefilled from a 520-token slice of the stream grows its
+    key and value arrays on the first decode step, and decodes exactly as
+    one prefilled from the whole stream."""
+    wl, cfg = _small(seed=8, evaluate=True, token_budget=16)
+    head = Workload(wl.spec, wl.keys[:520], wl.values[:520], wl.queries[:520])
+    grown, whole = Engine(cfg).prefill(head, 520), Engine(cfg).prefill(wl, 520)
+    assert grown._keys.shape[2] == 520 and whole._keys.shape[2] == 600
+    for t in range(60):
+        step = wl.decode_step(520, t)
+        (outs_a, a), (outs_b, b) = grown.decode_step(step), whole.decode_step(step)
+        assert a == b
+        for out_a, out_b in zip(sum(outs_a, []), sum(outs_b, [])):
+            assert np.array_equal(out_a.token_ids, out_b.token_ids)
+            assert np.array_equal(out_a.dense_weights, out_b.dense_weights)
+            assert np.array_equal(out_a.value_out, out_b.value_out)
+    assert grown._keys.shape[2] == grown._values.shape[2] == 1040
+
+
 def test_identical_consecutive_queries_reload_nothing():
     wl, cfg = _small(n_tokens=700, token_budget=16)
     n_prefill = 520  # newest window page at fill 8: no rotation for a while
@@ -246,8 +289,8 @@ def test_gqa_groups_share_the_union():
     wl, cfg = _small(kv_heads=2, query_heads_per_group=2, token_budget=8)
     eng = Engine(cfg).prefill(wl, 500)
     step = wl.decode_step(500, 0)
-    pages_a = set(eng.page_select(step.queries[2, 0], 2, 0))
-    pages_b = set(eng.page_select(step.queries[2, 1], 2, 0))
+    pages_a = set(_pages(eng, step.queries[2, 0], 2, 0))
+    pages_b = set(_pages(eng, step.queries[2, 1], 2, 0))
     outs, _ = eng.decode_step(step)
     attended_tokens = set(outs[2][0].weights)
     state = eng.heads[(2, 0)]
@@ -259,10 +302,10 @@ def test_gqa_groups_share_the_union():
 def test_page_select_respects_budget_bound():
     wl, cfg = _small(token_budget=12)
     eng = Engine(cfg).prefill(wl, 500)
-    pages = eng.page_select(wl.queries[500, 2, 0], 2, 0)
+    pages = _pages(eng, wl.queries[500, 2, 0], 2, 0)
     assert 0 < len(pages) <= 12
     with pytest.raises(ConfigError):
-        eng.page_select(wl.queries[500, 2, 0], 0, 0)  # skipped layer
+        eng._select_tokens(wl.queries[500, 2, 0], 0, 0)  # skipped layer
 
 
 def test_run_determinism_bitwise():
@@ -310,8 +353,7 @@ def test_reuse_off_makes_every_indexed_layer_an_anchor():
     for layer in eng.anchor_layers():
         pages_by_head, _ = eng.select_with_reuse(layer, wl.queries[500, layer])
         for h in range(cfg.kv_heads):
-            assert pages_by_head[h].tolist() == \
-                eng.page_select(wl.queries[500, layer, h], layer, h)
+            assert pages_by_head[h].tolist() == _pages(eng, wl.queries[500, layer, h], layer, h)
 
 
 def test_anchor_selections_match_vanilla():
@@ -322,7 +364,7 @@ def test_anchor_selections_match_vanilla():
     reused = Engine(reuse_cfg).prefill(wl2, 500)
     step = wl.decode_step(500, 0)
     for layer in (2,):  # anchor offset 0
-        want = vanilla.page_select(step.queries[layer, 0], layer, 0)
+        want = _pages(vanilla, step.queries[layer, 0], layer, 0)
         pages_by_head, _ = reused.select_with_reuse(layer, step.queries[layer])
         assert pages_by_head[0].tolist() == want
 
@@ -356,12 +398,6 @@ def test_pipeline_rejects_bad_inputs():
         pipeline_estimate(-1.0, 0.0, 0.0, 4)
     with pytest.raises(InputError):
         pipeline_estimate(1.0, 1.0, 1.0, 0)
-
-
-def test_module_level_prefill_helper():
-    wl, cfg = _small()
-    eng = prefill(wl, cfg, 500)
-    assert eng.prefilled and eng.n_prefill == 500
 
 
 def test_config_validation():
