@@ -5,9 +5,12 @@ ratio 0.1, d = 64) and time 64 queries through `DciTree.query` and through
 `np.argpartition` over every key, reporting medians and the tree's recall
 of the dense top-64. Run from the repository root with one BLAS thread:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/crossover.py
+    OPENBLAS_NUM_THREADS=1 python benchmarks/crossover.py [--keys 10000 30000 100000]
+
+`--keys` lists the key counts, 10k, 30k and 100k by default.
 """
 
+import argparse
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -23,8 +26,12 @@ K = 64
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keys", type=int, nargs="+", default=[10_000, 30_000, 100_000],
+                        help="key counts to measure")
+    args = parser.parse_args()
     for kind in ("clustered", "uniform"):
-        for n in (10_000, 30_000, 100_000):
+        for n in args.keys:
             wl = generate_workload(WorkloadSpec(kind=kind, clusters=32, n_tokens=n,
                                                 layers=1, kv_heads=1, seed=1))
             keys = wl.keys[:, 0, 0]

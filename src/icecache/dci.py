@@ -15,12 +15,19 @@ stream as they were.
 Levels are drawn for a whole batch at once (`assign_levels`), with the
 same results and generator state as one scalar draw per point.
 
+Lifted points are held in float32 (`DciTree._buf`). The index only ranks
+tokens, and exact attention reads the engine's float64 keys and values, so
+the rows need only order candidates; float32 halves the bytes that the
+build's parent scan, inserts and queries read. Two candidates whose
+float64 inner products differ by less than float32 resolution (about 1e-7)
+may rank either way.
+
 One parent rule serves the batch build and decode-time inserts: a point's
 parent is its exact nearest lifted neighbour among the points that reach
 one level above its top level. Lifted points are unit vectors, so that is
 the candidate of largest inner product (any one of several equal ones),
-found by a dense scan (`_parent_rows`): one matmul and one argmax per
-block of rows. The build scans every point against all others, still
+found by a dense scan (`_parent_rows`): one float32 matmul and one argmax
+per block of rows. The build scans every point against all others, still
 quadratic in the key count; a page inserted during decode scans each of
 its points against the rows before it, so inserting a page equals
 inserting its points one at a time.
@@ -63,7 +70,8 @@ ROOT_OWNER = -1
 # Effectively unbounded beam.
 UNBOUNDED = 2**62
 
-# Points per dot-product block of a parent scan.
+# Points per dot-product block of a parent scan. In float32, 256 and 512
+# built 10k to 100k clustered keys equally fast; 1024 and 2048 were slower.
 PARENT_BLOCK = 256
 
 
@@ -156,13 +164,14 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     with `earlier` only those before it; its parent is the candidate
     nearest to it, or -1 if it has none. Every row is a unit vector, so
     |p - c|^2 = 2 - 2 p . c and the nearest candidate is the one of largest
-    p . c: `argmax` of one matmul. Among candidates of equal p . c the
-    parent is one of them, not always the smallest row: BLAS computes a
-    product's edge tiles with other kernels, so equal products may round
-    apart either way. The rows of one level go in blocks of PARENT_BLOCK,
-    each multiplied against the transposed view of all of that level's
-    candidates (BLAS takes the transpose as a flag; a contiguous copy
-    measured no faster).
+    p . c: `argmax` of one matmul, in float32 as `buf` is. Among
+    candidates of equal p . c the parent is one of them, not always the
+    smallest row: BLAS computes a product's edge tiles with other kernels,
+    so equal products may round apart either way. The rows of one level go
+    in blocks of PARENT_BLOCK, each multiplied against the transposed view
+    of all of that level's candidates (BLAS takes the transpose as a flag;
+    a contiguous copy measured no faster in float32 either: within noise on
+    builds of 10k to 100k keys, and slower on page inserts).
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
@@ -217,7 +226,7 @@ class DciTree:
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0,)))
 
         self.levels = 0
-        self._buf = np.empty((0, dim + 1))
+        self._buf = np.empty((0, dim + 1), dtype=np.float32)  # lifted rows
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._top = np.empty(0, dtype=np.intp)     # row -> top level
         self._parent = np.empty(0, dtype=np.intp)  # row -> parent row, -1 in the top node
@@ -277,22 +286,25 @@ class DciTree:
         return np.where(rows < 0, ROOT_OWNER, self._point[rows])
 
     def _check(self, ids: np.ndarray, keys: np.ndarray) -> None:
-        """InputError unless the store can list the ids (distinct, >= 0 and
-        in no page, so not yet indexed) and every key is finite. Runs before
-        any level is drawn or any row is added."""
-        self.store.check_unlisted(ids)
+        """InputError unless every key is finite and the store can list the
+        ids (distinct, >= 0 and in no page, so not yet indexed). Runs before
+        any level is drawn or any row is added. The keys go first: the ids
+        that pass grow the store's `page_of`, so a rejected batch never
+        does."""
         if not np.isfinite(keys).all():
             raise InputError("key contains non-finite coordinates")
+        self.store.check_unlisted(ids)
 
     def _lift_clamped(self, keys: np.ndarray, first: int) -> None:
         """Lift key rows into the buffer from row `first` on, normalizing
-        out-of-envelope norms instead of failing.
+        out-of-envelope norms instead of failing. The lift is computed in
+        float64 and rounded once into the float32 rows.
 
         A key with |k| > c maps to [k/|k|, 0], which keeps the image on the
         unit sphere at the cost of a slightly perturbed ordering; the event
         is counted in scale_clamps. The keys are finite (`_check`).
         """
-        norms = np.linalg.norm(keys, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
         over = norms > self.scale.c
         self.scale_clamps += int(over.sum())
         safe_norms = np.where(over, norms, self.scale.c)
@@ -367,9 +379,9 @@ class DciTree:
               budget: SearchBudget | None = None) -> list[int]:
         """Descend the tree to level 1 and return up to k point ids, the
         level-1 candidates whose lifted points have the largest inner
-        product with q_vec (dim + 1 finite coordinates), best first, ties
-        toward the smaller id. k lies in [1, beam]; target_level must be
-        SENTINEL_LEVEL.
+        product with q_vec (dim + 1 finite coordinates, rounded once to
+        float32 as the rows are), best first, ties toward the smaller id.
+        k lies in [1, beam]; target_level must be SENTINEL_LEVEL.
 
         The descent starts at the highest level holding more than `beam`
         points, scanned whole: the levels above it would survive whole, and
@@ -394,6 +406,7 @@ class DciTree:
             budget = SearchBudget.for_k(k)
         self.query_count += 1
 
+        q = q.astype(np.float32)
         top = max(1, sum(members.size > budget.beam for members in self._members))
         rows = self._members[top - 1]  # level sizes shrink upward: top is the last over beam
         for level in range(top, 0, -1):
@@ -486,6 +499,10 @@ class DciTree:
         from them); raises AssertionError on violation."""
         assert self.levels >= 1
         assert len(self._members) == self.levels, "level arrays != levels"
+        assert self._buf.dtype == np.float32, "lifted rows are not float32"
+        rows = self._buf[: self._n]
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+        assert (np.abs(norms - 1.0) <= 1e-6).all(), "a lifted row is not a unit vector"
         points, top = self._point[: self._n], self._top[: self._n]
         for lv in range(1, self.levels + 1):
             members, owners = self._members[lv - 1], self._owners[lv - 1]

@@ -50,7 +50,7 @@ class KeyScale:
         keys = np.asarray(keys, dtype=float)
         if keys.size == 0:
             raise InputError("cannot derive a scale from an empty key set")
-        max_norm = float(np.sqrt((keys * keys).sum(axis=-1).max()))
+        max_norm = float(np.sqrt(np.einsum("...j,...j->...", keys, keys).max()))
         if max_norm == 0.0:
             max_norm = 1.0  # all-zero keys: any positive scale works
         return cls(headroom * max_norm)

@@ -109,16 +109,19 @@ class TierStore:
         return self._open(tokens, counts)
 
     def check_unlisted(self, token_ids: Iterable[int]) -> None:
-        """InputError unless the tokens are distinct, >= 0 and in no page."""
+        """InputError unless the tokens are distinct, >= 0 and in no page.
+        Tokens that pass are then covered by `page_of`, which grows to hold
+        them; rejected ones leave it as it was."""
         tokens = as_ids(token_ids)
         top = _top(tokens) + 1 if tokens.size else 0  # a negative id reads as the largest
         if top > 2**63:
             raise InputError("token ids must be >= 0")
+        ordered = np.sort(tokens)
+        listed = self.page_of[tokens[tokens < self.page_of.size]] != NO_PAGE
+        if (ordered[1:] == ordered[:-1]).any() or listed.any():
+            raise InputError("a token repeats or is already in a page")
         if top > self.page_of.size:
             self.page_of = grown(self.page_of, max(64, 2 * self.page_of.size, top), NO_PAGE)
-        ordered = np.sort(tokens)
-        if (ordered[1:] == ordered[:-1]).any() or (self.page_of[tokens] != NO_PAGE).any():
-            raise InputError("a token repeats or is already in a page")
 
     def _open(self, tokens: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """`open_pages` without its checks, for tokens `check_unlisted` passed."""

@@ -222,6 +222,21 @@ def test_invariant_check_catches_a_broken_level_layout():
         swapped.check_invariants()
 
 
+def test_invariant_check_catches_a_row_off_the_unit_sphere_or_in_float64():
+    """Every linked lifted row is a float32 unit vector, within 1e-6."""
+    keys, _, _ = _clustered(5, 300, 12, 8)
+    tree = _index(keys, 0.2, seed=5)
+    tree.check_invariants()
+    stretched = copy.deepcopy(tree)
+    stretched._buf[7] *= np.float32(1.0 + 1e-5)
+    with pytest.raises(AssertionError, match="not a unit vector"):
+        stretched.check_invariants()
+    wide = copy.deepcopy(tree)
+    wide._buf = wide._buf.astype(np.float64)
+    with pytest.raises(AssertionError, match="not float32"):
+        wide.check_invariants()
+
+
 # -- within-node search ------------------------------------------------------------
 # A one-level tree's top node is its whole level, so a query searches exactly
 # that node.
@@ -320,6 +335,32 @@ def test_exhaustive_budget_query_equals_exact_topk():
         ties += len(np.unique(scores[want])) < 16
         repeats += sum(tree.point_level[pid] > 1 for pid in got)  # reach above level 1
     assert ties == 20 and repeats >= 20
+
+
+def test_float32_ranking_equals_exact_topk_beyond_near_ties():
+    """The tree ranks by float32 rows and a float32 query. Wherever the
+    float64 lifted scores of the k-th and (k+1)-th keys differ by more than
+    1e-6, an exhaustive-beam query returns `exact_topk`'s set. Keys are
+    copies of a few rows, each moved by noise of 1e-7 to 1e-3, so gaps on
+    both sides of 1e-6 occur."""
+    rng = np.random.default_rng(47)
+    checked = near = 0
+    for trial in range(60):
+        n, d = int(rng.integers(100, 400)), 64
+        keys = rng.normal(size=(n // 8, d))[rng.integers(0, n // 8, size=n)]
+        keys += rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-7, -3, size=(n, 1))
+        tree = _index(keys, 0.15, seed=trial)
+        tree.check_invariants()
+        lifted = np.stack([transform_key(key, tree.scale) for key in keys])
+        for q, k in zip(rng.normal(size=(6, d)), rng.integers(1, 33, size=6).tolist()):
+            scores = np.sort(lifted @ transform_query(q))[::-1]
+            if scores[k - 1] - scores[k] <= 1e-6:
+                near += 1
+                continue
+            got = tree.query(transform_query(q), SENTINEL_LEVEL, k, SearchBudget.exhaustive(k))
+            assert set(got) == set(exact_topk(q, keys, k)), (trial, k)
+            checked += 1
+    assert checked >= 120 and near >= 60
 
 
 def test_query_rejects_targets_other_than_the_sentinel():
@@ -922,6 +963,25 @@ def test_non_finite_keys_are_rejected_before_the_tree_changes():
         assert _tree_state(tree) == before and len(tree) == 2 and 5 not in tree.point_level
     tree.check_invariants()
     assert tree.insert([5, 6], np.ones((2, 2)), level=[1, 1]) == [1, 1]
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("bad", ["nan key", "repeated id", "listed id"])
+def test_a_rejected_batch_leaves_the_page_table_size_as_it_was(bad):
+    """A batch is checked before the store's `page_of` grows to its largest
+    id, so a rejected batch with a far id allocates nothing."""
+    tree = _index(np.eye(2), 0.2, seed=27)
+    size = tree.store.page_of.size
+    ids, keys = [5, 10**7], np.ones((2, 2))
+    if bad == "nan key":
+        keys[1, 0] = np.nan
+    else:
+        ids = [10**7, 10**7] if bad == "repeated id" else [10**7, 1]
+        with pytest.raises(InputError):
+            tree.store.open_pages(ids, [2])
+    with pytest.raises(InputError):
+        tree.insert(ids, keys, level=[1, 1])
+    assert tree.store.page_of.size == size and len(tree) == 2
     tree.check_invariants()
 
 
