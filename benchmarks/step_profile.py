@@ -1,13 +1,13 @@
-"""Per-position decode step times, with the anchor groups that folded on each.
+"""Per-position decode step times, with the indexed layers that folded on each.
 
     python3 benchmarks/step_profile.py --workload reuse-drift --repeats 12 [--seed 0]
 
 Run from the repository root. It sets up the named perfbench workload with
 perfbench's own `Runner` from the checkout's `src/`, decodes its window
 `--repeats` times, each from a freshly prefilled engine, and prints one line
-per step position: the fastest of its repeats, in ms, and the anchor layers
-whose group folded a window page on that step (read from the transfer
-counters of each anchor's first head). A summary line gives the median of
+per step position: the fastest of its repeats, in ms, and the indexed layers
+that folded a window page on that step (read from the transfer counters of
+each indexed layer's first head). A summary line gives the median of
 the fold steps and of the other steps. This is the per-position view of the
 decode tail, without a profiler. BLAS runs on one thread.
 """
@@ -31,16 +31,16 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 def profile(workload: str, seed: int, repeats: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Step times (repeats x window, seconds) and the anchors folding at each step."""
+    """Step times (repeats x window, seconds) and the layers folding at each step."""
     runner = Runner(WORKLOADS[workload], seed)
     times, folds = [], [[] for _ in range(runner.wl.window)]
     for _ in range(repeats):
         engine, _ = runner.setup()
-        anchors = engine.anchor_layers()
-        offloads = [0] * len(anchors)
+        indexed = sorted(engine.window_start)
+        offloads = [0] * len(indexed)
 
         def after_step(i, dt):
-            for j, layer in enumerate(anchors):
+            for j, layer in enumerate(indexed):
                 count = engine.heads[(layer, 0)].store.stats.pages_offloaded
                 if count > offloads[j] and layer not in folds[i]:
                     folds[i].append(layer)

@@ -52,7 +52,7 @@ def test_dci_query(benchmark, stream):
 
 def test_dci_insert_page(benchmark):
     """One folded window page inserted into the tree: one insert call, as
-    each head of the folding anchor group makes on its fold step. The tree
+    each head of the folding layer makes on its fold step. The tree
     reserves the page's rows, as prefill reserves the stream's."""
     keys = _stream(N_KEYS + PAGE)[0]
     tree = _build(keys, rows=N_KEYS + PAGE)

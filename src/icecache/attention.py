@@ -14,6 +14,7 @@ over the selected set; unselected tokens carry implicit weight zero.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, MutableMapping, Sequence
 from dataclasses import dataclass, field
 
@@ -103,7 +104,7 @@ def full_attention(q, keys, values) -> AttentionOutput:
 
 def _attend(q: np.ndarray, k_mat: np.ndarray, v_mat: np.ndarray, ids: np.ndarray
             ) -> AttentionOutput:
-    logits = (k_mat @ q) / np.sqrt(q.size)
+    logits = (k_mat @ q) / math.sqrt(q.size)
     logits -= logits.max()
     weights = np.exp(logits)
     weights /= weights.sum()

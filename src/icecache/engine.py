@@ -21,15 +21,18 @@ on reuse layers), one page lookup of the group's token union, one backload
 per head, and sparse attention over the sink and window tokens plus the
 selected pages.
 
-Folds are spread over the page, so that no step pays every tree's insert.
-An anchor group is an anchor layer and the reuse layers that read its
-selection; group g of G folds when the newest window page's fill, token %
-page_size + 1 for every layer, reaches page_size * g // G + 1, and only
-while its window holds more than window_pages pages. So a window holds
-window_pages to window_pages + 1 pages, and with G <= page_size at most one
-group folds on a step. A group folds together because a reuse layer looks
-its anchor's tokens up in its own page table: a token the anchor has
-folded must have left the reuse layer's window too.
+Folds are spread over the page, one indexed layer at a time, so that no
+step pays every tree's insert. Indexed layer l folds when the newest window
+page's fill, token % page_size + 1 for every layer, reaches
+page_size * (l - skip_layers) // n_indexed + 1, and only while its window
+holds more than window_pages pages. So a window holds window_pages to
+window_pages + 1 pages, and with n_indexed <= page_size at most one layer
+folds on a step; otherwise layers sharing a fill fold in layer order. The
+fill rises with the layer, so an anchor folds a page no later than the
+reuse layers that read its selection, and a reuse layer's window can start
+a page below its anchor's. A reuse layer looks up only the anchor tokens
+below its own window start in its page table: the others are its window
+tokens, attended once as such.
 
 Selections stay int64 id arrays from the tree's result to the gather: the
 attended set is the sink range, the window range and one gather over the
@@ -161,6 +164,7 @@ class Engine:
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.selection_queries = 0
         self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
+        self._budget = cfg.budget()
         self._anchor_tokens: dict[int, np.ndarray] = {}
 
     # -- prefill -----------------------------------------------------------
@@ -202,10 +206,9 @@ class Engine:
         self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
 
-        groups, group = len(self.anchor_layers()), -1
+        n_indexed = cfg.layers - cfg.skip_layers
         for layer in range(cfg.skip_layers, cfg.layers):
-            group += self.is_anchor_layer(layer)
-            self._fold_at[layer] = s * group // groups + 1
+            self._fold_at[layer] = s * (layer - cfg.skip_layers) // n_indexed + 1
             self.window_start[layer] = window_start
             for h in range(cfg.kv_heads):
                 self.heads[(layer, h)] = self._build_head(layer, h, window_start, rows)
@@ -229,7 +232,7 @@ class Engine:
         if (layer, kv_head) not in self.heads:
             raise ConfigError(f"no tree for layer {layer}, head {kv_head}")
         state = self.heads[(layer, kv_head)]
-        budget = budget if budget is not None else self.cfg.budget()
+        budget = budget if budget is not None else self._budget
         self.selection_queries += 1
         tokens = state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
         return np.fromiter(tokens, dtype=np.int64, count=len(tokens))
@@ -250,10 +253,11 @@ class Engine:
 
         Anchor layers run a fresh tree query per query head, ranked by inner
         product; each head's tokens are its own result, and the group's token
-        union is recorded. Reuse layers take the most recent anchor's token
-        union for every head of the group, without touching the tree. Either
-        way the group's pages are its token union's, looked up once in the
-        layer's own page table.
+        union is recorded. Reuse layers take the part of the most recent
+        anchor's token union below their own window start for every head of
+        the group, without touching the tree: the anchor folds first, so its
+        other tokens are in the reuse layer's window. Either way the pages
+        are the tokens', looked up once in the layer's own page table.
         """
         pages_by_head: dict[int, np.ndarray] = {}
         tokens_by_qh: dict[int, np.ndarray] = {}
@@ -264,14 +268,15 @@ class Engine:
             if anchor:
                 for qh in group:
                     tokens_by_qh[qh] = self._select_tokens(layer_queries[qh], layer, h)
-                self._anchor_tokens[h] = gqa_union([tokens_by_qh[qh] for qh in group])
+                tokens = self._anchor_tokens[h] = gqa_union([tokens_by_qh[qh] for qh in group])
             elif h not in self._anchor_tokens:
                 raise ConfigError(f"no anchor selection recorded yet for head {h}")
             else:
+                union = self._anchor_tokens[h]
+                tokens = union[: np.searchsorted(union, self.window_start[layer])]
                 for qh in group:
-                    tokens_by_qh[qh] = self._anchor_tokens[h]
-            pages_by_head[h] = find_page_index(self._anchor_tokens[h],
-                                               self.heads[(layer, h)].store)
+                    tokens_by_qh[qh] = tokens
+            pages_by_head[h] = find_page_index(tokens, self.heads[(layer, h)].store)
         return pages_by_head, tokens_by_qh
 
     # -- decode ---------------------------------------------------------------
@@ -335,8 +340,9 @@ class Engine:
                 selected = pages_by_head[h]
                 moved.add(state.store.backload(selected))
                 pages_selected += selected.size
-                tokens_loaded += int(state.store.fill[selected].sum())
-                attended = np.concatenate((resident, state.store.tokens_in(selected)))
+                loaded = state.store.tokens_in(selected)
+                tokens_loaded += loaded.size
+                attended = np.concatenate((resident, loaded))
                 keys, values = self._kv(layer, h)
                 for qh in range(h * cfg.query_heads_per_group,
                                 (h + 1) * cfg.query_heads_per_group):
@@ -389,7 +395,7 @@ class Engine:
         ref = full_attention(q, keys, values)
         ref_w, ref_v = ref.dense_weights, ref.value_out
 
-        # The head's own tree: groups fold on different steps, so their
+        # The head's own tree: layers fold on different steps, so their
         # indexed tokens differ for up to page_size - 1 steps.
         indexed = np.asarray(state.tree.point_ids)
         k_eff = min(cfg.token_budget, indexed.size)

@@ -98,7 +98,7 @@ def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):
 def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     """The traced run times `dci.insert` per call and reads each tree's
     `distance_evals` at `dci.query` boundaries: a fold must insert each of
-    the folding anchor group's heads' offloaded page in one call (and no
+    the folding layer's heads' offloaded page in one call (and no
     other head's), which issues no `DciTree.query` and leaves the query
     counters as they were, and distances are counted only inside queries."""
     spec = WorkloadSpec(kind="clustered", n_tokens=560, d=16, d_prime=8, clusters=8,

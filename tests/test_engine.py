@@ -86,16 +86,16 @@ def test_prefill_validates_inputs():
 # -- decode flow ------------------------------------------------------------------
 
 
-def test_each_anchor_group_folds_once_per_page_at_its_fill():
-    # Group g of G folds its oldest window page when the newest window
-    # page's fill reaches page_size * g // G + 1: anchors 1 and 3 lead the
-    # groups {1, 2} and {3, 4}, which fold at fills 1 and 9.
+def test_each_indexed_layer_folds_once_per_page_at_its_fill():
+    # Indexed layer l of n_indexed folds its oldest window page when the
+    # newest window page's fill reaches page_size * (l - skip_layers) //
+    # n_indexed + 1: layers 1 to 4 fold at fills 1, 5, 9 and 13, each anchor
+    # (1 and 3) before the reuse layer that reads its selection.
     wl, cfg = _small(n_tokens=600, layers=5, skip_layers=1, reuse_stride=2, token_budget=8)
     n_prefill = 512  # multiple of page size: the first token opens a fresh window page
     eng = Engine(cfg).prefill(wl, n_prefill)
     s = cfg.page_size
     assert eng.anchor_layers() == [1, 3]
-    group = {1: 0, 2: 0, 3: 1, 4: 1}
     folds = {key: [] for key in eng.heads}  # (step, newest window fill) of each fold
     for t in range(3 * s):
         before = {key: (state.store.stats.pages_offloaded, len(state.tree))
@@ -111,15 +111,15 @@ def test_each_anchor_group_folds_once_per_page_at_its_fill():
                 folds[key].append((t, (window - 1) % s + 1))
             assert (cfg.window_pages - 1) * s < window <= (cfg.window_pages + 1) * s
     for (layer, h), seen in folds.items():
-        g = group[layer]
-        assert seen == [(page * s + g * s // 2, g * s // 2 + 1) for page in range(3)], (layer, h)
+        k = layer - cfg.skip_layers
+        assert seen == [(page * s + s * k // 4, s * k // 4 + 1) for page in range(3)], (layer, h)
 
 
 def test_recall_is_scored_against_each_heads_own_tree():
-    # Layers 2 and 3 are two groups folding at fills 1 and 9, so for half
-    # of each page a token is in layer 2's tree but still in layer 3's
-    # window, where no selection returns it. The recall oracle of a head
-    # ranks its own tree's points only.
+    # Layers 2 and 3 fold at fills 1 and 9, so for half of each page a
+    # token is in layer 2's tree but still in layer 3's window, where no
+    # selection returns it. The recall oracle of a head ranks its own
+    # tree's points only.
     wl, cfg = _small(n_tokens=600, layers=4, token_budget=8, evaluate=True,
                      query_heads_per_group=2)
     n_prefill = 512
@@ -149,7 +149,7 @@ def test_recall_is_scored_against_each_heads_own_tree():
 
 def test_fold_charges_each_heads_page_write_and_moves_the_window_up_a_page():
     # 512 tokens: the first decode token opens window page 3 of 2, so the
-    # lone anchor group (fill 1) folds the window's oldest page into every head.
+    # one indexed layer (fill 1) folds the window's oldest page into every head.
     wl, cfg = _small(n_tokens=600, token_budget=8)
     eng = Engine(cfg).prefill(wl, 512)
     s, start = cfg.page_size, eng.window_start[2]
@@ -421,15 +421,18 @@ def test_config_validation():
 
 class DecodeMachine(RuleBasedStateMachine):
     """Decode steps on small engines whose 4-token window pages fold every
-    few steps, with and without key norms that outgrow the prefill scale;
-    one shape has two anchor groups, folding at window fills 1 and 3. A
-    prompt of 118 tokens ends mid-page, past the first group's fill."""
+    few steps, with and without key norms that outgrow the prefill scale.
+    Each indexed layer folds at its own window fill; in the six-layer shape
+    five indexed layers share four fills, so layers 1 and 2 fold on one
+    step. A prompt of 118 tokens ends mid-page, past the first layer's fill."""
 
     MAX_STEPS = 100
 
     @initialize(drift=st.sampled_from([0.0, 0.03]), shape=st.sampled_from(
         [{}, {"skip_layers": 1, "reuse_stride": 2}, {"query_heads_per_group": 2},
-         {"layers": 4, "skip_layers": 1, "reuse_stride": 2}]),
+         {"layers": 4, "skip_layers": 1, "reuse_stride": 2},
+         {"layers": 6, "skip_layers": 1, "reuse_stride": 2},
+         {"layers": 4, "skip_layers": 1, "reuse_stride": 2, "query_heads_per_group": 2}]),
         seed=st.integers(0, 2**16), prefill=st.sampled_from([120, 118]))
     def start(self, drift, shape, seed, prefill):
         self.prefill = prefill
@@ -440,22 +443,33 @@ class DecodeMachine(RuleBasedStateMachine):
             self.wl.keys[prefill:] *= growth[:, None, None, None]
         self.eng = Engine(cfg).prefill(self.wl, prefill)
         self.steps = 0
-        self.folding: list[list[int]] = []  # anchors whose group folded, per step
+        self.folding: list[list[int]] = []  # indexed layers that folded, per step
+        self.selected: dict[int, dict[int, np.ndarray]] = {}  # layer -> query head -> tokens
+        select = self.eng.select_with_reuse
+
+        def recording(layer, layer_queries):
+            pages, tokens = select(layer, layer_queries)
+            self.selected[layer] = tokens
+            return pages, tokens
+        self.eng.select_with_reuse = recording
 
     @rule(n=st.integers(1, 6))
     def decode(self, n):
-        anchors = self.eng.anchor_layers()
         for _ in range(min(n, self.MAX_STEPS - self.steps)):
-            before = [self.eng.heads[(a, 0)].store.stats.pages_offloaded for a in anchors]
+            before = dict(self.eng.window_start)
             self.outputs, _ = self.eng.decode_step(self.wl.decode_step(self.prefill, self.steps))
             self.steps += 1
-            self.folding.append([a for a, b in zip(anchors, before)
-                                 if self.eng.heads[(a, 0)].store.stats.pages_offloaded > b])
+            self.folding.append([layer for layer, start in before.items()
+                                 if self.eng.window_start[layer] > start])
 
     @invariant()
-    def one_group_folds_per_step(self):
-        # Fold fills page_size * g // G + 1 are distinct while G <= page_size.
-        assert all(len(folded) <= 1 for folded in self.folding)
+    def layers_fold_together_only_at_a_shared_fill(self):
+        # Fold fills page_size * k // n_indexed + 1 are distinct while
+        # n_indexed <= page_size, so then at most one layer folds per step.
+        fold_at = self.eng._fold_at
+        assert all(len({fold_at[layer] for layer in folded}) <= 1 for folded in self.folding)
+        if len(fold_at) <= self.eng.cfg.page_size:
+            assert all(len(folded) <= 1 for folded in self.folding)
 
     @invariant()
     def state_holds(self):
@@ -482,8 +496,24 @@ class DecodeMachine(RuleBasedStateMachine):
                 assert t in store.tokens_in([store.page_of[t]])
             assert eng.token_census(layer, h) == n
             anchor = max(a for a in eng.anchor_layers() if a <= layer)
-            # A group folds together, so a reuse layer indexes its anchor's points.
-            assert state.tree.point_ids == eng.heads[(anchor, h)].tree.point_ids
+            # A reuse layer folds after its anchor: its points are a prefix of
+            # the anchor's, short by no page or by one.
+            points, anchor_points = state.tree.point_ids, eng.heads[(anchor, h)].tree.point_ids
+            assert len(anchor_points) - len(points) in (0, s)
+            assert anchor_points[: len(points)] == points
+
+    @invariant()
+    def reuse_layers_attend_every_token_their_anchor_selected(self):
+        if not self.steps:
+            return
+        eng, g = self.eng, self.eng.cfg.query_heads_per_group
+        for layer in eng.window_start:
+            anchor = max(a for a in eng.anchor_layers() if a <= layer)
+            for qh, out in enumerate(self.outputs[layer]):
+                group = range(qh // g * g, (qh // g + 1) * g)
+                picked = np.concatenate([self.selected[anchor][p] for p in group])
+                # In the layer's window or in one of the pages it loaded.
+                assert np.isin(picked, out.token_ids).all(), (layer, qh)
 
     @invariant()
     def attended_ids_start_with_the_sink_and_window(self):

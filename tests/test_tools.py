@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +34,20 @@ def test_crossover_prints_one_row_per_key_kind():
     rows = [row.fullmatch(line).groups() for line in run.stdout.splitlines()]
     assert [(kind, n) for kind, n, _ in rows] == [("clustered", "2000"), ("uniform", "2000")]
     assert all(0.0 <= float(recall) <= 1.0 for _, _, recall in rows)
+
+
+def test_step_profile_lists_every_indexed_layers_folds():
+    """`benchmarks/step_profile.py` reads the decode tail per step position,
+    so a 2-repeat run on reuse-drift (six indexed layers, 16-token pages,
+    64 steps) must show each indexed layer folding once per page."""
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "step_profile.py"),
+                          "--workload", "reuse-drift", "--repeats", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    lines = run.stdout.splitlines()
+    step = re.compile(r"step +(\d+) +[\d.]+ ms  folded: (-|[\d ]+)")
+    rows = [step.fullmatch(line).groups() for line in lines[1:-1]]
+    assert [int(i) for i, _ in rows] == list(range(64))
+    folded = [layer for _, layers in rows if layers != "-" for layer in layers.split()]
+    assert sorted(Counter(folded).items()) == [(str(layer), 4) for layer in range(1, 7)]
+    assert re.fullmatch(r"median: fold steps [\d.]+ ms \(24 steps\), "
+                        r"other steps [\d.]+ ms \(40 steps\)", lines[-1])
