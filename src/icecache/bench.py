@@ -40,8 +40,9 @@ def _aggregate(rows: list[dict]) -> dict:
 
 
 def run_bench(cfg: EngineConfig, spec: WorkloadSpec | None, steps: int, *,
-              trace_path: str | None = None, n_prefill: int | None = None) -> dict:
-    """Prefill plus `steps` decode steps in evaluation mode; returns the report."""
+              trace_path: str | None = None) -> dict:
+    """Prefill plus `steps` decode steps in evaluation mode; returns the report.
+    The last `steps` tokens of the stream are decoded, the rest prefilled."""
     if steps < 1:
         raise ConfigError("need at least one decode step")
     if trace_path is not None:
@@ -50,8 +51,7 @@ def run_bench(cfg: EngineConfig, spec: WorkloadSpec | None, steps: int, *,
         workload = generate_workload(spec)
     else:
         raise ConfigError("either a workload spec or a trace path is required")
-    if n_prefill is None:
-        n_prefill = workload.n_tokens - steps
+    n_prefill = workload.n_tokens - steps
     if n_prefill < 1:
         raise ConfigError(f"stream too short: {workload.n_tokens} tokens for {steps} steps")
 

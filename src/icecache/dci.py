@@ -29,15 +29,17 @@ the candidate of largest inner product (any one of several equal ones),
 found by a dense scan (`_parent_rows`): one float32 matmul and one argmax
 per block of rows. The build scans every point against all others, still
 quadratic in the key count; a page inserted during decode scans each of
-its points against the rows before it, so inserting a page equals
-inserting its points one at a time.
+its points against the rows before it. A point with no earlier candidate
+takes the first later one instead: that point grows the tree and takes
+over the top node, so inserting a page equals inserting its points one at
+a time.
 
 One writer lays out the levels for both: `DciTree._link` adds buffer rows,
 whose top levels and parent rows are set, to every level they reach. The
-build links all of its rows in one call; an insert links its page in one
-call, split only before a point that grows the tree. A node is named by its
-owner, the point one level up whose children it holds (`ROOT_OWNER` for the
-top node), so a node's name does not depend on how its points were batched.
+build and an insert each link all of their rows in one call, which first
+grows the tree to their highest level. A node is named by its owner, the
+point one level up whose children it holds (`ROOT_OWNER` for the top
+node), so a node's name does not depend on how its points were batched.
 Which node holds a point at a level is read from the row arrays
 (`DciTree._node_of`). Each level keeps its rows sorted by (owner row, row),
 so a node is one run of its level and a binary search finds it.
@@ -162,7 +164,10 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     `buf` holds the lifted points and `top` their top levels, one per row.
     A row at top level l has as candidates the rows of top level above l,
     with `earlier` only those before it; its parent is the candidate
-    nearest to it, or -1 if it has none. Every row is a unit vector, so
+    nearest to it, or -1 if it has none. With `earlier`, a row that has no
+    earlier candidate takes the first later one instead: inserted one at a
+    time, that row grows the tree and takes over the top node, which holds
+    the given row by then. Every row is a unit vector, so
     |p - c|^2 = 2 - 2 p . c and the nearest candidate is the one of largest
     p . c: `argmax` of one matmul, in float32 as `buf` is. Among
     candidates of equal p . c the parent is one of them, not always the
@@ -177,7 +182,7 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
     levels = top[rows]
     for lv in np.flatnonzero(np.bincount(levels)).tolist():  # the levels present
         at = np.flatnonzero(levels == lv)
-        cands = np.flatnonzero((top[: rows[at].max()] if earlier else top) > lv)
+        cands = np.flatnonzero(top > lv)
         if not cands.size:
             continue
         cand_t = buf[cands].T
@@ -187,8 +192,7 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
             dots = buf[pts] @ cand_t
             if earlier:
                 dots[cands >= pts[:, None]] = -np.inf
-            best = cands[np.argmax(dots, axis=1)]  # all masked: cands[0], not earlier
-            parent[block] = np.where(best < pts, best, -1) if earlier else best
+            parent[block] = cands[np.argmax(dots, axis=1)]  # all masked: the first later
     return parent
 
 
@@ -344,14 +348,14 @@ class DciTree:
         member of its node, found by one binary search over the level's
         owners; rows joining one node keep row order (equal insert positions
         keep the order given), so the (owner, row) pairs still ascend. If
-        the rows reach above the tree, the first row at their highest level
-        tops it before any row is linked (`_grow`); on a tree that has a top
-        node, that row must come first.
+        the rows reach above the tree, it grows to their highest level
+        before any row is linked, and the first row above the former top
+        level takes over the former top node (`_grow`).
         """
         top = self._top[rows]
-        high = int(top.max())
+        high = int(top.max(initial=0))
         if high > self.levels:
-            self._grow(int(rows[top.argmax()]))
+            self._grow(int(rows[np.argmax(top > self.levels)]), high)
         for lv in range(high, 0, -1):
             joins = rows[top >= lv]
             owner = self._node_of(joins, lv)
@@ -361,11 +365,11 @@ class DciTree:
             self._owners[lv - 1] = np.insert(self._owners[lv - 1], pos, owner)
             self._members[lv - 1] = np.insert(self._members[lv - 1], pos, joins)
 
-    def _grow(self, row: int) -> None:
-        """Raise the tree to the row's top level. The former top node becomes
-        the row's node at the former top level, its points the row's children."""
+    def _grow(self, row: int, high: int) -> None:
+        """Raise the tree to `high` levels. The former top node becomes the
+        row's node at the former top level, its points the row's children."""
         old = self.levels
-        while self.levels < self._top[row]:
+        while self.levels < high:
             self._members.append(np.empty(0, dtype=np.intp))
             self._owners.append(np.empty(0, dtype=np.intp))
             self.levels += 1
@@ -459,15 +463,14 @@ class DciTree:
         and the level stream unchanged. Levels are then drawn from the
         tree's stream, all before any insert, unless given (`level=`, one
         per id). A point's parent is its exact nearest point one level up
-        among those inserted before it, found for the whole call by one
-        `_parent_rows` scan; `_place` gives its id a page slot. A draw above
-        the current top level grows the tree and re-parents the former
-        top-level points to the newcomer.
+        among those inserted before it. A draw above the current top level
+        grows the tree and re-parents the former top-level points to the
+        newcomer, so a point with no such earlier point has as parent the
+        first later point above its level, or none.
 
-        The page goes to `_link` in one call, split only before a point
-        that grows the tree: `_grow` hands the former top node to that
-        point, so the points before it must be linked first. Nodes are named
-        by their owners, so the split does not change what they are called.
+        As in `dci_indexing`, one `_parent_rows` scan finds every parent,
+        one `_link` call writes every level and one `_place` call gives
+        every id a page slot.
         """
         ids = as_ids(point_ids)
         keys = np.asarray(keys, dtype=float)
@@ -482,13 +485,7 @@ class DciTree:
             levels = [int(lv) for lv in level]
 
         rows = self._add_rows(ids, keys, levels, earlier=True)
-        starts, height = [], self.levels
-        for i, lv in enumerate(levels):
-            if not i or lv > height:
-                starts.append(i)
-            height = max(height, lv)
-        for a, b in zip(starts, starts[1:] + [ids.size]):
-            self._link(rows[a:b])
+        self._link(rows)
         self._place(rows)
         return levels
 

@@ -155,7 +155,6 @@ class Engine:
         self.prefilled = False
         self.fallback = False
         self.n_prefill = 0
-        self.steps_done = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}
         self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
         self._values = np.empty((0, 0, 0, cfg.d_prime))
@@ -183,8 +182,6 @@ class Engine:
         if self.prefilled:
             raise ConfigError("engine already prefilled")
         self._check_workload(workload)
-        if n_prefill < 1:
-            raise ConfigError("prefill needs at least one token")
         cfg = self.cfg
         keys, values = workload.prefill_view(n_prefill)
         self.n_prefill = n_prefill
@@ -290,9 +287,6 @@ class Engine:
         return np.concatenate((np.arange(self.sink_end),
                                np.arange(self.window_start[layer], self._n)))
 
-    def _full_output(self, layer: int, kv_head: int, q: np.ndarray) -> AttentionOutput:
-        return full_attention(q, *self._kv(layer, kv_head))
-
     def decode_step(self, step: DecodeStep
                     ) -> tuple[list[list[AttentionOutput | None]], StepMetrics]:
         """Process one decode token through every layer.
@@ -303,7 +297,7 @@ class Engine:
         if not self.prefilled:
             raise ConfigError("decode_step before prefill")
         cfg = self.cfg
-        token = self.n_prefill + self.steps_done
+        token = self._n
         if step.token_id != token:
             raise InputError(f"stream misaligned: expected token {token}, got {step.token_id}")
 
@@ -325,8 +319,8 @@ class Engine:
         for layer in range(cfg.layers):
             if self.fallback or layer < cfg.skip_layers:
                 for qh in range(cfg.n_query_heads):
-                    outputs[layer][qh] = self._full_output(
-                        layer, qh // cfg.query_heads_per_group, step.queries[layer, qh])
+                    keys, values = self._kv(layer, qh // cfg.query_heads_per_group)
+                    outputs[layer][qh] = full_attention(step.queries[layer, qh], keys, values)
                 continue
 
             if (fill == self._fold_at[layer]
@@ -354,11 +348,10 @@ class Engine:
                             layer, h, q, qh_tokens[qh], attended, out,
                             selected.size, state))
 
-        self.steps_done += 1
         recalls, hits, masses, rel_errors, base = zip(*evals) if evals else ((),) * 5
         base_hits = [b for b in base if b is not None]
         metrics = StepMetrics(
-            step=self.steps_done - 1,
+            step=token - self.n_prefill,
             token_id=token,
             recall_at_k=float(np.mean(recalls)) if recalls else 1.0,
             page_hit_rate=float(np.mean(hits)) if hits else 1.0,
@@ -421,13 +414,6 @@ class Engine:
                 self._resident(layer)))
             base_hit = int(np.isin(oracle_all, base_attended).sum()) / k_all
         return recall, hit, mass, rel, base_hit
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def token_census(self, layer: int, kv_head: int) -> int:
-        """Tokens across the sink, the window and the store's pages for one head."""
-        store = self.heads[(layer, kv_head)].store
-        return self.sink_end + self._n - self.window_start[layer] + int(store.fill.sum())
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

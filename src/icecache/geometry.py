@@ -45,15 +45,15 @@ class KeyScale:
             raise InputError(f"scale must be a positive finite real, got {self.c}")
 
     @classmethod
-    def from_keys(cls, keys: np.ndarray, headroom: float = SCALE_HEADROOM) -> "KeyScale":
-        """Fix the scale from a key matrix with multiplicative headroom."""
+    def from_keys(cls, keys: np.ndarray) -> "KeyScale":
+        """Fix the scale from a key matrix: SCALE_HEADROOM times its largest norm."""
         keys = np.asarray(keys, dtype=float)
         if keys.size == 0:
             raise InputError("cannot derive a scale from an empty key set")
         max_norm = float(np.sqrt(np.einsum("...j,...j->...", keys, keys).max()))
         if max_norm == 0.0:
             max_norm = 1.0  # all-zero keys: any positive scale works
-        return cls(headroom * max_norm)
+        return cls(SCALE_HEADROOM * max_norm)
 
 
 def _as_vector(x, name: str) -> np.ndarray:

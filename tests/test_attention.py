@@ -119,28 +119,12 @@ def test_sparse_matches_restricted_softmax_oracle():
     assert np.isfinite(rel)
 
 
-def test_selection_mass_is_subset_monotone():
-    rng = np.random.default_rng(3)
-    keys = rng.normal(size=(100, 8))
-    values = rng.normal(size=(100, 4))
-    q = rng.normal(size=8)
-    full = full_attention(q, keys, values)
-    order = np.argsort(-(keys @ q))
-    prev = -1.0
-    for size in (5, 20, 50, 100):
-        mass = full.covered_mass(order[:size].tolist())
-        assert mass >= prev - 1e-12
-        prev = mass
-    assert prev == pytest.approx(1.0, abs=1e-9)
-
-
 def test_weights_view_reads_the_dense_arrays_in_attended_order():
     rng = np.random.default_rng(4)
     keys, values = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
     out = sparse_attention(rng.normal(size=4), [4, 1, 3], keys, values)
     assert out.token_ids.tolist() == list(out.weights) == [4, 1, 3]
     assert list(out.weights.values()) == out.dense_weights.tolist()
-    assert out.covered_mass([3, 4, 9]) == pytest.approx(out.weights[3] + out.weights[4])
     del out.weights[1]
     assert list(out.weights) == [4, 3] and len(out.weights) == 2
     assert out.token_ids.tolist() == [4, 1, 3]  # edits change the view only

@@ -764,10 +764,11 @@ def test_random_pages_insert_as_their_points_one_at_a_time():
         _insert_both_ways(tree, pages)
 
 
-def test_page_inserts_split_only_before_a_point_that_grows_the_tree(monkeypatch):
-    """A page goes to `_link` in one call however high its points reach
-    below the top, and in two when a point grows the tree, which must find
-    the points before it linked. Both end as one-at-a-time inserts."""
+def test_a_page_insert_links_in_one_call(monkeypatch):
+    """A page goes to `_link` in one call however high its points reach,
+    also when points grow the tree: one at the former top level before the
+    first grower, a second at the grower's level and a second grower. Each
+    page ends as one-at-a-time inserts."""
     rng = np.random.default_rng(46)
     tree = DciTree(4, KeyScale(4.0), 0.3, seed=46, store=TierStore(4, 2, page_size=3))
     tree.insert(range(12), rng.normal(size=(12, 4)), level=[4] + [1, 2, 3] * 3 + [1, 1])
@@ -779,11 +780,12 @@ def test_page_inserts_split_only_before_a_point_that_grows_the_tree(monkeypatch)
         return link(self, rows)
     monkeypatch.setattr(DciTree, "_link", counted)
     n = 12
-    for levels, linked in (([1, 2, 3, 1, 1], [5]), ([1, 3, 5, 1, 2], [2, 3])):
+    # The third page comes to a tree 5 levels high.
+    for levels in ([1, 2, 3, 1, 1], [1, 3, 5, 1, 2], [5, 6, 6, 7, 1]):
         calls.clear()
         height = tree.levels
         _insert_both_ways(tree, [(list(range(n, n + 5)), rng.normal(size=(5, 4)), levels)])
-        assert [size for t, size in calls if t is tree] == linked
+        assert [size for t, size in calls if t is tree] == [5]
         assert tree.levels == max(height, *levels)
         n += 5
 
