@@ -5,9 +5,10 @@ ratio 0.1, d = 64) and time 64 queries through `DciTree.query` and through
 `np.argpartition` over every key, reporting medians and the tree's recall
 of the dense top-64. Run from the repository root with one BLAS thread:
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/crossover.py [--keys 10000 30000 100000]
+    OPENBLAS_NUM_THREADS=1 python benchmarks/crossover.py [--keys 2048 10000 30000 100000]
 
-`--keys` lists the key counts, 10k, 30k and 100k by default.
+`--keys` lists the key counts: by default 2048 (a reuse-drift tree's size),
+10k, 30k and 100k.
 """
 
 import argparse
@@ -27,7 +28,7 @@ K = 64
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keys", type=int, nargs="+", default=[10_000, 30_000, 100_000],
+    parser.add_argument("--keys", type=int, nargs="+", default=[2048, 10_000, 30_000, 100_000],
                         help="key counts to measure")
     args = parser.parse_args()
     for kind in ("clustered", "uniform"):

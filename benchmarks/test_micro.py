@@ -33,14 +33,12 @@ def _stream(n_tokens):
     return wl.keys[:, 0, 0], wl.values[:, 0, 0], wl.queries[:, 0, 0]
 
 
-def _build(keys, rows=0):
-    return dci_indexing(np.arange(N_KEYS), keys[:N_KEYS], 0.1, seed=0, store=TierStore(64, 64),
+def _build(keys, rows=0, n_keys=N_KEYS):
+    return dci_indexing(np.arange(n_keys), keys[:n_keys], 0.1, seed=0, store=TierStore(64, 64),
                         rows=rows)
 
 
-def test_dci_query(benchmark, stream):
-    keys, _, queries = stream
-    tree = _build(keys)
+def _time_queries(benchmark, tree, queries):
     lifted = [transform_query(q) for q in queries[:64]]
     budget = SearchBudget.for_k(64)
 
@@ -48,6 +46,18 @@ def test_dci_query(benchmark, stream):
         for q in lifted:
             tree.query(q, SENTINEL_LEVEL, 64, budget)
     benchmark(run)
+
+
+def test_dci_query(benchmark, stream):
+    keys, _, queries = stream
+    _time_queries(benchmark, _build(keys), queries)
+
+
+def test_dci_query_2k(benchmark, stream):
+    """64 queries on a 2,048-key tree, reuse-drift's tree size: level 2
+    holds at most twice the beam, so each query scans level 1 in place."""
+    keys, _, queries = stream
+    _time_queries(benchmark, _build(keys, n_keys=2048), queries)
 
 
 def test_dci_insert_page(benchmark):
@@ -82,13 +92,7 @@ def test_dci_query_uniform(benchmark, uniform):
     """64 queries on the 32k uniform tree, the only key shape whose nodes
     pass 256 members: every node the beam keeps is scanned whole."""
     _, queries, tree = uniform
-    lifted = [transform_query(q) for q in queries[:64]]
-    budget = SearchBudget.for_k(64)
-
-    def run():
-        for q in lifted:
-            tree.query(q, SENTINEL_LEVEL, 64, budget)
-    benchmark(run)
+    _time_queries(benchmark, tree, queries)
 
 
 def test_dci_insert_page_uniform(benchmark, uniform):

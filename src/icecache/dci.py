@@ -49,7 +49,10 @@ Queries descend to level 1 from the highest level holding more than
 clusters are ranked by inner product with the lifted query (on the unit
 sphere the same order as lifted distance), the best `beam` survive, and
 their child nodes are searched next. The top k come from the level-1
-candidates alone. Every surviving node is scanned whole.
+candidates alone. Every surviving node is scanned whole. Level 1 is the
+only level stored in place (`_buf`'s rows), so a level-2 start of at most
+`2 * beam` points, whose beam keeps half of it and gathers about half of
+level 1, starts at level 1 instead: one exact scan with no gather.
 """
 
 from __future__ import annotations
@@ -396,6 +399,10 @@ class DciTree:
         out. A point among a level's k best survives the beam and
         is a member of its own node below, so no level above 1 adds to the
         result. `distance_evals` counts the scored candidates.
+
+        Level 1 is the only level stored in place: a level-1 start scans it
+        with no gather and is exact, as is a level-2 start of at most
+        `2 * beam` points, whose beam would gather about half of level 1.
         """
         if k < 1 or (budget is not None and k > budget.beam):
             raise InputError(f"k must lie in [1, beam], got {k}")
@@ -412,13 +419,18 @@ class DciTree:
 
         q = q.astype(np.float32)
         top = max(1, sum(members.size > budget.beam for members in self._members))
-        rows = self._members[top - 1]  # level sizes shrink upward: top is the last over beam
+        if top == 2 and self._members[1].size <= 2 * budget.beam:
+            top = 1  # the beam would keep half of level 2, so gather half of level 1
+        # Level sizes shrink upward: top is the last over beam. Level 1 sits in place.
+        rows = slice(self._n) if top == 1 else self._members[top - 1]
         for level in range(top, 0, -1):
             ids = self._point[rows]
             # einsum, not `@`: BLAS gemv scores a call's last rows with
-            # another kernel, so equal rows could get unequal scores.
-            score = -np.einsum("ij,j->i", self._buf.take(rows, axis=0), q)
-            self.distance_evals += rows.size
+            # another kernel, so equal rows could get unequal scores. One
+            # expression frees the gathered rows before the next gather.
+            score = -np.einsum("ij,j->i", self._buf[rows] if top == 1
+                               else self._buf.take(rows, axis=0), q)
+            self.distance_evals += ids.size
             if level > 1:  # the members of the survivors' nodes one level down
                 survives = np.zeros(self._n, dtype=bool)
                 survives[rows[_nearest(ids, score, budget.beam)]] = True

@@ -395,11 +395,25 @@ def test_query_rejects_bad_vectors_and_k_outside_the_beam():
     assert tree.query_count == 1
 
 
+def _start_level(tree, beam):
+    """The query's start level, read from the row array `_top`: the highest
+    level holding more than `beam` points, or level 1 where that is level 2
+    and it holds at most `2 * beam` points."""
+    size = [np.count_nonzero(tree._top[:len(tree)] >= lv) for lv in range(1, tree.levels + 1)]
+    start = max(1, sum(points > beam for points in size))
+    return 1 if start == 2 and size[1] <= 2 * beam else start
+
+
 def _union_of_levels(tree, q, k, beam):
     """The former query, as a reference: walk down from the top level and
     rank every level's candidates together, each id once. A survivor's
     children are read from the row arrays `_top` and `_parent`, in row
-    order, not from the level layout under test."""
+    order, not from the level layout under test. A query that starts at
+    level 1 ranks every point."""
+    if _start_level(tree, beam) == 1:
+        ids = tree._point[:len(tree)]
+        score = -np.einsum("ij,j->i", tree._buf[:len(tree)], q)
+        return ids[np.lexsort((ids, score))[:k]].tolist()
     top, parent = tree._top[:len(tree)], tree._parent[:len(tree)]
     rows, found = np.flatnonzero(top == tree.levels), []
     for level in range(tree.levels, 0, -1):
@@ -442,10 +456,40 @@ def test_query_equals_the_union_of_levels_ranking():
             beam = int(rng.integers(k, 4 * k + 1))
             q = transform_query(keys[rng.integers(n)] if rng.random() < 0.5
                                 else rng.normal(size=8))
-            deep += sum(members.size > beam for members in tree._members) > 1
+            deep += _start_level(tree, beam) > 1
             assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)) == \
                 _union_of_levels(tree, q, k, beam), (trial, k, beam)
     assert deep > 200 and grown > 40
+
+
+@pytest.mark.parametrize("at_two", [9, 12, 16, 17])
+def test_a_level_two_start_of_at_most_twice_the_beam_scans_level_one(at_two):
+    """With beam 8, a level 2 of 9 to 16 points starts the query at level 1:
+    it returns the exact ranking of every lifted row, ties toward the
+    smaller id, and counts len(tree) distance evaluations. A level 2 of 17
+    points still descends and scores fewer rows."""
+    beam, k, n = 8, 4, 300
+    rng = np.random.default_rng(at_two)
+    keys = rng.normal(size=(n, 8))
+    keys[1::7] = keys[::7][: len(keys[1::7])]  # repeated rows: tied scores
+    levels = np.ones(n, dtype=int)
+    levels[:at_two] = 2
+    levels[0] = 3
+    tree = DciTree(8, KeyScale.from_keys(keys), 0.1)
+    tree.insert(np.arange(n), keys, level=rng.permutation(levels).tolist())
+    assert [members.size for members in tree._members] == [n, at_two, 1]
+    ids = tree._point[:n]
+    for q in [transform_query(keys[i]) for i in range(0, n, 15)] + \
+             [transform_query(rng.normal(size=8)) for _ in range(20)]:
+        before = tree.distance_evals
+        got = tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam))
+        evals = tree.distance_evals - before
+        if at_two <= 2 * beam:
+            score = np.einsum("ij,j->i", tree._buf[:n], q.astype(np.float32))
+            assert got == ids[np.lexsort((ids, -score))[:k]].tolist()
+            assert evals == len(tree)
+        else:
+            assert at_two < evals < len(tree)
 
 
 def test_planted_needle_is_always_retrieved():
