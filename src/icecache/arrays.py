@@ -6,12 +6,16 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import InputError
+
 
 def as_ids(values: Iterable[int]) -> np.ndarray:
-    """Token or page ids as an int64 array; an int64 array is used as it is."""
-    if isinstance(values, np.ndarray):
-        return values.astype(np.int64, copy=False)
-    return np.fromiter(values, dtype=np.int64)
+    """Token or page ids as an int64 array; an int64 array is used as it is.
+    InputError for float or bool ids, which a cast would truncate."""
+    ids = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InputError(f"ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 def grown(arr: np.ndarray, rows: int, fill=0) -> np.ndarray:

@@ -295,9 +295,8 @@ class DciTree:
     def _check(self, ids: np.ndarray, keys: np.ndarray) -> None:
         """InputError unless every key is finite and the store can list the
         ids (distinct, >= 0 and in no page, so not yet indexed). Runs before
-        any level is drawn or any row is added. The keys go first: the ids
-        that pass grow the store's `page_of`, so a rejected batch never
-        does."""
+        any level is drawn or any row is added; only `_place` then writes
+        the store, so a rejected batch leaves it as it was."""
         if not np.isfinite(keys).all():
             raise InputError("key contains non-finite coordinates")
         self.store.check_unlisted(ids)
@@ -444,10 +443,9 @@ class DciTree:
         order, in which each leaf's given rows are its last members: an id
         whose position in its leaf is a multiple of page_size opens a page,
         and every other id joins the page of the id before it in its leaf.
-        New pages open in one call, in the order of the ids opening them."""
+        New pages take the next page ids in the order of the ids opening
+        them, and one `TierStore._put` call writes every slot."""
         store = self.store
-        if not rows.size:
-            return
         owner = self._node_of(rows, 1)  # -1: the top node
         order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
         leaf, at = owner[order], np.arange(rows.size)
@@ -455,13 +453,13 @@ class DciTree:
         pos = stop - start - np.searchsorted(leaf, leaf, side="right") + at  # place in the leaf
         slot = pos % store.page_size
         fresh = at - slot >= np.searchsorted(leaf, leaf)  # the page opens in this call
-        ids = self._point[rows[order]]
-        opener = order[(at - slot)[fresh]]  # given place of the id opening a new page
-        counts = np.bincount(opener)
-        # The ids were checked before any row was added (`_check`).
-        store._open(ids[fresh][np.argsort(opener, kind="stable")], counts[counts > 0])
+        opens = np.zeros(rows.size, dtype=bool)
+        opens[order[fresh & (slot == 0)]] = True
+        page = np.empty(rows.size, dtype=np.int64)  # one per row, in given order
+        page[order[fresh]] = store.n_pages + np.cumsum(opens)[order[(at - slot)[fresh]]] - 1
         first = self._members[0][(start + pos - slot)[~fresh]]  # opened the page earlier
-        store._join(store.page_of[self._point[first]], ids[~fresh])
+        page[order[~fresh]] = store.page_of[self._point[first]]
+        store._put(page, self._point[rows])  # the ids passed `_check`
 
     # -- dynamic insertion ----------------------------------------------------
 

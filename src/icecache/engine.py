@@ -300,6 +300,11 @@ class Engine:
         token = self._n
         if step.token_id != token:
             raise InputError(f"stream misaligned: expected token {token}, got {step.token_id}")
+        want = [(cfg.layers, cfg.n_query_heads, cfg.d), (cfg.layers, cfg.kv_heads, cfg.d),
+                (cfg.layers, cfg.kv_heads, cfg.d_prime)]
+        shapes = [np.shape(step.queries), np.shape(step.keys), np.shape(step.values)]
+        if shapes != want:
+            raise InputError(f"step queries, keys and values need shapes {want}, got {shapes}")
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]

@@ -12,13 +12,13 @@ as PagedAttention's block table does:
   page_of[t]           the page listing token t, or NO_PAGE
   hot                  a boolean mask over page ids
 
-A token sits in at most one page. Page ids count up and pages are never
-closed. Every page keeps its authoritative copy cold and is resident
-("hot") only while selected: each `backload` leaves exactly the selected
-pages hot, so dropping a copy is free and only cold->hot moves are
-charged. The sink and window tokens stay resident outside the store, as
-token ranges the engine owns; `offload` charges the write of a window page
-folded into the index.
+A token sits in at most one page. Page ids count up, pages are never
+closed, and one writer (`TierStore._put`) fills and grows the arrays. Every
+page keeps its authoritative copy cold and is resident ("hot") only while
+selected: each `backload` leaves exactly the selected pages hot, so
+dropping a copy is free and only cold->hot moves are charged. The sink and
+window tokens stay resident outside the store, as token ranges the engine
+owns; `offload` charges the write of a window page folded into the index.
 
 Transfer accounting models bulk moves: a backload gathers every cold page
 it needs into one transaction regardless of page count, and bytes are
@@ -99,55 +99,47 @@ class TierStore:
     # -- placement --------------------------------------------------------
 
     def open_pages(self, token_ids: Iterable[int], counts: Iterable[int]) -> np.ndarray:
-        """Open one cold page per count, each holding the next `count` tokens
-        in order; returns the new page ids, ascending."""
+        """Open one cold page per count, each count in [1, page_size] and
+        each page holding the next `count` tokens in order: the checks, then
+        one `_put`. Returns the new page ids, ascending."""
         tokens, counts = as_ids(token_ids), as_ids(counts)
-        if counts.sum() != tokens.size or (counts.size and _top(counts) > self.page_size):
-            raise InputError(f"need one count in [0, {self.page_size}] per page, "
+        if counts.sum() != tokens.size or ((counts < 1) | (counts > self.page_size)).any():
+            raise InputError(f"need one count in [1, {self.page_size}] per page, "
                              "summing to the number of tokens")
         self.check_unlisted(tokens)
-        return self._open(tokens, counts)
+        ids = np.arange(self.n_pages, self.n_pages + counts.size)
+        self._put(np.repeat(ids, counts), tokens)
+        return ids
 
     def check_unlisted(self, token_ids: Iterable[int]) -> None:
-        """InputError unless the tokens are distinct, >= 0 and in no page.
-        Tokens that pass are then covered by `page_of`, which grows to hold
-        them; rejected ones leave it as it was."""
-        tokens = as_ids(token_ids)
-        top = _top(tokens) + 1 if tokens.size else 0  # a negative id reads as the largest
-        if top > 2**63:
+        """InputError unless the tokens are distinct, >= 0 and in no page. A
+        pure check: only `_put` grows `page_of`, to hold the tokens it lists."""
+        ordered = np.sort(as_ids(token_ids))
+        if ordered.size and ordered[0] < 0:
             raise InputError("token ids must be >= 0")
-        ordered = np.sort(tokens)
-        listed = self.page_of[tokens[tokens < self.page_of.size]] != NO_PAGE
+        listed = self.page_of[ordered[ordered < self.page_of.size]] != NO_PAGE
         if (ordered[1:] == ordered[:-1]).any() or listed.any():
             raise InputError("a token repeats or is already in a page")
+
+    def _put(self, page_ids: np.ndarray, tokens: np.ndarray) -> None:
+        """Put token i in the next free slot of page page_ids[i], each page
+        taking its tokens in the given order; page ids from `n_pages` up open
+        new pages. The one writer of `slots`, `fill` and `page_of`, growing
+        them and `hot` to fit. Unchecked: the tokens passed `check_unlisted`
+        and the pages have room for them."""
+        self.n_pages = max(self.n_pages, int(page_ids.max(initial=-1)) + 1)
+        top = int(tokens.max(initial=-1)) + 1
         if top > self.page_of.size:
             self.page_of = grown(self.page_of, max(64, 2 * self.page_of.size, top), NO_PAGE)
-
-    def _open(self, tokens: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """`open_pages` without its checks, for tokens `check_unlisted` passed."""
-        first = self.n_pages
-        self.n_pages += counts.size
         if self.n_pages > self.fill.size:
             cap = max(64, 2 * self.fill.size, self.n_pages)
             self.slots = grown(self.slots, cap)
             self.fill, self.hot = grown(self.fill, cap, 0), grown(self.hot, cap, False)
-        new = slice(first, self.n_pages)
-        self.fill[new] = counts
-        ids = np.arange(first, self.n_pages)
-        if tokens.size:
-            self.slots[new][np.arange(self.page_size) < counts[:, None]] = tokens
-            self.page_of[tokens] = np.repeat(ids, counts)
-        return ids
-
-    def _join(self, page_ids: np.ndarray, tokens: np.ndarray) -> None:
-        """Put token i in the next free slot of page page_ids[i], each page
-        taking its tokens in the given order. Unchecked: the tokens passed
-        `check_unlisted` and the pages have room for them."""
         order = np.argsort(page_ids, kind="stable")
         pages = page_ids[order]
         rank = np.arange(pages.size) - np.searchsorted(pages, pages)
         self.slots[pages, self.fill[pages] + rank] = tokens[order]
-        np.add.at(self.fill, pages, 1)
+        self.fill[: self.n_pages] += np.bincount(page_ids, minlength=self.n_pages)
         self.page_of[tokens] = page_ids
 
     # -- lookup -----------------------------------------------------------

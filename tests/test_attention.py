@@ -134,6 +134,20 @@ def test_weights_view_reads_the_dense_arrays_in_attended_order():
     assert ids.flags.writeable and ids.tolist() == [4, 1, 3]
 
 
+def test_float_and_bool_ids_are_input_errors():
+    # A cast would truncate 0.9 and 2.7 to tokens 0 and 2, and read a mask
+    # as ids 0 and 1; integer sequences, ranges and int arrays still work.
+    keys, values = np.eye(3), np.arange(6.0).reshape(3, 2)
+    for ids in (np.array([0.9, 2.7]), [0.0, 2.0], np.array([True, True, False]), [True]):
+        with pytest.raises(InputError):
+            sparse_attention(np.ones(3), ids, keys, values)
+    with pytest.raises(InputError):
+        gqa_union([np.array([1.9, 3.2]), [2]])
+    assert gqa_union([range(2), np.array([3], dtype=np.int32), (5,)]).tolist() == [0, 1, 3, 5]
+    ids = np.array([2, 0])
+    assert sparse_attention(np.ones(3), ids, keys, values).token_ids.base is ids
+
+
 def test_gqa_union_cases():
     assert gqa_union([{1, 2}, {1, 2}]).tolist() == [1, 2]
     assert gqa_union([{1, 2}, {3, 4}]).tolist() == [1, 2, 3, 4]

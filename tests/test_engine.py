@@ -2,6 +2,7 @@
 pipeline estimator."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,27 @@ def test_decode_requires_prefill_and_stream_alignment():
     eng.prefill(wl, 500)
     with pytest.raises(InputError):
         eng.decode_step(wl.decode_step(500, 3))  # skips ahead
+
+
+def test_decode_rejects_a_misshaped_step_before_any_write():
+    """A step whose queries, keys or values do not have one row per layer
+    and head is an InputError, and leaves the token count and the K/V rows
+    as they were (one head's row is not broadcast into every layer)."""
+    wl, cfg = _small(kv_heads=2, query_heads_per_group=2)
+    eng = Engine(cfg).prefill(wl, 500)
+    step = wl.decode_step(500, 0)
+    keys, values = eng._keys.copy(), eng._values.copy()
+    for bad in (replace(step, keys=step.keys[0, 0]),        # one head's (d,) row
+                replace(step, values=step.values[:, :1]),   # one kv head
+                replace(step, queries=step.queries[:, ::2]),  # one query head per group
+                replace(step, keys=step.queries),          # query heads, not kv heads
+                replace(step, values=step.keys)):          # d, not d_prime
+        with pytest.raises(InputError):
+            eng.decode_step(bad)
+        assert eng._n == 500
+        assert np.array_equal(eng._keys, keys) and np.array_equal(eng._values, values)
+    eng.decode_step(step)
+    assert eng._n == 501 and np.array_equal(eng._keys[:, :, 500], step.keys)
 
 
 def test_gqa_groups_share_the_union():

@@ -34,43 +34,58 @@ def test_page_rejects_overflow_and_duplicates():
                            ([7, 10**5, 10**5], [1, 2]),  # the same, far past the table
                            ([2], [1]),        # already in the first page
                            ([4, 5, 6], [3]),  # overflow
+                           ([4, 5], [2, 0]),  # an empty page
                            ([4, 5], [1]),     # counts short of the tokens
                            ([4, 5], [])):     # tokens but no page
         with pytest.raises(InputError):
             store.open_pages(tokens, counts)
     assert store.n_pages == 1 and store.tokens_in([page]).tolist() == [1, 2]
+    for tokens, counts in (([4.0, 5.0], [2]), ([4, 5], [2.0]), ([True], [1])):  # not integers
+        with pytest.raises(InputError):
+            store.open_pages(tokens, counts)
     assert (store.page_of[4:] == NO_PAGE).all()
-    assert store.open_pages([4, 5, 6], [2, 0, 1]).tolist() == [1, 2, 3]
-    assert store.tokens_in([3, 1, 2]).tolist() == [6, 4, 5]
+    assert store.open_pages([4, 5, 6], [2, 1]).tolist() == [1, 2]
+    assert store.tokens_in([2, 1]).tolist() == [6, 4, 5]
 
 
-def test_join_equals_appends_in_order():
-    # The tree's one array write for ids joining existing pages: each page
-    # takes its ids in the given order, as appending one id at a time to
-    # each page's token list would.
+def test_put_equals_appends_in_order():
+    # The one page writer: each page takes its ids in the given order, as
+    # appending one id at a time to each page's token list would, and page
+    # ids from n_pages up open new pages in the same call.
     store, _ = _store_with_pages(4, 1, capacity=4)
-    appended = [store.tokens_in([p]).tolist() for p in range(4)]
-    pages, tokens = np.array([2, 0, 2, 3, 2]), np.array([40, 41, 42, 43, 44])
+    appended = [store.tokens_in([p]).tolist() for p in range(4)] + [[], []]
+    pages = np.array([2, 5, 0, 2, 4, 3, 5, 2])
+    tokens = np.array([40, 41, 42, 43, 44, 45, 46, 10**4])
     store.check_unlisted(tokens)
-    store._join(pages, tokens)
+    store._put(pages, tokens)
     for page, token in zip(pages.tolist(), tokens.tolist()):
         appended[page].append(token)
-    assert [store.tokens_in([p]).tolist() for p in range(4)] == appended
-    assert store.fill[:4].tolist() == [len(page) for page in appended]
+    assert store.n_pages == 6 and not store.hot[:6].any()
+    assert [store.tokens_in([p]).tolist() for p in range(6)] == appended
+    assert store.fill[:6].tolist() == [len(page) for page in appended]
     assert store.page_of[tokens].tolist() == pages.tolist()
-    store._join(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    assert store.fill[:4].tolist() == [len(page) for page in appended]
+    store._put(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert store.n_pages == 6 and store.fill[:6].tolist() == [len(page) for page in appended]
+
+
+def test_a_passing_check_leaves_the_page_table_size_as_it_was():
+    # Only the writer grows `page_of`: a check of a far id allocates nothing.
+    store, _ = _store_with_pages(2, 1)
+    size = store.page_of.size
+    store.check_unlisted([10**6])
+    assert store.page_of.size == size
 
 
 def test_find_page_index_single_page():
     store = TierStore(4, 4)
-    assert store.open_pages(range(8), [0] * 5 + [8]).tolist() == list(range(6))
+    store.open_pages(range(100, 105), [1] * 5)
+    assert store.open_pages(range(8), [8]).tolist() == [5]
     assert find_page_index(range(8), store).tolist() == [5]
 
 
 def test_find_page_index_distinct_pages_sorted():
     store = TierStore(4, 4)
-    store.open_pages([5, 4, 3, 2, 1, 0], [0] * 5 + [1] * 6)  # token t in page 10 - t
+    store.open_pages([*range(100, 105), 5, 4, 3, 2, 1, 0], [1] * 11)  # token t in page 10 - t
     assert find_page_index([3, 0, 5], store).tolist() == [5, 7, 10]
 
 
@@ -98,7 +113,7 @@ def test_loaded_token_bound():
 
 def test_pages_open_cold():
     store = TierStore(4, 4, page_size=8)
-    pages = store.open_pages(range(10), [8, 0, 2])
+    pages = store.open_pages(range(10), [8, 2])
     assert not store.hot[pages].any() and store.stats == TransferStats()
 
 

@@ -53,3 +53,13 @@ def test_step_profile_lists_every_indexed_layers_folds():
     assert sorted(Counter(folded).items()) == [(str(layer), 4) for layer in range(1, 7)]
     assert re.fullmatch(r"median: fold steps [\d.]+ ms \(24 steps\), "
                         r"other steps [\d.]+ ms \(40 steps\)", lines[-1])
+
+
+def test_micro_benchmarks_run_once_each():
+    """`benchmarks/test_micro.py` times the store, the index and the engine's
+    selection outside `testpaths`, so timing stays opt-in; one untimed pass
+    here keeps those benchmarks working against the library API."""
+    run = subprocess.run([sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
+                          "-q", "-p", "no:cacheprovider"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:]
