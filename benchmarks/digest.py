@@ -7,7 +7,9 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
 `--steps` steps and prints one sha256 digest per group:
 
   outputs  every AttentionOutput: attended ids, dense weights, value_out bytes
-  metrics  every StepMetrics row (repr of each field, so floats are exact)
+  metrics  every step's StepMetrics counters; with --evaluate, every step's
+           scored report row (`icecache.bench.score_step`) instead. The
+           repr of each field is digested, so floats are exact
   trees    each tree's nodes (level, owner, parent's owner, members, page
            ranks), point levels and scale clamps: its structure
   counters each tree's query count and distance evaluations
@@ -47,6 +49,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 import numpy as np  # noqa: E402
 
 from icecache import Engine  # noqa: E402
+from icecache.bench import score_step  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -56,7 +59,7 @@ def _ints(values) -> bytes:
 
 def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
     bw = WORKLOADS[workload]
-    bw = replace(bw, window=steps, cfg=replace(bw.cfg, evaluate=evaluate))
+    bw = replace(bw, window=steps)
     wl = bw.generate(seed)
     engine = Engine(bw.cfg).prefill(wl, bw.n_prefill)
     groups = {name: hashlib.sha256()
@@ -68,8 +71,12 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
                 groups["outputs"].update(_ints(out.token_ids))
                 groups["outputs"].update(np.asarray(out.dense_weights, dtype=float).tobytes())
                 groups["outputs"].update(out.value_out.tobytes())
-        groups["metrics"].update(repr([(f.name, getattr(metrics, f.name))
-                                       for f in fields(metrics)]).encode())
+        if evaluate:
+            row = score_step(engine, wl, outputs, metrics)
+        else:
+            row = {f.name: getattr(metrics, f.name) for f in fields(metrics)
+                   if f.name != "selections"}
+        groups["metrics"].update(repr(list(row.items())).encode())
     for key in sorted(engine.heads):
         state = engine.heads[key]
         tree, store = state.tree, state.store
@@ -101,7 +108,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--steps", type=int, default=64)
     parser.add_argument("--evaluate", action="store_true",
-                        help="also compute the engine's oracle fields in StepMetrics")
+                        help="digest each step's scored report row as the metrics group")
     args = parser.parse_args()
     every = args.workload == "all"
     for workload in WORKLOADS if every else [args.workload]:

@@ -11,7 +11,7 @@ oracles.
 from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_levels,
                   dci_indexing)
-from .engine import Engine, EngineConfig, StepMetrics, pipeline_estimate, token_order_select
+from .engine import Engine, EngineConfig, StepMetrics, pipeline_estimate
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
                      IceCacheError, InputError, InvariantViolation,
                      ScaleViolationError, TraceFormatError)
@@ -25,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionOutput", "full_attention", "gqa_union", "sparse_attention",
     "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_levels", "dci_indexing",
-    "Engine", "EngineConfig", "StepMetrics", "token_order_select",
-    "pipeline_estimate",
+    "Engine", "EngineConfig", "StepMetrics", "pipeline_estimate",
     "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
     "DegenerateQueryError", "ConsistencyError",
     "InvariantViolation", "TraceFormatError",

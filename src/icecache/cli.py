@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: gen (write a workload trace), bench (one evaluated run),
-sweep (bench across token budgets), compare-baseline (bench with the
-token-order layout alongside), pipeline-est (prefill pipeline arithmetic).
+Subcommands: gen (write a workload trace), bench (one scored run), sweep
+(bench across token budgets), compare-baseline (bench with the token-order
+layout scored alongside), pipeline-est (prefill pipeline arithmetic).
 
 Exit codes: 0 ok, 2 config error, 3 invariant violation, 4 I/O error.
 The seed falls back to the ICECACHE_SEED environment variable.
@@ -71,16 +71,14 @@ def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
         query_heads_per_group=args.group_size)
 
 
-def _config_from(args: argparse.Namespace, *, baseline: bool) -> EngineConfig:
+def _config_from(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         layers=args.layers, kv_heads=args.kv_heads,
         query_heads_per_group=args.group_size, d=args.d, d_prime=args.d_prime,
         page_size=args.page_size, token_budget=args.budget,
         promotion_ratio=args.ratio, sink_pages=args.sink_pages,
         window_pages=args.window_pages, skip_layers=args.skip_layers,
-        reuse_stride=args.reuse_stride,
-        seed=args.seed, evaluate=True,
-        compare_baseline=baseline)
+        reuse_stride=args.reuse_stride, seed=args.seed)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -149,14 +147,15 @@ def main(argv: list[str] | None = None) -> int:
             save_trace(generate_workload(spec), args.out)
             print(f"wrote {args.tokens}-token trace to {args.out}")
         elif args.command in ("bench", "compare-baseline"):
-            cfg = _config_from(args, baseline=args.command == "compare-baseline")
+            cfg = _config_from(args)
             spec = None if args.trace else _spec_from(args)
-            report = run_bench(cfg, spec, args.steps, trace_path=args.trace)
+            report = run_bench(cfg, spec, args.steps, baseline=args.command == "compare-baseline",
+                               trace_path=args.trace)
             _emit(report, args)
         elif args.command == "sweep":
             budgets = [int(b) for b in args.budgets.split(",") if b]
-            report = run_sweep(_config_from(args, baseline=args.baseline), _spec_from(args),
-                               args.steps, budgets)
+            report = run_sweep(_config_from(args), _spec_from(args), args.steps, budgets,
+                               baseline=args.baseline)
             _emit(report, args)
         elif args.command == "pipeline-est":
             report = pipeline_report(args.prefill, args.offload, args.index, args.layers)

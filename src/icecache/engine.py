@@ -46,14 +46,14 @@ a transformer: embeddings come from the workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
-from .geometry import exact_topk, transform_query
+from .geometry import transform_query
 from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
 
@@ -75,8 +75,6 @@ class EngineConfig:
     skip_layers: int = 2
     reuse_stride: int = 0        # 0: every indexed layer is an anchor; >= 2 enables reuse
     seed: int = 0
-    evaluate: bool = False        # compute exact oracles per step
-    compare_baseline: bool = False
 
     def __post_init__(self) -> None:
         if min(self.layers, self.kv_heads, self.query_heads_per_group,
@@ -105,38 +103,22 @@ class EngineConfig:
 
 @dataclass
 class StepMetrics:
-    """Per-step evaluation row, averaged over indexed layers and query heads."""
+    """One decode step's counters, summed over indexed layers and heads,
+    and its selections: each (indexed layer, query head)'s token ids, in
+    that order, the arrays `select_with_reuse` built (not copies). They
+    are empty on a fallback engine, take no part in ==, and are what
+    `icecache.bench.score_step` scores."""
 
     step: int
     token_id: int
-    recall_at_k: float
-    page_hit_rate: float
-    covered_attention_mass: float
-    approx_rel_error: float
     pages_selected: int
     pages_loaded: int
     tokens_loaded: int
     bytes_moved: int
     transactions: int
     dci_queries: int
-    baseline_hit_rate: float | None = None
-
-
-def token_order_select(q: np.ndarray, tokens: np.ndarray, keys: np.ndarray,
-                       page_size: int, n_pages: int) -> np.ndarray:
-    """Tokens of the best n_pages pages of a token-order layout.
-
-    Pages hold page_size consecutive arrivals (`tokens`, in arrival order,
-    with their `keys`); a page's relevance to a query is the upper bound
-    sum_i max(q_i * lo_i, q_i * hi_i) over its keys' coordinate-wise
-    envelope, and the top-scoring pages are selected.
-    """
-    starts = np.arange(0, tokens.size, page_size)
-    lo = np.minimum.reduceat(keys, starts)
-    hi = np.maximum.reduceat(keys, starts)
-    scores = np.maximum(lo * q, hi * q).sum(axis=1)
-    best = np.lexsort((np.arange(scores.size), -scores))[:n_pages]
-    return tokens[np.isin(np.arange(tokens.size) // page_size, best)]
+    selections: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -292,7 +274,8 @@ class Engine:
         """Process one decode token through every layer.
 
         Returns per-layer, per-query-head attention outputs plus the step's
-        metrics row (oracle fields populated only when cfg.evaluate).
+        counters and selections. It serves and counts only: fidelity is
+        scored from these outside the engine (`icecache.bench.score_step`).
         """
         if not self.prefilled:
             raise ConfigError("decode_step before prefill")
@@ -308,7 +291,7 @@ class Engine:
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
-        evals: list[tuple] = []  # (recall, hit, mass, rel error, baseline hit) per query head
+        selections: dict[tuple[int, int], np.ndarray] = {}
         moved = TransferStats()
         pages_selected = tokens_loaded = 0
         queries_before = self.selection_queries
@@ -334,6 +317,7 @@ class Engine:
             resident = self._resident(layer)
 
             pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
+            selections.update(((layer, qh), tokens) for qh, tokens in qh_tokens.items())
             for h in range(cfg.kv_heads):
                 state = self.heads[(layer, h)]
                 selected = pages_by_head[h]
@@ -345,30 +329,19 @@ class Engine:
                 keys, values = self._kv(layer, h)
                 for qh in range(h * cfg.query_heads_per_group,
                                 (h + 1) * cfg.query_heads_per_group):
-                    q = step.queries[layer, qh]
-                    out = sparse_attention(q, attended, keys, values)
-                    outputs[layer][qh] = out
-                    if cfg.evaluate:
-                        evals.append(self._evaluate_head(
-                            layer, h, q, qh_tokens[qh], attended, out,
-                            selected.size, state))
+                    outputs[layer][qh] = sparse_attention(
+                        step.queries[layer, qh], attended, keys, values)
 
-        recalls, hits, masses, rel_errors, base = zip(*evals) if evals else ((),) * 5
-        base_hits = [b for b in base if b is not None]
         metrics = StepMetrics(
             step=token - self.n_prefill,
             token_id=token,
-            recall_at_k=float(np.mean(recalls)) if recalls else 1.0,
-            page_hit_rate=float(np.mean(hits)) if hits else 1.0,
-            covered_attention_mass=float(np.mean(masses)) if masses else 1.0,
-            approx_rel_error=float(np.mean(rel_errors)) if rel_errors else 0.0,
             pages_selected=pages_selected,
             pages_loaded=moved.pages_backloaded,
             tokens_loaded=tokens_loaded,
             bytes_moved=moved.bytes_moved,
             transactions=moved.transactions,
             dci_queries=self.selection_queries - queries_before,
-            baseline_hit_rate=float(np.mean(base_hits)) if base_hits else None,
+            selections=selections,
         )
         return outputs, metrics
 
@@ -383,42 +356,6 @@ class Engine:
             state = self.heads[(layer, h)]
             state.store.offload(s)
             state.tree.insert(rotated, self._keys[layer, h, rotated])
-
-    def _evaluate_head(self, layer: int, kv_head: int, q: np.ndarray,
-                       selected_tokens: np.ndarray, attended: np.ndarray,
-                       out: AttentionOutput, n_pages: int, state: _HeadState
-                       ) -> tuple[float, float, float, float, float | None]:
-        cfg = self.cfg
-        keys, values = self._kv(layer, kv_head)
-        ref = full_attention(q, keys, values)
-        ref_w, ref_v = ref.dense_weights, ref.value_out
-
-        # The head's own tree: layers fold on different steps, so their
-        # indexed tokens differ for up to page_size - 1 steps.
-        indexed = np.asarray(state.tree.point_ids)
-        k_eff = min(cfg.token_budget, indexed.size)
-        indexed_keys = self._keys[layer, kv_head, indexed]
-        oracle_indexed = indexed[exact_topk(q, indexed_keys, k_eff)]
-        recall = int(np.isin(oracle_indexed, selected_tokens).sum()) / k_eff
-
-        n_all = ref_w.size
-        k_all = min(cfg.token_budget, n_all)
-        oracle_all = exact_topk(q, keys, k_all)
-        hit = int(np.isin(oracle_all, attended).sum()) / k_all
-
-        mass = float(ref_w[np.sort(attended)].sum())  # attended ids are distinct
-        # Relative to the RMS value norm over the tokens so far: |ref_v| is near
-        # zero when values cancel, the RMS norm only when every value is zero.
-        rms = float(np.sqrt(np.einsum("td,td->", values, values) / values.shape[0]))
-        rel = float(np.linalg.norm(out.value_out - ref_v)) / max(rms, 1e-300)
-
-        base_hit = None
-        if cfg.compare_baseline:
-            base_attended = np.concatenate((
-                token_order_select(q, indexed, indexed_keys, cfg.page_size, n_pages),
-                self._resident(layer)))
-            base_hit = int(np.isin(oracle_all, base_attended).sum()) / k_all
-        return recall, hit, mass, rel, base_hit
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

@@ -190,7 +190,10 @@ class TierStore:
 
     def offload(self, n_tokens: int) -> TransferStats:
         """Charge writing one window page of n_tokens tokens to the cold tier:
-        one transaction. The tokens then join the index's pages."""
+        one transaction. The tokens then join the index's pages. A negative
+        count is an InputError, raised before any counter changes."""
+        if n_tokens < 0:
+            raise InputError(f"n_tokens must be >= 0, got {n_tokens}")
         delta = TransferStats(transactions=1, bytes_moved=self._bytes(n_tokens),
                               pages_offloaded=1)
         self.stats.add(delta)

@@ -13,6 +13,7 @@ from icecache import (DciTree, Engine, EngineConfig, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, WorkloadSpec, assign_levels, dci_indexing,
                       exact_topk, full_attention, generate_workload,
                       pipeline_estimate, transform_key, transform_query)
+from icecache.bench import score_step
 from icecache.pagestore import find_page_index
 
 
@@ -139,14 +140,14 @@ def test_06_semantic_vs_token_order_hit_rate():
                         clusters=32, cluster_spread=0.1, layers=3, kv_heads=1,
                         seed=106)
     wl = generate_workload(spec)
-    cfg = EngineConfig(layers=3, kv_heads=1, d=64, d_prime=32, token_budget=64,
-                       evaluate=True, compare_baseline=True, seed=106)
+    cfg = EngineConfig(layers=3, kv_heads=1, d=64, d_prime=32, token_budget=64, seed=106)
     eng = Engine(cfg).prefill(wl, 10_000)
     semantic, token_order = [], []
     for t in range(100):
-        _, m = eng.decode_step(wl.decode_step(10_000, t))
-        semantic.append(m.page_hit_rate)
-        token_order.append(m.baseline_hit_rate)
+        outputs, metrics = eng.decode_step(wl.decode_step(10_000, t))
+        m = score_step(eng, wl, outputs, metrics, baseline=True)
+        semantic.append(m["page_hit_rate"])
+        token_order.append(m["baseline_hit_rate"])
     sem, base = float(np.mean(semantic)), float(np.mean(token_order))
     _report(6, "semantic vs token-order hit rate", sem >= base,
             f"semantic {sem:.3f} vs token-order {base:.3f} "
@@ -207,8 +208,7 @@ def test_09_selection_reuse():
                         clusters=32, cluster_spread=0.1, layers=8, kv_heads=1,
                         seed=109)
     wl = generate_workload(spec)
-    base = dict(layers=8, kv_heads=1, d=64, d_prime=32, token_budget=64,
-                evaluate=True, seed=109)
+    base = dict(layers=8, kv_heads=1, d=64, d_prime=32, token_budget=64, seed=109)
     recalls = {}
     queries = {}
     for label, stride in (("vanilla", 0), ("reuse", 3)):
@@ -216,8 +216,8 @@ def test_09_selection_reuse():
         eng = Engine(cfg).prefill(wl, 4000)
         r, qc = [], []
         for t in range(60):
-            _, m = eng.decode_step(wl.decode_step(4000, t))
-            r.append(m.recall_at_k)
+            outputs, m = eng.decode_step(wl.decode_step(4000, t))
+            r.append(score_step(eng, wl, outputs, m)["recall_at_k"])
             qc.append(m.dci_queries)
         recalls[label] = float(np.mean(r))
         queries[label] = qc

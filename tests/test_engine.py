@@ -11,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from icecache import (ConfigError, Engine, EngineConfig, InputError, SearchBudget, Workload,
                       WorkloadSpec, full_attention, generate_workload, pipeline_estimate)
+from icecache.bench import score_step
 from icecache.geometry import exact_topk
 from icecache.pagestore import NO_PAGE, find_page_index
 
@@ -61,14 +62,14 @@ def test_prefill_coverage_and_roles():
 
 
 def test_short_prompt_falls_back_to_full_attention():
-    wl, cfg = _small(token_budget=16, evaluate=True)
+    wl, cfg = _small(token_budget=16)
     eng = Engine(cfg).prefill(wl, 40)  # under sink+window+1 pages
     assert eng.fallback and not eng.heads
     outs, metrics = eng.decode_step(wl.decode_step(40, 0))
     ref = full_attention(wl.queries[40, 2, 0],
                          wl.keys[:41, 2, 0], wl.values[:41, 2, 0])
     assert np.allclose(outs[2][0].value_out, ref.value_out, atol=1e-12)
-    assert metrics.approx_rel_error == 0.0
+    assert score_step(eng, wl, outs, metrics)["approx_rel_error"] == 0.0
 
 
 def test_prefill_validates_inputs():
@@ -120,13 +121,13 @@ def test_recall_is_scored_against_each_heads_own_tree():
     # token is in layer 2's tree but still in layer 3's window, where no
     # selection returns it. The recall oracle of a head ranks its own
     # tree's points only.
-    wl, cfg = _small(n_tokens=600, layers=4, token_budget=8, evaluate=True,
-                     query_heads_per_group=2)
+    wl, cfg = _small(n_tokens=600, layers=4, token_budget=8, query_heads_per_group=2)
     n_prefill = 512
     eng = Engine(cfg).prefill(wl, n_prefill)
     apart = 0
     for t in range(2 * cfg.page_size):
         outputs, metrics = eng.decode_step(wl.decode_step(n_prefill, t))
+        row = score_step(eng, wl, outputs, metrics)
         apart += len(eng.heads[(2, 0)].tree) != len(eng.heads[(3, 0)].tree)
         recalls = []
         for layer in (2, 3):
@@ -143,7 +144,7 @@ def test_recall_is_scored_against_each_heads_own_tree():
                 q = wl.queries[n_prefill + t, layer, qh]
                 oracle = points[exact_topk(q, wl.keys[points, layer, h], k)]
                 recalls.append(np.isin(oracle, selected[qh]).sum() / k)
-        assert metrics.recall_at_k == pytest.approx(np.mean(recalls), abs=1e-12)
+        assert row["recall_at_k"] == pytest.approx(np.mean(recalls), abs=1e-12)
     assert apart == cfg.page_size  # fills 1 to 8 of both pages
 
 
@@ -222,12 +223,12 @@ def test_token_accounting_across_steps():
 
 
 def test_full_budget_reproduces_full_attention():
-    wl, cfg = _small(n_tokens=400, token_budget=10**6, evaluate=True)
+    wl, cfg = _small(n_tokens=400, token_budget=10**6)
     eng = Engine(cfg).prefill(wl, 350)
     for t in range(20):
-        _, m = eng.decode_step(wl.decode_step(350, t))
-        assert m.approx_rel_error < 1e-6
-        assert m.covered_attention_mass == pytest.approx(1.0, abs=1e-9)
+        m = score_step(eng, wl, *eng.decode_step(wl.decode_step(350, t)))
+        assert m["approx_rel_error"] < 1e-6
+        assert m["covered_attention_mass"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_output_error_is_relative_to_the_rms_value_norm():
@@ -235,32 +236,33 @@ def test_output_error_is_relative_to_the_rms_value_norm():
     norm over the tokens so far, not by the exact output's norm: on a
     stream whose values average to zero under flat logits, the exact output
     nearly cancels, yet the error stays below 1."""
-    wl, cfg = _small(seed=4, kv_heads=1, evaluate=True, token_budget=8)
+    wl, cfg = _small(seed=4, kv_heads=1, token_budget=8)
     wl.keys *= 1e-3  # flat logits: nearly uniform weights
     wl.values -= wl.values[:520].mean(axis=0)
     eng = Engine(cfg).prefill(wl, 520)
     for t in range(8):
-        outs, m = eng.decode_step(wl.decode_step(520, t))
+        outs, metrics = eng.decode_step(wl.decode_step(520, t))
+        err_scored = score_step(eng, wl, outs, metrics)["approx_rel_error"]
         values = wl.values[:521 + t, 2, 0]
         ref = full_attention(wl.queries[520 + t, 2, 0], wl.keys[:521 + t, 2, 0], values)
         rms = np.sqrt((values ** 2).sum() / len(values))
         err = np.linalg.norm(outs[2][0].value_out - ref.value_out) / rms
-        assert m.approx_rel_error == pytest.approx(err, rel=1e-12)
-        assert np.linalg.norm(ref.value_out) < 0.1 * rms and m.approx_rel_error < 1.0
+        assert err_scored == pytest.approx(err, rel=1e-12)
+        assert np.linalg.norm(ref.value_out) < 0.1 * rms and err_scored < 1.0
 
 
 def test_decode_past_the_prefilled_workload_grows_the_buffers():
     """An engine prefilled from a 520-token slice of the stream grows its
     key and value arrays on the first decode step, and decodes exactly as
     one prefilled from the whole stream."""
-    wl, cfg = _small(seed=8, evaluate=True, token_budget=16)
+    wl, cfg = _small(seed=8, token_budget=16)
     head = Workload(wl.spec, wl.keys[:520], wl.values[:520], wl.queries[:520])
     grown, whole = Engine(cfg).prefill(head, 520), Engine(cfg).prefill(wl, 520)
     assert grown._keys.shape[2] == 520 and whole._keys.shape[2] == 600
     for t in range(60):
         step = wl.decode_step(520, t)
         (outs_a, a), (outs_b, b) = grown.decode_step(step), whole.decode_step(step)
-        assert a == b
+        assert score_step(grown, wl, outs_a, a) == score_step(whole, wl, outs_b, b)
         for out_a, out_b in zip(sum(outs_a, []), sum(outs_b, [])):
             assert np.array_equal(out_a.token_ids, out_b.token_ids)
             assert np.array_equal(out_a.dense_weights, out_b.dense_weights)
@@ -336,18 +338,19 @@ def test_page_select_respects_budget_bound():
 def test_run_determinism_bitwise():
     results = []
     for _ in range(2):
-        wl, cfg = _small(seed=33, evaluate=True, token_budget=24)
+        wl, cfg = _small(seed=33, token_budget=24)
         eng = Engine(cfg).prefill(wl, 500)
-        rows = [eng.decode_step(wl.decode_step(500, t))[1] for t in range(12)]
-        results.append([r.__dict__ for r in rows])
+        rows = [score_step(eng, wl, *eng.decode_step(wl.decode_step(500, t)))
+                for t in range(12)]
+        results.append(rows)
     assert results[0] == results[1]
 
 
 def test_engine_owns_its_cache():
     # Rotation fires on the first step, so tree inserts read the prompt too.
-    wl, cfg = _small(seed=7, evaluate=True, token_budget=16)
+    wl, cfg = _small(seed=7, token_budget=16)
     untouched = Engine(cfg).prefill(wl, 512)
-    wl2, _ = _small(seed=7, evaluate=True, token_budget=16)
+    wl2, _ = _small(seed=7, token_budget=16)
     touched = Engine(cfg).prefill(wl2, 512)
     rng = np.random.default_rng(0)
     wl2.keys[:512] = rng.normal(size=wl2.keys[:512].shape)
@@ -355,7 +358,8 @@ def test_engine_owns_its_cache():
     for t in range(3):
         outs_a, a = untouched.decode_step(wl.decode_step(512, t))
         outs_b, b = touched.decode_step(wl2.decode_step(512, t))
-        assert a.__dict__ == b.__dict__
+        # both scored against the stream the engines were prefilled from
+        assert score_step(untouched, wl, outs_a, a) == score_step(touched, wl, outs_b, b)
         for layer in range(cfg.layers):
             for out_a, out_b in zip(outs_a[layer], outs_b[layer]):
                 assert list(out_a.weights.items()) == list(out_b.weights.items())

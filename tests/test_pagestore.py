@@ -195,6 +195,14 @@ def test_offload_empty_page_counts_one_transaction():
     assert (delta.transactions, delta.bytes_moved, delta.pages_offloaded) == (1, 0, 1)
 
 
+def test_offload_rejects_a_negative_count_before_counting():
+    store = TierStore(8, 8)
+    before = store.stats.__dict__.copy()
+    with pytest.raises(InputError):
+        store.offload(-3)
+    assert store.stats.__dict__ == before
+
+
 def test_stats_counters_are_monotone():
     store, pages = _store_with_pages(3, fill=2)
     snapshots = []
