@@ -13,9 +13,8 @@ from .dci import (SENTINEL_LEVEL, DciNode, DciTree, SearchBudget, assign_levels,
                   dci_indexing)
 from .engine import Engine, EngineConfig, StepMetrics, pipeline_estimate
 from .errors import (ConfigError, ConsistencyError, DegenerateQueryError,
-                     IceCacheError, InputError, InvariantViolation,
-                     ScaleViolationError, TraceFormatError)
-from .geometry import KeyScale, exact_topk, transform_key, transform_query
+                     IceCacheError, InputError, InvariantViolation, TraceFormatError)
+from .geometry import KeyScale, exact_topk, lift_keys, transform_query
 from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import (DecodeStep, Workload, WorkloadSpec, generate_workload,
                        load_trace, save_trace)
@@ -26,10 +25,10 @@ __all__ = [
     "AttentionOutput", "full_attention", "gqa_union", "sparse_attention",
     "SENTINEL_LEVEL", "DciNode", "DciTree", "SearchBudget", "assign_levels", "dci_indexing",
     "Engine", "EngineConfig", "StepMetrics", "pipeline_estimate",
-    "IceCacheError", "ConfigError", "InputError", "ScaleViolationError",
+    "IceCacheError", "ConfigError", "InputError",
     "DegenerateQueryError", "ConsistencyError",
     "InvariantViolation", "TraceFormatError",
-    "KeyScale", "exact_topk", "transform_key", "transform_query",
+    "KeyScale", "exact_topk", "lift_keys", "transform_query",
     "TierStore", "TransferStats", "find_page_index",
     "DecodeStep", "Workload", "WorkloadSpec", "generate_workload",
     "load_trace", "save_trace",

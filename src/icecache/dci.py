@@ -15,7 +15,8 @@ stream as they were.
 Levels are drawn for a whole batch at once (`assign_levels`), with the
 same results and generator state as one scalar draw per point.
 
-Lifted points are held in float32 (`DciTree._buf`). The index only ranks
+Lifted points are held in float32 (`DciTree._buf`), written in place by
+`geometry.lift_keys`, which clamps keys past the scale. The index only ranks
 tokens, and exact attention reads the engine's float64 keys and values, so
 the rows need only order candidates; float32 halves the bytes that the
 build's parent scan, inserts and queries read. Two candidates whose
@@ -63,7 +64,7 @@ import numpy as np
 
 from .arrays import as_ids, distinct, grown
 from .errors import ConfigError, InputError
-from .geometry import KeyScale
+from .geometry import KeyScale, lift_keys
 from .pagestore import TierStore
 
 # The only target level a query takes: descend to level 1 and rank its candidates.
@@ -301,31 +302,15 @@ class DciTree:
             raise InputError("key contains non-finite coordinates")
         self.store.check_unlisted(ids)
 
-    def _lift_clamped(self, keys: np.ndarray, first: int) -> None:
-        """Lift key rows into the buffer from row `first` on, normalizing
-        out-of-envelope norms instead of failing. The lift is computed in
-        float64 and rounded once into the float32 rows.
-
-        A key with |k| > c maps to [k/|k|, 0], which keeps the image on the
-        unit sphere at the cost of a slightly perturbed ordering; the event
-        is counted in scale_clamps. The keys are finite (`_check`).
-        """
-        norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-        over = norms > self.scale.c
-        self.scale_clamps += int(over.sum())
-        safe_norms = np.where(over, norms, self.scale.c)
-        out = self._buf[first: first + len(keys)]
-        np.divide(keys, safe_norms[:, None], out=out[:, :-1])
-        out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
-
     def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
-        """Give points the buffer rows after the last one: lifted keys, ids,
-        top levels and parents (`_parent_rows`). Returns the rows. The batch
+        """Give points the buffer rows after the last one: keys lifted in
+        place (`lift_keys`, whose clamps add to `scale_clamps`), ids, top
+        levels and parents (`_parent_rows`). Returns the rows. The batch
         passed `_check`."""
         first = self._n
         rows = np.arange(first, first + len(keys))
         self._reserve(first + rows.size)
-        self._lift_clamped(keys, first)
+        self.scale_clamps += lift_keys(keys, self.scale, self._buf[first:first + rows.size])
         self._point[rows] = ids
         self._top[rows] = top
         self._n += rows.size
@@ -382,11 +367,12 @@ class DciTree:
     # -- search -------------------------------------------------------------
 
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
-              budget: SearchBudget | None = None) -> list[int]:
-        """Descend the tree to level 1 and return up to k point ids, the
-        level-1 candidates whose lifted points have the largest inner
-        product with q_vec (dim + 1 finite coordinates, rounded once to
-        float32 as the rows are), best first, ties toward the smaller id.
+              budget: SearchBudget | None = None) -> np.ndarray:
+        """Descend the tree to level 1 and return up to k point ids, as a
+        fresh int64 array: the level-1 candidates whose lifted points have
+        the largest inner product with q_vec (dim + 1 finite coordinates,
+        rounded once to float32 as the rows are), best first, ties toward
+        the smaller id.
         k lies in [1, beam]; target_level must be SENTINEL_LEVEL.
 
         The descent starts at the highest level holding more than `beam`
@@ -434,7 +420,7 @@ class DciTree:
                 survives = np.zeros(self._n, dtype=bool)
                 survives[rows[_nearest(ids, score, budget.beam)]] = True
                 rows = self._members[level - 2][survives[self._owners[level - 2]]]
-        return ids[_nearest(ids, score, k)].tolist()
+        return ids[_nearest(ids, score, k)]
 
     # -- page placement -----------------------------------------------------
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DegenerateQueryError, InputError
 from .geometry import transform_query
 from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
@@ -213,8 +213,7 @@ class Engine:
         state = self.heads[(layer, kv_head)]
         budget = budget if budget is not None else self._budget
         self.selection_queries += 1
-        tokens = state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
-        return np.fromiter(tokens, dtype=np.int64, count=len(tokens))
+        return state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
 
     def is_anchor_layer(self, layer: int) -> bool:
         """Indexed layers that query their trees; with reuse off, all of them."""
@@ -273,8 +272,12 @@ class Engine:
                     ) -> tuple[list[list[AttentionOutput | None]], StepMetrics]:
         """Process one decode token through every layer.
 
-        Returns per-layer, per-query-head attention outputs plus the step's
-        counters and selections. It serves and counts only: fidelity is
+        The step is checked whole before anything is written: InputError
+        unless the token is the next one and the queries, keys and values
+        have the config's shapes and are finite, DegenerateQueryError for a
+        zero query on an anchor layer. A rejected step leaves the engine as
+        it was. Returns per-layer, per-query-head attention outputs plus the
+        step's counters and selections. It serves and counts only: fidelity is
         scored from these outside the engine (`icecache.bench.score_step`).
         """
         if not self.prefilled:
@@ -288,6 +291,11 @@ class Engine:
         shapes = [np.shape(step.queries), np.shape(step.keys), np.shape(step.values)]
         if shapes != want:
             raise InputError(f"step queries, keys and values need shapes {want}, got {shapes}")
+        if not all(np.isfinite(a).all() for a in (step.queries, step.keys, step.values)):
+            raise InputError("step queries, keys and values must be finite")
+        anchored = step.queries[[] if self.fallback else self.anchor_layers()]
+        if (np.einsum("lqj,lqj->lq", anchored, anchored) == 0).any():
+            raise DegenerateQueryError("a zero query on an anchor layer cannot be normalized")
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]

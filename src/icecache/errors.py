@@ -17,10 +17,6 @@ class InputError(IceCacheError):
     """Operation called with inputs violating its contract."""
 
 
-class ScaleViolationError(InputError):
-    """Key norm exceeds the fixed scale constant beyond tolerance."""
-
-
 class DegenerateQueryError(InputError):
     """Zero query vector cannot be normalized."""
 

@@ -3,13 +3,14 @@
 Keys and queries live in R^d. To search keys by inner product with a
 Euclidean-distance index, both sides are lifted to R^(d+1):
 
-    transform_key(k)   = [k / c, sqrt(1 - |k|^2 / c^2)]
+    lift_keys(k)       = [k / s, sqrt(1 - |k|^2 / s^2)],  s = max(|k|, c)
     transform_query(q) = [q / |q|, 0]
 
-where c is at least the largest indexed key norm. Both images are unit
-vectors and
+where the scale c is fixed at build time above the indexed key norms; a
+later key past it is clamped onto [k / |k|, 0]. Both images are unit
+vectors and, for |k| <= c,
 
-    |transform_query(q) - transform_key(k)|^2 = 2 - 2 (q . k) / (c |q|),
+    |transform_query(q) - lift_keys(k)|^2 = 2 - 2 (q . k) / (c |q|),
 
 so for a fixed query the nearest lifted keys are exactly the keys with the
 largest inner products, and the index ranks lifted points by inner product
@@ -24,19 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateQueryError, InputError, ScaleViolationError
+from .errors import DegenerateQueryError, InputError
 
 # Headroom over the max prefill key norm so decode-time inserts rarely
-# exceed the scale; keys that still do are clamped (see DciTree).
+# exceed the scale; keys that still do are clamped (see lift_keys).
 SCALE_HEADROOM = 1.05
-
-# Relative slack before an over-norm key is treated as a contract violation.
-SCALE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class KeyScale:
-    """Normalization constant for key lifting; must dominate every key norm."""
+    """Normalization constant for key lifting; keys past it are clamped."""
 
     c: float
 
@@ -65,25 +63,22 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def transform_key(k, scale: KeyScale | float) -> np.ndarray:
-    """Lift a key into R^(d+1); the result has unit norm.
+def lift_keys(keys: np.ndarray, scale: KeyScale, out: np.ndarray) -> int:
+    """Lift finite key rows into `out`, one row of d + 1 coordinates each:
+    [k / s, sqrt(max(0, 1 - |k|^2 / s^2))] with s = max(|k|, c). Returns
+    the number of clamped rows, those with |k| > c.
 
-    Raises ScaleViolationError if |k| exceeds the scale by more than a
-    relative 1e-9; a radicand that is negative only by rounding is clamped
-    to zero.
+    The values are computed in float64 and rounded once to `out`'s dtype.
+    A clamped key maps to [k / |k|, 0], which keeps its image on the unit
+    sphere at the cost of a slightly perturbed ordering.
     """
-    k = _as_vector(k, "key")
-    c = scale.c if isinstance(scale, KeyScale) else float(scale)
-    if c <= 0.0:
-        raise InputError(f"scale must be positive, got {c}")
-    norm = float(np.linalg.norm(k))
-    if norm > c * (1.0 + SCALE_RTOL):
-        raise ScaleViolationError(f"key norm {norm} exceeds scale {c}")
-    radicand = max(0.0, 1.0 - (norm / c) ** 2)
-    out = np.empty(k.size + 1)
-    out[:-1] = k / c
-    out[-1] = np.sqrt(radicand)
-    return out
+    keys = np.asarray(keys, dtype=float)
+    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
+    over = norms > scale.c
+    safe_norms = np.where(over, norms, scale.c)
+    np.divide(keys, safe_norms[:, None], out=out[:, :-1])
+    out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
+    return int(over.sum())
 
 
 def transform_query(q) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from icecache import (DciTree, Engine, EngineConfig, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, WorkloadSpec, assign_levels, dci_indexing,
                       exact_topk, full_attention, generate_workload,
-                      pipeline_estimate, transform_key, transform_query)
+                      lift_keys, pipeline_estimate, transform_query)
 from icecache.bench import score_step
 from icecache.pagestore import find_page_index
 
@@ -32,7 +32,8 @@ def test_01_mips_nn_ordering_identity():
         keys = rng.normal(size=(200, 32))
         q = rng.normal(size=32)
         scale = KeyScale.from_keys(keys)
-        lifted = np.stack([transform_key(k, scale) for k in keys])
+        lifted = np.empty((200, 33))
+        lift_keys(keys, scale, lifted)
         tq = transform_query(q)
         d2 = ((lifted - tq) ** 2).sum(axis=1)
         by_distance = list(np.lexsort((np.arange(200), d2)))

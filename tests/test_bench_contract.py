@@ -76,7 +76,8 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
 def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):
     """The traced run notes each `DciTree.query` call by unpacking
     `tree, q_vec, _, k` from its positional arguments, so every selection
-    query must pass the lifted query, the target level and k in that order."""
+    query must pass the lifted query, the target level and k in that order.
+    Each returns its ids as an int64 array."""
     spec = WorkloadSpec(kind="clustered", n_tokens=600, d=16, d_prime=8, clusters=8,
                         layers=4, kv_heads=2, query_heads_per_group=2, seed=3)
     cfg = EngineConfig(layers=4, kv_heads=2, query_heads_per_group=2, d=16, d_prime=8,
@@ -93,6 +94,7 @@ def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):
         assert type(k) is int and k == cfg.token_budget
         assert np.shape(q_vec) == (cfg.d + 1,)
         assert len(result) == k and delta > 0 and size == len(tree)
+        assert isinstance(result, np.ndarray) and result.dtype == np.int64
 
 
 def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):

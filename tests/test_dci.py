@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
-                      exact_topk, transform_key, transform_query)
+                      exact_topk, lift_keys, transform_query)
 from icecache.dci import PARENT_BLOCK, ROOT_OWNER
 
 
@@ -29,6 +29,13 @@ def _rows(tree, ids):
 def _lifted(tree, ids):
     """The lifted points of the given ids, one row each."""
     return tree._buf[_rows(tree, ids)]
+
+
+def _lift64(keys, scale):
+    """The key rows lifted into float64, the reference the tree rounds."""
+    out = np.empty((len(keys), keys.shape[1] + 1))
+    lift_keys(keys, scale, out)
+    return out
 
 
 def _node_holding(tree, nodes, pid, level):
@@ -237,6 +244,19 @@ def test_invariant_check_catches_a_row_off_the_unit_sphere_or_in_float64():
         wide.check_invariants()
 
 
+def test_lifted_rows_are_the_float64_lift_rounded_once():
+    """A tree's rows, built and inserted, some of them clamped, equal
+    `lift_keys` into float64 cast once to float32."""
+    keys, _, _ = _clustered(45, 600, 12, 8)
+    keys[400:] *= 1.1
+    c = 0.95 * np.linalg.norm(keys[:400], axis=1).max()
+    tree = _index(keys[:400], 0.2, seed=45, scale=KeyScale(c))
+    tree.insert(range(400, 600), keys[400:])
+    lifted = np.empty((600, 13))
+    assert lift_keys(keys, tree.scale, lifted) == tree.scale_clamps > 0
+    assert np.array_equal(tree._buf[:600], lifted[tree._point[:600]].astype(np.float32))
+
+
 # -- within-node search ------------------------------------------------------------
 # A one-level tree's top node is its whole level, so a query searches exactly
 # that node.
@@ -245,7 +265,7 @@ def test_invariant_check_catches_a_row_off_the_unit_sphere_or_in_float64():
 def test_pdci_query_single_member_node():
     tree = dci_indexing([3], np.array([[1.0, 2.0]]), 0.5, seed=6)
     assert tree.levels == 1
-    assert tree.query(np.array([0.0, 0.0, 1.0]), SENTINEL_LEVEL, 5) == [3]
+    assert tree.query(np.array([0.0, 0.0, 1.0]), SENTINEL_LEVEL, 5).tolist() == [3]
 
 
 def test_pdci_query_exhaustive_cap_matches_brute_force():
@@ -258,9 +278,8 @@ def test_pdci_query_exhaustive_cap_matches_brute_force():
     for _ in range(20):
         q = rng.normal(size=10)
         tq = transform_query(q)
-        got = tree.query(tq, SENTINEL_LEVEL, 8, SearchBudget(8, 16))
-        lifted = np.stack([transform_key(k, scale) for k in keys])
-        d2 = ((lifted - tq) ** 2).sum(axis=1)
+        got = tree.query(tq, SENTINEL_LEVEL, 8, SearchBudget(8, 16)).tolist()
+        d2 = ((_lift64(keys, scale) - tq) ** 2).sum(axis=1)
         want = [int(i) for i in np.lexsort((np.arange(256), d2))[:8]]
         assert got == want
 
@@ -293,10 +312,10 @@ def test_large_node_is_scanned_whole():
             score = np.einsum("ij,j->i", lifted, q)
             want = np.lexsort((np.arange(600), -score))[:k].tolist()
             before = tree.distance_evals
-            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget.for_k(k)) == want
+            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget.for_k(k)).tolist() == want
             assert tree.distance_evals - before == 600
     q = transform_query(keys[5])  # ranks id 5 and its copy 305 first
-    assert tree.query(q, SENTINEL_LEVEL, 2, SearchBudget.for_k(2)) == [5, 305]
+    assert tree.query(q, SENTINEL_LEVEL, 2, SearchBudget.for_k(2)).tolist() == [5, 305]
 
 
 # -- multi-level query ---------------------------------------------------------
@@ -326,10 +345,10 @@ def test_exhaustive_budget_query_equals_exact_topk():
         tree = _index(keys, 0.15, seed=trial)
         q = rng.normal(size=12)
         tq = transform_query(q)
-        got = tree.query(tq, SENTINEL_LEVEL, 16, SearchBudget.exhaustive(16))
+        got = tree.query(tq, SENTINEL_LEVEL, 16, SearchBudget.exhaustive(16)).tolist()
         if trial < 50:
             assert set(got) == set(exact_topk(q, keys, 16))
-        scores = np.array([transform_key(k, tree.scale) @ tq for k in keys])
+        scores = _lift64(keys, tree.scale) @ tq
         want = np.lexsort((np.arange(n), -scores))[:16].tolist()
         assert got == want and len(set(got)) == 16
         ties += len(np.unique(scores[want])) < 16
@@ -351,7 +370,7 @@ def test_float32_ranking_equals_exact_topk_beyond_near_ties():
         keys += rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-7, -3, size=(n, 1))
         tree = _index(keys, 0.15, seed=trial)
         tree.check_invariants()
-        lifted = np.stack([transform_key(key, tree.scale) for key in keys])
+        lifted = _lift64(keys, tree.scale)
         for q, k in zip(rng.normal(size=(6, d)), rng.integers(1, 33, size=6).tolist()):
             scores = np.sort(lifted @ transform_query(q))[::-1]
             if scores[k - 1] - scores[k] <= 1e-6:
@@ -457,7 +476,7 @@ def test_query_equals_the_union_of_levels_ranking():
             q = transform_query(keys[rng.integers(n)] if rng.random() < 0.5
                                 else rng.normal(size=8))
             deep += _start_level(tree, beam) > 1
-            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)) == \
+            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)).tolist() == \
                 _union_of_levels(tree, q, k, beam), (trial, k, beam)
     assert deep > 200 and grown > 40
 
@@ -482,7 +501,7 @@ def test_a_level_two_start_of_at_most_twice_the_beam_scans_level_one(at_two):
     for q in [transform_query(keys[i]) for i in range(0, n, 15)] + \
              [transform_query(rng.normal(size=8)) for _ in range(20)]:
         before = tree.distance_evals
-        got = tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam))
+        got = tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)).tolist()
         evals = tree.distance_evals - before
         if at_two <= 2 * beam:
             score = np.einsum("ij,j->i", tree._buf[:n], q.astype(np.float32))
@@ -634,7 +653,7 @@ def test_identical_seeds_build_identical_trees():
            {(n.level, n.owner_id, n.parent_owner, tuple(n.member_ids))
             for n in b.nodes.values()}
     q = transform_query(keys[0])
-    assert a.query(q, SENTINEL_LEVEL, 8) == b.query(q, SENTINEL_LEVEL, 8)
+    assert a.query(q, SENTINEL_LEVEL, 8).tolist() == b.query(q, SENTINEL_LEVEL, 8).tolist()
 
 
 # -- golden outputs and randomized operation sequences ----------------------------
@@ -647,7 +666,7 @@ def test_query_results_and_distance_counts_match_golden_values():
     keys, _, _ = _clustered(30, 1500, 12, 8)
     batch = _index(keys, 0.2, seed=30)
     rng = np.random.default_rng(31)
-    got = [batch.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5)
+    got = [batch.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5).tolist()
            for _ in range(3)]
     assert got == [[186, 982, 517, 1078, 994], [998, 321, 691, 603, 1379],
                    [686, 341, 1438, 199, 588]]
@@ -659,7 +678,8 @@ def test_query_results_and_distance_counts_match_golden_values():
     for i in range(400):  # three inserts grow the top; only the queries count
         incr.insert([i], rng.normal(size=(1, 12)), level=[incr.levels + 1] if i % 97 == 50 else None)
         if i % 133 == 132:
-            got.append(incr.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5))
+            q = transform_query(rng.normal(size=12))
+            got.append(incr.query(q, SENTINEL_LEVEL, 5).tolist())
     assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
     assert (incr.distance_evals, incr.levels) == (335, 7)
 
@@ -667,7 +687,7 @@ def test_query_results_and_distance_counts_match_golden_values():
     uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)
     budget = SearchBudget.for_k(5)
     assert max(len(n.member_ids) for n in uniform.nodes.values()) > 64  # scanned whole
-    got = [uniform.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5, budget)
+    got = [uniform.query(transform_query(rng.normal(size=12)), SENTINEL_LEVEL, 5, budget).tolist()
            for _ in range(3)]
     assert got == [[356, 1691, 2568, 981, 2760], [2928, 1960, 2930, 2489, 2666],
                    [2760, 1691, 2568, 356, 1391]]
@@ -759,7 +779,7 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     budget = SearchBudget.for_k(6)
     expected = [[332, 6096, 4856, 6157, 4334, 6931], [6569, 6357, 7347, 7156, 54, 3395],
                 [6735, 890, 5858, 4142, 7387, 2188], [92, 4035, 5515, 6422, 1438, 2086]]
-    assert [tree.query(q, SENTINEL_LEVEL, 6, budget) for q in queries] == expected
+    assert [tree.query(q, SENTINEL_LEVEL, 6, budget).tolist() for q in queries] == expected
     assert (tree.distance_evals, tree.query_count) == (1982, 4)
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from icecache import (ConfigError, Engine, EngineConfig, InputError, SearchBudget, Workload,
-                      WorkloadSpec, full_attention, generate_workload, pipeline_estimate)
+from icecache import (ConfigError, DegenerateQueryError, Engine, EngineConfig, InputError,
+                      SearchBudget, Workload, WorkloadSpec, full_attention, generate_workload,
+                      pipeline_estimate)
 from icecache.bench import score_step
 from icecache.geometry import exact_topk
 from icecache.pagestore import NO_PAGE, find_page_index
@@ -291,23 +292,42 @@ def test_decode_requires_prefill_and_stream_alignment():
         eng.decode_step(wl.decode_step(500, 3))  # skips ahead
 
 
+def _with(step, name, at, value):
+    """A copy of the step with one entry of one array set to value."""
+    array = getattr(step, name).copy()
+    array[at] = value
+    return replace(step, **{name: array})
+
+
 def test_decode_rejects_a_misshaped_step_before_any_write():
     """A step whose queries, keys or values do not have one row per layer
-    and head is an InputError, and leaves the token count and the K/V rows
-    as they were (one head's row is not broadcast into every layer)."""
+    and head, or hold a non-finite entry, is an InputError; a zero query on
+    an anchor layer is a DegenerateQueryError. Either leaves the token
+    count, the K/V rows, every tree and every store's counters as they were
+    (one head's row is not broadcast into every layer), so the corrected
+    step then decodes."""
     wl, cfg = _small(kv_heads=2, query_heads_per_group=2)
     eng = Engine(cfg).prefill(wl, 500)
     step = wl.decode_step(500, 0)
     keys, values = eng._keys.copy(), eng._values.copy()
-    for bad in (replace(step, keys=step.keys[0, 0]),        # one head's (d,) row
-                replace(step, values=step.values[:, :1]),   # one kv head
-                replace(step, queries=step.queries[:, ::2]),  # one query head per group
-                replace(step, keys=step.queries),          # query heads, not kv heads
-                replace(step, values=step.keys)):          # d, not d_prime
-        with pytest.raises(InputError):
+    sizes = {head: len(state.tree) for head, state in eng.heads.items()}
+    stats = {head: replace(state.store.stats) for head, state in eng.heads.items()}
+    anchor = eng.anchor_layers()[0]
+    for bad, error in ((replace(step, keys=step.keys[0, 0]), InputError),  # one head's (d,) row
+                       (replace(step, values=step.values[:, :1]), InputError),  # one kv head
+                       (replace(step, queries=step.queries[:, ::2]), InputError),  # one per group
+                       (replace(step, keys=step.queries), InputError),  # query heads, not kv heads
+                       (replace(step, values=step.keys), InputError),   # d, not d_prime
+                       (_with(step, "keys", (anchor, 1, 3), np.nan), InputError),
+                       (_with(step, "values", (0, 0, 2), np.inf), InputError),
+                       (_with(step, "queries", (anchor, 1), 0.0), DegenerateQueryError),
+                       (_with(step, "queries", (anchor, 0, 5), np.nan), InputError)):
+        with pytest.raises(error):
             eng.decode_step(bad)
         assert eng._n == 500
         assert np.array_equal(eng._keys, keys) and np.array_equal(eng._values, values)
+        assert {head: len(state.tree) for head, state in eng.heads.items()} == sizes
+        assert {head: state.store.stats for head, state in eng.heads.items()} == stats
     eng.decode_step(step)
     assert eng._n == 501 and np.array_equal(eng._keys[:, :, 500], step.keys)
 

@@ -3,19 +3,26 @@
 import numpy as np
 import pytest
 
-from icecache import (DegenerateQueryError, InputError, KeyScale, ScaleViolationError,
-                      exact_topk, transform_key, transform_query)
+from icecache import (DegenerateQueryError, InputError, KeyScale, exact_topk, lift_keys,
+                      transform_query)
+
+
+def _lift(keys, c):
+    """Key rows lifted into float64, and the clamp count."""
+    keys = np.atleast_2d(np.asarray(keys, dtype=float))
+    out = np.empty((len(keys), keys.shape[1] + 1))
+    return out, lift_keys(keys, KeyScale(c), out)
 
 
 def test_zero_key_forces_unit_last_coordinate():
-    out = transform_key(np.zeros(4), KeyScale(1.0))
-    assert np.array_equal(out, [0, 0, 0, 0, 1])
+    out, clamps = _lift(np.zeros(4), 1.0)
+    assert np.array_equal(out, [[0, 0, 0, 0, 1]]) and clamps == 0
 
 
 def test_key_at_scale_norm_has_zero_last_coordinate():
     k = np.array([3.0, 4.0])
-    out = transform_key(k, KeyScale(5.0))
-    assert out[-1] == 0.0
+    (out,), clamps = _lift(k, 5.0)
+    assert out[-1] == 0.0 and clamps == 0
     assert np.allclose(out[:-1], k / 5.0)
 
 
@@ -25,31 +32,35 @@ def test_lifted_distance_identity_on_random_pairs():
     for _ in range(1000):
         k = rng.normal(size=16)
         q = rng.normal(size=16)
-        c = KeyScale(float(np.linalg.norm(k)) * 1.5)
-        lhs = float(((transform_query(q) - transform_key(k, c)) ** 2).sum())
-        rhs = 2.0 - 2.0 * float(q @ k) / (c.c * float(np.linalg.norm(q)))
+        c = float(np.linalg.norm(k)) * 1.5
+        (lifted,), _ = _lift(k, c)
+        assert np.allclose(lifted, np.append(k / c, np.sqrt(1.0 - (k @ k) / c**2)),
+                           rtol=0, atol=1e-15)
+        lhs = float(((transform_query(q) - lifted) ** 2).sum())
+        rhs = 2.0 - 2.0 * float(q @ k) / (c * float(np.linalg.norm(q)))
         assert abs(lhs - rhs) < 1e-6
 
 
-def test_transform_key_output_norm_is_unit():
+def test_lifted_keys_have_unit_norm():
     rng = np.random.default_rng(1)
     keys = rng.normal(size=(200, 12))
     scale = KeyScale.from_keys(keys)
-    for k in keys:
-        assert abs(np.linalg.norm(transform_key(k, scale)) - 1.0) < 1e-6
     # a key exactly at the scale boundary stays unit
     edge = keys[0] / np.linalg.norm(keys[0]) * scale.c
-    assert abs(np.linalg.norm(transform_key(edge, scale)) - 1.0) < 1e-6
+    out, clamps = _lift(np.vstack([keys, edge]), scale.c)
+    norms = np.sqrt(1.0 - (keys * keys).sum(axis=1) / scale.c**2)
+    assert np.allclose(out[:-1], np.column_stack([keys / scale.c, norms]), rtol=0, atol=1e-15)
+    assert (np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-6).all() and clamps == 0
 
 
-def test_transform_key_rejects_oversized_norm():
-    with pytest.raises(ScaleViolationError):
-        transform_key(np.array([2.0, 0.0]), KeyScale(1.0))
+def test_lift_keys_clamps_a_key_past_the_scale():
+    """A key past the scale is normalized onto [k / |k|, 0] and counted."""
+    out, clamps = _lift([2.0, 0.0], 1.0)
+    assert np.array_equal(out, [[1, 0, 0]]) and clamps == 1
 
 
-def test_transform_key_clamps_rounding_level_excess():
-    k = np.array([1.0 + 1e-12, 0.0])
-    out = transform_key(k, KeyScale(1.0))
+def test_lift_keys_clamps_rounding_level_excess():
+    (out,), _ = _lift([1.0 + 1e-12, 0.0], 1.0)
     assert out[-1] == 0.0
 
 
@@ -120,7 +131,8 @@ def test_mips_nn_orderings_agree():
         q = rng.normal(size=24)
         scale = KeyScale.from_keys(keys)
         tq = transform_query(q)
-        lifted = np.stack([transform_key(k, scale) for k in keys])
+        lifted = np.empty((len(keys), 25))
+        lift_keys(keys, scale, lifted)
         d2 = ((lifted - tq) ** 2).sum(axis=1)
         by_distance = np.lexsort((np.arange(len(keys)), d2))
         assert list(by_distance) == exact_topk(q, keys, len(keys))
