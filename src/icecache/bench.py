@@ -65,8 +65,8 @@ def score_step(engine: Engine, workload: Workload,
     mass attended; the output error over the RMS value norm (not over the
     exact output's norm, near zero when values cancel); with `baseline`,
     the hit rate of a token-order layout choosing as many pages.
-    Each is the mean over the selections; a step with none (a fallback
-    engine) scores 1, 1, 1, 0 and no baseline.
+    Each is the mean over the selections; a step with none (an engine
+    with no indexed layer) scores 1, 1, 1, 0 and no baseline.
     """
     cfg, n, g = engine.cfg, metrics.token_id + 1, engine.cfg.query_heads_per_group
     scores, base_hits = [], []  # scores: one _MEAN_FIELDS tuple per selection

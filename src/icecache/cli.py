@@ -59,7 +59,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sink-pages", type=int, default=1)
     parser.add_argument("--window-pages", type=int, default=2)
     parser.add_argument("--skip-layers", type=int, default=2)
-    parser.add_argument("--reuse-stride", type=int, default=0)
+    parser.add_argument("--reuse-stride", type=int, default=1)
 
 
 def _spec_from(args: argparse.Namespace) -> WorkloadSpec:

@@ -16,12 +16,14 @@ Levels are drawn for a whole batch at once (`assign_levels`), with the
 same results and generator state as one scalar draw per point.
 
 Lifted points are held in float32 (`DciTree._buf`), written in place by
-`geometry.lift_keys`, which clamps keys past the scale. The index only ranks
-tokens, and exact attention reads the engine's float64 keys and values, so
-the rows need only order candidates; float32 halves the bytes that the
-build's parent scan, inserts and queries read. Two candidates whose
-float64 inner products differ by less than float32 resolution (about 1e-7)
-may rank either way.
+`geometry.lift_keys`, which clamps keys past the scale onto the unit
+sphere; a query multiplies each row's score by its length s / c
+(`DciTree._length`), so keys rank by their true inner product. The index
+only ranks tokens, and exact attention reads the engine's float64 keys and
+values, so the rows need only order candidates; float32 halves the bytes
+that the build's parent scan, inserts and queries read. Two candidates
+whose float64 inner products differ by less than float32 resolution (about
+1e-7) may rank either way.
 
 One parent rule serves the batch build and decode-time inserts: a point's
 parent is its exact nearest lifted neighbour among the points that reach
@@ -238,6 +240,7 @@ class DciTree:
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._top = np.empty(0, dtype=np.intp)     # row -> top level
         self._parent = np.empty(0, dtype=np.intp)  # row -> parent row, -1 in the top node
+        self._length = np.empty(0, dtype=np.float32)  # row -> key length s / c, >= 1
         self._n = 0
         self._members: list[np.ndarray] = []
         self._owners: list[np.ndarray] = []
@@ -288,6 +291,7 @@ class DciTree:
         self._point = grown(self._point, cap)
         self._top = grown(self._top, cap)
         self._parent = grown(self._parent, cap)
+        self._length = grown(self._length, cap)
 
     def _ids(self, rows: np.ndarray) -> np.ndarray:
         """The point ids of owner rows, ROOT_OWNER for row -1."""
@@ -304,13 +308,15 @@ class DciTree:
 
     def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
         """Give points the buffer rows after the last one: keys lifted in
-        place (`lift_keys`, whose clamps add to `scale_clamps`), ids, top
-        levels and parents (`_parent_rows`). Returns the rows. The batch
-        passed `_check`."""
+        place (`lift_keys`) with their lengths, ids, top levels and parents
+        (`_parent_rows`); rows longer than 1 add to `scale_clamps`. Returns
+        the rows. The batch passed `_check`."""
         first = self._n
         rows = np.arange(first, first + len(keys))
         self._reserve(first + rows.size)
-        self.scale_clamps += lift_keys(keys, self.scale, self._buf[first:first + rows.size])
+        length = self._length[rows] = lift_keys(keys, self.scale,
+                                                self._buf[first:first + rows.size])
+        self.scale_clamps += int((length > 1).sum())
         self._point[rows] = ids
         self._top[rows] = top
         self._n += rows.size
@@ -369,10 +375,10 @@ class DciTree:
     def query(self, q_vec: np.ndarray, target_level: int, k: int,
               budget: SearchBudget | None = None) -> np.ndarray:
         """Descend the tree to level 1 and return up to k point ids, as a
-        fresh int64 array: the level-1 candidates whose lifted points have
-        the largest inner product with q_vec (dim + 1 finite coordinates,
-        rounded once to float32 as the rows are), best first, ties toward
-        the smaller id.
+        fresh int64 array: the level-1 candidates whose lifted rows times
+        their lengths have the largest inner product with q_vec (dim + 1
+        finite coordinates, rounded once to float32 as the rows are), best
+        first, ties toward the smaller id.
         k lies in [1, beam]; target_level must be SENTINEL_LEVEL.
 
         The descent starts at the highest level holding more than `beam`
@@ -415,6 +421,7 @@ class DciTree:
             # expression frees the gathered rows before the next gather.
             score = -np.einsum("ij,j->i", self._buf[rows] if top == 1
                                else self._buf.take(rows, axis=0), q)
+            score *= self._length[rows]  # a clamped key's product, back to q . k / c
             self.distance_evals += ids.size
             if level > 1:  # the members of the survivors' nodes one level down
                 survives = np.zeros(self._n, dtype=bool)
@@ -496,6 +503,7 @@ class DciTree:
         rows = self._buf[: self._n]
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
         assert (np.abs(norms - 1.0) <= 1e-6).all(), "a lifted row is not a unit vector"
+        assert (self._length[: self._n] >= 1).all(), "a row is shorter than the scale"
         points, top = self._point[: self._n], self._top[: self._n]
         for lv in range(1, self.levels + 1):
             members, owners = self._members[lv - 1], self._owners[lv - 1]

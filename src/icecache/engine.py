@@ -38,9 +38,12 @@ Selections stay int64 id arrays from the tree's result to the gather: the
 attended set is the sink range, the window range and one gather over the
 selected pages, in that order.
 
-The first skip_layers layers are not indexed and attend exactly, as does
-the whole engine when the prompt is too short to split. The engine is not
-a transformer: embeddings come from the workload.
+Prefill fixes each layer's role. The layers from skip_layers up are
+indexed (the keys of window_start) and the rest attend exactly; when the
+prompt is too short to split (`fallback`), no layer is indexed. Of the
+indexed layers, every reuse_stride-th from skip_layers is an anchor
+(`anchors`), so stride 1, the default, makes each its own anchor. The
+engine is not a transformer: embeddings come from the workload.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class EngineConfig:
     sink_pages: int = 1
     window_pages: int = 2
     skip_layers: int = 2
-    reuse_stride: int = 0        # 0: every indexed layer is an anchor; >= 2 enables reuse
+    reuse_stride: int = 1        # every reuse_stride-th indexed layer is an anchor
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,8 +93,8 @@ class EngineConfig:
             raise ConfigError("sink_pages and window_pages must be >= 1")
         if self.skip_layers < 0:
             raise ConfigError("skip_layers must be >= 0")
-        if self.reuse_stride == 1 or self.reuse_stride < 0:
-            raise ConfigError("reuse_stride must be 0 (off) or >= 2")
+        if self.reuse_stride < 1:
+            raise ConfigError("reuse_stride must be >= 1")
 
     @property
     def n_query_heads(self) -> int:
@@ -106,8 +109,8 @@ class StepMetrics:
     """One decode step's counters, summed over indexed layers and heads,
     and its selections: each (indexed layer, query head)'s token ids, in
     that order, the arrays `select_with_reuse` built (not copies). They
-    are empty on a fallback engine, take no part in ==, and are what
-    `icecache.bench.score_step` scores."""
+    are empty on an engine with no indexed layer, take no part in ==, and
+    are what `icecache.bench.score_step` scores."""
 
     step: int
     token_id: int
@@ -135,7 +138,7 @@ class Engine:
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
         self.prefilled = False
-        self.fallback = False
+        self.fallback = False                             # the prompt was too short to split
         self.n_prefill = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}
         self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
@@ -143,6 +146,7 @@ class Engine:
         self._n = 0                                       # tokens held by every buffer
         self.sink_end = 0                                 # the sink is tokens [0, sink_end)
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
+        self.anchors: list[int] = []                      # indexed layers that query their trees
         self.selection_queries = 0
         self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
         self._budget = cfg.budget()
@@ -177,32 +181,26 @@ class Engine:
 
         s = cfg.page_size
         page_count = math.ceil(n_prefill / s)
-        if page_count < cfg.sink_pages + cfg.window_pages + 1 or cfg.skip_layers >= cfg.layers:
-            self.fallback = True
-            self.prefilled = True
+        if page_count < cfg.sink_pages + cfg.window_pages + 1:
+            self.fallback = self.prefilled = True
             return self
 
         self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
-
+        self.anchors = list(range(cfg.skip_layers, cfg.layers, cfg.reuse_stride))
         n_indexed = cfg.layers - cfg.skip_layers
         for layer in range(cfg.skip_layers, cfg.layers):
             self._fold_at[layer] = s * (layer - cfg.skip_layers) // n_indexed + 1
             self.window_start[layer] = window_start
             for h in range(cfg.kv_heads):
-                self.heads[(layer, h)] = self._build_head(layer, h, window_start, rows)
-
+                store = TierStore(cfg.d, cfg.d_prime, s)
+                tree = dci_indexing(np.arange(self.sink_end, window_start),
+                                    self._keys[layer, h, self.sink_end:window_start],
+                                    cfg.promotion_ratio, seed=(cfg.seed, layer, h),
+                                    store=store, rows=rows)
+                self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
         self.prefilled = True
         return self
-
-    def _build_head(self, layer: int, h: int, window_start: int, rows: int) -> _HeadState:
-        cfg = self.cfg
-        store = TierStore(cfg.d, cfg.d_prime, cfg.page_size)
-        tree = dci_indexing(
-            np.arange(self.sink_end, window_start),
-            self._keys[layer, h, self.sink_end:window_start],
-            cfg.promotion_ratio, seed=(cfg.seed, layer, h), store=store, rows=rows)
-        return _HeadState(tree=tree, store=store)
 
     # -- selection ----------------------------------------------------------
 
@@ -214,16 +212,6 @@ class Engine:
         budget = budget if budget is not None else self._budget
         self.selection_queries += 1
         return state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
-
-    def is_anchor_layer(self, layer: int) -> bool:
-        """Indexed layers that query their trees; with reuse off, all of them."""
-        stride = self.cfg.reuse_stride
-        offset = layer - self.cfg.skip_layers
-        return offset >= 0 and (stride == 0 or offset % stride == 0)
-
-    def anchor_layers(self) -> list[int]:
-        return [l for l in range(self.cfg.skip_layers, self.cfg.layers)
-                if self.is_anchor_layer(l)]
 
     def select_with_reuse(self, layer: int, layer_queries: np.ndarray
                           ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -239,7 +227,7 @@ class Engine:
         """
         pages_by_head: dict[int, np.ndarray] = {}
         tokens_by_qh: dict[int, np.ndarray] = {}
-        anchor = self.is_anchor_layer(layer)
+        anchor = layer in self.anchors
         g = self.cfg.query_heads_per_group
         for h in range(self.cfg.kv_heads):
             group = range(h * g, (h + 1) * g)
@@ -293,7 +281,7 @@ class Engine:
             raise InputError(f"step queries, keys and values need shapes {want}, got {shapes}")
         if not all(np.isfinite(a).all() for a in (step.queries, step.keys, step.values)):
             raise InputError("step queries, keys and values must be finite")
-        anchored = step.queries[[] if self.fallback else self.anchor_layers()]
+        anchored = step.queries[self.anchors]
         if (np.einsum("lqj,lqj->lq", anchored, anchored) == 0).any():
             raise DegenerateQueryError("a zero query on an anchor layer cannot be normalized")
 
@@ -313,7 +301,7 @@ class Engine:
         fill = token % cfg.page_size + 1  # the newest window page's, as windows start on a page
 
         for layer in range(cfg.layers):
-            if self.fallback or layer < cfg.skip_layers:
+            if layer not in self.window_start:  # a skip layer, or no layer is indexed
                 for qh in range(cfg.n_query_heads):
                     keys, values = self._kv(layer, qh // cfg.query_heads_per_group)
                     outputs[layer][qh] = full_attention(step.queries[layer, qh], keys, values)

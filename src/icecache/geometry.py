@@ -13,9 +13,10 @@ vectors and, for |k| <= c,
     |transform_query(q) - lift_keys(k)|^2 = 2 - 2 (q . k) / (c |q|),
 
 so for a fixed query the nearest lifted keys are exactly the keys with the
-largest inner products, and the index ranks lifted points by inner product
-directly. Rankings break ties toward the smaller token id so results are
-reproducible (a tree's parent scan is the exception: `dci._parent_rows`).
+largest inner products. A query scores a clamped row times its length
+s / c, which `lift_keys` returns, so every key ranks by q . k. Rankings
+break ties toward the smaller token id so results are reproducible (a
+tree's parent scan is the exception: `dci._parent_rows`).
 """
 
 from __future__ import annotations
@@ -63,22 +64,21 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
-def lift_keys(keys: np.ndarray, scale: KeyScale, out: np.ndarray) -> int:
+def lift_keys(keys: np.ndarray, scale: KeyScale, out: np.ndarray) -> np.ndarray:
     """Lift finite key rows into `out`, one row of d + 1 coordinates each:
     [k / s, sqrt(max(0, 1 - |k|^2 / s^2))] with s = max(|k|, c). Returns
-    the number of clamped rows, those with |k| > c.
+    each row's length s / c in float64, above 1 for a clamped row (|k| > c).
 
     The values are computed in float64 and rounded once to `out`'s dtype.
-    A clamped key maps to [k / |k|, 0], which keeps its image on the unit
-    sphere at the cost of a slightly perturbed ordering.
+    A clamped key maps to [k / |k|, 0], on the unit sphere; times its
+    length it is [k / c, 0] again.
     """
     keys = np.asarray(keys, dtype=float)
     norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-    over = norms > scale.c
-    safe_norms = np.where(over, norms, scale.c)
+    safe_norms = np.maximum(norms, scale.c)
     np.divide(keys, safe_norms[:, None], out=out[:, :-1])
     out[:, -1] = np.sqrt(np.maximum(0.0, 1.0 - (norms / safe_norms) ** 2))
-    return int(over.sum())
+    return safe_norms / scale.c
 
 
 def transform_query(q) -> np.ndarray:

@@ -212,7 +212,7 @@ def test_09_selection_reuse():
     base = dict(layers=8, kv_heads=1, d=64, d_prime=32, token_budget=64, seed=109)
     recalls = {}
     queries = {}
-    for label, stride in (("vanilla", 0), ("reuse", 3)):
+    for label, stride in (("vanilla", 1), ("reuse", 3)):
         cfg = EngineConfig(reuse_stride=stride, **base)
         eng = Engine(cfg).prefill(wl, 4000)
         r, qc = [], []

@@ -137,7 +137,7 @@ def test_rotation_folds_each_page_into_its_tree_in_one_insert(monkeypatch):
     monkeypatch.setattr(tree_cls, "insert", insert)
     monkeypatch.setattr(tree_cls, "query", query)
     trees = [state.tree for state in eng.heads.values()]
-    anchors = eng.anchor_layers()
+    anchors = eng.anchors
     assert len(anchors) == 3  # every indexed layer is its own group: folds at fills 1, 6, 11
     folds = []
     s = cfg.page_size

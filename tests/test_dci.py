@@ -245,16 +245,19 @@ def test_invariant_check_catches_a_row_off_the_unit_sphere_or_in_float64():
 
 
 def test_lifted_rows_are_the_float64_lift_rounded_once():
-    """A tree's rows, built and inserted, some of them clamped, equal
-    `lift_keys` into float64 cast once to float32."""
+    """A tree's rows and lengths, built and inserted, some of them clamped,
+    equal `lift_keys` into float64 cast once to float32; the clamped rows
+    are those longer than 1."""
     keys, _, _ = _clustered(45, 600, 12, 8)
     keys[400:] *= 1.1
     c = 0.95 * np.linalg.norm(keys[:400], axis=1).max()
     tree = _index(keys[:400], 0.2, seed=45, scale=KeyScale(c))
     tree.insert(range(400, 600), keys[400:])
     lifted = np.empty((600, 13))
-    assert lift_keys(keys, tree.scale, lifted) == tree.scale_clamps > 0
+    length = lift_keys(keys, tree.scale, lifted)
+    assert (length > 1).sum() == tree.scale_clamps > 0
     assert np.array_equal(tree._buf[:600], lifted[tree._point[:600]].astype(np.float32))
+    assert np.array_equal(tree._length[:600], length[tree._point[:600]].astype(np.float32))
 
 
 # -- within-node search ------------------------------------------------------------
@@ -334,7 +337,10 @@ def test_exhaustive_budget_query_equals_exact_topk():
     """The ordered result is the brute-force ranking of the lifted keys:
     inner product descending, ties toward the smaller id. In the last
     trials every key row repeats, so equal scores tie across ids, and
-    returned points reach above level 1; each id is returned once."""
+    returned points reach above level 1; each id is returned once. Past
+    its scale the tree stays exact: on a built tree fed pages of keys 2 to
+    4 times as long as its scale, the result is `exact_topk`'s set over
+    all the raw keys."""
     rng = np.random.default_rng(11)
     ties = repeats = 0
     for trial in range(70):
@@ -354,6 +360,17 @@ def test_exhaustive_budget_query_equals_exact_topk():
         ties += len(np.unique(scores[want])) < 16
         repeats += sum(tree.point_level[pid] > 1 for pid in got)  # reach above level 1
     assert ties == 20 and repeats >= 20
+
+    keys = rng.normal(size=(400, 12))
+    tree = _index(keys[:240], 0.15, seed=70)
+    keys[240:] *= tree.scale.c * rng.uniform(2, 4, size=(160, 1)) \
+        / np.linalg.norm(keys[240:], axis=1, keepdims=True)
+    for first in range(240, 400, 16):
+        tree.insert(range(first, first + 16), keys[first:first + 16])
+    assert tree.scale_clamps == 160
+    for q in rng.normal(size=(20, 12)):
+        got = tree.query(transform_query(q), SENTINEL_LEVEL, 16, SearchBudget.exhaustive(16))
+        assert set(got.tolist()) == set(exact_topk(q, keys, 16))
 
 
 def test_float32_ranking_equals_exact_topk_beyond_near_ties():
@@ -662,7 +679,10 @@ def test_identical_seeds_build_identical_trees():
 def test_query_results_and_distance_counts_match_golden_values():
     """Selected ids pinned from the per-node search the level arrays
     replaced (ties toward the smaller id); distance evaluations pinned from
-    the descent that starts at the highest level over the beam."""
+    the descent that starts at the highest level over the beam. The
+    incremental tree's scale is below 77 of its key norms: its last two
+    results are pinned from queries that rank those keys by their true
+    product (row times length)."""
     keys, _, _ = _clustered(30, 1500, 12, 8)
     batch = _index(keys, 0.2, seed=30)
     rng = np.random.default_rng(31)
@@ -680,8 +700,8 @@ def test_query_results_and_distance_counts_match_golden_values():
         if i % 133 == 132:
             q = transform_query(rng.normal(size=12))
             got.append(incr.query(q, SENTINEL_LEVEL, 5).tolist())
-    assert got == [[61, 25, 4, 6, 2], [112, 34, 172, 73, 264], [248, 13, 258, 351, 309]]
-    assert (incr.distance_evals, incr.levels) == (335, 7)
+    assert got == [[61, 25, 4, 6, 2], [112, 34, 28, 172, 73], [248, 13, 289, 258, 365]]
+    assert (incr.distance_evals, incr.levels, incr.scale_clamps) == (333, 7, 77)
 
     rng = np.random.default_rng(33)
     uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)

@@ -62,14 +62,22 @@ def test_prefill_coverage_and_roles():
     assert (store.page_of[(32 - cfg.window_pages) * s: 500] == NO_PAGE).all()
 
 
-def test_short_prompt_falls_back_to_full_attention():
-    wl, cfg = _small(token_budget=16)
-    eng = Engine(cfg).prefill(wl, 40)  # under sink+window+1 pages
-    assert eng.fallback and not eng.heads
-    outs, metrics = eng.decode_step(wl.decode_step(40, 0))
-    ref = full_attention(wl.queries[40, 2, 0],
-                         wl.keys[:41, 2, 0], wl.values[:41, 2, 0])
-    assert np.allclose(outs[2][0].value_out, ref.value_out, atol=1e-12)
+@pytest.mark.parametrize("n_prefill, skip_layers, fallback", [
+    (40, 2, True),     # under sink+window+1 pages: too short to split
+    (500, 3, False)],  # every layer skipped: split, but nothing is indexed
+    ids=["short-prompt", "all-skip"])
+def test_an_engine_with_no_indexed_layer_attends_exactly(n_prefill, skip_layers, fallback):
+    wl, cfg = _small(token_budget=16, skip_layers=skip_layers)
+    eng = Engine(cfg).prefill(wl, n_prefill)
+    assert eng.fallback == fallback and not eng.heads and not eng.anchors
+    outs, metrics = eng.decode_step(wl.decode_step(n_prefill, 0))
+    n = n_prefill + 1
+    for layer in range(cfg.layers):
+        for h in range(cfg.kv_heads):
+            ref = full_attention(wl.queries[n - 1, layer, h],
+                                 wl.keys[:n, layer, h], wl.values[:n, layer, h])
+            assert np.allclose(outs[layer][h].value_out, ref.value_out, atol=1e-12)
+    assert not metrics.selections and metrics.dci_queries == 0
     assert score_step(eng, wl, outs, metrics)["approx_rel_error"] == 0.0
 
 
@@ -97,7 +105,7 @@ def test_each_indexed_layer_folds_once_per_page_at_its_fill():
     n_prefill = 512  # multiple of page size: the first token opens a fresh window page
     eng = Engine(cfg).prefill(wl, n_prefill)
     s = cfg.page_size
-    assert eng.anchor_layers() == [1, 3]
+    assert eng.anchors == [1, 3]
     folds = {key: [] for key in eng.heads}  # (step, newest window fill) of each fold
     for t in range(3 * s):
         before = {key: (state.store.stats.pages_offloaded, len(state.tree))
@@ -115,6 +123,32 @@ def test_each_indexed_layer_folds_once_per_page_at_its_fill():
     for (layer, h), seen in folds.items():
         k = layer - cfg.skip_layers
         assert seen == [(page * s + s * k // 4, s * k // 4 + 1) for page in range(3)], (layer, h)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recall_holds_over_a_long_decode_whose_keys_outgrow_the_scale(seed):
+    """256 decode steps whose keys grow 1 % a step, to 13 times their
+    length by the end, so the folds insert keys past the prefill scale
+    into the trees. Queries scaled by 4 sharpen the logits. The
+    last quarter's mean recall must be within 0.05 of the same run's
+    without the growth: the tree ranks keys past its scale by their true
+    product, so drift alone does not cost recall."""
+    spec = WorkloadSpec(kind="clustered", n_tokens=512, d=16, d_prime=8, clusters=16,
+                        layers=3, kv_heads=1, seed=seed)
+    cfg = EngineConfig(layers=3, kv_heads=1, d=16, d_prime=8, skip_layers=1, page_size=8,
+                       token_budget=8, seed=seed)
+    recall = {}
+    for drift in (0.0, 0.01):
+        wl = generate_workload(spec)
+        wl.queries *= 4.0
+        wl.keys[256:] *= ((1.0 + drift) ** np.arange(1, 257))[:, None, None, None]
+        eng = Engine(cfg).prefill(wl, 256)
+        rows = [score_step(eng, wl, *eng.decode_step(wl.decode_step(256, t)))
+                for t in range(256)]
+        recall[drift] = np.mean([row["recall_at_k"] for row in rows[192:]])
+        if drift:
+            assert sum(state.tree.scale_clamps for state in eng.heads.values()) > 0
+    assert recall[0.01] >= recall[0.0] - 0.05
 
 
 def test_recall_is_scored_against_each_heads_own_tree():
@@ -312,7 +346,7 @@ def test_decode_rejects_a_misshaped_step_before_any_write():
     keys, values = eng._keys.copy(), eng._values.copy()
     sizes = {head: len(state.tree) for head, state in eng.heads.items()}
     stats = {head: replace(state.store.stats) for head, state in eng.heads.items()}
-    anchor = eng.anchor_layers()[0]
+    anchor = eng.anchors[0]
     for bad, error in ((replace(step, keys=step.keys[0, 0]), InputError),  # one head's (d,) row
                        (replace(step, values=step.values[:, :1]), InputError),  # one kv head
                        (replace(step, queries=step.queries[:, ::2]), InputError),  # one per group
@@ -392,14 +426,14 @@ def test_engine_owns_its_cache():
 def test_anchor_layer_arithmetic():
     wl, cfg = _small(layers=8, kv_heads=1, reuse_stride=2, token_budget=8)
     eng = Engine(cfg).prefill(wl, 500)
-    assert eng.anchor_layers() == [2, 4, 6]
+    assert eng.anchors == [2, 4, 6]
 
 
 def test_reuse_off_makes_every_indexed_layer_an_anchor():
-    wl, cfg = _small(layers=5, token_budget=8)
+    wl, cfg = _small(layers=5, token_budget=8, reuse_stride=1)
     eng = Engine(cfg).prefill(wl, 500)
-    assert eng.anchor_layers() == [2, 3, 4]
-    for layer in eng.anchor_layers():
+    assert eng.anchors == [2, 3, 4]
+    for layer in eng.anchors:
         pages_by_head, _ = eng.select_with_reuse(layer, wl.queries[500, layer])
         for h in range(cfg.kv_heads):
             assert pages_by_head[h].tolist() == _pages(eng, wl.queries[500, layer, h], layer, h)
@@ -451,7 +485,8 @@ def test_pipeline_rejects_bad_inputs():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        EngineConfig(reuse_stride=1)
+        EngineConfig(reuse_stride=0)
+    assert EngineConfig().reuse_stride == 1  # every indexed layer its own anchor
     with pytest.raises(ConfigError):
         EngineConfig(page_size=1)
     with pytest.raises(ConfigError):
@@ -543,7 +578,7 @@ class DecodeMachine(RuleBasedStateMachine):
             for t in state.tree.point_ids:
                 assert listed[t] == 1
                 assert t in store.tokens_in([store.page_of[t]])
-            anchor = max(a for a in eng.anchor_layers() if a <= layer)
+            anchor = max(a for a in eng.anchors if a <= layer)
             # A reuse layer folds after its anchor: its points are a prefix of
             # the anchor's, short by no page or by one.
             points, anchor_points = state.tree.point_ids, eng.heads[(anchor, h)].tree.point_ids
@@ -556,7 +591,7 @@ class DecodeMachine(RuleBasedStateMachine):
             return
         eng, g = self.eng, self.eng.cfg.query_heads_per_group
         for layer in eng.window_start:
-            anchor = max(a for a in eng.anchor_layers() if a <= layer)
+            anchor = max(a for a in eng.anchors if a <= layer)
             for qh, out in enumerate(self.outputs[layer]):
                 group = range(qh // g * g, (qh // g + 1) * g)
                 picked = np.concatenate([self.selected[anchor][p] for p in group])

@@ -8,21 +8,21 @@ from icecache import (DegenerateQueryError, InputError, KeyScale, exact_topk, li
 
 
 def _lift(keys, c):
-    """Key rows lifted into float64, and the clamp count."""
+    """Key rows lifted into float64, and their lengths s / c."""
     keys = np.atleast_2d(np.asarray(keys, dtype=float))
     out = np.empty((len(keys), keys.shape[1] + 1))
     return out, lift_keys(keys, KeyScale(c), out)
 
 
 def test_zero_key_forces_unit_last_coordinate():
-    out, clamps = _lift(np.zeros(4), 1.0)
-    assert np.array_equal(out, [[0, 0, 0, 0, 1]]) and clamps == 0
+    out, length = _lift(np.zeros(4), 1.0)
+    assert np.array_equal(out, [[0, 0, 0, 0, 1]]) and length.tolist() == [1.0]
 
 
 def test_key_at_scale_norm_has_zero_last_coordinate():
     k = np.array([3.0, 4.0])
-    (out,), clamps = _lift(k, 5.0)
-    assert out[-1] == 0.0 and clamps == 0
+    (out,), length = _lift(k, 5.0)
+    assert out[-1] == 0.0 and length.tolist() == [1.0]
     assert np.allclose(out[:-1], k / 5.0)
 
 
@@ -47,21 +47,27 @@ def test_lifted_keys_have_unit_norm():
     scale = KeyScale.from_keys(keys)
     # a key exactly at the scale boundary stays unit
     edge = keys[0] / np.linalg.norm(keys[0]) * scale.c
-    out, clamps = _lift(np.vstack([keys, edge]), scale.c)
+    out, length = _lift(np.vstack([keys, edge]), scale.c)
     norms = np.sqrt(1.0 - (keys * keys).sum(axis=1) / scale.c**2)
     assert np.allclose(out[:-1], np.column_stack([keys / scale.c, norms]), rtol=0, atol=1e-15)
-    assert (np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-6).all() and clamps == 0
+    assert (np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-6).all()
+    assert (length[:-1] == 1.0).all() and length[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lift_keys_clamps_a_key_past_the_scale():
-    """A key past the scale is normalized onto [k / |k|, 0] and counted."""
-    out, clamps = _lift([2.0, 0.0], 1.0)
-    assert np.array_equal(out, [[1, 0, 0]]) and clamps == 1
+    """A key past the scale is normalized onto [k / |k|, 0], and its length
+    s / c times that row is [k / c, 0]: a query scoring the row times the
+    length gets the key's true product over c."""
+    keys = np.array([[2.0, 0.0], [0.5, 0.5], [0.0, -3.0]])
+    out, length = _lift(keys, 1.0)
+    assert np.array_equal(out[[0, 2]], [[1, 0, 0], [0, -1, 0]])
+    assert length.tolist() == [2.0, 1.0, 3.0]
+    assert np.allclose(out[:, :-1] * length[:, None], keys, rtol=0, atol=1e-15)
 
 
 def test_lift_keys_clamps_rounding_level_excess():
-    (out,), _ = _lift([1.0 + 1e-12, 0.0], 1.0)
-    assert out[-1] == 0.0
+    (out,), (length,) = _lift([1.0 + 1e-12, 0.0], 1.0)
+    assert out[-1] == 0.0 and length > 1.0
 
 
 def test_transform_query_basis_vectors():

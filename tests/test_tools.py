@@ -6,17 +6,21 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGEST_GROUPS = ["outputs", "metrics", "trees", "counters", "pages", "stats", "store", "all"]
 
 
-def test_digest_prints_one_digest_per_group():
+@pytest.mark.parametrize("flags", [[], ["--evaluate"]], ids=["served", "evaluate"])
+def test_digest_prints_one_digest_per_group(flags):
     """`benchmarks/digest.py` reads the engine's trees and stores through
     their public state, and bit-identity checks between two checkouts rest
-    on it, so it runs end to end here on a short decode."""
+    on it, so it runs end to end here on a short decode, with and without
+    scoring each step (`--evaluate`)."""
     run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "digest.py"),
-                          "--workload", "reuse-drift", "--steps", "4"],
+                          "--workload", "reuse-drift", "--steps", "4", *flags],
                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
     lines = [line.split() for line in run.stdout.splitlines()]
     assert [name for name, _ in lines] == DIGEST_GROUPS
