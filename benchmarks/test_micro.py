@@ -137,15 +137,17 @@ def test_decode_page_glue(benchmark):
     eng = Engine(EngineConfig(layers=2, kv_heads=1, skip_layers=1)).prefill(wl, 2048)
     for step in range(8):
         eng.decode_step(wl.decode_step(2048, step))
-    state = eng.heads[(1, 0)]
-    q = wl.queries[2048 + 8, 1, 0]
-    tokens = eng._select_tokens(q, 1, 0)
-    keys, values = eng._kv(1, 0)
+    state, n = eng.heads[(1, 0)], 2048 + 8
+    q = wl.queries[n, 1, 0]
+    budget = eng.cfg.budget()
+    tokens = state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
+    keys, values = wl.keys[:n, 1, 0].copy(), wl.values[:n, 1, 0].copy()  # the engine's slabs
+    resident = np.concatenate((np.arange(eng.sink_end), np.arange(eng.window_start[1], n)))
 
     def run():
         store = state.store
         pages = find_page_index(tokens, store)
         store.backload(pages)
-        attended = np.concatenate((eng._resident(1), store.tokens_in(pages)))
+        attended = np.concatenate((resident, store.tokens_in(pages)))
         sparse_attention(q, attended, keys, values)
     benchmark(run)

@@ -13,13 +13,13 @@ the store's pages. The sink and each indexed layer's window are token
 ranges that stay resident, as in StreamingLLM: the sink is [0, sink_end)
 and a layer's window is [window_start[layer], n), where window_start is
 page-aligned. The store's pages are hot only in a step that selects them.
-Decode then runs, per layer: the window fold (charge the offload of the
-window's oldest page, insert its tokens into every head's tree, and move
-window_start up by page_size) at the layer's fold step, page selection
-(fresh per-query-head tree queries on anchor layers, the anchor's tokens
-on reuse layers), one page lookup of the group's token union, one backload
-per head, and sparse attention over the sink and window tokens plus the
-selected pages.
+Decode serves an indexed layer in one pass per kv head, in order: at the
+layer's fold step, the window fold (charge the offload of the window's
+oldest page and insert its tokens into the head's tree; window_start moves
+up by page_size once per layer); selection (fresh per-query-head tree
+queries on anchor layers, the anchor's token union on reuse layers); one
+page lookup of the group's tokens; one backload; and sparse attention per
+query head over the sink and window tokens plus the loaded pages.
 
 Folds are spread over the page, one indexed layer at a time, so that no
 step pays every tree's insert. Indexed layer l folds when the newest window
@@ -108,9 +108,9 @@ class EngineConfig:
 class StepMetrics:
     """One decode step's counters, summed over indexed layers and heads,
     and its selections: each (indexed layer, query head)'s token ids, in
-    that order, the arrays `select_with_reuse` built (not copies). They
-    are empty on an engine with no indexed layer, take no part in ==, and
-    are what `icecache.bench.score_step` scores."""
+    that order, the arrays the step looked its pages up from (not copies).
+    They are empty on an engine with no indexed layer, take no part in ==,
+    and are what `icecache.bench.score_step` scores."""
 
     step: int
     token_id: int
@@ -147,10 +147,8 @@ class Engine:
         self.sink_end = 0                                 # the sink is tokens [0, sink_end)
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.anchors: list[int] = []                      # indexed layers that query their trees
-        self.selection_queries = 0
         self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
         self._budget = cfg.budget()
-        self._anchor_tokens: dict[int, np.ndarray] = {}
 
     # -- prefill -----------------------------------------------------------
 
@@ -202,59 +200,7 @@ class Engine:
         self.prefilled = True
         return self
 
-    # -- selection ----------------------------------------------------------
-
-    def _select_tokens(self, q, layer: int, kv_head: int,
-                       budget: SearchBudget | None = None) -> np.ndarray:
-        if (layer, kv_head) not in self.heads:
-            raise ConfigError(f"no tree for layer {layer}, head {kv_head}")
-        state = self.heads[(layer, kv_head)]
-        budget = budget if budget is not None else self._budget
-        self.selection_queries += 1
-        return state.tree.query(transform_query(q), SENTINEL_LEVEL, budget.k, budget)
-
-    def select_with_reuse(self, layer: int, layer_queries: np.ndarray
-                          ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Pages per kv head and selected tokens per query head, as id arrays.
-
-        Anchor layers run a fresh tree query per query head, ranked by inner
-        product; each head's tokens are its own result, and the group's token
-        union is recorded. Reuse layers take the part of the most recent
-        anchor's token union below their own window start for every head of
-        the group, without touching the tree: the anchor folds first, so its
-        other tokens are in the reuse layer's window. Either way the pages
-        are the tokens', looked up once in the layer's own page table.
-        """
-        pages_by_head: dict[int, np.ndarray] = {}
-        tokens_by_qh: dict[int, np.ndarray] = {}
-        anchor = layer in self.anchors
-        g = self.cfg.query_heads_per_group
-        for h in range(self.cfg.kv_heads):
-            group = range(h * g, (h + 1) * g)
-            if anchor:
-                for qh in group:
-                    tokens_by_qh[qh] = self._select_tokens(layer_queries[qh], layer, h)
-                tokens = self._anchor_tokens[h] = gqa_union([tokens_by_qh[qh] for qh in group])
-            elif h not in self._anchor_tokens:
-                raise ConfigError(f"no anchor selection recorded yet for head {h}")
-            else:
-                union = self._anchor_tokens[h]
-                tokens = union[: np.searchsorted(union, self.window_start[layer])]
-                for qh in group:
-                    tokens_by_qh[qh] = tokens
-            pages_by_head[h] = find_page_index(tokens, self.heads[(layer, h)].store)
-        return pages_by_head, tokens_by_qh
-
     # -- decode ---------------------------------------------------------------
-
-    def _kv(self, layer: int, kv_head: int) -> tuple[np.ndarray, np.ndarray]:
-        """The head's key and value rows, row t holding token t."""
-        return self._keys[layer, kv_head, : self._n], self._values[layer, kv_head, : self._n]
-
-    def _resident(self, layer: int) -> np.ndarray:
-        """The sink and window token ids of an indexed layer, in order."""
-        return np.concatenate((np.arange(self.sink_end),
-                               np.arange(self.window_start[layer], self._n)))
 
     def decode_step(self, step: DecodeStep
                     ) -> tuple[list[list[AttentionOutput | None]], StepMetrics]:
@@ -262,10 +208,17 @@ class Engine:
 
         The step is checked whole before anything is written: InputError
         unless the token is the next one and the queries, keys and values
-        have the config's shapes and are finite, DegenerateQueryError for a
-        zero query on an anchor layer. A rejected step leaves the engine as
-        it was. Returns per-layer, per-query-head attention outputs plus the
-        step's counters and selections. It serves and counts only: fidelity is
+        are real arrays of the config's shapes with finite entries,
+        DegenerateQueryError for a zero query on an anchor layer. A rejected
+        step leaves the engine as it was.
+
+        A layer that is not indexed attends exactly. An indexed layer decides
+        once whether it folds and where its window starts, then serves each
+        kv head in one pass, in order: fold, select, look up, load, attend
+        (see the module docstring).
+
+        Returns per-layer, per-query-head attention outputs plus the step's
+        counters and selections. It serves and counts only: fidelity is
         scored from these outside the engine (`icecache.bench.score_step`).
         """
         if not self.prefilled:
@@ -276,57 +229,73 @@ class Engine:
             raise InputError(f"stream misaligned: expected token {token}, got {step.token_id}")
         want = [(cfg.layers, cfg.n_query_heads, cfg.d), (cfg.layers, cfg.kv_heads, cfg.d),
                 (cfg.layers, cfg.kv_heads, cfg.d_prime)]
-        shapes = [np.shape(step.queries), np.shape(step.keys), np.shape(step.values)]
+        arrays = [np.asarray(a) for a in (step.queries, step.keys, step.values)]
+        shapes = [a.shape for a in arrays]
         if shapes != want:
             raise InputError(f"step queries, keys and values need shapes {want}, got {shapes}")
-        if not all(np.isfinite(a).all() for a in (step.queries, step.keys, step.values)):
+        if any(a.dtype.kind not in "iuf" for a in arrays):
+            raise InputError("step queries, keys and values must be real numbers")
+        if not all(np.isfinite(a).all() for a in arrays):
             raise InputError("step queries, keys and values must be finite")
-        anchored = step.queries[self.anchors]
+        queries, new_keys, new_values = arrays
+        anchored = queries[self.anchors]
         if (np.einsum("lqj,lqj->lq", anchored, anchored) == 0).any():
             raise DegenerateQueryError("a zero query on an anchor layer cannot be normalized")
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
         selections: dict[tuple[int, int], np.ndarray] = {}
+        unions: dict[int, np.ndarray] = {}  # kv head -> its latest anchor's token union
         moved = TransferStats()
         pages_selected = tokens_loaded = 0
-        queries_before = self.selection_queries
 
         if self._n == self._keys.shape[2]:  # a stream longer than the prefilled workload
             pad = ((0, 0), (0, 0), (0, self._n), (0, 0))
             self._keys, self._values = np.pad(self._keys, pad), np.pad(self._values, pad)
-        self._keys[:, :, self._n] = step.keys
-        self._values[:, :, self._n] = step.values
+        self._keys[:, :, self._n] = new_keys
+        self._values[:, :, self._n] = new_values
         self._n += 1
-        fill = token % cfg.page_size + 1  # the newest window page's, as windows start on a page
+        s, g, budget = cfg.page_size, cfg.query_heads_per_group, self._budget
+        fill = token % s + 1  # the newest window page's, as windows start on a page
 
         for layer in range(cfg.layers):
+            keys, values = self._keys[layer, :, : self._n], self._values[layer, :, : self._n]
             if layer not in self.window_start:  # a skip layer, or no layer is indexed
                 for qh in range(cfg.n_query_heads):
-                    keys, values = self._kv(layer, qh // cfg.query_heads_per_group)
-                    outputs[layer][qh] = full_attention(step.queries[layer, qh], keys, values)
+                    outputs[layer][qh] = full_attention(queries[layer, qh],
+                                                        keys[qh // g], values[qh // g])
                 continue
 
-            if (fill == self._fold_at[layer]
-                    and self._n - self.window_start[layer] > cfg.window_pages * cfg.page_size):
-                self._rotate_layer(layer)
-            resident = self._resident(layer)
-
-            pages_by_head, qh_tokens = self.select_with_reuse(layer, step.queries[layer])
-            selections.update(((layer, qh), tokens) for qh, tokens in qh_tokens.items())
+            start = self.window_start[layer]
+            folds = fill == self._fold_at[layer] and self._n - start > cfg.window_pages * s
+            if folds:
+                folded = np.arange(start, start + s)
+                start = self.window_start[layer] = start + s
+            resident = np.concatenate((np.arange(self.sink_end), np.arange(start, self._n)))
+            anchor = layer in self.anchors
             for h in range(cfg.kv_heads):
                 state = self.heads[(layer, h)]
-                selected = pages_by_head[h]
-                moved.add(state.store.backload(selected))
-                pages_selected += selected.size
-                loaded = state.store.tokens_in(selected)
+                group = range(h * g, (h + 1) * g)
+                if folds:
+                    state.store.offload(s)
+                    state.tree.insert(folded, keys[h, folded])
+                if anchor:
+                    for qh in group:
+                        selections[(layer, qh)] = state.tree.query(
+                            transform_query(queries[layer, qh]), SENTINEL_LEVEL, budget.k, budget)
+                    tokens = unions[h] = gqa_union([selections[(layer, qh)] for qh in group])
+                else:
+                    tokens = unions[h][: np.searchsorted(unions[h], start)]
+                    selections.update(((layer, qh), tokens) for qh in group)
+                pages = find_page_index(tokens, state.store)
+                moved.add(state.store.backload(pages))
+                pages_selected += pages.size
+                loaded = state.store.tokens_in(pages)
                 tokens_loaded += loaded.size
                 attended = np.concatenate((resident, loaded))
-                keys, values = self._kv(layer, h)
-                for qh in range(h * cfg.query_heads_per_group,
-                                (h + 1) * cfg.query_heads_per_group):
-                    outputs[layer][qh] = sparse_attention(
-                        step.queries[layer, qh], attended, keys, values)
+                for qh in group:
+                    outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
+                                                          keys[h], values[h])
 
         metrics = StepMetrics(
             step=token - self.n_prefill,
@@ -336,22 +305,10 @@ class Engine:
             tokens_loaded=tokens_loaded,
             bytes_moved=moved.bytes_moved,
             transactions=moved.transactions,
-            dci_queries=self.selection_queries - queries_before,
+            dci_queries=len(self.anchors) * cfg.n_query_heads,
             selections=selections,
         )
         return outputs, metrics
-
-    def _rotate_layer(self, layer: int) -> None:
-        """Fold the layer's oldest window page: charge each head's offload
-        and insert the page's tokens into the head's tree."""
-        s = self.cfg.page_size
-        start = self.window_start[layer]
-        rotated = np.arange(start, start + s)
-        self.window_start[layer] = start + s
-        for h in range(self.cfg.kv_heads):
-            state = self.heads[(layer, h)]
-            state.store.offload(s)
-            state.tree.insert(rotated, self._keys[layer, h, rotated])
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

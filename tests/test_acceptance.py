@@ -80,9 +80,10 @@ def test_03_planted_needle_retrieval():
         cfg = EngineConfig(layers=3, kv_heads=1, d=32, d_prime=8,
                            token_budget=64, seed=seed)
         eng = Engine(cfg).prefill(wl, 10_000)
-        state = eng.heads[(2, 0)]
-        pages = find_page_index(eng._select_tokens(wl.queries[10_000, 2, 0], 2, 0),
-                                state.store)
+        state, budget = eng.heads[(2, 0)], cfg.budget()
+        tokens = state.tree.query(transform_query(wl.queries[10_000, 2, 0]), SENTINEL_LEVEL,
+                                  budget.k, budget)
+        pages = find_page_index(tokens, state.store)
         page_hit = state.store.page_of[wl.needle_token] in pages
         outs, _ = eng.decode_step(wl.decode_step(10_000, 0))
         weights = outs[2][0].weights
@@ -122,7 +123,8 @@ def test_05_page_bound_fuzz():
     for i in range(10_000):
         q = rng.normal(size=16)
         k = int(rng.integers(1, 65))
-        tokens = eng._select_tokens(q, 2, 0, SearchBudget.for_k(k))
+        budget = SearchBudget.for_k(k)
+        tokens = state.tree.query(transform_query(q), SENTINEL_LEVEL, k, budget)
         pages = find_page_index(tokens, state.store)
         state.store.backload(pages)
         loaded = len(state.store.tokens_in(pages))

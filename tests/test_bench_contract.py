@@ -48,6 +48,19 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
 
     for name in ("sparse_attention", "find_page_index"):
         monkeypatch.setattr(engine_mod, name, counted(name))
+    monkeypatch.setattr(engine_mod, "full_attention", counted("full_attention"))
+
+    def counted_method(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(obj, *args, **kwargs):
+            calls[attr].append(obj)
+            return original(obj, *args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((engine_mod.TierStore, "backload"), (engine_mod.TierStore, "offload"),
+                        (engine_mod.DciTree, "insert")):
+        monkeypatch.setattr(owner, attr, counted_method(owner, attr))
     selected = defaultdict(set)  # tree -> ids its queries returned
     original_query = engine_mod.DciTree.query
 
@@ -71,6 +84,22 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
     assert all(result is out for (_, result), out in zip(calls["sparse_attention"], returned))
     for args, out in calls["sparse_attention"]:
         assert attended_ids(out).tolist() == [int(t) for t in args[1]]
+
+    # One backload per (indexed layer, kv head), one full attention per
+    # skip-layer query head, and no fold at fill 5.
+    assert len(calls["backload"]) == indexed * cfg.kv_heads
+    assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
+    assert not calls["insert"] and not calls["offload"]
+    # Token 512 fills a new window page's first slot: layer 2 folds, once per head.
+    for t in range(1, 13):
+        calls.clear()
+        eng.decode_step(wl.decode_step(500, t))
+    folding = [eng.heads[(cfg.skip_layers, h)] for h in range(cfg.kv_heads)]
+    assert sorted(map(id, calls["insert"])) == sorted(id(state.tree) for state in folding)
+    assert sorted(map(id, calls["offload"])) == sorted(id(state.store) for state in folding)
+    assert len(calls["backload"]) == indexed * cfg.kv_heads
+    assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
+    assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
 
 
 def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):

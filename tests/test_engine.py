@@ -9,9 +9,9 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from icecache import (ConfigError, DegenerateQueryError, Engine, EngineConfig, InputError,
-                      SearchBudget, Workload, WorkloadSpec, full_attention, generate_workload,
-                      pipeline_estimate)
+from icecache import (SENTINEL_LEVEL, ConfigError, DegenerateQueryError, Engine, EngineConfig,
+                      InputError, SearchBudget, Workload, WorkloadSpec, full_attention,
+                      generate_workload, gqa_union, pipeline_estimate, transform_query)
 from icecache.bench import score_step
 from icecache.geometry import exact_topk
 from icecache.pagestore import NO_PAGE, find_page_index
@@ -28,9 +28,16 @@ def _small(seed=0, n_tokens=600, layers=3, kv_heads=2, d=16, d_prime=8, **cfg_kw
     return wl, cfg
 
 
+def _query(eng, q, layer, kv_head):
+    """A fresh tree query, as an anchor layer's selection issues it."""
+    budget = eng.cfg.budget()
+    return eng.heads[(layer, kv_head)].tree.query(transform_query(q), SENTINEL_LEVEL,
+                                                  budget.k, budget)
+
+
 def _pages(eng, q, layer, kv_head):
     """The pages holding the tree's top-budget tokens for one query."""
-    return find_page_index(eng._select_tokens(q, layer, kv_head),
+    return find_page_index(_query(eng, q, layer, kv_head),
                            eng.heads[(layer, kv_head)].store).tolist()
 
 
@@ -166,8 +173,6 @@ def test_recall_is_scored_against_each_heads_own_tree():
         apart += len(eng.heads[(2, 0)].tree) != len(eng.heads[(3, 0)].tree)
         recalls = []
         for layer in (2, 3):
-            # The step's selection again: folds precede it, so the trees are as it saw them.
-            _, selected = eng.select_with_reuse(layer, wl.queries[n_prefill + t, layer])
             for qh in range(cfg.n_query_heads):
                 h = qh // cfg.query_heads_per_group
                 state = eng.heads[(layer, h)]
@@ -178,7 +183,7 @@ def test_recall_is_scored_against_each_heads_own_tree():
                 k = min(cfg.token_budget, points.size)
                 q = wl.queries[n_prefill + t, layer, qh]
                 oracle = points[exact_topk(q, wl.keys[points, layer, h], k)]
-                recalls.append(np.isin(oracle, selected[qh]).sum() / k)
+                recalls.append(np.isin(oracle, metrics.selections[(layer, qh)]).sum() / k)
         assert row["recall_at_k"] == pytest.approx(np.mean(recalls), abs=1e-12)
     assert apart == cfg.page_size  # fills 1 to 8 of both pages
 
@@ -208,14 +213,15 @@ def test_attended_ids_are_the_sink_the_window_then_the_selected_pages():
     eng = Engine(cfg).prefill(wl, 505)
     for t in range(8):
         step = wl.decode_step(505, t)
-        outputs, _ = eng.decode_step(step)
-        # The step's selection again: folds precede it, so the trees are as it saw them.
-        pages, _ = eng.select_with_reuse(2, step.queries[2])
+        outputs, metrics = eng.decode_step(step)
         for qh, out in enumerate(outputs[2]):
-            store = eng.heads[(2, qh // 2)].store
+            h = qh // 2
+            store = eng.heads[(2, h)].store
+            # The group's pages, looked up from its union of the step's selections.
+            union = gqa_union([metrics.selections[(2, p)] for p in (2 * h, 2 * h + 1)])
             expected = np.concatenate((np.arange(eng.sink_end),
                                        np.arange(eng.window_start[2], 505 + t + 1),
-                                       store.tokens_in(pages[qh // 2])))
+                                       store.tokens_in(find_page_index(union, store))))
             assert out.token_ids.tolist() == expected.tolist()
     assert eng.window_start[2] == 496
 
@@ -335,11 +341,12 @@ def _with(step, name, at, value):
 
 def test_decode_rejects_a_misshaped_step_before_any_write():
     """A step whose queries, keys or values do not have one row per layer
-    and head, or hold a non-finite entry, is an InputError; a zero query on
-    an anchor layer is a DegenerateQueryError. Either leaves the token
-    count, the K/V rows, every tree and every store's counters as they were
-    (one head's row is not broadcast into every layer), so the corrected
-    step then decodes."""
+    and head, are not real numbers (strings, complex) or hold a non-finite
+    entry, is an InputError; a zero query on an anchor layer is a
+    DegenerateQueryError. Either leaves the token count, the K/V rows, every
+    tree and every store's counters as they were (one head's row is not
+    broadcast into every layer, an imaginary part is not dropped), so the
+    corrected step then decodes. Nested lists decode as the arrays do."""
     wl, cfg = _small(kv_heads=2, query_heads_per_group=2)
     eng = Engine(cfg).prefill(wl, 500)
     step = wl.decode_step(500, 0)
@@ -355,15 +362,25 @@ def test_decode_rejects_a_misshaped_step_before_any_write():
                        (_with(step, "keys", (anchor, 1, 3), np.nan), InputError),
                        (_with(step, "values", (0, 0, 2), np.inf), InputError),
                        (_with(step, "queries", (anchor, 1), 0.0), DegenerateQueryError),
-                       (_with(step, "queries", (anchor, 0, 5), np.nan), InputError)):
+                       (_with(step, "queries", (anchor, 0, 5), np.nan), InputError),
+                       (replace(step, queries=step.queries.astype(str)), InputError),
+                       (replace(step, keys=step.keys.astype(complex)), InputError)):
         with pytest.raises(error):
             eng.decode_step(bad)
         assert eng._n == 500
         assert np.array_equal(eng._keys, keys) and np.array_equal(eng._values, values)
         assert {head: len(state.tree) for head, state in eng.heads.items()} == sizes
         assert {head: state.store.stats for head, state in eng.heads.items()} == stats
-    eng.decode_step(step)
+    listed = replace(step, queries=step.queries.tolist(), keys=step.keys.tolist(),
+                     values=step.values.tolist())
+    (outs, metrics), (listed_outs, listed_metrics) = \
+        eng.decode_step(step), Engine(cfg).prefill(wl, 500).decode_step(listed)
     assert eng._n == 501 and np.array_equal(eng._keys[:, :, 500], step.keys)
+    assert metrics == listed_metrics
+    for out, listed_out in zip(sum(outs, []), sum(listed_outs, [])):
+        assert np.array_equal(out.token_ids, listed_out.token_ids)
+        assert np.array_equal(out.dense_weights, listed_out.dense_weights)
+        assert np.array_equal(out.value_out, listed_out.value_out)
 
 
 def test_gqa_groups_share_the_union():
@@ -385,8 +402,6 @@ def test_page_select_respects_budget_bound():
     eng = Engine(cfg).prefill(wl, 500)
     pages = _pages(eng, wl.queries[500, 2, 0], 2, 0)
     assert 0 < len(pages) <= 12
-    with pytest.raises(ConfigError):
-        eng._select_tokens(wl.queries[500, 2, 0], 0, 0)  # skipped layer
 
 
 def test_run_determinism_bitwise():
@@ -433,10 +448,14 @@ def test_reuse_off_makes_every_indexed_layer_an_anchor():
     wl, cfg = _small(layers=5, token_budget=8, reuse_stride=1)
     eng = Engine(cfg).prefill(wl, 500)
     assert eng.anchors == [2, 3, 4]
+    fresh = {(layer, h): _pages(eng, wl.queries[500, layer, h], layer, h)
+             for layer in eng.anchors for h in range(cfg.kv_heads)}
+    _, metrics = eng.decode_step(wl.decode_step(500, 0))
     for layer in eng.anchors:
-        pages_by_head, _ = eng.select_with_reuse(layer, wl.queries[500, layer])
         for h in range(cfg.kv_heads):
-            assert pages_by_head[h].tolist() == _pages(eng, wl.queries[500, layer, h], layer, h)
+            store = eng.heads[(layer, h)].store
+            assert find_page_index(metrics.selections[(layer, h)], store).tolist() == \
+                fresh[(layer, h)]
 
 
 def test_anchor_selections_match_vanilla():
@@ -448,8 +467,9 @@ def test_anchor_selections_match_vanilla():
     step = wl.decode_step(500, 0)
     for layer in (2,):  # anchor offset 0
         want = _pages(vanilla, step.queries[layer, 0], layer, 0)
-        pages_by_head, _ = reused.select_with_reuse(layer, step.queries[layer])
-        assert pages_by_head[0].tolist() == want
+        _, metrics = reused.decode_step(step)
+        store = reused.heads[(layer, 0)].store
+        assert find_page_index(metrics.selections[(layer, 0)], store).tolist() == want
 
 
 def test_reuse_skips_tree_queries_on_intermediate_layers():
@@ -528,20 +548,14 @@ class DecodeMachine(RuleBasedStateMachine):
         self.eng = Engine(cfg).prefill(self.wl, prefill)
         self.steps = 0
         self.folding: list[list[int]] = []  # indexed layers that folded, per step
-        self.selected: dict[int, dict[int, np.ndarray]] = {}  # layer -> query head -> tokens
-        select = self.eng.select_with_reuse
-
-        def recording(layer, layer_queries):
-            pages, tokens = select(layer, layer_queries)
-            self.selected[layer] = tokens
-            return pages, tokens
-        self.eng.select_with_reuse = recording
 
     @rule(n=st.integers(1, 6))
     def decode(self, n):
         for _ in range(min(n, self.MAX_STEPS - self.steps)):
             before = dict(self.eng.window_start)
-            self.outputs, _ = self.eng.decode_step(self.wl.decode_step(self.prefill, self.steps))
+            self.outputs, metrics = self.eng.decode_step(
+                self.wl.decode_step(self.prefill, self.steps))
+            self.selected = metrics.selections  # (layer, query head) -> tokens
             self.steps += 1
             self.folding.append([layer for layer, start in before.items()
                                  if self.eng.window_start[layer] > start])
@@ -594,7 +608,7 @@ class DecodeMachine(RuleBasedStateMachine):
             anchor = max(a for a in eng.anchors if a <= layer)
             for qh, out in enumerate(self.outputs[layer]):
                 group = range(qh // g * g, (qh // g + 1) * g)
-                picked = np.concatenate([self.selected[anchor][p] for p in group])
+                picked = np.concatenate([self.selected[(anchor, p)] for p in group])
                 # In the layer's window or in one of the pages it loaded.
                 assert np.isin(picked, out.token_ids).all(), (layer, qh)
 

@@ -56,7 +56,8 @@ def test_scoring_changes_no_output_counter_or_store_state():
             assert state.store.stats == other.stats
             assert np.array_equal(state.store.hot, other.hot)
             assert np.array_equal(state.store.page_of, other.page_of)
-    assert scored.selection_queries == plain.selection_queries
+    assert sum(state.tree.query_count for state in scored.heads.values()) == \
+        sum(state.tree.query_count for state in plain.heads.values())
 
 
 def test_a_fallback_step_scores_the_defaults():
