@@ -18,9 +18,12 @@ stream, prefills a fresh engine from the checkout's own `src/`, decodes
   store    each head's hot leaf pages and leaf page fills: the residency
            state after the last step
 
-and a last line digesting all of them. A node is named by its level and
-its owner, the point one level up whose children it holds (-1 for the top
-node), and nodes are walked in that order. A page is named by its rank
+and a last line digesting all of them. The trees, counters, pages, stats
+and store groups read the heads of `engine.anchors` only, the heads that
+own a tree and a store, so a checkout that also keeps trees for reuse
+layers compares equal where the anchors do. A node is named by its level
+and its owner, the point one level up whose children it holds (-1 for the
+top node), and nodes are walked in that order. A page is named by its rank
 among its head's leaf pages in ascending id order, so two page layouts
 that open the same leaf pages in the same order digest equal even if
 other pages take ids between them. The sink and window tokens are covered
@@ -77,7 +80,7 @@ def run(workload: str, seed: int, steps: int, evaluate: bool) -> dict[str, str]:
             row = {f.name: getattr(metrics, f.name) for f in fields(metrics)
                    if f.name != "selections"}
         groups["metrics"].update(repr(list(row.items())).encode())
-    for key in sorted(engine.heads):
+    for key in sorted(key for key in engine.heads if key[0] in engine.anchors):
         state = engine.heads[key]
         tree, store = state.tree, state.store
         nodes = tree.nodes.values()  # in (level, owner) order

@@ -6,10 +6,11 @@ Run from the repository root. It sets up the named perfbench workload with
 perfbench's own `Runner` from the checkout's `src/`, decodes its window
 `--repeats` times, each from a freshly prefilled engine, and prints one line
 per step position: the fastest of its repeats, in ms, and the indexed layers
-that folded a window page on that step (read from the transfer counters of
-each indexed layer's first head). A summary line gives the median of
-the fold steps and of the other steps. This is the per-position view of the
-decode tail, without a profiler. BLAS runs on one thread.
+that folded a window page on that step: each anchor's first head counts its
+offloads, and a fold lists every layer of the anchor's group. A summary
+line gives the median of the fold steps and of the other steps. This is the
+per-position view of the decode tail, without a profiler. BLAS runs on one
+thread.
 """
 
 import os
@@ -36,15 +37,15 @@ def profile(workload: str, seed: int, repeats: int) -> tuple[np.ndarray, list[li
     times, folds = [], [[] for _ in range(runner.wl.window)]
     for _ in range(repeats):
         engine, _ = runner.setup()
-        indexed = sorted(engine.window_start)
-        offloads = [0] * len(indexed)
+        offloads = dict.fromkeys(engine.anchors, 0)
 
         def after_step(i, dt):
-            for j, layer in enumerate(indexed):
-                count = engine.heads[(layer, 0)].store.stats.pages_offloaded
-                if count > offloads[j] and layer not in folds[i]:
-                    folds[i].append(layer)
-                offloads[j] = count
+            for anchor in engine.anchors:
+                count = engine.heads[(anchor, 0)].store.stats.pages_offloaded
+                if count > offloads[anchor]:  # the anchor's whole group folded
+                    folds[i].extend(layer for layer, a in engine.anchor_of.items()
+                                    if a == anchor and layer not in folds[i])
+                offloads[anchor] = count
             return []
         run = runner.decode(engine, after_step=after_step)
         if run.stopped:

@@ -77,7 +77,7 @@ def score_step(engine: Engine, workload: Workload,
         keys = np.ascontiguousarray(workload.keys[:n, layer, h])
         values = np.ascontiguousarray(workload.values[:n, layer, h])
         ref = full_attention(q, keys, values)
-        indexed = np.arange(engine.sink_end, engine.window_start[layer])  # its trees' points
+        indexed = np.arange(engine.sink_end, engine.window_start[layer])  # its anchor's points
         k_indexed, k_all = min(cfg.token_budget, indexed.size), min(cfg.token_budget, n)
         oracle_indexed = indexed[exact_topk(q, keys[indexed], k_indexed)]
         oracle_all = np.asarray(exact_topk(q, keys, k_all))
@@ -88,7 +88,7 @@ def score_step(engine: Engine, workload: Workload,
                        float(np.linalg.norm(out.value_out - ref.value_out)) / max(rms, 1e-300)))
         if baseline:
             union = gqa_union([metrics.selections[(layer, i)] for i in range(h * g, (h + 1) * g)])
-            n_pages = find_page_index(union, engine.heads[(layer, h)].store).size
+            n_pages = find_page_index(union, engine.heads[(engine.anchor_of[layer], h)].store).size
             chosen = token_order_select(q, indexed, keys[indexed], cfg.page_size, n_pages)
             # the sink and window tokens, outside the indexed range, are attended too
             hit = np.isin(oracle_all, chosen) | ~np.isin(oracle_all, indexed)

@@ -8,42 +8,36 @@ writes to the workload's arrays do not reach the engine, and sizes the
 arrays and every tree for the whole stream, so decode never regrows them.
 
 Prefill splits the prompt into the sink, the window and a middle region
-whose keys are clustered into a per-(layer, head) tree whose leaves own
-the store's pages. The sink and each indexed layer's window are token
-ranges that stay resident, as in StreamingLLM: the sink is [0, sink_end)
-and a layer's window is [window_start[layer], n), where window_start is
-page-aligned. The store's pages are hot only in a step that selects them.
-Decode serves an indexed layer in one pass per kv head, in order: at the
-layer's fold step, the window fold (charge the offload of the window's
-oldest page and insert its tokens into the head's tree; window_start moves
-up by page_size once per layer); selection (fresh per-query-head tree
-queries on anchor layers, the anchor's token union on reuse layers); one
-page lookup of the group's tokens; one backload; and sparse attention per
-query head over the sink and window tokens plus the loaded pages.
+whose keys are clustered into a per-(anchor layer, kv head) tree whose
+leaves own the store's pages. The sink and each indexed layer's window are
+token ranges that stay resident, as in StreamingLLM: the sink is
+[0, sink_end) and a layer's window is [window_start[layer], n), where
+window_start is page-aligned. The store's pages are hot only in a step that
+selects them. Decode serves an anchor layer in one pass per kv head: at its
+fold step, the window fold (charge the offload of the window's oldest page,
+insert its tokens into the head's tree, and move window_start up a page);
+per-query-head tree queries; one page lookup of the group's token union;
+one backload; and sparse attention per query head over the sink range, the
+window range and the loaded pages, in that order, as int64 ids. A reuse
+layer owns no tree or store: per kv head it attends its anchor's ids with
+its own keys and values, is charged its anchor's backload, and records its
+anchor's union as its selection.
 
-Folds are spread over the page, one indexed layer at a time, so that no
-step pays every tree's insert. Indexed layer l folds when the newest window
-page's fill, token % page_size + 1 for every layer, reaches
-page_size * (l - skip_layers) // n_indexed + 1, and only while its window
+Folds are spread over the page, one anchor group at a time, so that no
+step pays every tree's insert. Indexed layer l, of anchor a, folds when the
+newest window page's fill, token % page_size + 1 for every layer, reaches
+page_size * (a - skip_layers) // n_indexed + 1, and only while its window
 holds more than window_pages pages. So a window holds window_pages to
-window_pages + 1 pages, and with n_indexed <= page_size at most one layer
-folds on a step; otherwise layers sharing a fill fold in layer order. The
-fill rises with the layer, so an anchor folds a page no later than the
-reuse layers that read its selection, and a reuse layer's window can start
-a page below its anchor's. A reuse layer looks up only the anchor tokens
-below its own window start in its page table: the others are its window
-tokens, attended once as such.
-
-Selections stay int64 id arrays from the tree's result to the gather: the
-attended set is the sink range, the window range and one gather over the
-selected pages, in that order.
+window_pages + 1 pages, a reuse layer's window is always its anchor's, and
+at most one group folds on a step while n_indexed <= page_size.
 
 Prefill fixes each layer's role. The layers from skip_layers up are
 indexed (the keys of window_start) and the rest attend exactly; when the
 prompt is too short to split (`fallback`), no layer is indexed. Of the
 indexed layers, every reuse_stride-th from skip_layers is an anchor
-(`anchors`), so stride 1, the default, makes each its own anchor. The
-engine is not a transformer: embeddings come from the workload.
+(`anchors`; `anchor_of` maps each indexed layer to its own), so stride 1,
+the default, makes each its own anchor. The engine is not a transformer:
+embeddings come from the workload.
 """
 
 from __future__ import annotations
@@ -126,7 +120,7 @@ class StepMetrics:
 
 @dataclass
 class _HeadState:
-    """Private per-(layer, kv head) machinery."""
+    """Private per-(anchor layer, kv head) machinery; a reuse layer has none."""
 
     tree: DciTree
     store: TierStore
@@ -140,14 +134,15 @@ class Engine:
         self.prefilled = False
         self.fallback = False                             # the prompt was too short to split
         self.n_prefill = 0
-        self.heads: dict[tuple[int, int], _HeadState] = {}
+        self.heads: dict[tuple[int, int], _HeadState] = {}  # (anchor layer, kv head) -> state
         self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
         self._values = np.empty((0, 0, 0, cfg.d_prime))
         self._n = 0                                       # tokens held by every buffer
         self.sink_end = 0                                 # the sink is tokens [0, sink_end)
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
-        self.anchors: list[int] = []                      # indexed layers that query their trees
-        self._fold_at: dict[int, int] = {}  # indexed layer -> newest window fill it folds at
+        self.anchors: list[int] = []                      # indexed layers that own and query trees
+        self.anchor_of: dict[int, int] = {}               # indexed layer -> its anchor
+        self._fold_at: dict[int, int] = {}  # indexed layer -> the window fill its anchor folds at
         self._budget = cfg.budget()
 
     # -- prefill -----------------------------------------------------------
@@ -188,8 +183,10 @@ class Engine:
         self.anchors = list(range(cfg.skip_layers, cfg.layers, cfg.reuse_stride))
         n_indexed = cfg.layers - cfg.skip_layers
         for layer in range(cfg.skip_layers, cfg.layers):
-            self._fold_at[layer] = s * (layer - cfg.skip_layers) // n_indexed + 1
+            anchor = self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
+            self._fold_at[layer] = s * (anchor - cfg.skip_layers) // n_indexed + 1
             self.window_start[layer] = window_start
+        for layer in self.anchors:
             for h in range(cfg.kv_heads):
                 store = TierStore(cfg.d, cfg.d_prime, s)
                 tree = dci_indexing(np.arange(self.sink_end, window_start),
@@ -214,8 +211,9 @@ class Engine:
 
         A layer that is not indexed attends exactly. An indexed layer decides
         once whether it folds and where its window starts, then serves each
-        kv head in one pass, in order: fold, select, look up, load, attend
-        (see the module docstring).
+        kv head in one pass: an anchor folds, selects, looks up, loads and
+        attends; a reuse layer attends its anchor's ids (see the module
+        docstring).
 
         Returns per-layer, per-query-head attention outputs plus the step's
         counters and selections. It serves and counts only: fidelity is
@@ -245,7 +243,7 @@ class Engine:
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
         selections: dict[tuple[int, int], np.ndarray] = {}
-        unions: dict[int, np.ndarray] = {}  # kv head -> its latest anchor's token union
+        served: dict[int, tuple] = {}  # kv head -> its latest anchor's union, attended ids, charge
         moved = TransferStats()
         pages_selected = tokens_loaded = 0
 
@@ -271,28 +269,30 @@ class Engine:
             if folds:
                 folded = np.arange(start, start + s)
                 start = self.window_start[layer] = start + s
-            resident = np.concatenate((np.arange(self.sink_end), np.arange(start, self._n)))
             anchor = layer in self.anchors
+            if anchor:
+                resident = np.concatenate((np.arange(self.sink_end), np.arange(start, self._n)))
             for h in range(cfg.kv_heads):
-                state = self.heads[(layer, h)]
                 group = range(h * g, (h + 1) * g)
-                if folds:
-                    state.store.offload(s)
-                    state.tree.insert(folded, keys[h, folded])
                 if anchor:
+                    state = self.heads[(layer, h)]
+                    if folds:
+                        state.store.offload(s)
+                        state.tree.insert(folded, keys[h, folded])
                     for qh in group:
                         selections[(layer, qh)] = state.tree.query(
                             transform_query(queries[layer, qh]), SENTINEL_LEVEL, budget.k, budget)
-                    tokens = unions[h] = gqa_union([selections[(layer, qh)] for qh in group])
+                    union = gqa_union([selections[(layer, qh)] for qh in group])
+                    pages = find_page_index(union, state.store)
+                    loaded = state.store.tokens_in(pages)
+                    served[h] = (union, np.concatenate((resident, loaded)),
+                                 state.store.backload(pages), pages.size, loaded.size)
                 else:
-                    tokens = unions[h][: np.searchsorted(unions[h], start)]
-                    selections.update(((layer, qh), tokens) for qh in group)
-                pages = find_page_index(tokens, state.store)
-                moved.add(state.store.backload(pages))
-                pages_selected += pages.size
-                loaded = state.store.tokens_in(pages)
-                tokens_loaded += loaded.size
-                attended = np.concatenate((resident, loaded))
+                    selections.update(((layer, qh), served[h][0]) for qh in group)
+                _, attended, delta, n_pages, n_loaded = served[h]
+                moved.add(delta)
+                pages_selected += n_pages
+                tokens_loaded += n_loaded
                 for qh in group:
                     outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
                                                           keys[h], values[h])

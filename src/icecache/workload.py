@@ -67,6 +67,9 @@ class WorkloadSpec:
         if min(self.d, self.d_prime, self.layers, self.kv_heads,
                self.query_heads_per_group) < 1:
             raise ConfigError("dims, layers and head counts must be >= 1")
+        for name in ("cluster_spread", "needle_gain", "layer_jitter"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # also false for nan
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @property
     def n_query_heads(self) -> int:

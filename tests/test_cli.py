@@ -44,15 +44,18 @@ def test_bench_report_and_csv_files(tmp_path, capsys):
 
 
 def test_compare_baseline_reports_paired_hit_rates(capsys):
-    code, out, _ = _run(capsys, ["compare-baseline", *SMALL, "--steps", "6",
-                                 "--budget", "16"])
-    assert code == 0
-    report = json.loads(out)
-    assert "baseline" in report
-    assert report["baseline"]["mean_token_order_hit_rate"] is not None
-    for row in report["rows"]:
-        assert row["baseline_hit_rate"] is not None
-        assert row["page_hit_rate"] is not None
+    # The second run has anchor 0 and reuse layers 1 and 2, which own no store.
+    for extra in ([], ["--skip-layers", "0", "--reuse-stride", "3"]):
+        code, out, _ = _run(capsys, ["compare-baseline", *SMALL, "--steps", "6",
+                                     "--budget", "16", *extra])
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["engine"]["reuse_stride"] == (3 if extra else 1)
+        assert "baseline" in report
+        assert report["baseline"]["mean_token_order_hit_rate"] is not None
+        for row in report["rows"]:
+            assert row["baseline_hit_rate"] is not None
+            assert row["page_hit_rate"] is not None
 
 
 def test_sweep_recall_monotone_in_budget(capsys):

@@ -17,14 +17,13 @@ head (2, 0), point 382 (row 366) took parent row 93 instead of 173, whose
 float64 dot products with it differ by 1.1e-9. The other two configurations
 did not move.
 
-The skip1-reuse3 attended-ids and metrics digests were re-pinned when each
-indexed layer got its own fold fill instead of folding with its anchor
-group: reuse layers 2 and 3 now fold at fills 6 and 11, after anchor 1 at
-fill 1, and between those fills they attend their oldest window page as
-window tokens and look up only the anchor tokens below it, so they select
-fewer pages. Their trees and pages end the run as before. The default and
-gqa2 configurations have one layer per anchor group, whose fills did not
-change, and did not move.
+The skip1-reuse3 digests were re-pinned when reuse layers stopped owning
+trees and stores: reuse layers 2 and 3 now fold with anchor 1 at fill 1
+and attend its loaded pages, so they select the anchor's pages (2568
+pages selected over the run, from 2310), and the trees and pages digests
+cover anchor 1's heads only. Those two digests equal the ones the earlier
+per-layer engine gives for anchor 1's heads. The default and gqa2
+configurations have one layer per anchor group and did not move.
 """
 
 import hashlib
@@ -46,11 +45,11 @@ GOLDEN = {
          "ce87666b9a316cde628abf041d97119886d39edca8296724102bea7a0680de70",
          "c3b46e9126c2be96d21d4473a8cf48e52fda2d45fc1fe05b0bb3446acf5ff6e6"),
     (("skip_layers", 1), ("reuse_stride", 3)): (
-        "a1e7eba078870e37fe3a6fac059633a39786265d374d1a82dcf067e0b63b2018",
-        "e35cbf32875e8dea2e263ab945f7557d1ee469d3b1bb5e9c8699de58fbda6e6e",
-        [780, 20780, 2310, 1990, 20270, 1630848, 232, 80],
-        "a3a72317900125fc5dcb64c658e226d3df2f9044d5e76208d05577757dc51183",
-        "715f7ea82cbd535f09dfa2bb1fcf11f1abc793b3bab3c7233f6e152df3e18f8e"),
+        "9079abe96fb667452710243ae4c366e0186cfb03941fce738b19211a9d21b911",
+        "0b1102cfba2b881f50e71a6f77145d39a318dd4493b0569f485fa3947e9a60cb",
+        [780, 20780, 2568, 2208, 20757, 1647648, 231, 80],
+        "277397a28c00c3a7a1d9f439f8460bd76ea65c9cd7b03742979733a2bcaa52e0",
+        "1aec4273575740194a3999ad0688189905d53979c7545195b1312ca9decae9e1"),
     (("query_heads_per_group", 2),): (
         "30fc132e313046f4d3eb5e241330f784ed6b647acb96496b0cc5c613ed6e5a0a",
         "7c37fb20be273cda8e24463234c83fed511829d51f8367e18d23b523e956d946",

@@ -104,32 +104,38 @@ def test_prefill_validates_inputs():
 
 
 def test_each_indexed_layer_folds_once_per_page_at_its_fill():
-    # Indexed layer l of n_indexed folds its oldest window page when the
-    # newest window page's fill reaches page_size * (l - skip_layers) //
-    # n_indexed + 1: layers 1 to 4 fold at fills 1, 5, 9 and 13, each anchor
-    # (1 and 3) before the reuse layer that reads its selection.
+    # Indexed layer l of anchor a folds its oldest window page when the
+    # newest window page's fill reaches page_size * (a - skip_layers) //
+    # n_indexed + 1: anchor groups {1, 2} and {3, 4} fold at fills 1 and 9,
+    # each group on one step. Only anchors own a tree and a store, so only
+    # they charge the offload and insert the folded page.
     wl, cfg = _small(n_tokens=600, layers=5, skip_layers=1, reuse_stride=2, token_budget=8)
     n_prefill = 512  # multiple of page size: the first token opens a fresh window page
     eng = Engine(cfg).prefill(wl, n_prefill)
     s = cfg.page_size
     assert eng.anchors == [1, 3]
-    folds = {key: [] for key in eng.heads}  # (step, newest window fill) of each fold
+    assert sorted(eng.heads) == [(1, 0), (1, 1), (3, 0), (3, 1)]
+    folds = {layer: [] for layer in eng.window_start}  # (step, newest window fill) of each fold
     for t in range(3 * s):
+        starts = dict(eng.window_start)
         before = {key: (state.store.stats.pages_offloaded, len(state.tree))
                   for key, state in eng.heads.items()}
         eng.decode_step(wl.decode_step(n_prefill, t))
         n = n_prefill + t + 1
-        for key, state in eng.heads.items():
-            offloaded, size = before[key]
-            window = n - eng.window_start[key[0]]
-            assert state.store.stats.pages_offloaded - offloaded in (0, 1)
-            if state.store.stats.pages_offloaded > offloaded:
-                assert len(state.tree) == size + s  # the folded page was full
-                folds[key].append((t, (window - 1) % s + 1))
+        for layer, start in eng.window_start.items():
+            window = n - start
+            assert start - starts[layer] in (0, s)
+            if start > starts[layer]:
+                folds[layer].append((t, (window - 1) % s + 1))
             assert (cfg.window_pages - 1) * s < window <= (cfg.window_pages + 1) * s
-    for (layer, h), seen in folds.items():
-        k = layer - cfg.skip_layers
-        assert seen == [(page * s + s * k // 4, s * k // 4 + 1) for page in range(3)], (layer, h)
+        for (layer, h), state in eng.heads.items():
+            offloaded, size = before[(layer, h)]
+            folded = eng.window_start[layer] > starts[layer]
+            assert state.store.stats.pages_offloaded - offloaded == folded
+            assert len(state.tree) == size + s * folded  # the folded page was full
+    for layer, seen in folds.items():
+        k = 2 * ((layer - cfg.skip_layers) // 2)  # its anchor's offset among indexed layers
+        assert seen == [(page * s + s * k // 4, s * k // 4 + 1) for page in range(3)], layer
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -442,6 +448,7 @@ def test_anchor_layer_arithmetic():
     wl, cfg = _small(layers=8, kv_heads=1, reuse_stride=2, token_budget=8)
     eng = Engine(cfg).prefill(wl, 500)
     assert eng.anchors == [2, 4, 6]
+    assert eng.anchor_of == {2: 2, 3: 2, 4: 4, 5: 4, 6: 6, 7: 6}
 
 
 def test_reuse_off_makes_every_indexed_layer_an_anchor():
@@ -470,6 +477,39 @@ def test_anchor_selections_match_vanilla():
         _, metrics = reused.decode_step(step)
         store = reused.heads[(layer, 0)].store
         assert find_page_index(metrics.selections[(layer, 0)], store).tolist() == want
+
+
+def test_reuse_layers_are_charged_their_anchors_backload():
+    """Every indexed (layer, kv head) is charged as if it kept its own hot
+    set over the pages its selection lists in its anchor head's store: a
+    step moves the selected pages that were not hot, in one transaction if
+    any page moves, at fill x (d + d') x 4 bytes, and leaves the selected
+    pages hot. Replayed over two folds of each anchor, the model's sums
+    are the step's counters at every step."""
+    wl, cfg = _small(n_tokens=600, layers=7, skip_layers=1, reuse_stride=3, token_budget=8,
+                     query_heads_per_group=2)
+    n_prefill, s, g = 512, cfg.page_size, cfg.query_heads_per_group
+    eng = Engine(cfg).prefill(wl, n_prefill)
+    assert eng.anchors == [1, 4] and len(eng.heads) == len(eng.anchors) * cfg.kv_heads
+    hot = {(layer, h): set() for layer in eng.window_start for h in range(cfg.kv_heads)}
+    folds = Counter()
+    for t in range(2 * s):
+        starts = dict(eng.window_start)
+        _, metrics = eng.decode_step(wl.decode_step(n_prefill, t))
+        folds.update(a for a in eng.anchors if eng.window_start[a] > starts[a])
+        want = dict.fromkeys(("pages_selected", "pages_loaded", "bytes_moved", "transactions"), 0)
+        for layer, h in hot:
+            store = eng.heads[(layer - (layer - 1) % 3, h)].store
+            union = gqa_union([metrics.selections[(layer, qh)] for qh in range(h * g, h * g + g)])
+            pages = set(find_page_index(union, store).tolist())
+            moved = sorted(pages - hot[(layer, h)])
+            hot[(layer, h)] = pages
+            want["pages_selected"] += len(pages)
+            want["pages_loaded"] += len(moved)
+            want["bytes_moved"] += int(store.fill[moved].sum()) * (cfg.d + cfg.d_prime) * 4
+            want["transactions"] += bool(moved)
+        assert {name: getattr(metrics, name) for name in want} == want, t
+    assert folds == {1: 2, 4: 2}
 
 
 def test_reuse_skips_tree_queries_on_intermediate_layers():
@@ -526,9 +566,10 @@ def test_config_validation():
 class DecodeMachine(RuleBasedStateMachine):
     """Decode steps on small engines whose 4-token window pages fold every
     few steps, with and without key norms that outgrow the prefill scale.
-    Each indexed layer folds at its own window fill; in the six-layer shape
-    five indexed layers share four fills, so layers 1 and 2 fold on one
-    step. A prompt of 118 tokens ends mid-page, past the first layer's fill."""
+    Each anchor group folds at its anchor's window fill; in the six-layer
+    shape, anchors 1, 3 and 5 fold at fills 1, 2 and 4 of five indexed
+    layers. A prompt of 118 tokens ends mid-page, past the first layer's
+    fill."""
 
     MAX_STEPS = 100
 
@@ -560,20 +601,27 @@ class DecodeMachine(RuleBasedStateMachine):
             self.folding.append([layer for layer, start in before.items()
                                  if self.eng.window_start[layer] > start])
 
+    def _anchor(self, layer):
+        return max(a for a in self.eng.anchors if a <= layer)
+
     @invariant()
     def layers_fold_together_only_at_a_shared_fill(self):
-        # Fold fills page_size * k // n_indexed + 1 are distinct while
-        # n_indexed <= page_size, so then at most one layer folds per step.
+        # An anchor group folds whole, at its anchor's fill. Fold fills
+        # page_size * k // n_indexed + 1 are distinct while n_indexed <=
+        # page_size, so then the layers folding on a step are one group.
         fold_at = self.eng._fold_at
-        assert all(len({fold_at[layer] for layer in folded}) <= 1 for folded in self.folding)
-        if len(fold_at) <= self.eng.cfg.page_size:
-            assert all(len(folded) <= 1 for folded in self.folding)
+        for folded in self.folding:
+            assert len({fold_at[layer] for layer in folded}) <= 1
+            groups = {self._anchor(layer) for layer in folded}
+            assert sorted(folded) == [layer for layer in fold_at if self._anchor(layer) in groups]
+            if len(fold_at) <= self.eng.cfg.page_size:
+                assert len(groups) <= 1
 
     @invariant()
     def state_holds(self):
         eng, n = self.eng, self.prefill + self.steps
         cfg, s = eng.cfg, eng.cfg.page_size
-        for (layer, h), state in eng.heads.items():
+        for (layer, _), state in eng.heads.items():
             state.tree.check_invariants()
             store = state.store
             start = eng.window_start[layer]
@@ -592,12 +640,25 @@ class DecodeMachine(RuleBasedStateMachine):
             for t in state.tree.point_ids:
                 assert listed[t] == 1
                 assert t in store.tokens_in([store.page_of[t]])
-            anchor = max(a for a in eng.anchors if a <= layer)
-            # A reuse layer folds after its anchor: its points are a prefix of
-            # the anchor's, short by no page or by one.
-            points, anchor_points = state.tree.point_ids, eng.heads[(anchor, h)].tree.point_ids
-            assert len(anchor_points) - len(points) in (0, s)
-            assert anchor_points[: len(points)] == points
+        # Only anchors own a tree and a store.
+        assert sorted(eng.heads) == [(a, h) for a in eng.anchors for h in range(cfg.kv_heads)]
+
+    @invariant()
+    def reuse_layers_share_their_anchors_window_and_attended_ids(self):
+        # A reuse layer's selection is its anchor's union, and it attends
+        # the anchor's ids: the same sink, window and loaded pages.
+        eng, g = self.eng, self.eng.cfg.query_heads_per_group
+        for layer in eng.window_start:
+            anchor = self._anchor(layer)
+            assert eng.window_start[layer] == eng.window_start[anchor]
+            if not self.steps or layer == anchor:
+                continue
+            for qh, (out, anchor_out) in enumerate(zip(self.outputs[layer],
+                                                       self.outputs[anchor])):
+                assert np.array_equal(out.token_ids, anchor_out.token_ids), (layer, qh)
+                union = gqa_union([self.selected[(anchor, p)]
+                                   for p in range(qh // g * g, (qh // g + 1) * g)])
+                assert np.array_equal(self.selected[(layer, qh)], union), (layer, qh)
 
     @invariant()
     def reuse_layers_attend_every_token_their_anchor_selected(self):
@@ -605,7 +666,7 @@ class DecodeMachine(RuleBasedStateMachine):
             return
         eng, g = self.eng, self.eng.cfg.query_heads_per_group
         for layer in eng.window_start:
-            anchor = max(a for a in eng.anchors if a <= layer)
+            anchor = self._anchor(layer)
             for qh, out in enumerate(self.outputs[layer]):
                 group = range(qh // g * g, (qh // g + 1) * g)
                 picked = np.concatenate([self.selected[(anchor, p)] for p in group])
@@ -617,7 +678,7 @@ class DecodeMachine(RuleBasedStateMachine):
         if not self.steps:
             return
         eng, n = self.eng, self.prefill + self.steps
-        for layer in {layer for layer, _ in eng.heads}:
+        for layer in eng.window_start:
             resident = np.concatenate((np.arange(eng.sink_end),
                                        np.arange(eng.window_start[layer], n)))
             for qh, out in enumerate(self.outputs[layer]):

@@ -18,8 +18,9 @@ def _stream(seed=3, n_tokens=600, layers=7, kv_heads=2, group=2, **cfg_kwargs):
 
 
 def test_the_scored_indexed_range_is_each_trees_points_at_every_step():
-    # Reuse layers fold after their anchor, so layers' indexed ranges differ
-    # for part of each page; each layer's range must still be its own trees'.
+    # Anchor groups {1, 2, 3} and {4, 5, 6} fold at different fills, so
+    # their indexed ranges differ for part of each page; each layer's range
+    # must still be its anchor's trees' points.
     wl, cfg = _stream(skip_layers=1, reuse_stride=3)
     eng = Engine(cfg).prefill(wl, 505)
     keys = [(layer, qh) for layer in range(1, 7) for qh in range(cfg.n_query_heads)]
@@ -28,10 +29,12 @@ def test_the_scored_indexed_range_is_each_trees_points_at_every_step():
         _, metrics = eng.decode_step(wl.decode_step(505, t))
         assert list(metrics.selections) == keys
         apart += len({eng.window_start[layer] for layer in range(1, 7)}) > 1
-        for (layer, _), state in eng.heads.items():
+        for layer in range(1, 7):
             indexed = np.arange(eng.sink_end, eng.window_start[layer])  # score_step's range
-            assert indexed.size == len(state.tree)
-            assert set(indexed.tolist()) == set(state.tree.point_ids)
+            for h in range(cfg.kv_heads):
+                tree = eng.heads[(layer - (layer - 1) % 3, h)].tree
+                assert indexed.size == len(tree)
+                assert set(indexed.tolist()) == set(tree.point_ids)
     assert apart > 0
 
 
@@ -51,7 +54,8 @@ def test_scoring_changes_no_output_counter_or_store_state():
             assert np.array_equal(out_a.token_ids, out_b.token_ids)
             assert np.array_equal(out_a.dense_weights, out_b.dense_weights)
             assert np.array_equal(out_a.value_out, out_b.value_out)
-        for key, state in scored.heads.items():
+        assert sorted(scored.heads) == sorted(plain.heads) == [(1, 0), (1, 1), (4, 0), (4, 1)]
+        for key, state in scored.heads.items():  # every store: the anchors'
             other = plain.heads[key].store
             assert state.store.stats == other.stats
             assert np.array_equal(state.store.hot, other.hot)

@@ -44,8 +44,9 @@ def test_crossover_prints_one_row_per_key_kind():
 
 def test_step_profile_lists_every_indexed_layers_folds():
     """`benchmarks/step_profile.py` reads the decode tail per step position,
-    so a 2-repeat run on reuse-drift (six indexed layers, 16-token pages,
-    64 steps) must show each indexed layer folding once per page."""
+    so a 2-repeat run on reuse-drift (six indexed layers in two anchor
+    groups, 16-token pages, 64 steps) must show each indexed layer folding
+    once per page, a group's layers on one step."""
     run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "step_profile.py"),
                           "--workload", "reuse-drift", "--repeats", "2"],
                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
@@ -55,8 +56,9 @@ def test_step_profile_lists_every_indexed_layers_folds():
     assert [int(i) for i, _ in rows] == list(range(64))
     folded = [layer for _, layers in rows if layers != "-" for layer in layers.split()]
     assert sorted(Counter(folded).items()) == [(str(layer), 4) for layer in range(1, 7)]
-    assert re.fullmatch(r"median: fold steps [\d.]+ ms \(24 steps\), "
-                        r"other steps [\d.]+ ms \(40 steps\)", lines[-1])
+    assert {layers for _, layers in rows} == {"-", "1 2 3", "4 5 6"}
+    assert re.fullmatch(r"median: fold steps [\d.]+ ms \(8 steps\), "
+                        r"other steps [\d.]+ ms \(56 steps\)", lines[-1])
 
 
 def test_micro_benchmarks_run_once_each():

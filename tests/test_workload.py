@@ -77,6 +77,13 @@ def test_spec_validation():
         WorkloadSpec(kind="clustered", clusters=0)
 
 
+@pytest.mark.parametrize("name", ["cluster_spread", "needle_gain", "layer_jitter"])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_spec_rejects_a_negative_or_non_finite_scale(name, value):
+    with pytest.raises(ConfigError, match=name):
+        WorkloadSpec(**{name: value})
+
+
 def test_trace_round_trip(tmp_path):
     spec = WorkloadSpec(kind="clustered", n_tokens=64, d=12, d_prime=6,
                         clusters=4, layers=2, kv_heads=2,
