@@ -25,22 +25,22 @@ that the build's parent scan, inserts and queries read. Two candidates
 whose float64 inner products differ by less than float32 resolution (about
 1e-7) may rank either way.
 
-One parent rule serves the batch build and decode-time inserts: a point's
+Points enter the tree one way, `DciTree.insert`; a build
+(`dci_indexing`) is one insert into an empty tree. An inserted point's
 parent is its exact nearest lifted neighbour among the points that reach
-one level above its top level. Lifted points are unit vectors, so that is
-the candidate of largest inner product (any one of several equal ones),
-found by a dense scan (`_parent_rows`): one float32 matmul and one argmax
-per block of rows. The build scans every point against all others, still
-quadratic in the key count; a page inserted during decode scans each of
-its points against the rows before it. A point with no earlier candidate
-takes the first later one instead: that point grows the tree and takes
-over the top node, so inserting a page equals inserting its points one at
-a time.
+one level above its top level once its batch is in. Lifted points are
+unit vectors, so that is the candidate of largest inner product (any one
+of several equal ones), found by a dense scan (`_parent_rows`): one
+float32 matmul and one argmax per block of rows. A build scans every
+point against all others, still quadratic in the key count; a page
+inserted during decode scans its points against the tree's rows above
+them. Points already in the tree keep their parents, except that a batch
+reaching above the tree gives the former top node to its first such
+point.
 
-One writer lays out the levels for both: `DciTree._link` adds buffer rows,
-whose top levels and parent rows are set, to every level they reach. The
-build and an insert each link all of their rows in one call, which first
-grows the tree to their highest level. A node is named by its owner, the
+`DciTree._link` adds an insert's buffer rows, whose top levels and parent
+rows are set, to every level they reach, in one call that first grows the
+tree to their highest level. A node is named by its owner, the
 point one level up whose children it holds (`ROOT_OWNER` for the top
 node), so a node's name does not depend on how its points were batched.
 Which node holds a point at a level is read from the row arrays
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_ids, distinct, grown
+from .arrays import as_ids, grown
 from .errors import ConfigError, InputError
 from .geometry import KeyScale, lift_keys
 from .pagestore import TierStore
@@ -163,17 +163,13 @@ def _nearest(ids: np.ndarray, score: np.ndarray, m: int) -> np.ndarray:
     return np.lexsort((ids, score))
 
 
-def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
-                 earlier: bool = False) -> np.ndarray:
+def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each given row's exact nearest row one level above its top level.
 
     `buf` holds the lifted points and `top` their top levels, one per row.
-    A row at top level l has as candidates the rows of top level above l,
-    with `earlier` only those before it; its parent is the candidate
-    nearest to it, or -1 if it has none. With `earlier`, a row that has no
-    earlier candidate takes the first later one instead: inserted one at a
-    time, that row grows the tree and takes over the top node, which holds
-    the given row by then. Every row is a unit vector, so
+    A row at top level l has as candidates every row of top level above l;
+    its parent is the candidate nearest to it, or -1 if it has none. Every
+    row is a unit vector, so
     |p - c|^2 = 2 - 2 p . c and the nearest candidate is the one of largest
     p . c: `argmax` of one matmul, in float32 as `buf` is. Among
     candidates of equal p . c the parent is one of them, not always the
@@ -194,11 +190,7 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray,
         cand_t = buf[cands].T
         for a in range(0, at.size, PARENT_BLOCK):
             block = at[a:a + PARENT_BLOCK]
-            pts = rows[block]
-            dots = buf[pts] @ cand_t
-            if earlier:
-                dots[cands >= pts[:, None]] = -np.inf
-            parent[block] = cands[np.argmax(dots, axis=1)]  # all masked: the first later
+            parent[block] = cands[np.argmax(buf[rows[block]] @ cand_t, axis=1)]
     return parent
 
 
@@ -306,7 +298,7 @@ class DciTree:
             raise InputError("key contains non-finite coordinates")
         self.store.check_unlisted(ids)
 
-    def _add_rows(self, ids, keys: np.ndarray, top, *, earlier: bool) -> np.ndarray:
+    def _add_rows(self, ids, keys: np.ndarray, top) -> np.ndarray:
         """Give points the buffer rows after the last one: keys lifted in
         place (`lift_keys`) with their lengths, ids, top levels and parents
         (`_parent_rows`); rows longer than 1 add to `scale_clamps`. Returns
@@ -320,8 +312,7 @@ class DciTree:
         self._point[rows] = ids
         self._top[rows] = top
         self._n += rows.size
-        self._parent[rows] = _parent_rows(self._buf[: self._n], self._top[: self._n], rows,
-                                          earlier=earlier)
+        self._parent[rows] = _parent_rows(self._buf[: self._n], self._top[: self._n], rows)
         return rows
 
     # -- node helpers -----------------------------------------------------
@@ -432,48 +423,45 @@ class DciTree:
     # -- page placement -----------------------------------------------------
 
     def _place(self, rows: np.ndarray) -> None:
-        """Give linked rows' ids page slots, taking the rows in the given
-        order, in which each leaf's given rows are its last members: an id
-        whose position in its leaf is a multiple of page_size opens a page,
-        and every other id joins the page of the id before it in its leaf.
-        New pages take the next page ids in the order of the ids opening
-        them, and one `TierStore._put` call writes every slot."""
+        """Give linked rows' ids page slots, the leaves' last members, leaf
+        by leaf: leaves in the order of their first given row, each leaf's
+        rows in the given order. An id whose position in its leaf is a
+        multiple of page_size opens a page, and every other id joins the
+        page of the id before it in its leaf. New pages take the next page
+        ids in that order, and one `TierStore._put` call writes every slot."""
         store = self.store
         owner = self._node_of(rows, 1)  # -1: the top node
         order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
+        lead = order[np.searchsorted(owner[order], owner[order])]  # the leaf's first given row
+        turn = np.argsort(lead, kind="stable")
+        order, lead = order[turn], lead[turn]  # leaves by first given row: `lead` ascends
         leaf, at = owner[order], np.arange(rows.size)
         start, stop = np.searchsorted(self._owners[0], [leaf, leaf + 1])
-        pos = stop - start - np.searchsorted(leaf, leaf, side="right") + at  # place in the leaf
+        pos = stop - start - np.searchsorted(lead, lead, side="right") + at  # place in the leaf
         slot = pos % store.page_size
-        fresh = at - slot >= np.searchsorted(leaf, leaf)  # the page opens in this call
-        opens = np.zeros(rows.size, dtype=bool)
-        opens[order[fresh & (slot == 0)]] = True
-        page = np.empty(rows.size, dtype=np.int64)  # one per row, in given order
-        page[order[fresh]] = store.n_pages + np.cumsum(opens)[order[(at - slot)[fresh]]] - 1
+        fresh = at - slot >= np.searchsorted(lead, lead)  # the page opens in this call
+        page = np.empty(rows.size, dtype=np.int64)  # one per row, in `order`
+        page[fresh] = store.n_pages + np.cumsum(fresh & (slot == 0))[(at - slot)[fresh]] - 1
         first = self._members[0][(start + pos - slot)[~fresh]]  # opened the page earlier
-        page[order[~fresh]] = store.page_of[self._point[first]]
-        store._put(page, self._point[rows])  # the ids passed `_check`
+        page[~fresh] = store.page_of[self._point[first]]
+        store._put(page, self._point[rows[order]])  # the ids passed `_check`
 
     # -- dynamic insertion ----------------------------------------------------
 
     def insert(self, point_ids, keys, *, level=None) -> list[int]:
-        """Insert a sequence of ids, with one key row each, in order during
-        decode; returns their levels.
+        """Insert a sequence of ids, with one key row each; returns their
+        levels. The only way points enter the tree: a build is one insert
+        into an empty tree.
 
-        The result is the same tree, pages and counters as inserting the ids
-        one at a time. The batch is checked first (`_check`, the key shape
-        and any given levels); a batch that fails leaves the tree, the store
-        and the level stream unchanged. Levels are then drawn from the
-        tree's stream, all before any insert, unless given (`level=`, one
-        per id). A point's parent is its exact nearest point one level up
-        among those inserted before it. A draw above the current top level
-        grows the tree and re-parents the former top-level points to the
-        newcomer, so a point with no such earlier point has as parent the
-        first later point above its level, or none.
-
-        As in `dci_indexing`, one `_parent_rows` scan finds every parent,
-        one `_link` call writes every level and one `_place` call gives
-        every id a page slot.
+        The batch is checked first (`_check`, the key shape and any given
+        levels); a batch that fails leaves the tree, the store and the level
+        stream unchanged. Levels are then drawn from the tree's stream for
+        the whole batch, unless given (`level=`, one per id). A point's
+        parent is its exact nearest point one level up once the batch is in
+        (one `_parent_rows` scan), or none at the top. A batch reaching
+        above the current top level grows the tree, and its first point
+        above that level takes over the former top node. One `_link` call
+        writes every level and one `_place` call gives every id a page slot.
         """
         ids = as_ids(point_ids)
         keys = np.asarray(keys, dtype=float)
@@ -483,14 +471,14 @@ class DciTree:
             raise InputError(f"need one level >= 1 per point id, got {level}")
         self._check(ids, keys)
         if level is None:
-            levels = assign_levels(self.promotion_ratio, self.rng, ids.size).tolist()
+            levels = assign_levels(self.promotion_ratio, self.rng, ids.size)
         else:
-            levels = [int(lv) for lv in level]
+            levels = np.asarray(level, dtype=np.intp)
 
-        rows = self._add_rows(ids, keys, levels, earlier=True)
+        rows = self._add_rows(ids, keys, levels)
         self._link(rows)
         self._place(rows)
-        return levels
+        return levels.tolist()
 
     # -- integrity ------------------------------------------------------------
 
@@ -540,18 +528,16 @@ class DciTree:
 def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
                  store: TierStore | None = None, scale: KeyScale | None = None,
                  rows: int = 0) -> DciTree:
-    """Batch-build a tree over point ids and their key rows.
+    """Build a tree over point ids and their key rows: one `insert` of
+    every point into an empty tree.
 
-    Levels are drawn for every point first and empty levels removed; then
-    each point's parent is its exact nearest lifted neighbour one level up
-    (`_parent_rows`, the same result as an exhaustive-budget tree query,
-    orders of magnitude faster), and one `_link` call writes every level:
-    each node's members keep input order. One `_place` call lists every
-    leaf's members in pages of `store` (the tree's own store without one),
-    taking the leaves in order of their first point in the input. The ids
-    and keys are checked (`DciTree._check`) before any level is drawn. The
-    tree reserves room for `rows` points (at least the input), so inserts up
-    to that count never regrow it.
+    The scale is fixed from the keys unless given. Each point's parent is
+    its exact nearest lifted neighbour one level up (`_parent_rows`, the
+    same result as an exhaustive-budget tree query, orders of magnitude
+    faster); each node's members keep input order, and the leaves' pages in
+    `store` (the tree's own store without one) go leaf by leaf in the order
+    of each leaf's first point. The tree reserves room for `rows` points
+    (at least the input), so inserts up to that count never regrow it.
     """
     ids = as_ids(ids)
     mat = np.asarray(keys, dtype=float)
@@ -562,12 +548,6 @@ def dci_indexing(ids, keys, promotion_ratio: float, seed: int | tuple = 0, *,
     if scale is None:
         scale = KeyScale.from_keys(mat)
     tree = DciTree(mat.shape[1], scale, promotion_ratio, seed, store=store)
-    tree._check(ids, mat)
-    drawn = assign_levels(promotion_ratio, tree.rng, ids.size)
-    top = np.searchsorted(distinct(drawn), drawn) + 1  # levels compacted: none is empty
     tree._reserve(max(ids.size, rows))
-    tree._link(tree._add_rows(ids, mat, top, earlier=False))
-    leaves, owners = tree._members[0], tree._owners[0]
-    first = leaves[np.searchsorted(owners, owners)]  # each member's leaf's first row
-    tree._place(leaves[np.argsort(first, kind="stable")])  # leaves in first-row order
+    tree.insert(ids, mat)
     return tree

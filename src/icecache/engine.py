@@ -104,7 +104,10 @@ class StepMetrics:
     and its selections: each (indexed layer, query head)'s token ids, in
     that order, the arrays the step looked its pages up from (not copies).
     They are empty on an engine with no indexed layer, take no part in ==,
-    and are what `icecache.bench.score_step` scores."""
+    and are what `icecache.bench.score_step` scores.
+
+    `bytes_moved` and `transactions` count backloads only: a fold's page
+    write (`TierStore.offload`) reaches only the anchor store's `stats`."""
 
     step: int
     token_id: int

@@ -45,11 +45,15 @@ class KeyScale:
 
     @classmethod
     def from_keys(cls, keys: np.ndarray) -> "KeyScale":
-        """Fix the scale from a key matrix: SCALE_HEADROOM times its largest norm."""
+        """Fix the scale from a key matrix: SCALE_HEADROOM times its largest
+        norm. InputError if the keys are empty or that norm is not finite, so
+        a NaN or infinite key is named as such, not as a bad scale."""
         keys = np.asarray(keys, dtype=float)
         if keys.size == 0:
             raise InputError("cannot derive a scale from an empty key set")
         max_norm = float(np.sqrt(np.einsum("...j,...j->...", keys, keys).max()))
+        if not np.isfinite(max_norm):
+            raise InputError(f"non-finite keys: the largest key norm is {max_norm}")
         if max_norm == 0.0:
             max_norm = 1.0  # all-zero keys: any positive scale works
         return cls(SCALE_HEADROOM * max_norm)

@@ -740,26 +740,45 @@ def _paged_tree(batched):
     return tree, store
 
 
+# batched -> (leaves' owners and members, leaves' pages, page contents)
+PAGED_GOLDEN = {
+    # In a page, a point before a nearer level-2 point takes it as parent:
+    # 100 and 101 join 102's leaf, 110 joins 112's and 115-118 join 119's.
+    True: ([(4, [4, 6]), (5, [5, 7]), (8, [0, 1, 2, 3, 8, 10, 11]), (9, [9, 105]),
+            (102, [100, 101, 102, 103, 104, 111, 113]), (106, [106, 107, 108, 109]),
+            (112, [110, 112, 114]), (119, [115, 116, 117, 118, 119]), (120, [120])],
+           [(4, [3]), (5, [4]), (8, [0, 1, 2]), (9, [5]), (102, [6, 7, 11]), (106, [8, 9]),
+            (112, [10]), (119, [12, 13]), (120, [14])],
+           [[0, 1, 2], [3, 8, 10], [11], [4, 6], [5, 7], [9, 105], [100, 101, 102],
+            [103, 104, 111], [106, 107, 108], [109], [110, 112, 114], [113], [115, 116, 117],
+            [118, 119], [120]]),
+    False: ([(4, [4, 6]), (5, [5, 7]),
+             (8, [0, 1, 2, 3, 8, 10, 11, 100, 101, 115, 116, 117, 118]), (9, [9, 105]),
+             (102, [102, 103, 104, 110, 111, 113]), (106, [106, 107, 108, 109]),
+             (112, [112, 114]), (119, [119]), (120, [120])],
+            [(4, [3]), (5, [4]), (8, [0, 1, 2, 11, 12]), (9, [5]), (102, [6, 9]),
+             (106, [7, 8]), (112, [10]), (119, [13]), (120, [14])],
+            [[0, 1, 2], [3, 8, 10], [11, 100, 101], [4, 6], [5, 7], [9, 105], [102, 103, 104],
+             [106, 107, 108], [109], [110, 111, 113], [112, 114], [115, 116, 117], [118],
+             [119], [120]]),
+}
+
+
 @pytest.mark.parametrize("batched", [True, False])
 def test_page_inserts_match_golden_values(batched):
-    """Tree, pages and counters pinned from one-at-a-time inserts."""
+    """Tree, pages and counters pinned from page inserts and from
+    one-at-a-time inserts: the same levels, and parents by one rule once
+    each insert's points are in."""
     tree, store = _paged_tree(batched)
     tree.check_invariants()
+    leaves, leaf_pages, pages = PAGED_GOLDEN[batched]
     assert [(n.level, n.owner_id, n.parent_owner, n.member_ids)
             for n in tree.nodes.values()] == [
-        (1, 4, 112, [4, 6]), (1, 5, 112, [5, 7]),
-        (1, 8, 112, [0, 1, 2, 3, 8, 10, 11, 100, 101, 115, 116, 117, 118]),
-        (1, 9, 112, [9, 105]), (1, 102, 112, [102, 103, 104, 110, 111, 113]),
-        (1, 106, 112, [106, 107, 108, 109]), (1, 112, 112, [112, 114]), (1, 119, 112, [119]),
-        (1, 120, 112, [120]), (2, 112, ROOT_OWNER, [4, 5, 8, 9, 102, 106, 112, 119, 120]),
+        *[(1, owner, 112, members) for owner, members in leaves],
+        (2, 112, ROOT_OWNER, [4, 5, 8, 9, 102, 106, 112, 119, 120]),
         (3, ROOT_OWNER, None, [112])]
-    assert [(n.owner_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf] == [
-        (4, [3]), (5, [4]), (8, [0, 1, 2, 11, 12]), (9, [5]), (102, [6, 9]), (106, [7, 8]),
-        (112, [10]), (119, [13]), (120, [14])]
-    assert [store.tokens_in([pid]).tolist() for pid in range(15)] == [
-        [0, 1, 2], [3, 8, 10], [11, 100, 101], [4, 6], [5, 7], [9, 105], [102, 103, 104],
-        [106, 107, 108], [109], [110, 111, 113], [112, 114], [115, 116, 117], [118], [119],
-        [120]]
+    assert [(n.owner_id, n.page_ids) for n in tree.nodes.values() if n.is_leaf] == leaf_pages
+    assert [store.tokens_in([pid]).tolist() for pid in range(15)] == pages
     above = {4: 2, 5: 2, 8: 2, 9: 2, 102: 2, 106: 2, 112: 3, 119: 2, 120: 2}
     assert tree.point_level == {pid: above.get(pid, 1) for pid in [*range(12), *range(100, 121)]}
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
@@ -784,7 +803,9 @@ def _digest(value):
 def test_truncated_page_inserts_and_queries_match_golden_values():
     """Tree, pages, counters and query results pinned on a tree whose
     level-2 nodes pass 64 members; every node a query keeps is scanned
-    whole."""
+    whole, and inserts issue no query however large the node. Re-pinned
+    when page inserts took the build's parent rule: point 8144 moved from
+    leaf 7609 to leaf 8147, a level-2 point later in its page."""
     tree, queries = _uniform_paged_tree()
     tree.check_invariants()
     assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
@@ -792,7 +813,7 @@ def test_truncated_page_inserts_and_queries_match_golden_values():
     nodes = [(n.level, n.owner_id, n.parent_owner, n.member_ids, n.page_ids)
              for n in tree.nodes.values()]
     pages = [tree.store.tokens_in([pid]).tolist() for pid in range(tree.store.n_pages)]
-    assert (_digest(nodes), _digest(pages)) == ("774d974dd7c6c6fc", "1939b0f0dbe2bf15")
+    assert (_digest(nodes), _digest(pages)) == ("0f68b9072127b68e", "c154b599cad2bfa5")
     assert (tree.distance_evals, tree.query_count, tree.scale_clamps, tree.levels) == \
         (0, 0, 0, 3)
 
@@ -811,48 +832,10 @@ def _tree_state(tree):
             tree.point_level, tree.distance_evals, tree.query_count, tree.scale_clamps)
 
 
-def _insert_both_ways(tree, pages):
-    """Insert (ids, keys, levels) pages page-wise into tree and one id at a
-    time into a copy; both must end in the same state."""
-    twin = copy.deepcopy(tree)
-    for ids, keys, levels in pages:
-        assert tree.insert(ids, keys, level=levels) == levels
-        for pid, key, lv in zip(ids, keys, levels):
-            twin.insert([pid], key[None], level=[lv])
-    tree.check_invariants()
-    assert _tree_state(tree) == _tree_state(twin)
-
-
-def test_random_pages_insert_as_their_points_one_at_a_time():
-    """Pages of random levels, some topping the tree, inserted page-wise
-    into built and empty trees end as the same points inserted one id at a
-    time: the same nodes, layout, pages and counters."""
-    for trial in range(60):
-        rng = np.random.default_rng(500 + trial)
-        store = TierStore(4, 2, page_size=3)
-        if trial % 3:
-            n = int(rng.integers(1, 40))
-            tree = _index(rng.normal(size=(n, 4)), 0.3, seed=trial, store=store)
-        else:
-            n = 0
-            tree = DciTree(4, KeyScale(4.0), 0.3, seed=trial, store=store)
-        height, pages = tree.levels, []
-        for _ in range(int(rng.integers(1, 5))):
-            m = int(rng.integers(1, 12))
-            levels = rng.choice([1, 1, 1, 2, 3, 4, 6], size=m).tolist()
-            if rng.random() < 0.4:
-                levels[int(rng.integers(m))] = height + int(rng.integers(1, 3))
-            height = max(height, *levels)
-            pages.append((list(range(n, n + m)), rng.normal(size=(m, 4)), levels))
-            n += m
-        _insert_both_ways(tree, pages)
-
-
 def test_a_page_insert_links_in_one_call(monkeypatch):
     """A page goes to `_link` in one call however high its points reach,
     also when points grow the tree: one at the former top level before the
-    first grower, a second at the grower's level and a second grower. Each
-    page ends as one-at-a-time inserts."""
+    first grower, a second at the grower's level and a second grower."""
     rng = np.random.default_rng(46)
     tree = DciTree(4, KeyScale(4.0), 0.3, seed=46, store=TierStore(4, 2, page_size=3))
     tree.insert(range(12), rng.normal(size=(12, 4)), level=[4] + [1, 2, 3] * 3 + [1, 1])
@@ -868,17 +851,23 @@ def test_a_page_insert_links_in_one_call(monkeypatch):
     for levels in ([1, 2, 3, 1, 1], [1, 3, 5, 1, 2], [5, 6, 6, 7, 1]):
         calls.clear()
         height = tree.levels
-        _insert_both_ways(tree, [(list(range(n, n + 5)), rng.normal(size=(5, 4)), levels)])
+        assert tree.insert(range(n, n + 5), rng.normal(size=(5, 4)), level=levels) == levels
+        tree.check_invariants()
         assert [size for t, size in calls if t is tree] == [5]
         assert tree.levels == max(height, *levels)
         n += 5
 
 
 def _place_by_rule(twin, leaf_pages, placed, page_size):
-    """The placement rule spelled out on twin pages, each a list of ids:
-    each (leaf, id) in turn appends the id to the leaf's last page, opening
-    a page first when that page is full or the leaf has none."""
-    for leaf, pid in placed:
+    """The placement rule spelled out on twin pages, each a list of ids: a
+    batch's (leaf, id) pairs, given in batch order, go leaf by leaf, leaves
+    in the order of their first id in the batch and ids in batch order
+    within; each in turn appends the id to the leaf's last page, opening a
+    page first when that page is full or the leaf has none."""
+    first = {}
+    for at, (leaf, _) in enumerate(placed):
+        first.setdefault(leaf, at)
+    for leaf, pid in sorted(placed, key=lambda pair: first[pair[0]]):
         pages = leaf_pages.setdefault(leaf, [])
         if not pages or len(twin[pages[-1]]) == page_size:
             pages.append(len(twin))
@@ -896,22 +885,19 @@ def _assert_pages_equal(tree, twin, leaf_pages):
 
 @pytest.mark.parametrize("page_size", [2, 3])
 def test_page_writer_matches_the_placement_rule(page_size):
-    """Oracle for `_place`: page ids, fills and slot order equal the rule
-    applied one id at a time, for builds (leaves in order of their first
-    point) and for page inserts (ids in insert order), where one call opens
-    several pages in one leaf, opens pages in a leaf the call created, and
-    grows the tree."""
+    """Oracle for `_place`: page ids, fills and slot order equal one rule
+    applied one id at a time, for builds and for page inserts, where one
+    call opens several pages in one leaf, opens pages in a leaf the call
+    created, and grows the tree."""
     seen = set()
     for trial in range(30):
         rng = np.random.default_rng(700 + trial)
         n = int(rng.integers(1, 30))
         tree = _index(rng.normal(size=(n, 4)), 0.3, seed=trial,
                       store=TierStore(4, 2, page_size=page_size))
-        twin, leaf_pages = [], {}
-        leaves = sorted((node for node in tree.nodes.values() if node.is_leaf),
-                        key=lambda node: node.member_ids[0])
-        _place_by_rule(twin, leaf_pages, [(leaf.owner_id, pid) for leaf in leaves
-                                          for pid in leaf.member_ids], page_size)
+        twin, leaf_pages, nodes = [], {}, tree.nodes
+        _place_by_rule(twin, leaf_pages, [(_node_holding(tree, nodes, pid, 1).owner_id, pid)
+                                          for pid in range(n)], page_size)
         _assert_pages_equal(tree, twin, leaf_pages)
         for _ in range(4):
             m = int(rng.integers(1, 10))
@@ -943,47 +929,15 @@ def test_page_writer_matches_the_placement_rule(page_size):
     assert seen == {"several pages in one leaf", "pages in a new leaf", "growth"}
 
 
-def test_page_inserts_hide_later_points_from_earlier_parent_searches():
-    keys, _, _ = _clustered(37, 600, 8, 4)
-    tree = _index(keys, 0.2, seed=37, store=TierStore(8, 2, page_size=4))
-    rng = np.random.default_rng(38)
-    anchor = keys[0] * 1.01
-    near = anchor + rng.normal(size=(7, 8)) * 1e-4  # each one's nearest is the level-2 point
-    page = np.vstack([near[:3], anchor, near[3:]])
-    _insert_both_ways(tree, [(list(range(1000, 1008)), page, [1, 1, 1, 2, 1, 1, 1, 1])])
-    leaf = _node_holding(tree, tree.nodes, 1003, 1)
-    assert leaf.owner_id == 1003 and leaf.member_ids == [1003, 1004, 1005, 1006, 1007]
-
-
-def test_page_inserts_into_a_large_level_2_node_match_one_at_a_time(monkeypatch):
-    rng = np.random.default_rng(39)
-    tree = DciTree(6, KeyScale(4.0), 0.2, seed=39, store=TierStore(6, 2, page_size=4))
-    tree.insert([0], rng.normal(size=(1, 6)), level=[3])
-    tree.insert(range(1, 80), rng.normal(size=(79, 6)), level=[2] * 79)
-    assert max(len(n.member_ids) for n in tree.nodes.values() if n.level == 2) > 64
-    pages = [(list(range(p, p + 8)), rng.normal(size=(8, 6)), [1, 2, 1, 1, 2, 2, 1, 1])
-             for p in range(100, 140, 8)]
-    searchers = []
-    query = DciTree.query
-
-    def counted(self, *args, **kwargs):
-        searchers.append(self)
-        return query(self, *args, **kwargs)
-    monkeypatch.setattr(DciTree, "query", counted)
-    for page in pages:
-        searchers.clear()
-        counters = (tree.query_count, tree.distance_evals)
-        _insert_both_ways(tree, [page])
-        # Parents come from the dense scan, however large the node: no query.
-        assert not searchers and (tree.query_count, tree.distance_evals) == counters
-
-
-def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
+def test_page_inserts_give_every_point_its_exact_nearest_parent():
     """Oracle for the parent rule on a head shaped like reuse-drift's (2048
     prompt keys in 256 clusters, 16-token pages): drawn levels, a page that
     grows the top, and key norms that drift past the scale and clamp. Each
-    inserted point's parent is its nearest lifted point among the earlier
-    points that reach above its top level."""
+    inserted point's owner at its top level is its nearest lifted point
+    among all the points that reach above that level once its page is in,
+    the build's rule; some are later points of the same page. A point with
+    none is in the top node, or in the node of the point that grew the tree
+    after it."""
     keys, _, _ = _clustered(41, 2048 + 24 * 16, 64, 256)
     keys[2048:] *= 1.001 ** np.arange(1, 24 * 16 + 1)[:, None]
     tree = _index(keys[:2048], 0.1, seed=41, store=TierStore(64, 64))
@@ -994,6 +948,7 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
         if first == 2048 + 12 * 16:
             levels = assign_levels(0.1, rng, 16).tolist()
             levels[5] = tree.levels + 1
+            grower = first + int(np.argmax(np.array(levels) > tree.levels))
         tree.insert(range(first, first + 16), keys[first:first + 16], level=levels)
     tree.check_invariants()
     assert tree.levels > built_levels and tree.scale_clamps > 0
@@ -1001,18 +956,20 @@ def test_page_inserts_give_every_point_its_exact_nearest_earlier_parent():
     point_level = tree.point_level
     top = np.array([point_level[pid] for pid in range(len(keys))])
     lifted = _lifted(tree, range(len(keys)))
-    checked = 0
+    checked = later = 0
     nodes = tree.nodes
     for pid in range(2048, len(keys)):
         owner = _node_holding(tree, nodes, pid, int(top[pid])).owner_id
-        earlier = np.flatnonzero(top[:pid] > top[pid])
-        if not earlier.size:  # it topped the tree when it came
-            assert owner == ROOT_OWNER or owner > pid
+        page_end = pid - pid % 16 + 16
+        above = np.flatnonzero(top[:page_end] > top[pid])
+        if not above.size:  # it topped the tree when its page came
+            assert owner == (grower if pid < grower - grower % 16 else ROOT_OWNER), pid
             continue
-        d2 = ((lifted[earlier] - lifted[pid]) ** 2).sum(axis=1)
-        assert owner in earlier and d2[earlier == owner][0] <= d2.min() + 1e-12, pid
+        d2 = ((lifted[above] - lifted[pid]) ** 2).sum(axis=1)
+        assert owner in above and d2[above == owner][0] <= d2.min() + 1e-12, pid
         checked += 1
-    assert checked >= 300
+        later += owner > pid
+    assert checked >= 300 and later > 0
 
 
 def test_insert_returns_levels_and_rejects_bad_batches():

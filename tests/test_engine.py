@@ -100,6 +100,14 @@ def test_prefill_validates_inputs():
         eng.prefill(wl, 500)
 
 
+def test_prefill_names_a_non_finite_indexed_key():
+    """A NaN key in the indexed range fails as a bad key, not a bad scale."""
+    wl, cfg = _small()
+    wl.keys[250, cfg.skip_layers, 0, 3] = np.nan
+    with pytest.raises(InputError, match="non-finite keys"):
+        Engine(cfg).prefill(wl, 500)
+
+
 # -- decode flow ------------------------------------------------------------------
 
 

@@ -150,3 +150,11 @@ def test_keyscale_from_keys_headroom_and_zero_keys():
     assert KeyScale.from_keys(np.zeros((4, 2))).c == pytest.approx(1.05)
     with pytest.raises(InputError):
         KeyScale(-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_keyscale_from_keys_names_non_finite_keys(bad):
+    keys = np.ones((5, 3))
+    keys[2, 1] = bad
+    with pytest.raises(InputError, match="non-finite keys"):
+        KeyScale.from_keys(keys)
