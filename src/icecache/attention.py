@@ -81,8 +81,6 @@ class AttentionOutput:
 
 def _stack(vectors, name: str) -> np.ndarray:
     mat = np.asarray(vectors, dtype=float)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise InputError(f"{name} must be a non-empty sequence of vectors")
     return mat

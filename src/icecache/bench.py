@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .engine import Engine, EngineConfig, StepMetrics, pipeline_estimate
 from .errors import ConfigError, InvariantViolation
 from .geometry import exact_topk
 from .pagestore import find_page_index
-from .workload import Workload, WorkloadSpec, generate_workload, load_trace
+from .workload import Workload
 
 SCHEMA_VERSION = 1
 
@@ -107,20 +107,15 @@ def _aggregate(rows: list[dict]) -> dict:
             **{f"total_{f}": sum(r[f] for r in rows) for f in _TOTAL_FIELDS}}
 
 
-def run_bench(cfg: EngineConfig, spec: WorkloadSpec | None, steps: int, *,
+def run_bench(cfg: EngineConfig, workload: Workload, steps: int, *,
               baseline: bool = False, trace_path: str | None = None) -> dict:
     """Prefill plus `steps` decode steps, each scored as it is decoded;
     returns the report. The last `steps` tokens of the stream are decoded,
     the rest prefilled. With `baseline`, the rows score the token-order
-    layout too and the report gains its baseline block."""
+    layout too and the report gains its baseline block. `trace_path`, the
+    file the workload was read from, is only echoed in the report."""
     if steps < 1:
         raise ConfigError("need at least one decode step")
-    if trace_path is not None:
-        workload = load_trace(trace_path)
-    elif spec is not None:
-        workload = generate_workload(spec)
-    else:
-        raise ConfigError("either a workload spec or a trace path is required")
     n_prefill = workload.n_tokens - steps
     if n_prefill < 1:
         raise ConfigError(f"stream too short: {workload.n_tokens} tokens for {steps} steps")
@@ -156,22 +151,21 @@ def run_bench(cfg: EngineConfig, spec: WorkloadSpec | None, steps: int, *,
     return report
 
 
-def run_sweep(cfg: EngineConfig, spec: WorkloadSpec, steps: int,
+def run_sweep(cfg: EngineConfig, workload: Workload, steps: int,
               budgets: list[int], *, baseline: bool = False) -> dict:
-    """One bench per token budget over the identical workload; each run
-    keeps its aggregates and, with `baseline`, its baseline block."""
+    """One bench per token budget over the one workload; each run keeps
+    its aggregates and, with `baseline`, its baseline block."""
     if not budgets:
         raise ConfigError("sweep needs at least one budget")
     runs = []
     for budget in budgets:
-        run_cfg = EngineConfig(**{**asdict(cfg), "token_budget": budget})
-        report = run_bench(run_cfg, spec, steps, baseline=baseline)
+        report = run_bench(replace(cfg, token_budget=budget), workload, steps, baseline=baseline)
         runs.append({"token_budget": budget, "aggregates": report["aggregates"]})
         if "baseline" in report:
             runs[-1]["baseline"] = report["baseline"]
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {"engine": asdict(cfg), "workload": asdict(spec), "steps": steps},
+        "config": {"engine": asdict(cfg), "workload": asdict(workload.spec), "steps": steps},
         "sweep": runs,
     }
 

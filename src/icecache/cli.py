@@ -19,7 +19,7 @@ from .bench import pipeline_report, run_bench, run_sweep, write_csv
 from .engine import EngineConfig
 from .errors import (ConfigError, IceCacheError, InputError, InvariantViolation,
                      TraceFormatError)
-from .workload import WorkloadSpec, generate_workload, save_trace
+from .workload import WorkloadSpec, generate_workload, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,14 +148,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.tokens}-token trace to {args.out}")
         elif args.command in ("bench", "compare-baseline"):
             cfg = _config_from(args)
-            spec = None if args.trace else _spec_from(args)
-            report = run_bench(cfg, spec, args.steps, baseline=args.command == "compare-baseline",
-                               trace_path=args.trace)
+            workload = load_trace(args.trace) if args.trace else generate_workload(_spec_from(args))
+            report = run_bench(cfg, workload, args.steps,
+                               baseline=args.command == "compare-baseline", trace_path=args.trace)
             _emit(report, args)
         elif args.command == "sweep":
             budgets = [int(b) for b in args.budgets.split(",") if b]
-            report = run_sweep(_config_from(args), _spec_from(args), args.steps, budgets,
-                               baseline=args.baseline)
+            report = run_sweep(_config_from(args), generate_workload(_spec_from(args)),
+                               args.steps, budgets, baseline=args.baseline)
             _emit(report, args)
         elif args.command == "pipeline-est":
             report = pipeline_report(args.prefill, args.offload, args.index, args.layers)

@@ -227,7 +227,6 @@ class DciTree:
         entropy = np.random.SeedSequence(seed if isinstance(seed, int) else list(seed)).entropy
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(0,)))
 
-        self.levels = 0
         self._buf = np.empty((0, dim + 1), dtype=np.float32)  # lifted rows
         self._point = np.empty(0, dtype=np.int64)  # row -> point id
         self._top = np.empty(0, dtype=np.intp)     # row -> top level
@@ -245,6 +244,11 @@ class DciTree:
 
     def __len__(self) -> int:
         return self._n
+
+    @property
+    def levels(self) -> int:
+        """The tree's height: one level array pair per level, 0 when empty."""
+        return len(self._members)
 
     @property
     def point_ids(self) -> list[int]:
@@ -353,10 +357,8 @@ class DciTree:
         """Raise the tree to `high` levels. The former top node becomes the
         row's node at the former top level, its points the row's children."""
         old = self.levels
-        while self.levels < high:
-            self._members.append(np.empty(0, dtype=np.intp))
-            self._owners.append(np.empty(0, dtype=np.intp))
-            self.levels += 1
+        self._members += [np.empty(0, dtype=np.intp) for _ in range(high - old)]
+        self._owners += [np.empty(0, dtype=np.intp) for _ in range(high - old)]
         if old:
             self._parent[self._members[old - 1]] = row
             self._owners[old - 1][:] = row
@@ -486,7 +488,6 @@ class DciTree:
         """Full structural walk, level arrays first (the node records are read
         from them); raises AssertionError on violation."""
         assert self.levels >= 1
-        assert len(self._members) == self.levels, "level arrays != levels"
         assert self._buf.dtype == np.float32, "lifted rows are not float32"
         rows = self._buf[: self._n]
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))

@@ -31,9 +31,10 @@ holds more than window_pages pages. So a window holds window_pages to
 window_pages + 1 pages, a reuse layer's window is always its anchor's, and
 at most one group folds on a step while n_indexed <= page_size.
 
-Prefill fixes each layer's role. The layers from skip_layers up are
-indexed (the keys of window_start) and the rest attend exactly; when the
-prompt is too short to split (`fallback`), no layer is indexed. Of the
+Prefill fixes each layer's role, with one plan for every prompt length.
+The layers from skip_layers up are indexed (the keys of window_start) and
+the rest attend exactly; a prompt too short to split (`fallback`) starts
+the indexed layers at `layers`, so none is indexed. Of the
 indexed layers, every reuse_stride-th from skip_layers is an anchor
 (`anchors`; `anchor_of` maps each indexed layer to its own), so stride 1,
 the default, makes each its own anchor. The engine is not a transformer:
@@ -49,7 +50,7 @@ import numpy as np
 
 from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
-from .errors import ConfigError, DegenerateQueryError, InputError
+from .errors import ConfigError, InputError
 from .geometry import transform_query
 from .pagestore import TierStore, TransferStats, find_page_index
 from .workload import DecodeStep, Workload
@@ -134,13 +135,12 @@ class Engine:
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        self.prefilled = False
         self.fallback = False                             # the prompt was too short to split
         self.n_prefill = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}  # (anchor layer, kv head) -> state
         self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
         self._values = np.empty((0, 0, 0, cfg.d_prime))
-        self._n = 0                                       # tokens held by every buffer
+        self._n = 0                                       # tokens held; 0 until prefill
         self.sink_end = 0                                 # the sink is tokens [0, sink_end)
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.anchors: list[int] = []                      # indexed layers that own and query trees
@@ -161,7 +161,7 @@ class Engine:
 
     def prefill(self, workload: Workload, n_prefill: int) -> "Engine":
         """Index the first n_prefill tokens of the stream."""
-        if self.prefilled:
+        if self._n:
             raise ConfigError("engine already prefilled")
         self._check_workload(workload)
         cfg = self.cfg
@@ -173,19 +173,16 @@ class Engine:
         self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
         self._keys[:, :, :n_prefill] = keys.transpose(1, 2, 0, 3)
         self._values[:, :, :n_prefill] = values.transpose(1, 2, 0, 3)
-        self._n = n_prefill
 
         s = cfg.page_size
         page_count = math.ceil(n_prefill / s)
-        if page_count < cfg.sink_pages + cfg.window_pages + 1:
-            self.fallback = self.prefilled = True
-            return self
-
+        self.fallback = page_count < cfg.sink_pages + cfg.window_pages + 1
+        first = cfg.layers if self.fallback else cfg.skip_layers  # the first indexed layer
         self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
-        self.anchors = list(range(cfg.skip_layers, cfg.layers, cfg.reuse_stride))
+        self.anchors = list(range(first, cfg.layers, cfg.reuse_stride))
         n_indexed = cfg.layers - cfg.skip_layers
-        for layer in range(cfg.skip_layers, cfg.layers):
+        for layer in range(first, cfg.layers):
             anchor = self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
             self._fold_at[layer] = s * (anchor - cfg.skip_layers) // n_indexed + 1
             self.window_start[layer] = window_start
@@ -197,7 +194,7 @@ class Engine:
                                     cfg.promotion_ratio, seed=(cfg.seed, layer, h),
                                     store=store, rows=rows)
                 self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
-        self.prefilled = True
+        self._n = n_prefill  # last: a prefill that raises leaves the engine unprefilled
         return self
 
     # -- decode ---------------------------------------------------------------
@@ -208,9 +205,10 @@ class Engine:
 
         The step is checked whole before anything is written: InputError
         unless the token is the next one and the queries, keys and values
-        are real arrays of the config's shapes with finite entries,
-        DegenerateQueryError for a zero query on an anchor layer. A rejected
-        step leaves the engine as it was.
+        are real arrays of the config's shapes with finite entries, and
+        `transform_query` lifts every anchor layer's queries, raising
+        DegenerateQueryError on a zero one. A rejected step leaves the
+        engine as it was.
 
         A layer that is not indexed attends exactly. An indexed layer decides
         once whether it folds and where its window starts, then serves each
@@ -222,7 +220,7 @@ class Engine:
         counters and selections. It serves and counts only: fidelity is
         scored from these outside the engine (`icecache.bench.score_step`).
         """
-        if not self.prefilled:
+        if not self._n:
             raise ConfigError("decode_step before prefill")
         cfg = self.cfg
         token = self._n
@@ -239,9 +237,8 @@ class Engine:
         if not all(np.isfinite(a).all() for a in arrays):
             raise InputError("step queries, keys and values must be finite")
         queries, new_keys, new_values = arrays
-        anchored = queries[self.anchors]
-        if (np.einsum("lqj,lqj->lq", anchored, anchored) == 0).any():
-            raise DegenerateQueryError("a zero query on an anchor layer cannot be normalized")
+        lifted = {(layer, qh): transform_query(queries[layer, qh])  # a zero query raises here
+                  for layer in self.anchors for qh in range(cfg.n_query_heads)}
 
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
@@ -284,7 +281,7 @@ class Engine:
                         state.tree.insert(folded, keys[h, folded])
                     for qh in group:
                         selections[(layer, qh)] = state.tree.query(
-                            transform_query(queries[layer, qh]), SENTINEL_LEVEL, budget.k, budget)
+                            lifted[(layer, qh)], SENTINEL_LEVEL, budget.k, budget)
                     union = gqa_union([selections[(layer, qh)] for qh in group])
                     pages = find_page_index(union, state.store)
                     loaded = state.store.tokens_in(pages)

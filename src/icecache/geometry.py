@@ -22,7 +22,6 @@ tree's parent scan is the exception: `dci._parent_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -108,8 +107,6 @@ def exact_topk(q, keys, k: int) -> list[int]:
         raise InputError(f"k must be >= 1, got {k}")
     q = _as_vector(q, "query")
     mat = np.asarray(keys, dtype=float)
-    if isinstance(keys, Sequence) and mat.ndim == 1:
-        mat = mat.reshape(len(keys), -1)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise InputError("keys must be a non-empty sequence of vectors")
     if mat.shape[1] != q.size:

@@ -64,16 +64,14 @@ class WorkloadSpec:
             raise ConfigError("n_tokens must be positive")
         if self.kind == "clustered" and self.clusters < 1:
             raise ConfigError("clustered workloads need clusters >= 1")
+        if self.kind == "planted_needle" and self.n_tokens < 2:
+            raise ConfigError("planted_needle workloads need n_tokens >= 2")
         if min(self.d, self.d_prime, self.layers, self.kv_heads,
                self.query_heads_per_group) < 1:
             raise ConfigError("dims, layers and head counts must be >= 1")
         for name in ("cluster_spread", "needle_gain", "layer_jitter"):
             if not 0.0 <= getattr(self, name) < np.inf:  # also false for nan
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-
-    @property
-    def n_query_heads(self) -> int:
-        return self.kv_heads * self.query_heads_per_group
 
 
 @dataclass

@@ -58,6 +58,12 @@ def test_dimension_mismatch_rejected():
         full_attention(np.ones(3), [np.ones(3)], [np.ones(2), np.ones(2)])
 
 
+def test_full_attention_takes_2d_keys_only():
+    """A lone key vector is not read as one token."""
+    with pytest.raises(InputError, match="keys must be a non-empty sequence of vectors"):
+        full_attention(np.ones(3), np.ones(3), np.ones((1, 2)))
+
+
 def test_sparse_with_everything_selected_equals_full():
     rng = np.random.default_rng(1)
     q = rng.normal(size=16)

@@ -1,12 +1,13 @@
 """CLI surface: subcommands, report schema, exit codes, seed plumbing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from icecache import Engine, InvariantViolation
-from icecache.bench import validate_report
+from icecache.bench import _aggregate, score_step, validate_report
 from icecache.cli import main
 
 SMALL = ["--tokens", "720", "--d", "16", "--d-prime", "8", "--clusters", "8",
@@ -155,4 +156,52 @@ def test_tampered_aggregates_fail_validation(capsys):
     report = json.loads(out)
     report["aggregates"]["mean_recall_at_k"] += 0.25
     with pytest.raises(InvariantViolation, match="aggregate"):
+        validate_report(report)
+
+
+def test_planted_needle_gen_of_one_token_names_n_tokens(tmp_path, capsys):
+    code, _, err = _run(capsys, ["gen", "--kind", "planted_needle", "--tokens", "1",
+                                 "--out", str(tmp_path / "x.icet")])
+    assert code == 2
+    assert "config error: planted_needle workloads need n_tokens >= 2" in err
+    assert not (tmp_path / "x.icet").exists()
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    """A row that breaks a report invariant exits 3, as documented."""
+    def bad_score(*args, **kwargs):
+        return {**score_step(*args, **kwargs), "recall_at_k": 1.5}
+    monkeypatch.setattr("icecache.bench.score_step", bad_score)
+    code, out, err = _run(capsys, ["bench", *SMALL, "--steps", "2", "--budget", "8"])
+    assert code == 3 and out == ""
+    assert "invariant violation: metrics invariant" in err
+
+
+def _tamper_steps(report):
+    report["aggregates"]["steps"] += 1
+
+
+def _tamper_rate(report):
+    report["rows"][1]["page_hit_rate"] = -0.5
+
+
+def _tamper_loaded(report):
+    row = report["rows"][0]
+    row["tokens_loaded"] = row["pages_selected"] * report["config"]["engine"]["page_size"] + 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_tamper_steps, "aggregates.steps != len(rows)"),
+    (_tamper_rate, "metrics invariant: page_hit_rate outside [0, 1]"),
+    (_tamper_loaded, "pagestore invariant: loaded tokens exceed selected pages x page size"),
+], ids=["steps", "rate", "loaded"])
+def test_tampered_rows_fail_their_row_check(capsys, tamper, message):
+    """Each row check of `validate_report` fires on its own tampering."""
+    code, out, _ = _run(capsys, ["bench", *SMALL, "--steps", "3", "--budget", "8"])
+    report = json.loads(out)
+    validate_report(report)
+    tamper(report)
+    if tamper is not _tamper_steps:  # the row checks run after the aggregates match
+        report["aggregates"] = _aggregate(report["rows"])
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
         validate_report(report)

@@ -229,6 +229,37 @@ def test_invariant_check_catches_a_broken_level_layout():
         swapped.check_invariants()
 
 
+def test_invariant_check_catches_a_broken_leaf_page():
+    """`check_invariants` holds each leaf's pages to the rule `_place`
+    keeps: inner pages full, page j listing the members from j * page_size
+    on, in member order. Each corruption of a two-page leaf trips its own
+    check."""
+    keys, _, _ = _clustered(7, 200, 4, 4)
+    tree = _index(keys, 0.3, seed=7, store=TierStore(4, 2, page_size=3))
+    tree.check_invariants()
+    leaf = next(node for node in tree.nodes.values() if node.is_leaf and len(node.page_ids) >= 2)
+    first, second = leaf.page_ids[:2]
+
+    short = copy.deepcopy(tree)
+    short.store.fill[first] -= 1
+    with pytest.raises(AssertionError, match="a leaf's inner page is not full"):
+        short.check_invariants()
+
+    crossed = copy.deepcopy(tree)
+    store = crossed.store
+    a, b = store.slots[[first, second], 0]
+    store.slots[[first, second], 0] = b, a
+    store.page_of[[a, b]] = second, first
+    with pytest.raises(AssertionError,
+                       match=r"page j .* does not list members from j \* page_size on"):
+        crossed.check_invariants()
+
+    shuffled = copy.deepcopy(tree)
+    shuffled.store.slots[first, [0, 1]] = shuffled.store.slots[first, [1, 0]]
+    with pytest.raises(AssertionError, match="pages do not list the leaf's members in order"):
+        shuffled.check_invariants()
+
+
 def test_invariant_check_catches_a_row_off_the_unit_sphere_or_in_float64():
     """Every linked lifted row is a float32 unit vector, within 1e-6."""
     keys, _, _ = _clustered(5, 300, 12, 8)

@@ -129,6 +129,12 @@ def test_exact_topk_input_errors():
         exact_topk(np.ones(3), np.ones((3, 2)), 1)
 
 
+def test_exact_topk_takes_2d_keys_only():
+    """A flat list of numbers is not read as d = 1 keys."""
+    with pytest.raises(InputError, match="must be a non-empty sequence of vectors"):
+        exact_topk([1.0], [0.5, 2.0, 1.0], 1)
+
+
 def test_mips_nn_orderings_agree():
     # Sorting keys by lifted distance must equal sorting by inner product.
     rng = np.random.default_rng(4)

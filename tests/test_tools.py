@@ -69,3 +69,19 @@ def test_micro_benchmarks_run_once_each():
                           "-q", "-p", "no:cacheprovider"],
                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout[-3000:]
+
+
+def test_reach_lists_every_module_once():
+    """`benchmarks/reach.py` traces what the programs run of the package; a
+    one-workload run prints one line per module and a total that adds up."""
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "reach.py"),
+                          "--workload", "reuse-drift"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    row = re.compile(r"(\S+\.py) +(\d+) of +(\d+) unrun: (-|[\d, -]+)")
+    *lines, total = run.stdout.splitlines()
+    rows = [row.fullmatch(line).groups() for line in lines]
+    modules = sorted(path.name for path in (ROOT / "src" / "icecache").glob("*.py"))
+    assert [name for name, *_ in rows] == modules
+    unrun, executable = (sum(int(r[i]) for r in rows) for i in (1, 2))
+    assert re.fullmatch(rf"total +{unrun} of +{executable} unrun", total)
+    assert 0 < unrun < executable

@@ -84,6 +84,16 @@ def test_spec_rejects_a_negative_or_non_finite_scale(name, value):
         WorkloadSpec(**{name: value})
 
 
+def test_a_planted_needle_stream_needs_two_tokens():
+    """The needle is drawn from [n // 4, 3 * n // 4), empty at one token, so
+    the spec rejects it before anything is drawn; two tokens work."""
+    with pytest.raises(ConfigError, match="n_tokens"):
+        WorkloadSpec(kind="planted_needle", n_tokens=1)
+    wl = generate_workload(WorkloadSpec(kind="planted_needle", n_tokens=2, d=4, d_prime=4,
+                                        layers=1, kv_heads=1))
+    assert wl.n_tokens == 2 and wl.needle_token == 0
+
+
 def test_trace_round_trip(tmp_path):
     spec = WorkloadSpec(kind="clustered", n_tokens=64, d=12, d_prime=6,
                         clusters=4, layers=2, kv_heads=2,
