@@ -13,19 +13,21 @@ leaves own the store's pages. The sink and each indexed layer's window are
 token ranges that stay resident, as in StreamingLLM: the sink is
 [0, sink_end) and a layer's window is [window_start[layer], n), where
 window_start is page-aligned. The store's pages are hot only in a step that
-selects them. Decode serves an anchor layer in one pass per kv head: at its
-fold step, the window fold (charge the offload of the window's oldest page,
-insert its tokens into the head's tree, and move window_start up a page);
-per-query-head tree queries; one page lookup of the group's token union;
-one backload; and sparse attention per query head over the sink range, the
-window range and the loaded pages, in that order, as int64 ids. A reuse
-layer owns no tree or store: per kv head it attends its anchor's ids with
-its own keys and values, is charged its anchor's backload, and records its
-anchor's union as its selection.
+selects them. Decode attends exactly on the layers below the indexed ones,
+then serves each anchor group (the anchor and the reuse_stride - 1 layers
+after it) in one pass. The group decides once whether it folds; a fold
+moves every layer's window_start up a page. Per kv head the anchor head
+then runs, once: the fold (charge the offload of the window's oldest page,
+insert its tokens into the tree), per-query-head tree queries, one page
+lookup of the group's token union and one backload. Every layer of the
+group attends those ids (the sink range, the window range and the loaded
+pages, in that order, as int64 ids) per query head with its own keys and
+values, is charged the backload, and records its selection: the anchor its
+own picks, a reuse layer the union, as a reuse layer owns no tree or store.
 
 Folds are spread over the page, one anchor group at a time, so that no
-step pays every tree's insert. Indexed layer l, of anchor a, folds when the
-newest window page's fill, token % page_size + 1 for every layer, reaches
+step pays every tree's insert. The group of anchor a folds when the newest
+window page's fill, token % page_size + 1 for every layer, reaches
 page_size * (a - skip_layers) // n_indexed + 1, and only while its window
 holds more than window_pages pages. So a window holds window_pages to
 window_pages + 1 pages, a reuse layer's window is always its anchor's, and
@@ -145,7 +147,6 @@ class Engine:
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.anchors: list[int] = []                      # indexed layers that own and query trees
         self.anchor_of: dict[int, int] = {}               # indexed layer -> its anchor
-        self._fold_at: dict[int, int] = {}  # indexed layer -> the window fill its anchor folds at
         self._budget = cfg.budget()
 
     # -- prefill -----------------------------------------------------------
@@ -181,10 +182,8 @@ class Engine:
         self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
         self.anchors = list(range(first, cfg.layers, cfg.reuse_stride))
-        n_indexed = cfg.layers - cfg.skip_layers
         for layer in range(first, cfg.layers):
-            anchor = self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
-            self._fold_at[layer] = s * (anchor - cfg.skip_layers) // n_indexed + 1
+            self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
             self.window_start[layer] = window_start
         for layer in self.anchors:
             for h in range(cfg.kv_heads):
@@ -210,11 +209,11 @@ class Engine:
         DegenerateQueryError on a zero one. A rejected step leaves the
         engine as it was.
 
-        A layer that is not indexed attends exactly. An indexed layer decides
-        once whether it folds and where its window starts, then serves each
-        kv head in one pass: an anchor folds, selects, looks up, loads and
-        attends; a reuse layer attends its anchor's ids (see the module
-        docstring).
+        A layer that is not indexed attends exactly. Each anchor group then
+        decides once whether it folds, and per kv head folds, selects, looks
+        up and loads once at its anchor head; every layer of the group
+        attends those ids with its own keys and values (see the module
+        docstring). Selections keep their (layer, query head) order.
 
         Returns per-layer, per-query-head attention outputs plus the step's
         counters and selections. It serves and counts only: fidelity is
@@ -243,59 +242,54 @@ class Engine:
         outputs: list[list[AttentionOutput | None]] = \
             [[None] * cfg.n_query_heads for _ in range(cfg.layers)]
         selections: dict[tuple[int, int], np.ndarray] = {}
-        served: dict[int, tuple] = {}  # kv head -> its latest anchor's union, attended ids, charge
         moved = TransferStats()
         pages_selected = tokens_loaded = 0
 
-        if self._n == self._keys.shape[2]:  # a stream longer than the prefilled workload
-            pad = ((0, 0), (0, 0), (0, self._n), (0, 0))
+        if token == self._keys.shape[2]:  # a stream longer than the prefilled workload
+            pad = ((0, 0), (0, 0), (0, token), (0, 0))
             self._keys, self._values = np.pad(self._keys, pad), np.pad(self._values, pad)
-        self._keys[:, :, self._n] = new_keys
-        self._values[:, :, self._n] = new_values
-        self._n += 1
+        self._keys[:, :, token] = new_keys
+        self._values[:, :, token] = new_values
+        n = self._n = token + 1
         s, g, budget = cfg.page_size, cfg.query_heads_per_group, self._budget
+        keys, values = self._keys[:, :, :n], self._values[:, :, :n]
         fill = token % s + 1  # the newest window page's, as windows start on a page
 
-        for layer in range(cfg.layers):
-            keys, values = self._keys[layer, :, : self._n], self._values[layer, :, : self._n]
-            if layer not in self.window_start:  # a skip layer, or no layer is indexed
-                for qh in range(cfg.n_query_heads):
-                    outputs[layer][qh] = full_attention(queries[layer, qh],
-                                                        keys[qh // g], values[qh // g])
-                continue
+        for layer in range(cfg.layers - len(self.window_start)):  # exact, below the indexed
+            for qh in range(cfg.n_query_heads):
+                outputs[layer][qh] = full_attention(queries[layer, qh],
+                                                    keys[layer, qh // g], values[layer, qh // g])
 
-            start = self.window_start[layer]
-            folds = fill == self._fold_at[layer] and self._n - start > cfg.window_pages * s
+        for anchor in self.anchors:
+            layers = range(anchor, min(anchor + cfg.reuse_stride, cfg.layers))
+            start = self.window_start[anchor]
+            folds = (fill == s * (anchor - cfg.skip_layers) // (cfg.layers - cfg.skip_layers) + 1
+                     and n - start > cfg.window_pages * s)
             if folds:
                 folded = np.arange(start, start + s)
-                start = self.window_start[layer] = start + s
-            anchor = layer in self.anchors
-            if anchor:
-                resident = np.concatenate((np.arange(self.sink_end), np.arange(start, self._n)))
+                start += s
+                self.window_start.update(dict.fromkeys(layers, start))
+            resident = np.concatenate((np.arange(self.sink_end), np.arange(start, n)))
             for h in range(cfg.kv_heads):
-                group = range(h * g, (h + 1) * g)
-                if anchor:
-                    state = self.heads[(layer, h)]
-                    if folds:
-                        state.store.offload(s)
-                        state.tree.insert(folded, keys[h, folded])
-                    for qh in group:
-                        selections[(layer, qh)] = state.tree.query(
-                            lifted[(layer, qh)], SENTINEL_LEVEL, budget.k, budget)
-                    union = gqa_union([selections[(layer, qh)] for qh in group])
-                    pages = find_page_index(union, state.store)
-                    loaded = state.store.tokens_in(pages)
-                    served[h] = (union, np.concatenate((resident, loaded)),
-                                 state.store.backload(pages), pages.size, loaded.size)
-                else:
-                    selections.update(((layer, qh), served[h][0]) for qh in group)
-                _, attended, delta, n_pages, n_loaded = served[h]
-                moved.add(delta)
-                pages_selected += n_pages
-                tokens_loaded += n_loaded
-                for qh in group:
-                    outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
-                                                          keys[h], values[h])
+                group, state = range(h * g, (h + 1) * g), self.heads[(anchor, h)]
+                if folds:
+                    state.store.offload(s)
+                    state.tree.insert(folded, keys[anchor, h, folded])
+                picks = [state.tree.query(lifted[(anchor, qh)], SENTINEL_LEVEL, budget.k, budget)
+                         for qh in group]
+                union = gqa_union(picks)
+                pages = find_page_index(union, state.store)
+                loaded = state.store.tokens_in(pages)
+                attended = np.concatenate((resident, loaded))
+                delta = state.store.backload(pages)
+                for layer in layers:
+                    moved.add(delta)
+                    pages_selected += pages.size
+                    tokens_loaded += loaded.size
+                    for qh, picked in zip(group, picks):
+                        selections[(layer, qh)] = picked if layer == anchor else union
+                        outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
+                                                              keys[layer, h], values[layer, h])
 
         metrics = StepMetrics(
             step=token - self.n_prefill,
@@ -306,7 +300,7 @@ class Engine:
             bytes_moved=moved.bytes_moved,
             transactions=moved.transactions,
             dci_queries=len(self.anchors) * cfg.n_query_heads,
-            selections=selections,
+            selections={key: selections[key] for key in sorted(selections)},
         )
         return outputs, metrics
 

@@ -108,6 +108,8 @@ class Workload:
 
     def decode_step(self, n_prefill: int, step: int) -> DecodeStep:
         token = n_prefill + step
+        if step < 0:
+            raise ConfigError(f"step {step} is negative")
         if token >= self.n_tokens:
             raise ConfigError(f"step {step} runs past the {self.n_tokens}-token stream")
         return DecodeStep(token, self.queries[token], self.keys[token], self.values[token])

@@ -85,8 +85,9 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
     for args, out in calls["sparse_attention"]:
         assert attended_ids(out).tolist() == [int(t) for t in args[1]]
 
-    # One backload per (indexed layer, kv head), one full attention per
-    # skip-layer query head, and no fold at fill 5.
+    # One backload per (anchor, kv head), here every indexed layer at
+    # stride 1, one full attention per skip-layer query head, and no fold
+    # at fill 5.
     assert len(calls["backload"]) == indexed * cfg.kv_heads
     assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
     assert not calls["insert"] and not calls["offload"]
@@ -100,6 +101,62 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
     assert len(calls["backload"]) == indexed * cfg.kv_heads
     assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
     assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
+
+
+def test_a_reuse_engine_selects_and_loads_once_per_anchor_head(monkeypatch):
+    """At reuse_stride 3 each anchor head queries once per query head and
+    looks up and loads once per step for its whole group, and folds once on
+    its anchor's fold step, while every indexed (layer, query head) attends
+    and selections stay in (layer, query head) order."""
+    spec = WorkloadSpec(kind="clustered", n_tokens=540, d=16, d_prime=8, clusters=8,
+                        layers=7, kv_heads=2, query_heads_per_group=2, seed=5)
+    cfg = EngineConfig(layers=7, kv_heads=2, query_heads_per_group=2, d=16, d_prime=8,
+                       token_budget=16, skip_layers=1, reuse_stride=3, seed=5)
+    wl = generate_workload(spec)
+    eng = Engine(cfg).prefill(wl, 500)
+    assert eng.anchors == [1, 4]  # groups 1-3 and 4-6
+    calls = defaultdict(list)  # name -> the tree or store of each call
+
+    def counted(owner, attr, pick):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr].append(pick(args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((engine_mod.DciTree, "query"), (engine_mod.DciTree, "insert"),
+                        (engine_mod.TierStore, "backload"), (engine_mod.TierStore, "offload")):
+        counted(owner, attr, lambda args: id(args[0]))
+    counted(engine_mod, "find_page_index", lambda args: id(args[1]))
+    counted(engine_mod, "sparse_attention", lambda args: None)
+
+    g = cfg.query_heads_per_group
+    trees = {a: sorted(id(eng.heads[(a, h)].tree) for h in range(cfg.kv_heads))
+             for a in eng.anchors}
+    stores = {a: sorted(id(eng.heads[(a, h)].store) for h in range(cfg.kv_heads))
+              for a in eng.anchors}
+    queried = sorted(id(eng.heads[(a, qh // g)].tree)
+                     for a in eng.anchors for qh in range(cfg.n_query_heads))
+    folds = []
+    for step in range(24):
+        calls.clear()
+        _, metrics = eng.decode_step(wl.decode_step(500, step))
+        assert sorted(calls["query"]) == queried
+        assert metrics.dci_queries == len(calls["query"])
+        assert list(metrics.selections) == [(layer, qh) for layer in range(1, cfg.layers)
+                                            for qh in range(cfg.n_query_heads)]
+        assert sorted(calls["find_page_index"]) == sorted(calls["backload"]) == \
+            sorted(sum(stores.values(), []))
+        assert len(calls["sparse_attention"]) == \
+            (cfg.layers - cfg.skip_layers) * cfg.n_query_heads
+        folding = [a for a in eng.anchors if sorted(calls["insert"]) == trees[a]]
+        assert sorted(calls["offload"]) == sum((stores[a] for a in folding), [])
+        assert folding or not calls["insert"]
+        folds += [(step, a) for a in folding]
+    # Fill 1 (token 512) for anchor 1 and fill 16 * 3 // 6 + 1 = 9 (token
+    # 520) for anchor 4; at token 504 anchor 4's window is not yet full.
+    assert folds == [(12, 1), (20, 4)]
 
 
 def test_selection_queries_have_the_call_shape_the_trace_unpacks(monkeypatch):

@@ -617,12 +617,15 @@ class DecodeMachine(RuleBasedStateMachine):
         # An anchor group folds whole, at its anchor's fill. Fold fills
         # page_size * k // n_indexed + 1 are distinct while n_indexed <=
         # page_size, so then the layers folding on a step are one group.
-        fold_at = self.eng._fold_at
+        eng, s = self.eng, self.eng.cfg.page_size
+        n_indexed = eng.cfg.layers - eng.cfg.skip_layers
+        fold_at = {layer: s * (self._anchor(layer) - eng.cfg.skip_layers) // n_indexed + 1
+                   for layer in eng.window_start}
         for folded in self.folding:
             assert len({fold_at[layer] for layer in folded}) <= 1
             groups = {self._anchor(layer) for layer in folded}
             assert sorted(folded) == [layer for layer in fold_at if self._anchor(layer) in groups]
-            if len(fold_at) <= self.eng.cfg.page_size:
+            if n_indexed <= s:
                 assert len(groups) <= 1
 
     @invariant()

@@ -64,6 +64,8 @@ def test_decode_step_slicing_and_bounds():
     assert np.array_equal(step.keys, wl.keys[17])
     with pytest.raises(ConfigError):
         wl.decode_step(15, 5)
+    with pytest.raises(ConfigError, match="step -20"):  # token -5 would wrap to row 15
+        wl.decode_step(15, -20)
     with pytest.raises(ConfigError):
         wl.prefill_view(0)
 
