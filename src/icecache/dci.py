@@ -45,17 +45,19 @@ point one level up whose children it holds (`ROOT_OWNER` for the top
 node), so a node's name does not depend on how its points were batched.
 Which node holds a point at a level is read from the row arrays
 (`DciTree._node_of`). Each level keeps its rows sorted by (owner row, row),
-so a node is one run of its level and a binary search finds it.
+so a node is one run of its level and a binary search finds it. `_link`
+returns where level 1 put each row, and `DciTree._place` takes page slots
+from those places.
 
 Queries descend to level 1 from the highest level holding more than
-`beam` points, scanned whole: at each level the members of the surviving
-clusters are ranked by inner product with the lifted query (on the unit
-sphere the same order as lifted distance), the best `beam` survive, and
-their child nodes are searched next. The top k come from the level-1
-candidates alone. Every surviving node is scanned whole. Level 1 is the
-only level stored in place (`_buf`'s rows), so a level-2 start of at most
-`2 * beam` points, whose beam keeps half of it and gathers about half of
-level 1, starts at level 1 instead: one exact scan with no gather.
+`2 * beam` points, scanned whole: at each level the members of the
+surviving clusters are ranked by inner product with the lifted query (on
+the unit sphere the same order as lifted distance), the best `beam`
+survive, and their child nodes are searched next. The top k come from the
+level-1 candidates alone. Every surviving node is scanned whole. A level
+whose beam keeps half of it or more gathers about as large a share of the
+level below, so a coarse level is searched only where it cuts the scan;
+level 1, stored in place (`_buf`'s rows), is scanned with no gather.
 """
 
 from __future__ import annotations
@@ -327,21 +329,24 @@ class DciTree:
         At the top level that is -1, the top node's (`ROOT_OWNER`)."""
         return np.where(self._top[rows] == level, self._parent[rows], rows)
 
-    def _link(self, rows: np.ndarray) -> None:
+    def _link(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Add buffer rows, ascending and after every linked row, whose `_top`
-        and `_parent` are set, to every level they reach.
+        and `_parent` are set, to every level they reach; returns the rows
+        in (owner, row) order with their places in level 1, for `_place`.
+        The rows must not be empty.
 
         At its top level a row joins its parent's node (the top node for
         parent -1), below that its own node. Each row goes after the last
         member of its node, found by one binary search over the level's
         owners; rows joining one node keep row order (equal insert positions
-        keep the order given), so the (owner, row) pairs still ascend. If
-        the rows reach above the tree, it grows to their highest level
-        before any row is linked, and the first row above the former top
-        level takes over the former top node (`_grow`).
+        keep the order given), so the (owner, row) pairs still ascend and
+        the i-th row inserted lands at its insert position plus i. If the
+        rows reach above the tree, it grows to their highest level before
+        any row is linked, and the first row above the former top level
+        takes over the former top node (`_grow`).
         """
         top = self._top[rows]
-        high = int(top.max(initial=0))
+        high = int(top.max())
         if high > self.levels:
             self._grow(int(rows[np.argmax(top > self.levels)]), high)
         for lv in range(high, 0, -1):
@@ -352,6 +357,7 @@ class DciTree:
             pos = np.searchsorted(self._owners[lv - 1], owner, side="right")
             self._owners[lv - 1] = np.insert(self._owners[lv - 1], pos, owner)
             self._members[lv - 1] = np.insert(self._members[lv - 1], pos, joins)
+        return joins, pos + np.arange(joins.size)
 
     def _grow(self, row: int, high: int) -> None:
         """Raise the tree to `high` levels. The former top node becomes the
@@ -374,19 +380,18 @@ class DciTree:
         first, ties toward the smaller id.
         k lies in [1, beam]; target_level must be SENTINEL_LEVEL.
 
-        The descent starts at the highest level holding more than `beam`
-        points, scanned whole: the levels above it would survive whole, and
-        their points are its members. Each level is one gather and one
-        product pass over the members of the surviving nodes, scored by
-        negated inner product; the `beam` best own the nodes searched one
-        level down, whose members one mask over that level's owners picks
-        out. A point among a level's k best survives the beam and
-        is a member of its own node below, so no level above 1 adds to the
-        result. `distance_evals` counts the scored candidates.
-
+        The descent starts at the highest level holding more than
+        `2 * beam` points, scanned whole: a level above it would keep half
+        of itself or more, so gather about that share of the level below,
+        and its points are members of the start level. Each level is one
+        gather and one product pass over the members of the surviving
+        nodes, scored by negated inner product; the `beam` best own the
+        nodes searched one level down, whose members one mask over that
+        level's owners picks out. A point among a level's k best survives
+        the beam and is a member of its own node below, so no level above 1
+        adds to the result. `distance_evals` counts the scored candidates.
         Level 1 is the only level stored in place: a level-1 start scans it
-        with no gather and is exact, as is a level-2 start of at most
-        `2 * beam` points, whose beam would gather about half of level 1.
+        with no gather and is exact.
         """
         if k < 1 or (budget is not None and k > budget.beam):
             raise InputError(f"k must lie in [1, beam], got {k}")
@@ -402,10 +407,8 @@ class DciTree:
         self.query_count += 1
 
         q = q.astype(np.float32)
-        top = max(1, sum(members.size > budget.beam for members in self._members))
-        if top == 2 and self._members[1].size <= 2 * budget.beam:
-            top = 1  # the beam would keep half of level 2, so gather half of level 1
-        # Level sizes shrink upward: top is the last over beam. Level 1 sits in place.
+        top = max(1, sum(members.size > 2 * budget.beam for members in self._members))
+        # Level sizes shrink upward: top is the last over 2 * beam. Level 1 sits in place.
         rows = slice(self._n) if top == 1 else self._members[top - 1]
         for level in range(top, 0, -1):
             ids = self._point[rows]
@@ -424,29 +427,23 @@ class DciTree:
 
     # -- page placement -----------------------------------------------------
 
-    def _place(self, rows: np.ndarray) -> None:
-        """Give linked rows' ids page slots, the leaves' last members, leaf
-        by leaf: leaves in the order of their first given row, each leaf's
-        rows in the given order. An id whose position in its leaf is a
-        multiple of page_size opens a page, and every other id joins the
-        page of the id before it in its leaf. New pages take the next page
-        ids in that order, and one `TierStore._put` call writes every slot."""
-        store = self.store
-        owner = self._node_of(rows, 1)  # -1: the top node
-        order = np.argsort(owner, kind="stable")  # leaf by leaf, given order within
-        lead = order[np.searchsorted(owner[order], owner[order])]  # the leaf's first given row
-        turn = np.argsort(lead, kind="stable")
-        order, lead = order[turn], lead[turn]  # leaves by first given row: `lead` ascends
-        leaf, at = owner[order], np.arange(rows.size)
-        start, stop = np.searchsorted(self._owners[0], [leaf, leaf + 1])
-        pos = stop - start - np.searchsorted(lead, lead, side="right") + at  # place in the leaf
-        slot = pos % store.page_size
-        fresh = at - slot >= np.searchsorted(lead, lead)  # the page opens in this call
-        page = np.empty(rows.size, dtype=np.int64)  # one per row, in `order`
-        page[fresh] = store.n_pages + np.cumsum(fresh & (slot == 0))[(at - slot)[fresh]] - 1
-        first = self._members[0][(start + pos - slot)[~fresh]]  # opened the page earlier
-        page[~fresh] = store.page_of[self._point[first]]
-        store._put(page, self._point[rows[order]])  # the ids passed `_check`
+    def _place(self, rows: np.ndarray, at: np.ndarray) -> None:
+        """Give newly linked rows' ids page slots: `rows` in (owner, row)
+        order and `at` their places in level 1, as `_link` returns them. A
+        row's slot is its offset in its leaf, mod page_size. A row of slot 0
+        opens a page: new pages take the next page ids leaf by leaf, leaves
+        in the order of their first given row, and one `TierStore._put`
+        writes them. A second `_put` adds every other id to the page of the
+        member `slot` places before it in level 1, written by then."""
+        store, owners, point = self.store, self._owners[0], self._point
+        owner = owners[at]  # -1: the top node
+        slot = (at - np.searchsorted(owners, owner)) % store.page_size
+        opens = slot == 0
+        by_leaf = np.argsort(rows[np.searchsorted(owner, owner)], kind="stable")
+        first = rows[by_leaf[opens[by_leaf]]]  # the ids pass `_check`
+        store._put(store.n_pages + np.arange(first.size), point[first])
+        head = self._members[0][(at - slot)[~opens]]
+        store._put(store.page_of[point[head]], point[rows[~opens]])
 
     # -- dynamic insertion ----------------------------------------------------
 
@@ -463,7 +460,8 @@ class DciTree:
         (one `_parent_rows` scan), or none at the top. A batch reaching
         above the current top level grows the tree, and its first point
         above that level takes over the former top node. One `_link` call
-        writes every level and one `_place` call gives every id a page slot.
+        writes every level, and `_place` gives every id a page slot at the
+        place `_link` put it. An empty batch returns [] and draws nothing.
         """
         ids = as_ids(point_ids)
         keys = np.asarray(keys, dtype=float)
@@ -472,14 +470,14 @@ class DciTree:
         if level is not None and (len(level) != ids.size or min(level, default=1) < 1):
             raise InputError(f"need one level >= 1 per point id, got {level}")
         self._check(ids, keys)
+        if not ids.size:
+            return []
         if level is None:
             levels = assign_levels(self.promotion_ratio, self.rng, ids.size)
         else:
             levels = np.asarray(level, dtype=np.intp)
 
-        rows = self._add_rows(ids, keys, levels)
-        self._link(rows)
-        self._place(rows)
+        self._place(*self._link(self._add_rows(ids, keys, levels)))
         return levels.tolist()
 
     # -- integrity ------------------------------------------------------------

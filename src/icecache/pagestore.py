@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arrays import as_ids, grown
+from .arrays import as_ids, distinct, grown
 from .errors import ConsistencyError, InputError
 
 DEFAULT_PAGE_SIZE = 16
@@ -70,9 +70,7 @@ def find_page_index(key_ids: Iterable[int], store: "TierStore") -> np.ndarray:
     pages = store.page_of[ids] if not ids.size or _top(ids) < store.page_of.size else None
     if pages is None or (pages < 0).any():
         raise ConsistencyError("a token is not mapped to any page")
-    listed = np.zeros(store.n_pages, dtype=bool)
-    listed[pages] = True
-    return np.flatnonzero(listed)
+    return distinct(pages)
 
 
 class TierStore:

@@ -108,6 +108,8 @@ class Workload:
 
     def decode_step(self, n_prefill: int, step: int) -> DecodeStep:
         token = n_prefill + step
+        if n_prefill < 1:
+            raise ConfigError(f"n_prefill {n_prefill} is below 1")
         if step < 0:
             raise ConfigError(f"step {step} is negative")
         if token >= self.n_tokens:

@@ -464,26 +464,22 @@ def test_query_rejects_bad_vectors_and_k_outside_the_beam():
 
 def _start_level(tree, beam):
     """The query's start level, read from the row array `_top`: the highest
-    level holding more than `beam` points, or level 1 where that is level 2
-    and it holds at most `2 * beam` points."""
+    level holding more than `2 * beam` points, or level 1."""
     size = [np.count_nonzero(tree._top[:len(tree)] >= lv) for lv in range(1, tree.levels + 1)]
-    start = max(1, sum(points > beam for points in size))
-    return 1 if start == 2 and size[1] <= 2 * beam else start
+    return max(1, sum(points > 2 * beam for points in size))
 
 
-def _union_of_levels(tree, q, k, beam):
-    """The former query, as a reference: walk down from the top level and
-    rank every level's candidates together, each id once. A survivor's
-    children are read from the row arrays `_top` and `_parent`, in row
-    order, not from the level layout under test. A query that starts at
-    level 1 ranks every point."""
-    if _start_level(tree, beam) == 1:
-        ids = tree._point[:len(tree)]
-        score = -np.einsum("ij,j->i", tree._buf[:len(tree)], q)
-        return ids[np.lexsort((ids, score))[:k]].tolist()
+def _union_of_levels(tree, q, k, beam, start=None):
+    """The former query, as a reference: walk down from the start level
+    (`_start_level` unless given), scanned whole, and rank every level's
+    candidates together, each id once. A survivor's children are read from
+    the row arrays `_top` and `_parent`, in row order, not from the level
+    layout under test. A query that starts at level 1 ranks every point.
+    Returns the k best ids and the number of rows scored."""
+    start = _start_level(tree, beam) if start is None else start
     top, parent = tree._top[:len(tree)], tree._parent[:len(tree)]
-    rows, found = np.flatnonzero(top == tree.levels), []
-    for level in range(tree.levels, 0, -1):
+    rows, found = np.flatnonzero(top >= start), []
+    for level in range(start, 0, -1):
         score = -np.einsum("ij,j->i", tree._buf.take(rows, axis=0), q)
         ids = tree._point[rows]
         found += zip(score.tolist(), ids.tolist())
@@ -491,14 +487,15 @@ def _union_of_levels(tree, q, k, beam):
             owners = rows[np.lexsort((ids, score))[:beam]]
             owner = np.where(top == level - 1, parent, np.arange(top.size))
             rows = np.flatnonzero((top >= level - 1) & np.isin(owner, owners))
-    return list(dict.fromkeys(pid for _, pid in sorted(found)))[:k]
+    return list(dict.fromkeys(pid for _, pid in sorted(found)))[:k], len(found)
 
 
 def test_query_equals_the_union_of_levels_ranking():
     """With k <= beam, ranking level 1 alone returns the lists that ranking
     the union of every level's candidates did: on built trees and on trees
     grown by page inserts (some topping the tree), at several ratios, with
-    repeated key rows so that scores tie."""
+    repeated key rows so that scores tie. It scores as many rows as the
+    reference walk does."""
     rng = np.random.default_rng(60)
     deep = grown = 0
     for trial in range(24):
@@ -524,39 +521,47 @@ def test_query_equals_the_union_of_levels_ranking():
             q = transform_query(keys[rng.integers(n)] if rng.random() < 0.5
                                 else rng.normal(size=8))
             deep += _start_level(tree, beam) > 1
-            assert tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)).tolist() == \
+            before = tree.distance_evals
+            got = tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)).tolist()
+            assert (got, tree.distance_evals - before) == \
                 _union_of_levels(tree, q, k, beam), (trial, k, beam)
     assert deep > 200 and grown > 40
 
 
-@pytest.mark.parametrize("at_two", [9, 12, 16, 17])
-def test_a_level_two_start_of_at_most_twice_the_beam_scans_level_one(at_two):
-    """With beam 8, a level 2 of 9 to 16 points starts the query at level 1:
-    it returns the exact ranking of every lifted row, ties toward the
-    smaller id, and counts len(tree) distance evaluations. A level 2 of 17
-    points still descends and scores fewer rows."""
+@pytest.mark.parametrize("level,size", [pytest.param(2, size, id=str(size)) for size in (9, 12, 16, 17)]
+                         + [pytest.param(3, size, id=f"level3-{size}") for size in (9, 16, 17)])
+def test_a_level_two_start_of_at_most_twice_the_beam_scans_level_one(level, size):
+    """With beam 8, a level of at most 16 points is not searched: the query
+    starts one level down, scanned whole. A level 2 of 9 to 16 points
+    starts at level 1, which returns the exact ranking of every lifted row,
+    ties toward the smaller id, and counts len(tree) distance evaluations.
+    Under a level 3 of 9 or 16 points, the 40 points of level 2 and the
+    level-1 rows of the nodes of level 2's beam best are scored. A level
+    of 17 points still starts the descent."""
     beam, k, n = 8, 4, 300
-    rng = np.random.default_rng(at_two)
+    rng = np.random.default_rng(size)
     keys = rng.normal(size=(n, 8))
     keys[1::7] = keys[::7][: len(keys[1::7])]  # repeated rows: tied scores
     levels = np.ones(n, dtype=int)
-    levels[:at_two] = 2
-    levels[0] = 3
+    levels[:40 if level == 3 else size] = 2
+    if level == 3:
+        levels[:size] = 3
+    levels[0] = level + 1
     tree = DciTree(8, KeyScale.from_keys(keys), 0.1)
     tree.insert(np.arange(n), keys, level=rng.permutation(levels).tolist())
-    assert [members.size for members in tree._members] == [n, at_two, 1]
+    assert [members.size for members in tree._members] == \
+        ([n, size, 1] if level == 2 else [n, 40, size, 1])
+    start = level if size > 2 * beam else level - 1
     ids = tree._point[:n]
     for q in [transform_query(keys[i]) for i in range(0, n, 15)] + \
              [transform_query(rng.normal(size=8)) for _ in range(20)]:
         before = tree.distance_evals
         got = tree.query(q, SENTINEL_LEVEL, k, SearchBudget(k, beam)).tolist()
-        evals = tree.distance_evals - before
-        if at_two <= 2 * beam:
+        assert (got, tree.distance_evals - before) == _union_of_levels(tree, q, k, beam, start)
+        if start == 1:
             score = np.einsum("ij,j->i", tree._buf[:n], q.astype(np.float32))
             assert got == ids[np.lexsort((ids, -score))[:k]].tolist()
-            assert evals == len(tree)
-        else:
-            assert at_two < evals < len(tree)
+            assert tree.distance_evals - before == len(tree)
 
 
 def test_planted_needle_is_always_retrieved():
@@ -737,7 +742,7 @@ def test_identical_seeds_build_identical_trees():
 def test_query_results_and_distance_counts_match_golden_values():
     """Selected ids pinned from the per-node search the level arrays
     replaced (ties toward the smaller id); distance evaluations pinned from
-    the descent that starts at the highest level over the beam. The
+    the descent that starts at the highest level over twice the beam. The
     incremental tree's scale is below 77 of its key norms: its last two
     results are pinned from queries that rank those keys by their true
     product (row times length)."""
@@ -748,7 +753,7 @@ def test_query_results_and_distance_counts_match_golden_values():
            for _ in range(3)]
     assert got == [[186, 982, 517, 1078, 994], [998, 321, 691, 603, 1379],
                    [686, 341, 1438, 199, 588]]
-    assert batch.distance_evals == 433
+    assert batch.distance_evals == 430
 
     rng = np.random.default_rng(32)
     incr = DciTree(12, KeyScale(4.0), 0.2, seed=32)
@@ -759,7 +764,7 @@ def test_query_results_and_distance_counts_match_golden_values():
             q = transform_query(rng.normal(size=12))
             got.append(incr.query(q, SENTINEL_LEVEL, 5).tolist())
     assert got == [[61, 25, 4, 6, 2], [112, 34, 28, 172, 73], [248, 13, 289, 258, 365]]
-    assert (incr.distance_evals, incr.levels, incr.scale_clamps) == (333, 7, 77)
+    assert (incr.distance_evals, incr.levels, incr.scale_clamps) == (326, 7, 77)
 
     rng = np.random.default_rng(33)
     uniform = _index(rng.normal(size=(3000, 12)), 0.02, seed=33)

@@ -66,6 +66,10 @@ def test_decode_step_slicing_and_bounds():
         wl.decode_step(15, 5)
     with pytest.raises(ConfigError, match="step -20"):  # token -5 would wrap to row 15
         wl.decode_step(15, -20)
+    with pytest.raises(ConfigError, match="n_prefill -10"):  # token -8 would wrap to row 12
+        wl.decode_step(-10, 2)
+    with pytest.raises(ConfigError, match="n_prefill 0"):
+        wl.decode_step(0, 3)
     with pytest.raises(ConfigError):
         wl.prefill_view(0)
 
