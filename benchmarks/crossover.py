@@ -52,7 +52,7 @@ def main() -> None:
                 tree_ms.append(1e3 * (t1 - t0))
                 dense_ms.append(1e3 * (t2 - t1))
                 recall.append(np.isin(top, got).mean())
-            print(f"{kind:9s} keys={n:7d} build={build_s:6.2f} s "
+            print(f"{kind:9s} keys={n:7d} build={build_s:6.3f} s "
                   f"tree={np.median(tree_ms):.3f} ms recall={np.mean(recall):.3f} "
                   f"dense={np.median(dense_ms):.3f} ms", flush=True)
 

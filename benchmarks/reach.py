@@ -13,8 +13,9 @@ the package:
              query heads per kv head; pipeline-est
 
 The tracer (`sys.settrace`, limited to `src/icecache`) is installed before
-the package is imported, so import-time lines count. BLAS runs on one
-thread. Tests are not traced: a line that only a test reaches is listed.
+the package is imported, so import-time lines count; `threading.settrace`
+installs it in the package's helper thread too. BLAS runs on one thread.
+Tests are not traced: a line that only a test reaches is listed.
 
 It prints one line per module, its executable lines that never ran as
 ranges, and a last line with the totals. A line is executable if the
@@ -32,6 +33,7 @@ import contextlib
 import io
 import runpy
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +135,7 @@ def main() -> None:
     args = parser.parse_args()
 
     sys.settrace(_global)
+    threading.settrace(_global)  # the helper thread starts on first use, after this
     try:
         from perfbench.workloads import WORKLOADS
         names = list(WORKLOADS) if args.workload == "all" else [args.workload]
@@ -144,6 +147,7 @@ def main() -> None:
             run_cli(Path(tmp))
     finally:
         sys.settrace(None)
+        threading.settrace(None)
 
     total = unrun_total = 0
     for path in sorted(SRC.glob("*.py")):

@@ -31,7 +31,8 @@ parent is its exact nearest lifted neighbour among the points that reach
 one level above its top level once its batch is in. Lifted points are
 unit vectors, so that is the candidate of largest inner product (any one
 of several equal ones), found by a dense scan (`_parent_rows`): one
-float32 matmul and one argmax per block of rows. A build scans every
+float32 matmul and one argmax per block of rows, the blocks of a large
+level shared with the package's helper thread. A build scans every
 point against all others, still quadratic in the key count; a page
 inserted during decode scans its points against the tree's rows above
 them. Points already in the tree keep their parents, except that a batch
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_ids, grown
+from .arrays import as_ids, grown, helper
 from .errors import ConfigError, InputError
 from .geometry import KeyScale, lift_keys
 from .pagestore import TierStore
@@ -181,6 +182,15 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray) -> np.ndarr
     of all of that level's candidates (BLAS takes the transpose as a flag;
     a contiguous copy measured no faster in float32 either: within noise on
     builds of 10k to 100k keys, and slower on page inserts).
+
+    A level of more than one block is scanned by this thread and the
+    package's helper thread (`arrays.helper`) at once, both taking blocks
+    from one shared iterator; a block is the same product on either
+    thread, so the parents are those of a one-thread loop. The call then
+    cancels the helper's task, or, if the helper already started it, waits
+    for its last block. So a helper still busy (with a prefill's slab
+    copies) never stalls the scan, a call made on the helper itself does
+    all the blocks, and a page insert (one page of rows) never uses it.
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
@@ -190,9 +200,21 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray) -> np.ndarr
         if not cands.size:
             continue
         cand_t = buf[cands].T
-        for a in range(0, at.size, PARENT_BLOCK):
-            block = at[a:a + PARENT_BLOCK]
-            parent[block] = cands[np.argmax(buf[rows[block]] @ cand_t, axis=1)]
+        blocks = iter(range(0, at.size, PARENT_BLOCK))  # shared: each next() is atomic
+
+        def scan():  # runs, and is waited for, within this level
+            for a in blocks:
+                block = at[a:a + PARENT_BLOCK]
+                parent[block] = cands[np.argmax(buf[rows[block]] @ cand_t, axis=1)]
+        if at.size <= PARENT_BLOCK:
+            scan()
+            continue
+        task = helper().submit(scan)
+        try:
+            scan()
+        finally:
+            if not task.cancel():  # started: wait for the block it holds
+                task.result()
     return parent
 
 

@@ -41,15 +41,27 @@ indexed layers, every reuse_stride-th from skip_layers is an anchor
 (`anchors`; `anchor_of` maps each indexed layer to its own), so stride 1,
 the default, makes each its own anchor. The engine is not a transformer:
 embeddings come from the workload.
+
+Prefill runs on two cores: the package's one helper thread
+(`arrays.helper`) copies and checks the K and V slabs the builds do not
+read while the calling thread builds the trees, and then shares each
+build's parent scan. NumPy copies, checks and matmuls release the
+interpreter lock, so the two threads overlap. Decode runs on the calling
+thread alone, because perfbench's span recorder, which nests each traced
+call in one stack of open spans, is not thread-safe: a traced call made
+on the helper would be timed into whatever span the calling thread has
+open.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
+from .arrays import helper
 from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
@@ -161,19 +173,26 @@ class Engine:
             raise ConfigError("workload dims do not match the engine config")
 
     def prefill(self, workload: Workload, n_prefill: int) -> "Engine":
-        """Index the first n_prefill tokens of the stream."""
+        """Index the first n_prefill tokens of the stream.
+
+        The prompt's K and V slabs are filled on two cores. This thread
+        copies the anchor layers' keys, the only slabs the tree builds
+        read, and queues every other slab on the helper thread
+        (`arrays.helper`), which copies each and checks it for finite
+        values (the anchor key slabs it only checks). This thread builds
+        the trees meanwhile, then takes any slab the helper has not, and
+        joins it in a `finally`, so no copy outlives a prefill that
+        returns or raises. Once the helper's copies are done, each build's
+        parent scan shares its blocks with it (`dci._parent_rows`).
+        InputError, with the engine left unprefilled, if a prompt key or
+        value is not finite; a build's own error passes through as it is.
+        """
         if self._n:
             raise ConfigError("engine already prefilled")
         self._check_workload(workload)
         cfg = self.cfg
         keys, values = workload.prefill_view(n_prefill)
         self.n_prefill = n_prefill
-
-        rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
-        self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
-        self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
-        self._keys[:, :, :n_prefill] = keys.transpose(1, 2, 0, 3)
-        self._values[:, :, :n_prefill] = values.transpose(1, 2, 0, 3)
 
         s = cfg.page_size
         page_count = math.ceil(n_prefill / s)
@@ -185,14 +204,34 @@ class Engine:
         for layer in range(first, cfg.layers):
             self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
             self.window_start[layer] = window_start
-        for layer in self.anchors:
-            for h in range(cfg.kv_heads):
-                store = TierStore(cfg.d, cfg.d_prime, s)
-                tree = dci_indexing(np.arange(self.sink_end, window_start),
-                                    self._keys[layer, h, self.sink_end:window_start],
-                                    cfg.promotion_ratio, seed=(cfg.seed, layer, h),
-                                    store=store, rows=rows)
-                self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
+
+        rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
+        self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
+        self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
+        n = n_prefill
+        for layer in self.anchors:  # the slabs the builds read
+            self._keys[layer, :, :n] = keys[:, layer].transpose(1, 0, 2)
+        every = [(layer, h) for layer in range(cfg.layers) for h in range(cfg.kv_heads)]
+        slabs = iter([(self._keys[layer, h, :n], None if layer in self.anchors
+                       else keys[:, layer, h]) for layer, h in every]
+                     + [(self._values[layer, h, :n], values[:, layer, h]) for layer, h in every])
+        filling = helper().submit(_fill, slabs)
+        finite = False
+        try:
+            for layer in self.anchors:
+                for h in range(cfg.kv_heads):
+                    store = TierStore(cfg.d, cfg.d_prime, s)
+                    tree = dci_indexing(np.arange(self.sink_end, window_start),
+                                        self._keys[layer, h, self.sink_end:window_start],
+                                        cfg.promotion_ratio, seed=(cfg.seed, layer, h),
+                                        store=store, rows=rows)
+                    self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
+            finite = _fill(slabs)  # the slabs the helper has not taken yet
+        finally:
+            if not filling.cancel():  # started: wait for the slabs it took
+                finite &= filling.result()
+        if not finite:
+            raise InputError("prompt keys and values must be finite")
         self._n = n_prefill  # last: a prefill that raises leaves the engine unprefilled
         return self
 
@@ -303,6 +342,18 @@ class Engine:
             selections={key: selections[key] for key in sorted(selections)},
         )
         return outputs, metrics
+
+
+def _fill(slabs: Iterator[tuple[np.ndarray, np.ndarray | None]]) -> bool:
+    """Copy each (slab, source) pair's source into its slab, unless the
+    source is None, and check the slab; whether every slab is finite. Two
+    threads may share `slabs`: each next() on a list iterator is atomic."""
+    finite = True
+    for slab, source in slabs:
+        if source is not None:
+            slab[...] = source
+        finite &= bool(np.isfinite(slab).all())
+    return finite
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

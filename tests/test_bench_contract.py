@@ -7,7 +7,10 @@ changes what the weights hold would leave the traced run blind without
 failing it, so the contract is checked here, from the engine's side.
 """
 
+import os
+import subprocess
 import sys
+import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -17,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import icecache.engine as engine_mod  # noqa: E402
 from icecache import Engine, EngineConfig, WorkloadSpec, generate_workload  # noqa: E402
+from icecache.dci import PARENT_BLOCK  # noqa: E402
 from perfbench.check import attended_ids  # noqa: E402
 from perfbench.spans import SpanRecorder, _distance_note, _entry_points  # noqa: E402
 
@@ -25,6 +29,43 @@ def test_every_traced_entry_point_exists_on_the_engine_module():
     for owner, attr, name, _ in _entry_points():
         assert owner is engine_mod or getattr(engine_mod, owner.__name__) is owner, name
         assert attr in vars(owner), name
+
+
+def test_every_traced_entry_point_runs_on_the_main_thread_only(monkeypatch):
+    """The span recorder keeps one stack of open spans, so a traced call on
+    the helper thread would be timed inside whatever span the main thread
+    has open. Prefill shares its slab copies and its builds' multi-block
+    parent scans with the helper, and decode folds; every traced entry
+    point still runs on the main thread alone."""
+    spec = WorkloadSpec(kind="clustered", n_tokens=1100, d=16, d_prime=8, clusters=8,
+                        layers=4, kv_heads=2, query_heads_per_group=2, seed=3)
+    cfg = EngineConfig(layers=4, kv_heads=2, query_heads_per_group=2, d=16, d_prime=8,
+                       token_budget=16, seed=3)
+    wl = generate_workload(spec)
+    threads = defaultdict(set)  # span name -> the threads that called it
+
+    for owner, attr, name, _ in _entry_points():
+        def traced(*args, _original=vars(owner)[attr], _name=name, **kwargs):
+            threads[_name].add(threading.current_thread())
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, traced)
+
+    eng = Engine(cfg).prefill(wl, 1000)
+    for state in eng.heads.values():
+        assert list(state.tree.point_level.values()).count(1) > 2 * PARENT_BLOCK
+    for step in range(20):  # layer 2 folds at step 8, layer 3 at step 16
+        eng.decode_step(wl.decode_step(1000, step))
+    assert {name for _, _, name, _ in _entry_points()} == set(threads)
+    assert all(seen == {threading.main_thread()} for seen in threads.values()), threads
+    assert any(t.name.startswith("icecache-helper") for t in threading.enumerate())
+
+
+def test_importing_the_package_starts_no_thread():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import threading, icecache, icecache.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "1"
 
 
 def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch):

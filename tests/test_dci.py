@@ -2,6 +2,9 @@
 
 import copy
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from icecache import (ConfigError, DciTree, InputError, KeyScale, SearchBudget,
                       SENTINEL_LEVEL, TierStore, assign_levels, dci_indexing,
                       exact_topk, lift_keys, transform_query)
-from icecache.dci import PARENT_BLOCK, ROOT_OWNER
+from icecache.arrays import helper
+from icecache.dci import PARENT_BLOCK, ROOT_OWNER, _parent_rows
 
 
 def _index(keys, *args, **kwargs):
@@ -180,6 +184,89 @@ def test_parent_is_one_of_the_equal_nearest_candidates():
             assert owner in nearest, pid
             ties += nearest.size > 1
     assert ties > 100
+
+
+def _parent_rows_one_thread(buf, top, rows):
+    """The parent scan as one loop over the blocks `_parent_rows` shares:
+    each level's rows in blocks of PARENT_BLOCK, each block's argmax over
+    that level's candidates."""
+    parent = np.full(rows.size, -1)
+    levels = top[rows]
+    for lv in np.unique(levels):
+        at, cands = np.flatnonzero(levels == lv), np.flatnonzero(top > lv)
+        for a in range(0, at.size if cands.size else 0, PARENT_BLOCK):
+            block = at[a:a + PARENT_BLOCK]
+            parent[block] = cands[np.argmax(buf[rows[block]] @ buf[cands].T, axis=1)]
+    return parent
+
+
+class _Paced(np.ndarray):
+    """Rows whose gathers wait 5 ms on the main thread and 200 ms on any
+    other, so a helper that takes a block is still inside it when the
+    calling thread runs out of blocks."""
+
+    def __getitem__(self, index):
+        time.sleep(0.005 if threading.current_thread() is threading.main_thread() else 0.2)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("helper_state", ["idle", "slow", "busy", "the caller"])
+def test_the_shared_parent_scan_equals_a_one_thread_loop(helper_state):
+    """Levels 1 and 2 of the batch span several blocks each. The result is
+    read the moment the scan returns, so a slow helper's blocks must be in
+    by then. A busy helper (a task that waits on an event set only after
+    the scan returns) leaves every block to the calling thread, and a scan
+    called on the helper itself takes every block there; neither waits on
+    the other."""
+    rng = np.random.default_rng(46)
+    buf = rng.normal(size=(3000, 33)).astype(np.float32)
+    buf /= np.linalg.norm(buf, axis=1, keepdims=True)
+    top = assign_levels(0.3, rng, 3000)
+    sizes = np.bincount(top)
+    assert sizes[1] > 4 * PARENT_BLOCK and sizes[2] > PARENT_BLOCK and top.max() >= 4
+    rows = np.arange(300, 3000)  # a batch after the first 300 rows
+    release = threading.Event()
+    blocker = helper().submit(release.wait, 60) if helper_state == "busy" else None
+    try:
+        if helper_state == "the caller":
+            got = helper().submit(_parent_rows, buf, top, rows).result(timeout=60)
+        else:
+            got = _parent_rows(buf.view(_Paced) if helper_state == "slow" else buf,
+                               top, rows).copy()
+    finally:
+        release.set()
+    assert np.array_equal(got, _parent_rows_one_thread(buf, top, rows))
+    assert (got >= 0).sum() == (top[rows] < top.max()).sum()
+    assert blocker is None or blocker.result(timeout=60)
+
+
+def test_parent_scans_from_four_threads_at_once_share_the_helper_safely():
+    """Four threads (more than the host's cores) scan at once, with a short
+    switch interval, all sharing the one helper: every scan still equals
+    the one-thread loop."""
+    rng = np.random.default_rng(47)
+    buf = rng.normal(size=(1500, 17)).astype(np.float32)
+    buf /= np.linalg.norm(buf, axis=1, keepdims=True)
+    top = assign_levels(0.3, rng, 1500)
+    rows = np.arange(1500)
+    want = _parent_rows_one_thread(buf, top, rows)
+    results = []
+
+    def scan():
+        for _ in range(5):
+            results.append(np.array_equal(_parent_rows(buf, top, rows), want))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=scan) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [True] * 20
 
 
 def test_self_retrieval_of_indexed_keys():

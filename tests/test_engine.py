@@ -1,14 +1,21 @@
 """Engine orchestration: prefill layout, decode flow, reuse, and the
 pipeline estimator."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import icecache.engine as engine_mod
 from icecache import (SENTINEL_LEVEL, ConfigError, DegenerateQueryError, Engine, EngineConfig,
                       InputError, SearchBudget, Workload, WorkloadSpec, full_attention,
                       generate_workload, gqa_union, pipeline_estimate, transform_query)
@@ -106,6 +113,90 @@ def test_prefill_names_a_non_finite_indexed_key():
     wl.keys[250, cfg.skip_layers, 0, 3] = np.nan
     with pytest.raises(InputError, match="non-finite keys"):
         Engine(cfg).prefill(wl, 500)
+
+
+@pytest.mark.parametrize("array, layer, token", [
+    ("keys", 2, 3),      # a sink key of an anchor layer: no build reads it
+    ("keys", 0, 250),    # a key of a layer with no tree
+    ("values", 2, 250),  # a value of an indexed token
+    ("values", 1, 495),  # a window value of an exact layer
+])
+def test_a_non_finite_prompt_value_fails_prefill_and_leaves_the_engine_unprefilled(
+        array, layer, token):
+    wl, cfg = _small()
+    getattr(wl, array)[token, layer, 1, 0] = np.nan
+    eng = Engine(cfg)
+    with pytest.raises(InputError, match="prompt keys and values must be finite"):
+        eng.prefill(wl, 500)
+    with pytest.raises(ConfigError, match="before prefill"):
+        eng.decode_step(wl.decode_step(500, 0))
+    clean, _ = _small()
+    eng = Engine(cfg).prefill(clean, 500)
+    assert eng.decode_step(clean.decode_step(500, 0))[1].step == 0
+
+
+def test_a_prefill_whose_build_raises_joins_the_helper_first(monkeypatch):
+    """A NaN on an indexed key fails the first build on the calling thread
+    once the helper has started copying (each of its slabs waits 20 ms).
+    The helper's copies have all finished when the error arrives, and the
+    next prefill of a fresh engine fills the slabs as one sequential copy."""
+    fill, build = engine_mod._fill, engine_mod.dci_indexing
+    started, done = threading.Event(), []
+
+    def slow_fill(slabs):
+        if threading.current_thread() is threading.main_thread():
+            return fill(slabs)
+        started.set()
+
+        def slow():
+            for pair in slabs:
+                time.sleep(0.02)
+                yield pair
+        try:
+            return fill(slow())
+        finally:
+            done.append(True)
+
+    def build_once_the_helper_runs(*args, **kwargs):
+        assert started.wait(timeout=30)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_fill", slow_fill)
+    monkeypatch.setattr(engine_mod, "dci_indexing", build_once_the_helper_runs)
+    wl, cfg = _small()
+    wl.keys[250, cfg.skip_layers, 0, 3] = np.nan
+    with pytest.raises(InputError, match="non-finite keys"):
+        Engine(cfg).prefill(wl, 500)
+    assert done  # joined before the error
+
+    clean, _ = _small()
+    eng = Engine(cfg).prefill(clean, 500)
+    assert np.array_equal(eng._keys[:, :, :500], clean.keys[:500].transpose(1, 2, 0, 3))
+    assert np.array_equal(eng._values[:, :, :500], clean.values[:500].transpose(1, 2, 0, 3))
+
+
+def test_a_child_forked_after_a_prefill_gets_a_helper_of_its_own():
+    """A forked child inherits the record of its parent's helper thread
+    but not the thread: without a helper of its own, the tasks it queues
+    would never run and would keep their slabs alive."""
+    code = """if True:
+        import os, sys
+        from icecache import Engine, EngineConfig, WorkloadSpec, generate_workload
+        from icecache.arrays import helper
+        spec = WorkloadSpec(kind="clustered", n_tokens=600, d=16, d_prime=8, clusters=8,
+                            layers=3, kv_heads=2)
+        cfg = EngineConfig(layers=3, kv_heads=2, d=16, d_prime=8)
+        wl = generate_workload(spec)
+        Engine(cfg).prefill(wl, 500)
+        pid = os.fork()
+        if not pid:
+            Engine(cfg).prefill(wl, 500)
+            os._exit(0 if helper().submit(int, 7).result(timeout=10) == 7 else 1)
+        sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=120)
 
 
 # -- decode flow ------------------------------------------------------------------
