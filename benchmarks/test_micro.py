@@ -151,3 +151,21 @@ def test_decode_page_glue(benchmark):
         attended = np.concatenate((resident, store.tokens_in(pages)))
         sparse_attention(q, attended, keys, values)
     benchmark(run)
+
+
+def test_decode_step_block(benchmark):
+    """A 16-step block of whole decode steps on clustered-10k's engine (4
+    layers, 2 of them skip layers, a 10k prompt): the helper thread
+    attends exact pairs while the calling thread serves the anchor groups.
+    Each round decodes from a fresh prefill, so every round folds alike."""
+    spec = WorkloadSpec(kind="clustered", clusters=32, n_tokens=N_KEYS + 16)
+    wl = generate_workload(spec)
+    cfg = EngineConfig()
+
+    def fresh():
+        return (Engine(cfg).prefill(wl, N_KEYS),), {}
+
+    def run(eng):
+        for t in range(16):
+            eng.decode_step(wl.decode_step(N_KEYS, t))
+    benchmark.pedantic(run, setup=fresh, rounds=10, iterations=1)

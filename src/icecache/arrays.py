@@ -51,8 +51,9 @@ def helper() -> ThreadPoolExecutor:
     threads take from, then cancels its task, or waits for it only if it
     started: so no caller waits on a task queued behind another one, or
     behind itself when it runs on the helper. `Engine.prefill` (its slab
-    copies) and `dci._parent_rows` (its blocks of rows) use it; decode
-    does not, and no entry point that perfbench traces runs here.
+    copies), `dci._parent_rows` (its blocks of rows) and
+    `Engine.decode_step` (its exact attention pairs) use it; no entry
+    point that perfbench traces runs here.
     """
     global _helper
     with _helper_lock:

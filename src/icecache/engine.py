@@ -42,19 +42,24 @@ indexed layers, every reuse_stride-th from skip_layers is an anchor
 the default, makes each its own anchor. The engine is not a transformer:
 embeddings come from the workload.
 
-Prefill runs on two cores: the package's one helper thread
-(`arrays.helper`) copies and checks the K and V slabs the builds do not
-read while the calling thread builds the trees, and then shares each
-build's parent scan. NumPy copies, checks and matmuls release the
-interpreter lock, so the two threads overlap. Decode runs on the calling
-thread alone, because perfbench's span recorder, which nests each traced
-call in one stack of open spans, is not thread-safe: a traced call made
-on the helper would be timed into whatever span the calling thread has
-open.
+Prefill and decode run on two cores. In prefill the package's one helper
+thread (`arrays.helper`) copies and checks the K and V slabs the builds
+do not read while the calling thread builds the trees, and then shares
+each build's parent scan. In decode the helper attends the exact layers'
+(layer, query head) pairs, all but the last, while the calling thread
+serves the anchor groups; the calling thread then attends the last pair
+and any the helper has not taken. NumPy copies, checks and matmuls
+release the interpreter lock, so the two threads overlap. The helper
+calls no name that perfbench traces (it runs `attention._attend`, the
+kernel behind `full_attention`), because perfbench's span recorder, which
+nests each traced call in one stack of open spans, is not thread-safe: a
+traced call made on the helper would be timed into whatever span the
+calling thread has open.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -62,7 +67,7 @@ from typing import Iterator
 import numpy as np
 
 from .arrays import helper
-from .attention import AttentionOutput, full_attention, gqa_union, sparse_attention
+from .attention import AttentionOutput, _attend, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
 from .geometry import transform_query
@@ -248,11 +253,22 @@ class Engine:
         DegenerateQueryError on a zero one. A rejected step leaves the
         engine as it was.
 
-        A layer that is not indexed attends exactly. Each anchor group then
+        A layer that is not indexed attends exactly. Each anchor group
         decides once whether it folds, and per kv head folds, selects, looks
         up and loads once at its anchor head; every layer of the group
         attends those ids with its own keys and values (see the module
         docstring). Selections keep their (layer, query head) order.
+
+        The exact pairs but the last, if any, go to the helper thread
+        (`arrays.helper`) through one shared iterator, once the step's keys
+        and values are written. This thread serves every anchor group, then
+        attends the last pair and any the helper has not taken through
+        `full_attention`, so a step with an exact layer always makes one
+        call perfbench's trace can time, and joins in a `finally`: it cancels the helper's task if it has not
+        started, or waits for its last pair. So a busy helper, a step run on
+        the helper itself or a group that raises never stalls the step or
+        leaves work running. Each pair is the same BLAS call on either
+        thread, so outputs equal a one-thread step's bit for bit.
 
         Returns per-layer, per-query-head attention outputs plus the step's
         counters and selections. It serves and counts only: fidelity is
@@ -294,41 +310,49 @@ class Engine:
         keys, values = self._keys[:, :, :n], self._values[:, :, :n]
         fill = token % s + 1  # the newest window page's, as windows start on a page
 
-        for layer in range(cfg.layers - len(self.window_start)):  # exact, below the indexed
-            for qh in range(cfg.n_query_heads):
+        exact = [(layer, qh) for layer in range(cfg.layers - len(self.window_start))
+                 for qh in range(cfg.n_query_heads)]  # the layers below the indexed
+        shared = iter(exact[:-1])  # the last pair is this thread's; each next() is atomic
+        task = helper().submit(_attend_exact, shared, queries, keys, values, g, outputs) \
+            if len(exact) > 1 else None
+        try:
+            for anchor in self.anchors:
+                layers = range(anchor, min(anchor + cfg.reuse_stride, cfg.layers))
+                start = self.window_start[anchor]
+                folds = (fill == s * (anchor - cfg.skip_layers)
+                         // (cfg.layers - cfg.skip_layers) + 1
+                         and n - start > cfg.window_pages * s)
+                if folds:
+                    folded = np.arange(start, start + s)
+                    start += s
+                    self.window_start.update(dict.fromkeys(layers, start))
+                resident = np.concatenate((np.arange(self.sink_end), np.arange(start, n)))
+                for h in range(cfg.kv_heads):
+                    group, state = range(h * g, (h + 1) * g), self.heads[(anchor, h)]
+                    if folds:
+                        state.store.offload(s)
+                        state.tree.insert(folded, keys[anchor, h, folded])
+                    picks = [state.tree.query(lifted[(anchor, qh)], SENTINEL_LEVEL,
+                                              budget.k, budget) for qh in group]
+                    union = gqa_union(picks)
+                    pages = find_page_index(union, state.store)
+                    loaded = state.store.tokens_in(pages)
+                    attended = np.concatenate((resident, loaded))
+                    delta = state.store.backload(pages)
+                    for layer in layers:
+                        moved.add(delta)
+                        pages_selected += pages.size
+                        tokens_loaded += loaded.size
+                        for qh, picked in zip(group, picks):
+                            selections[(layer, qh)] = picked if layer == anchor else union
+                            outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
+                                                                  keys[layer, h], values[layer, h])
+            for layer, qh in itertools.chain(exact[-1:], shared):  # its own, then any left
                 outputs[layer][qh] = full_attention(queries[layer, qh],
                                                     keys[layer, qh // g], values[layer, qh // g])
-
-        for anchor in self.anchors:
-            layers = range(anchor, min(anchor + cfg.reuse_stride, cfg.layers))
-            start = self.window_start[anchor]
-            folds = (fill == s * (anchor - cfg.skip_layers) // (cfg.layers - cfg.skip_layers) + 1
-                     and n - start > cfg.window_pages * s)
-            if folds:
-                folded = np.arange(start, start + s)
-                start += s
-                self.window_start.update(dict.fromkeys(layers, start))
-            resident = np.concatenate((np.arange(self.sink_end), np.arange(start, n)))
-            for h in range(cfg.kv_heads):
-                group, state = range(h * g, (h + 1) * g), self.heads[(anchor, h)]
-                if folds:
-                    state.store.offload(s)
-                    state.tree.insert(folded, keys[anchor, h, folded])
-                picks = [state.tree.query(lifted[(anchor, qh)], SENTINEL_LEVEL, budget.k, budget)
-                         for qh in group]
-                union = gqa_union(picks)
-                pages = find_page_index(union, state.store)
-                loaded = state.store.tokens_in(pages)
-                attended = np.concatenate((resident, loaded))
-                delta = state.store.backload(pages)
-                for layer in layers:
-                    moved.add(delta)
-                    pages_selected += pages.size
-                    tokens_loaded += loaded.size
-                    for qh, picked in zip(group, picks):
-                        selections[(layer, qh)] = picked if layer == anchor else union
-                        outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
-                                                              keys[layer, h], values[layer, h])
+        finally:
+            if task is not None and not task.cancel():  # started: wait for its last pair
+                task.result()
 
         metrics = StepMetrics(
             step=token - self.n_prefill,
@@ -342,6 +366,18 @@ class Engine:
             selections={key: selections[key] for key in sorted(selections)},
         )
         return outputs, metrics
+
+
+def _attend_exact(pairs: Iterator[tuple[int, int]], queries: np.ndarray, keys: np.ndarray,
+                  values: np.ndarray, g: int, outputs: list[list[AttentionOutput | None]]
+                  ) -> None:
+    """Attend each (layer, query head) pair taken from `pairs` over every
+    key of its kv head into `outputs`: the kernel `full_attention` calls,
+    on a step `decode_step` has checked, and no name perfbench traces."""
+    ids = np.arange(keys.shape[2])
+    for layer, qh in pairs:
+        outputs[layer][qh] = _attend(np.asarray(queries[layer, qh], dtype=float),
+                                     keys[layer, qh // g], values[layer, qh // g], ids)
 
 
 def _fill(slabs: Iterator[tuple[np.ndarray, np.ndarray | None]]) -> bool:

@@ -212,8 +212,10 @@ def load_trace(path: str) -> Workload:
         raise TraceFormatError(f"bad magic {magic!r} at byte offset 0")
     if version != TRACE_VERSION:
         raise TraceFormatError(f"unsupported trace version {version} at byte offset 4")
-    if min(L, H, G, d, dv, n) < 1:
-        raise TraceFormatError(f"non-positive shape field in header at byte offset 8")
+    for i, field in enumerate((L, H, G, d, dv, n)):
+        if field < 1:
+            raise TraceFormatError(
+                f"non-positive shape field in header at byte offset {8 + 4 * i}")
     expected = n * L * H * (d + dv + d) * 4
     body = len(raw) - _HEADER.size
     if body != expected:

@@ -19,7 +19,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import icecache.engine as engine_mod  # noqa: E402
-from icecache import Engine, EngineConfig, WorkloadSpec, generate_workload  # noqa: E402
+from icecache import (Engine, EngineConfig, WorkloadSpec, full_attention,  # noqa: E402
+                      generate_workload)
 from icecache.dci import PARENT_BLOCK  # noqa: E402
 from perfbench.check import attended_ids  # noqa: E402
 from perfbench.spans import SpanRecorder, _distance_note, _entry_points  # noqa: E402
@@ -87,9 +88,8 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
             return result
         return wrapper
 
-    for name in ("sparse_attention", "find_page_index"):
+    for name in ("sparse_attention", "find_page_index", "full_attention", "_attend"):
         monkeypatch.setattr(engine_mod, name, counted(name))
-    monkeypatch.setattr(engine_mod, "full_attention", counted("full_attention"))
 
     def counted_method(owner, attr):
         original = getattr(owner, attr)
@@ -110,7 +110,31 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
         selected[id(tree)].update(result)
         return result
     monkeypatch.setattr(engine_mod.DciTree, "query", query)
-    outs, _ = eng.decode_step(wl.decode_step(500, 0))
+    exact = [(layer, qh) for layer in range(cfg.skip_layers) for qh in range(cfg.n_query_heads)]
+
+    def check_exact(step, outs):
+        """Each exact pair was attended once, by this thread through the
+        traced `full_attention` (at least one pair a step) or by the
+        helper through the kernel behind it, and equals `full_attention`
+        over the same slab bit for bit."""
+        assert len(calls["full_attention"]) >= 1
+        assert len(calls["full_attention"]) + len(calls["_attend"]) == len(exact)
+        results = [id(result) for name in ("full_attention", "_attend")
+                   for _, result in calls[name]]
+        assert sorted(results) == sorted(id(outs[layer][qh]) for layer, qh in exact)
+        n = eng._n
+        for layer, qh in exact:
+            h = qh // cfg.query_heads_per_group
+            want = full_attention(
+                step.queries[layer, qh], eng._keys[layer, h, :n], eng._values[layer, h, :n])
+            got = outs[layer][qh]
+            assert np.array_equal(got.token_ids, want.token_ids)
+            assert np.array_equal(got.dense_weights, want.dense_weights)
+            assert np.array_equal(got.value_out, want.value_out)
+
+    step = wl.decode_step(500, 0)
+    outs, _ = eng.decode_step(step)
+    check_exact(step, outs)
 
     indexed = cfg.layers - cfg.skip_layers
     assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
@@ -127,20 +151,19 @@ def test_decode_attends_and_looks_up_pages_through_the_module_names(monkeypatch)
         assert attended_ids(out).tolist() == [int(t) for t in args[1]]
 
     # One backload per (anchor, kv head), here every indexed layer at
-    # stride 1, one full attention per skip-layer query head, and no fold
-    # at fill 5.
+    # stride 1, and no fold at fill 5.
     assert len(calls["backload"]) == indexed * cfg.kv_heads
-    assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
     assert not calls["insert"] and not calls["offload"]
     # Token 512 fills a new window page's first slot: layer 2 folds, once per head.
     for t in range(1, 13):
         calls.clear()
-        eng.decode_step(wl.decode_step(500, t))
+        step = wl.decode_step(500, t)
+        outs, _ = eng.decode_step(step)
+        check_exact(step, outs)
     folding = [eng.heads[(cfg.skip_layers, h)] for h in range(cfg.kv_heads)]
     assert sorted(map(id, calls["insert"])) == sorted(id(state.tree) for state in folding)
     assert sorted(map(id, calls["offload"])) == sorted(id(state.store) for state in folding)
     assert len(calls["backload"]) == indexed * cfg.kv_heads
-    assert len(calls["full_attention"]) == cfg.skip_layers * cfg.n_query_heads
     assert len(calls["sparse_attention"]) == indexed * cfg.n_query_heads
 
 

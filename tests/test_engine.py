@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import icecache.engine as engine_mod
 from icecache import (SENTINEL_LEVEL, ConfigError, DegenerateQueryError, Engine, EngineConfig,
                       InputError, SearchBudget, Workload, WorkloadSpec, full_attention,
                       generate_workload, gqa_union, pipeline_estimate, transform_query)
+from icecache.arrays import helper
 from icecache.bench import score_step
 from icecache.geometry import exact_topk
 from icecache.pagestore import NO_PAGE, find_page_index
@@ -201,6 +203,160 @@ def test_a_child_forked_after_a_prefill_gets_a_helper_of_its_own():
 
 # -- decode flow ------------------------------------------------------------------
 
+
+class _IdleHelper:
+    """A helper that never starts what it is given: each step cancels its
+    task and attends every exact pair on the calling thread."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def _decode_24(eng, wl, before_step=lambda: None):
+    """Steps 0-23 after a 500-token prompt, in which both anchor groups of
+    a 4-layer engine fold (fills 1 and 9)."""
+    steps = []
+    for t in range(24):
+        before_step()
+        steps.append(eng.decode_step(wl.decode_step(500, t)))
+    return steps
+
+
+def _assert_same_steps(got, want):
+    for (outs, metrics), (ref_outs, ref_metrics) in zip(got, want, strict=True):
+        assert metrics == ref_metrics
+        assert list(metrics.selections) == list(ref_metrics.selections)
+        assert all(np.array_equal(metrics.selections[key], ref_metrics.selections[key])
+                   for key in metrics.selections)
+        for row, ref_row in zip(outs, ref_outs, strict=True):
+            for out, ref in zip(row, ref_row, strict=True):
+                assert np.array_equal(out.token_ids, ref.token_ids)
+                assert np.array_equal(out.dense_weights, ref.dense_weights)
+                assert np.array_equal(out.value_out, ref.value_out)
+
+
+@pytest.mark.parametrize("helper_state", ["idle", "slow", "busy", "the caller"])
+def test_the_shared_decode_equals_a_one_thread_decode(monkeypatch, helper_state):
+    """The helper attends exact pairs beside the anchor groups. Every step
+    equals a one-thread decode bit for bit whether the helper is idle; its
+    kernel is slow (each pair waits 50 ms, and the groups wait until it
+    holds one), so the calling thread takes the rest and the step returns
+    only once the helper's pair is in; it is busy with another task, so
+    each step cancels and attends every pair itself; or `decode_step` runs
+    on the helper, which then does every pair there. The calling thread
+    attends at least one pair of every step through `full_attention`."""
+    wl, cfg = _small(layers=4, kv_heads=2, query_heads_per_group=2, seed=11)
+    n_exact = cfg.skip_layers * cfg.n_query_heads
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, "helper", _IdleHelper)
+        want = _decode_24(Engine(cfg).prefill(wl, 500), wl)
+
+    eng = Engine(cfg).prefill(wl, 500)
+    calls = []  # (thread, through full_attention) of each exact pair this step
+    for name in ("full_attention", "_attend"):
+        def counted(*args, _original=getattr(engine_mod, name), _traced=name == "full_attention"):
+            calls.append((threading.current_thread(), _traced))
+            return _original(*args)
+        monkeypatch.setattr(engine_mod, name, counted)
+    per_step, taken = [], threading.Event()
+
+    def next_step():
+        if calls:
+            per_step.append(list(calls))
+        calls.clear()
+        taken.clear()
+    if helper_state == "slow":
+        attend, query = engine_mod._attend, engine_mod.DciTree.query
+
+        def slow_attend(*args):
+            taken.set()
+            time.sleep(0.05)
+            return attend(*args)
+
+        def query_once_the_helper_holds_a_pair(*args):
+            assert taken.wait(timeout=30)
+            return query(*args)
+        monkeypatch.setattr(engine_mod, "_attend", slow_attend)
+        monkeypatch.setattr(engine_mod.DciTree, "query", query_once_the_helper_holds_a_pair)
+
+    caller = threading.main_thread()
+    release = threading.Event()
+    blocker = helper().submit(release.wait, 60) if helper_state == "busy" else None
+    try:
+        if helper_state == "the caller":
+            caller = helper().submit(threading.current_thread).result(timeout=60)
+            got = helper().submit(_decode_24, eng, wl, next_step).result(timeout=120)
+        else:
+            got = _decode_24(eng, wl, next_step)
+        next_step()
+    finally:
+        release.set()
+    assert blocker is None or blocker.result(timeout=60)
+    _assert_same_steps(got, want)
+
+    assert len(per_step) == 24
+    mine = [sum(traced for _, traced in seen) for seen in per_step]
+    for seen in per_step:
+        assert len(seen) == n_exact
+        assert all(traced == (thread is caller) for thread, traced in seen)
+    assert min(mine) >= 1
+    if helper_state in ("busy", "the caller"):
+        assert mine == [n_exact] * 24
+    if helper_state == "slow":
+        assert max(mine) < n_exact and sum(mine) > 24
+
+
+def test_a_step_whose_anchor_group_raises_joins_the_helper_first(monkeypatch):
+    """The first tree query fails once the helper holds an exact pair
+    (each waits 50 ms): the helper has finished every pair it took when
+    the error arrives, and the helper is free for the next step."""
+    wl, cfg = _small(layers=4, kv_heads=2, query_heads_per_group=2, seed=11)
+    eng = Engine(cfg).prefill(wl, 500)
+    attend, started, done = engine_mod._attend, threading.Event(), []
+
+    def slow_attend(*args):
+        started.set()
+        time.sleep(0.05)
+        out = attend(*args)
+        done.append(out)
+        return out
+
+    def failing_query(*args):
+        assert started.wait(timeout=30)
+        raise RuntimeError("query failed")
+    monkeypatch.setattr(engine_mod, "_attend", slow_attend)
+    monkeypatch.setattr(engine_mod.DciTree, "query", failing_query)
+    with pytest.raises(RuntimeError, match="query failed"):
+        eng.decode_step(wl.decode_step(500, 0))
+    # The helper took every pair but the calling thread's own, the last one.
+    assert len(done) == cfg.skip_layers * cfg.n_query_heads - 1
+    monkeypatch.undo()
+    assert helper().submit(int, 7).result(timeout=10) == 7
+    outs, _ = Engine(cfg).prefill(wl, 500).decode_step(wl.decode_step(500, 0))
+    assert all(out is not None for row in outs for out in row)
+
+
+@pytest.mark.parametrize("skip_layers, query_heads_per_group", [(0, 1), (1, 1)])
+def test_a_step_with_at_most_one_exact_pair_submits_nothing(monkeypatch, skip_layers,
+                                                             query_heads_per_group):
+    """uniform-32k's shape (one layer, none skipped) has no exact pair,
+    and one kv head with one skip layer has one, the calling thread's own:
+    neither step queues a task on the helper."""
+    layers = skip_layers + 1
+    wl, cfg = _small(layers=layers, kv_heads=1, skip_layers=skip_layers,
+                     query_heads_per_group=query_heads_per_group)
+    eng = Engine(cfg).prefill(wl, 500)
+    submitted = []
+
+    class Recording:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return helper().submit(fn, *args)
+    monkeypatch.setattr(engine_mod, "helper", Recording)
+    for t in range(20):  # the indexed layer folds at step 12
+        outs, _ = eng.decode_step(wl.decode_step(500, t))
+        assert all(out is not None for row in outs for out in row)
+    assert not submitted
 
 def test_each_indexed_layer_folds_once_per_page_at_its_fill():
     # Indexed layer l of anchor a folds its oldest window page when the

@@ -154,3 +154,20 @@ def test_malformed_traces_name_byte_offsets(tmp_path):
     path.write_bytes(good.read_bytes()[:32] + payload.tobytes())
     with pytest.raises(TraceFormatError, match="non-finite value at byte offset 84$"):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize("field", range(6))
+def test_a_zero_shape_field_names_its_own_byte_offset(tmp_path, field):
+    """The six shape fields (layers, kv heads, query heads per group, d,
+    d', tokens) follow the magic and version, four bytes each."""
+    spec = WorkloadSpec(kind="uniform", n_tokens=3, d=2, d_prime=2, layers=1,
+                        kv_heads=1, seed=7)
+    path = tmp_path / "t.icet"
+    save_trace(generate_workload(spec), str(path))
+    raw = bytearray(path.read_bytes())
+    offset = 8 + 4 * field
+    raw[offset:offset + 4] = bytes(4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TraceFormatError,
+                       match=f"non-positive shape field in header at byte offset {offset}$"):
+        load_trace(str(path))
