@@ -1,12 +1,14 @@
 """Array helpers shared by the page, tree and attention layers, and the
-package's one helper thread (`helper`)."""
+package's one helper thread (`helper`) with the one way to share work with
+it (`shared`)."""
 
 from __future__ import annotations
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,19 +49,45 @@ def helper() -> ThreadPoolExecutor:
 
     NumPy copies, ufuncs and BLAS calls release the interpreter lock, so a
     second thread runs them beside the calling one on a host with two
-    cores. A caller shares work with it through one iterator that both
-    threads take from, then cancels its task, or waits for it only if it
-    started: so no caller waits on a task queued behind another one, or
-    behind itself when it runs on the helper. `Engine.prefill` (its slab
-    copies), `dci._parent_rows` (its blocks of rows) and
-    `Engine.decode_step` (its exact attention pairs) use it; no entry
-    point that perfbench traces runs here.
+    cores. Work reaches it only through `shared`. No entry point that
+    perfbench traces runs here.
     """
     global _helper
     with _helper_lock:
         if _helper is None:
             _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="icecache-helper")
         return _helper
+
+
+@contextmanager
+def shared(work: Callable[[Iterator], object], items: Sequence) -> Iterator[Iterator]:
+    """Share `items` between the calling thread and the helper thread.
+
+    With two or more items, `work` runs on the helper over one iterator of
+    them (each next() on it is atomic), and the block gets that same
+    iterator and must drain it; with fewer, nothing is submitted and the
+    block gets them all. On exit the helper's task is cancelled if it has
+    not started, or else waited for, so no block waits on a task queued
+    behind another one, or behind itself when entered on the helper, and
+    no work outlives the block. If the block raised, its own error passes
+    on once the helper is done; otherwise the helper's error, if any, is
+    raised. Each item is the same work on either thread, so results equal
+    a one-thread loop's. `Engine.prefill` (its slab copies),
+    `dci._parent_rows` (its blocks of rows) and `Engine.decode_step` (its
+    exact attention pairs) share their work this way.
+    """
+    rest = iter(items)
+    task = helper().submit(work, rest) if len(items) > 1 else None
+    raised = True
+    try:
+        yield rest
+        raised = False
+    finally:
+        if task is not None and not task.cancel():  # started: wait for the item it holds
+            if raised:
+                task.exception()
+            else:
+                task.result()
 
 
 def _forget_helper() -> None:

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import as_ids, grown, helper
+from .arrays import as_ids, grown, shared
 from .errors import ConfigError, InputError
 from .geometry import KeyScale, lift_keys
 from .pagestore import TierStore
@@ -184,13 +184,10 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray) -> np.ndarr
     builds of 10k to 100k keys, and slower on page inserts).
 
     A level of more than one block is scanned by this thread and the
-    package's helper thread (`arrays.helper`) at once, both taking blocks
-    from one shared iterator; a block is the same product on either
-    thread, so the parents are those of a one-thread loop. The call then
-    cancels the helper's task, or, if the helper already started it, waits
-    for its last block. So a helper still busy (with a prefill's slab
-    copies) never stalls the scan, a call made on the helper itself does
-    all the blocks, and a page insert (one page of rows) never uses it.
+    package's helper thread at once, both taking blocks from one iterator
+    (`arrays.shared`); a block is the same product on either thread, so
+    the parents are those of a one-thread loop, and a page insert (one
+    page of rows) scans on this thread alone.
     """
     parent = np.full(rows.size, -1)
     levels = top[rows]
@@ -200,21 +197,13 @@ def _parent_rows(buf: np.ndarray, top: np.ndarray, rows: np.ndarray) -> np.ndarr
         if not cands.size:
             continue
         cand_t = buf[cands].T
-        blocks = iter(range(0, at.size, PARENT_BLOCK))  # shared: each next() is atomic
 
-        def scan():  # runs, and is waited for, within this level
+        def scan(blocks):  # runs, and is waited for, within this level
             for a in blocks:
                 block = at[a:a + PARENT_BLOCK]
                 parent[block] = cands[np.argmax(buf[rows[block]] @ cand_t, axis=1)]
-        if at.size <= PARENT_BLOCK:
-            scan()
-            continue
-        task = helper().submit(scan)
-        try:
-            scan()
-        finally:
-            if not task.cancel():  # started: wait for the block it holds
-                task.result()
+        with shared(scan, range(0, at.size, PARENT_BLOCK)) as rest:
+            scan(rest)
     return parent
 
 

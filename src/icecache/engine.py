@@ -42,19 +42,19 @@ indexed layers, every reuse_stride-th from skip_layers is an anchor
 the default, makes each its own anchor. The engine is not a transformer:
 embeddings come from the workload.
 
-Prefill and decode run on two cores. In prefill the package's one helper
-thread (`arrays.helper`) copies and checks the K and V slabs the builds
-do not read while the calling thread builds the trees, and then shares
-each build's parent scan. In decode the helper attends the exact layers'
-(layer, query head) pairs, all but the last, while the calling thread
-serves the anchor groups; the calling thread then attends the last pair
-and any the helper has not taken. NumPy copies, checks and matmuls
-release the interpreter lock, so the two threads overlap. The helper
-calls no name that perfbench traces (it runs `attention._attend`, the
-kernel behind `full_attention`), because perfbench's span recorder, which
-nests each traced call in one stack of open spans, is not thread-safe: a
-traced call made on the helper would be timed into whatever span the
-calling thread has open.
+Prefill and decode share work with the package's one helper thread
+through `arrays.shared`, whose docstring states the protocol. In prefill
+the helper copies and checks the K and V slabs the builds do not read
+while the calling thread builds the trees, and then shares each build's
+parent scan. In decode it attends the exact layers' (layer, query head)
+pairs, all but the last, while the calling thread serves the anchor
+groups; a step with fewer than three exact pairs keeps them all on the
+calling thread. NumPy copies, checks and matmuls release the interpreter
+lock, so the two threads overlap. The helper calls no name that perfbench
+traces (it runs `attention._attend`, the kernel behind `full_attention`),
+because perfbench's span recorder, which nests each traced call in one
+stack of open spans, is not thread-safe: a traced call made on the helper
+would be timed into whatever span the calling thread has open.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arrays import helper
+from .arrays import shared
 from .attention import AttentionOutput, _attend, full_attention, gqa_union, sparse_attention
 from .dci import SENTINEL_LEVEL, DciTree, SearchBudget, dci_indexing
 from .errors import ConfigError, InputError
@@ -180,17 +180,19 @@ class Engine:
     def prefill(self, workload: Workload, n_prefill: int) -> "Engine":
         """Index the first n_prefill tokens of the stream.
 
+        Every prefill starts from an empty plan (`heads`, `window_start`,
+        `anchor_of`), so one that raised leaves nothing for the next.
+
         The prompt's K and V slabs are filled on two cores. This thread
         copies the anchor layers' keys, the only slabs the tree builds
-        read, and queues every other slab on the helper thread
-        (`arrays.helper`), which copies each and checks it for finite
-        values (the anchor key slabs it only checks). This thread builds
-        the trees meanwhile, then takes any slab the helper has not, and
-        joins it in a `finally`, so no copy outlives a prefill that
-        returns or raises. Once the helper's copies are done, each build's
-        parent scan shares its blocks with it (`dci._parent_rows`).
-        InputError, with the engine left unprefilled, if a prompt key or
-        value is not finite; a build's own error passes through as it is.
+        read, and shares every slab with the helper thread
+        (`arrays.shared`), which copies each other slab and checks each
+        for finite values. This thread builds the trees meanwhile, then
+        takes any slab the helper has not. Once the helper's copies are
+        done, each build's parent scan shares its blocks with it
+        (`dci._parent_rows`). InputError, with the engine left
+        unprefilled, if a prompt key or value is not finite; a build's own
+        error passes through as it is.
         """
         if self._n:
             raise ConfigError("engine already prefilled")
@@ -206,9 +208,10 @@ class Engine:
         self.sink_end = cfg.sink_pages * s
         window_start = (page_count - cfg.window_pages) * s
         self.anchors = list(range(first, cfg.layers, cfg.reuse_stride))
-        for layer in range(first, cfg.layers):
-            self.anchor_of[layer] = layer - (layer - cfg.skip_layers) % cfg.reuse_stride
-            self.window_start[layer] = window_start
+        self.anchor_of = {layer: layer - (layer - cfg.skip_layers) % cfg.reuse_stride
+                          for layer in range(first, cfg.layers)}
+        self.window_start = dict.fromkeys(range(first, cfg.layers), window_start)
+        self.heads = {}
 
         rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
         self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
@@ -217,12 +220,10 @@ class Engine:
         for layer in self.anchors:  # the slabs the builds read
             self._keys[layer, :, :n] = keys[:, layer].transpose(1, 0, 2)
         every = [(layer, h) for layer in range(cfg.layers) for h in range(cfg.kv_heads)]
-        slabs = iter([(self._keys[layer, h, :n], None if layer in self.anchors
-                       else keys[:, layer, h]) for layer, h in every]
-                     + [(self._values[layer, h, :n], values[:, layer, h]) for layer, h in every])
-        filling = helper().submit(_fill, slabs)
-        finite = False
-        try:
+        slabs = ([(self._keys[layer, h, :n], None if layer in self.anchors
+                   else keys[:, layer, h]) for layer, h in every]
+                 + [(self._values[layer, h, :n], values[:, layer, h]) for layer, h in every])
+        with shared(_fill, slabs) as rest:
             for layer in self.anchors:
                 for h in range(cfg.kv_heads):
                     store = TierStore(cfg.d, cfg.d_prime, s)
@@ -231,12 +232,7 @@ class Engine:
                                         cfg.promotion_ratio, seed=(cfg.seed, layer, h),
                                         store=store, rows=rows)
                     self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
-            finite = _fill(slabs)  # the slabs the helper has not taken yet
-        finally:
-            if not filling.cancel():  # started: wait for the slabs it took
-                finite &= filling.result()
-        if not finite:
-            raise InputError("prompt keys and values must be finite")
+            _fill(rest)  # the slabs the helper has not taken yet
         self._n = n_prefill  # last: a prefill that raises leaves the engine unprefilled
         return self
 
@@ -259,16 +255,14 @@ class Engine:
         attends those ids with its own keys and values (see the module
         docstring). Selections keep their (layer, query head) order.
 
-        The exact pairs but the last, if any, go to the helper thread
-        (`arrays.helper`) through one shared iterator, once the step's keys
-        and values are written. This thread serves every anchor group, then
-        attends the last pair and any the helper has not taken through
-        `full_attention`, so a step with an exact layer always makes one
-        call perfbench's trace can time, and joins in a `finally`: it cancels the helper's task if it has not
-        started, or waits for its last pair. So a busy helper, a step run on
-        the helper itself or a group that raises never stalls the step or
-        leaves work running. Each pair is the same BLAS call on either
-        thread, so outputs equal a one-thread step's bit for bit.
+        The exact pairs but the last are shared with the helper thread
+        (`arrays.shared`) once the step's keys and values are written, so
+        only a step with three or more exact pairs hands any over. This
+        thread serves every anchor group, then attends the last pair and
+        any the helper has not taken through `full_attention`, so a step
+        with an exact layer always makes one call perfbench's trace can
+        time. Each pair is the same BLAS call on either thread, so outputs
+        equal a one-thread step's bit for bit.
 
         Returns per-layer, per-query-head attention outputs plus the step's
         counters and selections. It serves and counts only: fidelity is
@@ -312,10 +306,13 @@ class Engine:
 
         exact = [(layer, qh) for layer in range(cfg.layers - len(self.window_start))
                  for qh in range(cfg.n_query_heads)]  # the layers below the indexed
-        shared = iter(exact[:-1])  # the last pair is this thread's; each next() is atomic
-        task = helper().submit(_attend_exact, shared, queries, keys, values, g, outputs) \
-            if len(exact) > 1 else None
-        try:
+
+        def attend(pairs):  # the helper's share: the kernel behind full_attention, untraced
+            ids = np.arange(n)
+            for layer, qh in pairs:
+                outputs[layer][qh] = _attend(np.asarray(queries[layer, qh], dtype=float),
+                                             keys[layer, qh // g], values[layer, qh // g], ids)
+        with shared(attend, exact[:-1]) as rest:  # the last pair is this thread's
             for anchor in self.anchors:
                 layers = range(anchor, min(anchor + cfg.reuse_stride, cfg.layers))
                 start = self.window_start[anchor]
@@ -347,12 +344,9 @@ class Engine:
                             selections[(layer, qh)] = picked if layer == anchor else union
                             outputs[layer][qh] = sparse_attention(queries[layer, qh], attended,
                                                                   keys[layer, h], values[layer, h])
-            for layer, qh in itertools.chain(exact[-1:], shared):  # its own, then any left
+            for layer, qh in itertools.chain(exact[-1:], rest):  # its own, then any left
                 outputs[layer][qh] = full_attention(queries[layer, qh],
                                                     keys[layer, qh // g], values[layer, qh // g])
-        finally:
-            if task is not None and not task.cancel():  # started: wait for its last pair
-                task.result()
 
         metrics = StepMetrics(
             step=token - self.n_prefill,
@@ -368,28 +362,15 @@ class Engine:
         return outputs, metrics
 
 
-def _attend_exact(pairs: Iterator[tuple[int, int]], queries: np.ndarray, keys: np.ndarray,
-                  values: np.ndarray, g: int, outputs: list[list[AttentionOutput | None]]
-                  ) -> None:
-    """Attend each (layer, query head) pair taken from `pairs` over every
-    key of its kv head into `outputs`: the kernel `full_attention` calls,
-    on a step `decode_step` has checked, and no name perfbench traces."""
-    ids = np.arange(keys.shape[2])
-    for layer, qh in pairs:
-        outputs[layer][qh] = _attend(np.asarray(queries[layer, qh], dtype=float),
-                                     keys[layer, qh // g], values[layer, qh // g], ids)
-
-
-def _fill(slabs: Iterator[tuple[np.ndarray, np.ndarray | None]]) -> bool:
+def _fill(slabs: Iterator[tuple[np.ndarray, np.ndarray | None]]) -> None:
     """Copy each (slab, source) pair's source into its slab, unless the
-    source is None, and check the slab; whether every slab is finite. Two
-    threads may share `slabs`: each next() on a list iterator is atomic."""
-    finite = True
+    source is None, and check the slab: InputError at the first slab that
+    is not finite."""
     for slab, source in slabs:
         if source is not None:
             slab[...] = source
-        finite &= bool(np.isfinite(slab).all())
-    return finite
+        if not np.isfinite(slab).all():
+            raise InputError("prompt keys and values must be finite")
 
 
 def pipeline_estimate(t_prefill: float, t_offload: float, t_index: float,

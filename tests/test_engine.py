@@ -16,6 +16,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import icecache.arrays
 import icecache.engine as engine_mod
 from icecache import (SENTINEL_LEVEL, ConfigError, DegenerateQueryError, Engine, EngineConfig,
                       InputError, SearchBudget, Workload, WorkloadSpec, full_attention,
@@ -137,6 +138,25 @@ def test_a_non_finite_prompt_value_fails_prefill_and_leaves_the_engine_unprefill
     assert eng.decode_step(clean.decode_step(500, 0))[1].step == 0
 
 
+def test_a_prefill_after_a_failed_one_starts_from_an_empty_plan():
+    """A NaN prompt value fails a prefill after its trees are built. The
+    same engine, prefilled again with a prompt too short to split, has no
+    indexed layer left from the failed plan: every layer attends exactly,
+    as on a fresh engine, bit for bit."""
+    wl, cfg = _small(layers=4)
+    wl.values[250, 2, 1, 0] = np.nan
+    eng = Engine(cfg)
+    with pytest.raises(InputError, match="prompt keys and values must be finite"):
+        eng.prefill(wl, 500)
+    clean, _ = _small(layers=4)
+    eng.prefill(clean, 40)
+    assert eng.fallback and not eng.heads and not eng.window_start and not eng.anchor_of
+    got = [eng.decode_step(clean.decode_step(40, t)) for t in range(8)]
+    assert all(out is not None for outs, _ in got for row in outs for out in row)
+    fresh = Engine(cfg).prefill(clean, 40)
+    _assert_same_steps(got, [fresh.decode_step(clean.decode_step(40, t)) for t in range(8)])
+
+
 def test_a_prefill_whose_build_raises_joins_the_helper_first(monkeypatch):
     """A NaN on an indexed key fails the first build on the calling thread
     once the helper has started copying (each of its slabs waits 20 ms).
@@ -248,7 +268,7 @@ def test_the_shared_decode_equals_a_one_thread_decode(monkeypatch, helper_state)
     wl, cfg = _small(layers=4, kv_heads=2, query_heads_per_group=2, seed=11)
     n_exact = cfg.skip_layers * cfg.n_query_heads
     with monkeypatch.context() as patch:
-        patch.setattr(engine_mod, "helper", _IdleHelper)
+        patch.setattr(icecache.arrays, "helper", _IdleHelper)
         want = _decode_24(Engine(cfg).prefill(wl, 500), wl)
 
     eng = Engine(cfg).prefill(wl, 500)
@@ -336,15 +356,15 @@ def test_a_step_whose_anchor_group_raises_joins_the_helper_first(monkeypatch):
     assert all(out is not None for row in outs for out in row)
 
 
-@pytest.mark.parametrize("skip_layers, query_heads_per_group", [(0, 1), (1, 1)])
-def test_a_step_with_at_most_one_exact_pair_submits_nothing(monkeypatch, skip_layers,
-                                                             query_heads_per_group):
-    """uniform-32k's shape (one layer, none skipped) has no exact pair,
-    and one kv head with one skip layer has one, the calling thread's own:
-    neither step queues a task on the helper."""
+@pytest.mark.parametrize("skip_layers, kv_heads", [(0, 1), (1, 1), (1, 2)])
+def test_a_step_with_fewer_than_three_exact_pairs_submits_nothing(monkeypatch, skip_layers,
+                                                                 kv_heads):
+    """uniform-32k's shape (one layer, none skipped) has no exact pair, one
+    kv head with one skip layer has one, the calling thread's own, and
+    reuse-drift's (one skip layer, two kv heads of one query head) has two,
+    whose share would be one pair: no step queues a task on the helper."""
     layers = skip_layers + 1
-    wl, cfg = _small(layers=layers, kv_heads=1, skip_layers=skip_layers,
-                     query_heads_per_group=query_heads_per_group)
+    wl, cfg = _small(layers=layers, kv_heads=kv_heads, skip_layers=skip_layers)
     eng = Engine(cfg).prefill(wl, 500)
     submitted = []
 
@@ -352,11 +372,12 @@ def test_a_step_with_at_most_one_exact_pair_submits_nothing(monkeypatch, skip_la
         def submit(self, fn, *args):
             submitted.append(fn)
             return helper().submit(fn, *args)
-    monkeypatch.setattr(engine_mod, "helper", Recording)
+    monkeypatch.setattr(icecache.arrays, "helper", Recording)
     for t in range(20):  # the indexed layer folds at step 12
         outs, _ = eng.decode_step(wl.decode_step(500, t))
         assert all(out is not None for row in outs for out in row)
     assert not submitted
+
 
 def test_each_indexed_layer_folds_once_per_page_at_its_fill():
     # Indexed layer l of anchor a folds its oldest window page when the

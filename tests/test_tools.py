@@ -61,6 +61,24 @@ def test_step_profile_lists_every_indexed_layers_folds():
                         r"other steps [\d.]+ ms \(56 steps\)", lines[-1])
 
 
+def test_ab_compares_this_checkout_with_another():
+    """`benchmarks/ab.py` times set-up and decode of two checkouts in one
+    process; a 2-pass run of this checkout against itself prints a header
+    and one line per figure."""
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "ab.py"), "--other", str(ROOT),
+                          "--workload", "reuse-drift", "--passes", "2"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    header, *lines = run.stdout.splitlines()
+    assert header.startswith("reuse-drift seed 0: 2 passes of 2 rounds per side")
+    side = r"([\d.]+) \(([\d.]+)-([\d.]+)\) ms"
+    row = re.compile(rf"(setup|decode) +this {side}  other {side}  [+-][\d.]+ %  won ([012]) of 2")
+    rows = [row.fullmatch(line).groups() for line in lines]
+    assert [name for name, *_ in rows] == ["setup", "decode"]
+    for _, *figures, _won in rows:
+        for median, low, high in (figures[:3], figures[3:]):
+            assert 0 < float(low) <= float(median) <= float(high)
+
+
 def test_micro_benchmarks_run_once_each():
     """`benchmarks/test_micro.py` times the store, the index and the engine's
     selection outside `testpaths`, so timing stays opt-in; one untimed pass
