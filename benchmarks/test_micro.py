@@ -10,6 +10,7 @@ perfbench; these isolate one call each.
 """
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from icecache import (SENTINEL_LEVEL, Engine, EngineConfig, SearchBudget, TierStore,
                       WorkloadSpec, dci_indexing, find_page_index, full_attention,
                       generate_workload, sparse_attention, transform_query)
+from icecache.arrays import helper
+from icecache.attention import _attend
 
 N_KEYS = 10_000
 PAGE = 16
@@ -51,6 +54,27 @@ def _time_queries(benchmark, tree, queries):
 def test_dci_query(benchmark, stream):
     keys, _, queries = stream
     _time_queries(benchmark, _build(keys), queries)
+
+
+def test_dci_query_beside_exact_attention(benchmark, stream):
+    """64 queries on the 10k tree while the helper thread attends 10k-key
+    exact pairs in a loop, as clustered-10k decode runs its skip layers
+    beside the anchor groups: the queries slow only by what the helper's
+    kernels hold the interpreter lock for, and by sharing the host's cores."""
+    keys, values, queries = stream
+    tree = _build(keys)  # before the loop: a build shares its scan with the helper
+    stop = threading.Event()
+
+    def attend_until_stopped():
+        ids = np.arange(N_KEYS)
+        while not stop.is_set():
+            _attend(queries[0], keys, values, ids)
+    task = helper().submit(attend_until_stopped)
+    try:
+        _time_queries(benchmark, tree, queries)
+    finally:
+        stop.set()
+        task.result()
 
 
 def test_dci_query_2k(benchmark, stream):

@@ -47,10 +47,14 @@ _helper_lock = threading.Lock()
 def helper() -> ThreadPoolExecutor:
     """The package's one helper thread, started on first use.
 
-    NumPy copies, ufuncs and BLAS calls release the interpreter lock, so a
-    second thread runs them beside the calling one on a host with two
-    cores. Work reaches it only through `shared`. No entry point that
-    perfbench traces runs here.
+    On a host with two cores it runs beside the calling thread only in
+    NumPy calls that release the interpreter lock. On NumPy 2.4, copies,
+    `np.isfinite`, `take`, `exp`, fancy-index gathers, `argmax`, 2-D @ 1-D
+    and 2-D @ 2-D matmuls and `np.dot` of a vector and a matrix were
+    measured to release it; a 1-D @ 2-D matmul holds it for its whole run,
+    so no work shared here calls one (`tests/test_attention.py` checks
+    each kernel the helper runs). Work reaches it only through `shared`.
+    No entry point that perfbench traces runs here.
     """
     global _helper
     with _helper_lock:

@@ -107,7 +107,10 @@ def _attend(q: np.ndarray, k_mat: np.ndarray, v_mat: np.ndarray, ids: np.ndarray
     weights /= weights.sum()
     ids = ids.view()  # outputs may share the caller's ids; none may write them
     ids.setflags(write=False)
-    return AttentionOutput(ids, weights, weights @ v_mat)
+    # np.dot, not `@`: NumPy 2.4's 1-D @ 2-D matmul holds the interpreter
+    # lock for its whole run, stalling the other thread; np.dot's gemv
+    # releases it and gives the same bits.
+    return AttentionOutput(ids, weights, np.dot(weights, v_mat))
 
 
 def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> AttentionOutput:

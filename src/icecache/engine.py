@@ -49,12 +49,17 @@ while the calling thread builds the trees, and then shares each build's
 parent scan. In decode it attends the exact layers' (layer, query head)
 pairs, all but the last, while the calling thread serves the anchor
 groups; a step with fewer than three exact pairs keeps them all on the
-calling thread. NumPy copies, checks and matmuls release the interpreter
-lock, so the two threads overlap. The helper calls no name that perfbench
-traces (it runs `attention._attend`, the kernel behind `full_attention`),
-because perfbench's span recorder, which nests each traced call in one
-stack of open spans, is not thread-safe: a traced call made on the helper
-would be timed into whatever span the calling thread has open.
+calling thread. The two threads overlap because every kernel the helper
+runs releases the interpreter lock in its NumPy calls, as
+`tests/test_attention.py` checks: the slab copy and `np.isfinite` check,
+the parent scan's gather, 2-D @ 2-D matmul and `argmax`, and exact
+attention's 2-D @ 1-D logits, `exp` and value product. That product is
+`np.dot`, as a 1-D @ 2-D matmul holds the lock for its whole run on NumPy
+2.4. The helper calls no name that perfbench traces (it runs
+`attention._attend`, the kernel behind `full_attention`), because
+perfbench's span recorder, which nests each traced call in one stack of
+open spans, is not thread-safe: a traced call made on the helper would be
+timed into whatever span the calling thread has open.
 """
 
 from __future__ import annotations
@@ -154,17 +159,21 @@ class Engine:
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
+        self._budget = cfg.budget()
+        self._clear()
+
+    def _clear(self) -> None:
+        """The state of an unprefilled engine."""
         self.fallback = False                             # the prompt was too short to split
         self.n_prefill = 0
         self.heads: dict[tuple[int, int], _HeadState] = {}  # (anchor layer, kv head) -> state
-        self._keys = np.empty((0, 0, 0, cfg.d))          # (layer, kv head, token, d)
-        self._values = np.empty((0, 0, 0, cfg.d_prime))
+        self._keys = np.empty((0, 0, 0, self.cfg.d))     # (layer, kv head, token, d)
+        self._values = np.empty((0, 0, 0, self.cfg.d_prime))
         self._n = 0                                       # tokens held; 0 until prefill
         self.sink_end = 0                                 # the sink is tokens [0, sink_end)
         self.window_start: dict[int, int] = {}            # indexed layer -> its first window token
         self.anchors: list[int] = []                      # indexed layers that own and query trees
         self.anchor_of: dict[int, int] = {}               # indexed layer -> its anchor
-        self._budget = cfg.budget()
 
     # -- prefill -----------------------------------------------------------
 
@@ -180,8 +189,8 @@ class Engine:
     def prefill(self, workload: Workload, n_prefill: int) -> "Engine":
         """Index the first n_prefill tokens of the stream.
 
-        Every prefill starts from an empty plan (`heads`, `window_start`,
-        `anchor_of`), so one that raised leaves nothing for the next.
+        A prefill that raises leaves the engine as `Engine(cfg)` left it:
+        no plan, trees or slabs stay for the next one.
 
         The prompt's K and V slabs are filled on two cores. This thread
         copies the anchor layers' keys, the only slabs the tree builds
@@ -199,41 +208,43 @@ class Engine:
         self._check_workload(workload)
         cfg = self.cfg
         keys, values = workload.prefill_view(n_prefill)
-        self.n_prefill = n_prefill
+        try:
+            self.n_prefill = n_prefill
+            s = cfg.page_size
+            page_count = math.ceil(n_prefill / s)
+            self.fallback = page_count < cfg.sink_pages + cfg.window_pages + 1
+            first = cfg.layers if self.fallback else cfg.skip_layers  # the first indexed layer
+            self.sink_end = cfg.sink_pages * s
+            window_start = (page_count - cfg.window_pages) * s
+            self.anchors = list(range(first, cfg.layers, cfg.reuse_stride))
+            self.anchor_of = {layer: layer - (layer - cfg.skip_layers) % cfg.reuse_stride
+                              for layer in range(first, cfg.layers)}
+            self.window_start = dict.fromkeys(range(first, cfg.layers), window_start)
 
-        s = cfg.page_size
-        page_count = math.ceil(n_prefill / s)
-        self.fallback = page_count < cfg.sink_pages + cfg.window_pages + 1
-        first = cfg.layers if self.fallback else cfg.skip_layers  # the first indexed layer
-        self.sink_end = cfg.sink_pages * s
-        window_start = (page_count - cfg.window_pages) * s
-        self.anchors = list(range(first, cfg.layers, cfg.reuse_stride))
-        self.anchor_of = {layer: layer - (layer - cfg.skip_layers) % cfg.reuse_stride
-                          for layer in range(first, cfg.layers)}
-        self.window_start = dict.fromkeys(range(first, cfg.layers), window_start)
-        self.heads = {}
-
-        rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
-        self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
-        self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
-        n = n_prefill
-        for layer in self.anchors:  # the slabs the builds read
-            self._keys[layer, :, :n] = keys[:, layer].transpose(1, 0, 2)
-        every = [(layer, h) for layer in range(cfg.layers) for h in range(cfg.kv_heads)]
-        slabs = ([(self._keys[layer, h, :n], None if layer in self.anchors
-                   else keys[:, layer, h]) for layer, h in every]
-                 + [(self._values[layer, h, :n], values[:, layer, h]) for layer, h in every])
-        with shared(_fill, slabs) as rest:
-            for layer in self.anchors:
-                for h in range(cfg.kv_heads):
-                    store = TierStore(cfg.d, cfg.d_prime, s)
-                    tree = dci_indexing(np.arange(self.sink_end, window_start),
-                                        self._keys[layer, h, self.sink_end:window_start],
-                                        cfg.promotion_ratio, seed=(cfg.seed, layer, h),
-                                        store=store, rows=rows)
-                    self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
-            _fill(rest)  # the slabs the helper has not taken yet
-        self._n = n_prefill  # last: a prefill that raises leaves the engine unprefilled
+            rows = max(64, workload.n_tokens)  # the whole stream: decode never regrows
+            self._keys = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d))
+            self._values = np.empty((cfg.layers, cfg.kv_heads, rows, cfg.d_prime))
+            n = n_prefill
+            for layer in self.anchors:  # the slabs the builds read
+                self._keys[layer, :, :n] = keys[:, layer].transpose(1, 0, 2)
+            every = [(layer, h) for layer in range(cfg.layers) for h in range(cfg.kv_heads)]
+            slabs = ([(self._keys[layer, h, :n], None if layer in self.anchors
+                       else keys[:, layer, h]) for layer, h in every]
+                     + [(self._values[layer, h, :n], values[:, layer, h]) for layer, h in every])
+            with shared(_fill, slabs) as rest:
+                for layer in self.anchors:
+                    for h in range(cfg.kv_heads):
+                        store = TierStore(cfg.d, cfg.d_prime, s)
+                        tree = dci_indexing(np.arange(self.sink_end, window_start),
+                                            self._keys[layer, h, self.sink_end:window_start],
+                                            cfg.promotion_ratio, seed=(cfg.seed, layer, h),
+                                            store=store, rows=rows)
+                        self.heads[(layer, h)] = _HeadState(tree=tree, store=store)
+                _fill(rest)  # the slabs the helper has not taken yet
+            self._n = n_prefill
+        except BaseException:  # leave the engine as Engine(cfg) left it
+            self._clear()
+            raise
         return self
 
     # -- decode ---------------------------------------------------------------

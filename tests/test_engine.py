@@ -133,8 +133,10 @@ def test_a_non_finite_prompt_value_fails_prefill_and_leaves_the_engine_unprefill
         eng.prefill(wl, 500)
     with pytest.raises(ConfigError, match="before prefill"):
         eng.decode_step(wl.decode_step(500, 0))
+    assert eng.n_prefill == 0 and not eng.heads and not eng.window_start and not eng.anchor_of
+    assert eng._keys.size == eng._values.size == 0  # the failed plan's slabs are freed
     clean, _ = _small()
-    eng = Engine(cfg).prefill(clean, 500)
+    eng.prefill(clean, 500)
     assert eng.decode_step(clean.decode_step(500, 0))[1].step == 0
 
 
