@@ -5,7 +5,6 @@ it (`shared`)."""
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,12 +39,10 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
 def helper() -> ThreadPoolExecutor:
-    """The package's one helper thread, started on first use.
+    """The package's one helper thread: a one-worker executor made at import,
+    whose thread starts on its first submit, so importing the package starts
+    no thread; a forked child makes its own.
 
     On a host with two cores it runs beside the calling thread only in
     NumPy calls that release the interpreter lock. On NumPy 2.4, copies,
@@ -56,11 +53,7 @@ def helper() -> ThreadPoolExecutor:
     each kernel the helper runs). Work reaches it only through `shared`.
     No entry point that perfbench traces runs here.
     """
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="icecache-helper")
-        return _helper
+    return _helper
 
 
 @contextmanager
@@ -94,10 +87,12 @@ def shared(work: Callable[[Iterator], object], items: Sequence) -> Iterator[Iter
                 task.result()
 
 
-def _forget_helper() -> None:
-    """A forked child has no helper thread, only its parent's record of one."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+def _new_helper() -> None:
+    """Make `helper`'s executor; a forked child has none of its parent's
+    threads, so it makes its own."""
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="icecache-helper")
 
 
-os.register_at_fork(after_in_child=_forget_helper)
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)

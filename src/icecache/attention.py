@@ -79,23 +79,28 @@ class AttentionOutput:
         self.weights = _WeightView(self.token_ids, self.dense_weights)
 
 
-def _stack(vectors, name: str) -> np.ndarray:
-    mat = np.asarray(vectors, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise InputError(f"{name} must be a non-empty sequence of vectors")
-    return mat
+def _operands(q, keys, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The query, keys and values as float arrays, or InputError: a 1-D
+    query, a non-empty 2-D key matrix with one column per query entry, and
+    2-D values with one row per key."""
+    q = np.asarray(q, dtype=float)
+    k_mat = np.asarray(keys, dtype=float)
+    v_mat = np.asarray(values, dtype=float)
+    if q.ndim != 1:
+        raise InputError(f"the query must be a 1-D vector, got shape {q.shape}")
+    if k_mat.ndim != 2 or k_mat.shape[0] == 0:
+        raise InputError("keys must be a non-empty sequence of vectors")
+    if k_mat.shape[1] != q.size:
+        raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1]}")
+    if v_mat.ndim != 2 or v_mat.shape[0] != k_mat.shape[0]:
+        raise InputError(f"{k_mat.shape[0]} keys but values of shape {v_mat.shape}")
+    return q, k_mat, v_mat
 
 
 def full_attention(q, keys, values) -> AttentionOutput:
     """Softmax attention of one query over every key/value pair; the
     output's token ids are the key positions."""
-    q = np.asarray(q, dtype=float)
-    k_mat = _stack(keys, "keys")
-    v_mat = _stack(values, "values")
-    if k_mat.shape[0] != v_mat.shape[0]:
-        raise InputError(f"{k_mat.shape[0]} keys but {v_mat.shape[0]} values")
-    if k_mat.shape[1] != q.size:
-        raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1]}")
+    q, k_mat, v_mat = _operands(q, keys, values)
     return _attend(q, k_mat, v_mat, np.arange(k_mat.shape[0]))
 
 
@@ -126,14 +131,8 @@ def sparse_attention(q, selected_tokens: Iterable[int], keys, values) -> Attenti
     ids = as_ids(selected_tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise InputError("the token selection must be a non-empty 1-D id sequence")
-    q = np.asarray(q, dtype=float)
-    k_mat = np.asarray(keys, dtype=float)
-    v_mat = np.asarray(values, dtype=float)
+    q, k_mat, v_mat = _operands(q, keys, values)
     n = k_mat.shape[0]
-    if n != v_mat.shape[0]:
-        raise InputError(f"{n} keys but {v_mat.shape[0]} values")
-    if k_mat.ndim != 2 or k_mat.shape[1] != q.size:
-        raise InputError(f"dimension mismatch: query {q.size}, keys {k_mat.shape[1:]}")
     if ids.min() < 0 or ids.max() >= n:
         raise InputError(f"selected token ids must lie in [0, {n})")
     seen = np.zeros(n, dtype=bool)

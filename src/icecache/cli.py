@@ -17,8 +17,7 @@ import sys
 
 from .bench import pipeline_report, run_bench, run_sweep, write_csv
 from .engine import EngineConfig
-from .errors import (ConfigError, IceCacheError, InputError, InvariantViolation,
-                     TraceFormatError)
+from .errors import ConfigError, IceCacheError, InvariantViolation, TraceFormatError
 from .workload import WorkloadSpec, generate_workload, load_trace, save_trace
 
 EXIT_OK = 0
@@ -166,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, InputError, IceCacheError, ValueError) as exc:
+    except (IceCacheError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

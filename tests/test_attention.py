@@ -64,6 +64,8 @@ def test_dimension_mismatch_rejected():
         full_attention(np.ones(3), [np.ones(4)], [np.ones(2)])
     with pytest.raises(InputError):
         full_attention(np.ones(3), [np.ones(3)], [np.ones(2), np.ones(2)])
+    with pytest.raises(InputError):  # a (1, d) query is not read as one vector
+        full_attention(np.ones((1, 3)), [np.ones(3)], [np.ones(2)])
 
 
 def test_full_attention_takes_2d_keys_only():
@@ -100,6 +102,10 @@ def test_sparse_rejects_empty_or_unknown_selection():
         sparse_attention(np.ones(2), set(), keys, values)
     with pytest.raises(InputError):
         sparse_attention(np.ones(2), {3}, keys, values)
+    with pytest.raises(InputError):  # 1-D values are not one value row per key
+        sparse_attention(np.ones(2), {0}, keys, np.ones(1))
+    with pytest.raises(InputError):
+        sparse_attention(np.ones((1, 2)), {0}, keys, values)
 
 
 def test_sparse_rejects_negative_or_repeated_ids_and_keeps_selection_order():

@@ -103,3 +103,20 @@ def test_reach_lists_every_module_once():
     unrun, executable = (sum(int(r[i]) for r in rows) for i in (1, 2))
     assert re.fullmatch(rf"total +{unrun} of +{executable} unrun", total)
     assert 0 < unrun < executable
+
+
+def test_size_counts_code_lines_outside_docstrings_and_comments(tmp_path):
+    """`benchmarks/size.py` gives the ROADMAP's size figures. A module of
+    twelve lines holds five code lines: blank lines, comment lines and
+    docstrings do not count, a string that is not a docstring does, and a
+    statement split over two lines counts twice."""
+    (tmp_path / "mod.py").write_text('"""Module docstring,\nover two lines."""\n\n'
+                                     "# a comment\nX = 1  # code with a comment\n\n"
+                                     'def f():\n    """Docstring."""\n'
+                                     '    return ("a",\n            "b")\n\n'
+                                     'Y = """not a docstring"""\n')
+    run = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "size.py"),
+                          "--src", str(tmp_path)],
+                         cwd=ROOT, capture_output=True, text=True, timeout=60, check=True)
+    assert [line.split() for line in run.stdout.splitlines()] == [
+        ["module", "lines", "code"], ["mod.py", "12", "5"], ["total", "12", "5"]]
